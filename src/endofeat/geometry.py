@@ -499,24 +499,26 @@ def estimate_essential_ransac(
 
 
 def triangulate_points(norm_a: np.ndarray, norm_b: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Linear triangulation in camera-A coordinates from normalized points."""
+    """Linear triangulation in camera-A coordinates from normalized points.
+
+    Each point's 4x4 DLT system is solved by SVD; all systems go to one
+    stacked ``np.linalg.svd`` call.
+    """
     p1 = np.hstack([np.eye(3), np.zeros((3, 1))])
     p2 = np.hstack([r, t.reshape(3, 1)])
-    out = np.zeros((norm_a.shape[0], 3))
-    for i, ((x1, y1), (x2, y2)) in enumerate(zip(norm_a, norm_b)):
-        a = np.stack(
-            [
-                x1 * p1[2] - p1[0],
-                y1 * p1[2] - p1[1],
-                x2 * p2[2] - p2[0],
-                y2 * p2[2] - p2[1],
-            ]
-        )
-        _, _, vt = np.linalg.svd(a)
-        xh = vt[-1]
-        w = xh[3] if abs(xh[3]) > _EPS else _EPS
-        out[i] = xh[:3] / w
-    return out
+    a = np.stack(
+        [
+            norm_a[:, 0:1] * p1[2] - p1[0],
+            norm_a[:, 1:2] * p1[2] - p1[1],
+            norm_b[:, 0:1] * p2[2] - p2[0],
+            norm_b[:, 1:2] * p2[2] - p2[1],
+        ],
+        axis=1,
+    )
+    _, _, vt = np.linalg.svd(a)
+    xh = vt[:, -1]
+    w = np.where(np.abs(xh[:, 3]) > _EPS, xh[:, 3], _EPS)
+    return xh[:, :3] / w[:, None]
 
 
 def decompose_essential(e: np.ndarray):

@@ -28,6 +28,9 @@ METRIC_L2 = "L2"
 METRIC_HAMMING = "HAMMING"
 
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
+# Elements per nearest-neighbour tile (float64 distances for L2, per-byte
+# popcounts for Hamming): 2^16 keeps each tile's scratch near 0.5 MB.
+_TILE_ELEMENTS = 1 << 16
 
 
 def greedy_nms(scores: np.ndarray, threshold: float, window: int, max_points=None):
@@ -98,6 +101,10 @@ class DescriptorSet:
                 raise ValueError("Hamming descriptors must be packed uint8 rows")
             if not 0 < self.bits <= v.shape[1] * 8:
                 raise ValueError("bits must match the packed row width")
+        elif v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):
+            # min and max propagate NaN and reach +-inf, with no (N, D) temporary
+            row = int(np.argmin(np.isfinite(v).all(axis=1)))
+            raise ValueError(f"L2 descriptor row {row} holds NaN or inf")
         object.__setattr__(self, "vectors", v)
 
     def __len__(self):
@@ -152,7 +159,19 @@ def match_mutual(da: DescriptorSet, db: DescriptorSet) -> MatchSet:
 
     Pair (i, j) is kept iff b_j is the nearest neighbor of a_i and a_i is
     the nearest neighbor of b_j; argmin ties go to the lowest index. Pairs
-    come out in ascending i order.
+    come out in ascending i order, and an L2 pair's distance is the square
+    root of its direct squared distance ``np.sum((a_i - b_j) ** 2)``.
+
+    Each direction is searched in tiles: as many query rows as fit in
+    ``_TILE_ELEMENTS`` (2^16) distances, and at least one, against every
+    reference row, so a tile's scratch memory stays near 0.5 MB. Hamming
+    tiles XOR the packed rows and count bits with a lookup table; their
+    integer distances are exact. L2 tiles rank columns by the Gram
+    expansion ``|a|^2 + |b|^2 - 2 a.b`` (one matrix product), which rounds
+    differently from the direct formula, so every column within twice a
+    rounding-error bound of the row's Gram minimum is re-scored with the
+    direct formula and the lowest index among the exact minima wins. The
+    result is bit-for-bit that of a full matrix of direct distances.
     """
     if da.metric != db.metric:
         raise ValueError(f"metric mismatch: {da.metric} vs {db.metric}")
@@ -164,39 +183,76 @@ def match_mutual(da: DescriptorSet, db: DescriptorSet) -> MatchSet:
 
     if da.metric == METRIC_HAMMING:
         a_rows, b_rows = da.vectors, db.vectors
-
-        def dist_rows(q, others):
-            return _POPCOUNT[np.bitwise_xor(q, others)].sum(axis=1)
-
+        nearest = _nearest_hamming
     else:
         a_rows = da.vectors.astype(np.float64, copy=False)
         b_rows = db.vectors.astype(np.float64, copy=False)
+        nearest = _nearest_l2
+    best_b, dist_b = nearest(a_rows, b_rows)
+    best_a, _ = nearest(b_rows, a_rows)
 
-        def dist_rows(q, others):
-            return np.sum((q - others) ** 2, axis=1)
+    rows = np.flatnonzero(best_a[best_b] == np.arange(na))
+    pairs = np.stack([rows, best_b[rows]], axis=1)
+    dists = np.sqrt(dist_b[rows]) if da.metric == METRIC_L2 else dist_b[rows]
+    return MatchSet(pairs, dists, da.metric)
 
-    best_b = np.empty(na, dtype=np.int64)
-    dist_b = np.empty(na, dtype=np.float64)
-    for i in range(na):
-        d = dist_rows(a_rows[i], b_rows)
-        best_b[i] = int(np.argmin(d))
-        dist_b[i] = d[best_b[i]]
-    best_a = np.empty(nb, dtype=np.int64)
-    for j in range(nb):
-        d = dist_rows(b_rows[j], a_rows)
-        best_a[j] = int(np.argmin(d))
 
-    pairs = []
-    dists = []
-    for i in range(na):
-        j = best_b[i]
-        if best_a[j] == i:
-            pairs.append((i, j))
-            d = dist_b[i]
-            dists.append(float(np.sqrt(d)) if da.metric == METRIC_L2 else float(d))
-    if not pairs:
-        return MatchSet(np.empty((0, 2), np.int64), np.empty(0), da.metric)
-    return MatchSet(np.asarray(pairs, np.int64), np.asarray(dists), da.metric)
+def _nearest_hamming(q: np.ndarray, ref: np.ndarray):
+    """Lowest-index nearest ref row of each packed-bit q row, and its distance."""
+    step = max(1, _TILE_ELEMENTS // (ref.shape[0] * ref.shape[1]))
+    best = np.empty(q.shape[0], dtype=np.int64)
+    dist = np.empty(q.shape[0], dtype=np.int64)
+    for lo in range(0, q.shape[0], step):
+        tile = _POPCOUNT[np.bitwise_xor(q[lo : lo + step, None, :], ref[None, :, :])].sum(axis=2)
+        best[lo : lo + step] = tile.argmin(axis=1)
+        dist[lo : lo + step] = tile.min(axis=1)
+    return best, dist
+
+
+def _nearest_l2(q: np.ndarray, ref: np.ndarray):
+    """Lowest-index nearest ref row of each float64 q row, and its direct squared distance.
+
+    For one (q, r) pair, the Gram value and the direct value each lie
+    within (2D + 4) u s of the exact squared distance, with D the width,
+    u the unit roundoff and s = |q|^2 + |r|^2 (the standard summation and
+    dot-product bounds, which hold for any order and with FMA). So they
+    differ by at most tol = (4D + 16) eps s with eps = 2u, s taken over
+    the largest |r|^2; the slack covers second-order terms and ``tiny``
+    covers underflow. The column with the least direct value therefore
+    has a Gram value within 2 tol of the row's Gram minimum, and re-scoring
+    every such column exactly finds it. A row whose Gram values overflow
+    gets a NaN or inf bound and re-scores every column.
+    """
+    nq, width = q.shape
+    step = max(1, _TILE_ELEMENTS // ref.shape[0])
+    q_sq = np.einsum("ij,ij->i", q, q)
+    r_sq = np.einsum("ij,ij->i", ref, ref)
+    fi = np.finfo(np.float64)
+    tol = (4 * width + 16) * (fi.eps * (q_sq + r_sq.max()) + fi.tiny)
+    recheck = max(1, _TILE_ELEMENTS // max(1, width))
+    best = np.empty(nq, dtype=np.int64)
+    dist = np.empty(nq, dtype=np.float64)
+    for lo in range(0, nq, step):
+        hi = min(lo + step, nq)
+        gram = q[lo:hi] @ ref.T
+        gram *= -2.0
+        gram += q_sq[lo:hi, None]
+        gram += r_sq[None, :]
+        bound = gram.min(axis=1) + 2.0 * tol[lo:hi]
+        # ~(g > bound) keeps every column of a row whose bound is NaN
+        rows, cols = np.nonzero(~(gram > bound[:, None]))
+        direct = np.empty(rows.size)
+        for c in range(0, rows.size, recheck):
+            sel = slice(c, c + recheck)
+            direct[sel] = np.sum((q[lo + rows[sel]] - ref[cols[sel]]) ** 2, axis=1)
+        # candidates come sorted by row, then column, and every row has one
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        row_min = np.minimum.reduceat(direct, starts)
+        hits = np.flatnonzero(direct == row_min[rows])
+        first = hits[np.diff(rows[hits], prepend=-1) != 0]
+        best[lo:hi] = cols[first]
+        dist[lo:hi] = row_min
+    return best, dist
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +329,10 @@ def load_features(path, frame_id: int = -1):
         if len(blob) != n * dim * 4:
             raise ValueError(f"{path}.desc: expected {n * dim * 4} bytes, got {len(blob)}")
         vec = np.frombuffer(blob, dtype="<f4").reshape(n, dim) if n else np.empty((0, dim), np.float32)
-        desc = DescriptorSet(np.ascontiguousarray(vec.astype(np.float32)), METRIC_L2)
+        try:
+            desc = DescriptorSet(np.ascontiguousarray(vec.astype(np.float32)), METRIC_L2)
+        except ValueError as exc:
+            raise ValueError(f"{path}.desc: {exc}") from exc
     return kp, desc
 
 

@@ -144,9 +144,13 @@ def evaluate_pairs(
     (evaluations, skipped) where skipped lists (frame_a, frame_b, reason)
     for pairs missing a frame. Model tags: H, E, F, plus pGT whenever the
     pose of a pair is known. step 0 pairs every frame with itself (debug).
+    Raises ValueError, before any matching, when a keypoint of any frame
+    lies outside [0, width) x [0, height).
     """
     height, width = image_shape
     frame_ids = sorted(features)
+    for fid in frame_ids:
+        _check_in_frame(fid, features[fid][0], height, width)
     evaluations = []
     skipped = []
     if models == "auto":
@@ -221,6 +225,17 @@ def evaluate_pairs(
             )
         evaluations.append(ev)
     return evaluations, skipped
+
+
+def _check_in_frame(frame_id: int, kp: KeypointSet, height: int, width: int) -> None:
+    x, y = kp.points[:, 0], kp.points[:, 1]
+    inside = (x >= 0) & (x < width) & (y >= 0) & (y < height)
+    if not inside.all():
+        bx, by = kp.points[int(np.argmin(inside))]
+        raise ValueError(
+            f"frame {frame_id}: keypoint ({fmt(bx)}, {fmt(by)}) lies outside the "
+            f"{width}x{height} image"
+        )
 
 
 def _model_slot(tag: str) -> int:

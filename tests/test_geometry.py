@@ -271,6 +271,32 @@ def test_triangulation_recovers_depths():
     np.testing.assert_allclose(pts3[:, :2] / pts3[:, 2:3], na, atol=1e-9)
 
 
+def _triangulate_per_point(norm_a, norm_b, r, t):
+    """Reference: one 4x4 DLT system and one SVD per point."""
+    p1 = np.hstack([np.eye(3), np.zeros((3, 1))])
+    p2 = np.hstack([r, t.reshape(3, 1)])
+    out = np.zeros((norm_a.shape[0], 3))
+    for i, ((x1, y1), (x2, y2)) in enumerate(zip(norm_a, norm_b)):
+        a = np.stack([x1 * p1[2] - p1[0], y1 * p1[2] - p1[1], x2 * p2[2] - p2[0], y2 * p2[2] - p2[1]])
+        xh = np.linalg.svd(a)[2][-1]
+        w = xh[3] if abs(xh[3]) > 1e-12 else 1e-12
+        out[i] = xh[:3] / w
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_triangulation_matches_per_point_reference(seed):
+    pts_a, pts_b, pose, k = random_two_view_scene(n_points=600, seed=84 + seed, noise_px=1.0)
+    na, nb = k.normalize(pts_a), k.normalize(pts_b)
+    # rays related by the rotation alone meet at infinity (w ~ 0)
+    rays = np.hstack([na[:5], np.ones((5, 1))]) @ pose.rotation.T
+    nb[:5] = rays[:, :2] / rays[:, 2:]
+    for r, t in decompose_essential(essential_from_pose(pose)):
+        want = _triangulate_per_point(na, nb, r, t)
+        np.testing.assert_array_equal(triangulate_points(na, nb, r, t), want)
+    assert triangulate_points(na[:0], nb[:0], pose.rotation, pose.translation).shape == (0, 3)
+
+
 def test_pgt_inliers_flags_epipolar_consistency():
     pts_a, pts_b, pose, k = random_two_view_scene(n_points=30, seed=81)
     kp_a, kp_b, matches, n_in = _identity_matches(pts_a, pts_b, n_outliers=15, seed=5, size=500.0)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from endofeat import matching
 from endofeat.matching import (
     METRIC_HAMMING,
     METRIC_L2,
@@ -121,7 +122,9 @@ def _mutual_oracle(da, db):
     else:
         a = da.vectors.astype(np.float64)
         b = db.vectors.astype(np.float64)
-        dist = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        dist = np.empty((na, nb))
+        for lo in range(0, na, 16):  # row blocks bound the (rows, nb, D) temporary
+            dist[lo : lo + 16] = ((a[lo : lo + 16, None, :] - b[None, :, :]) ** 2).sum(axis=2)
     best_b = dist.argmin(axis=1)
     best_a = dist.argmin(axis=0)
     pairs, dists = [], []
@@ -158,6 +161,94 @@ def test_match_mutual_hamming_matches_oracle(seed):
     np.testing.assert_array_equal(got.distances, dists)
 
 
+def _assert_matches_oracle(da, db):
+    for x, y in ((da, db), (db, da)):
+        got = match_mutual(x, y)
+        pairs, dists = _mutual_oracle(x, y)
+        np.testing.assert_array_equal(got.pairs, pairs)
+        np.testing.assert_array_equal(got.distances, dists)
+
+
+def _unit_rows(v):
+    v = np.asarray(v, np.float32)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _near_tie_sets(r, n_groups=40, copies=4, noise=40, dim=256):
+    """A holds quantized unit centres; B holds, per centre, a noisy copy and
+    copies of it permuted among the positions where the centre is constant.
+
+    The permuted copies are at exactly the same true distance from their
+    centre, so their direct distances differ only by summation-order
+    rounding (an ulp or two, or an exact tie), below the Gram error.
+    """
+    centres = _unit_rows(r.integers(-3, 4, (n_groups, dim)))
+    near = []
+    for c in centres:
+        bj = _unit_rows(c + r.normal(0, 0.05, dim))
+        near.append(bj)
+        for _ in range(copies - 1):
+            perm = np.arange(dim)
+            for level in np.unique(c):
+                idx = np.flatnonzero(c == level)
+                perm[idx] = r.permutation(idx)
+            near.append(bj[perm])
+    a = np.concatenate([centres, _unit_rows(r.normal(size=(noise, dim)))])
+    b = np.concatenate([np.stack(near), _unit_rows(r.normal(size=(noise, dim)))])
+    return DescriptorSet(a[r.permutation(len(a))]), DescriptorSet(b[r.permutation(len(b))])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_match_mutual_l2_near_ties_match_oracle(seed):
+    da, db = _near_tie_sets(rng((57, seed)))
+    a = da.vectors.astype(np.float64)
+    b = db.vectors.astype(np.float64)
+    direct = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    gram = (a * a).sum(1)[:, None] + (b * b).sum(1)[None, :] - 2.0 * a @ b.T
+    # the planted near-duplicates defeat a Gram-only argmin
+    assert (gram.argmin(axis=1) != direct.argmin(axis=1)).any()
+    _assert_matches_oracle(da, db)
+
+
+def test_match_mutual_l2_duplicate_rows_tie_to_lowest_index():
+    r = rng(58)
+    base = _unit_rows(r.normal(size=(30, 64)))
+    # exact, non-integer ties: every row appears two or three times on each side
+    da = DescriptorSet(base[r.permutation(np.repeat(np.arange(30), 2))])
+    db = DescriptorSet(_unit_rows(base + np.float32(0.01))[r.permutation(np.repeat(np.arange(30), 3))])
+    _assert_matches_oracle(da, db)
+    got = match_mutual(da, db)
+    assert len(got) == 30
+    for i, j in got.pairs:  # each pair joins the first copy on both sides
+        assert i == np.flatnonzero((da.vectors == da.vectors[i]).all(axis=1))[0]
+        assert j == np.flatnonzero((db.vectors == db.vectors[j]).all(axis=1))[0]
+
+
+@pytest.mark.parametrize("na, nb, dim", [
+    (300, 450, 256),  # three tiles in each direction
+    (3, matching._TILE_ELEMENTS + 3, 8),  # one query row per tile
+])
+def test_match_mutual_l2_spans_tiles(na, nb, dim):
+    r = rng((59, na))
+    assert na * nb > 2 * matching._TILE_ELEMENTS
+    db = DescriptorSet(_unit_rows(r.normal(size=(nb, dim))))
+    # half of A sits near rows of B, so both sides hold mutual pairs
+    near = db.vectors[r.choice(nb, na // 2 + 1, replace=False)] + r.normal(0, 0.05, (na // 2 + 1, dim))
+    a = np.concatenate([_unit_rows(near), _unit_rows(r.normal(size=(na - na // 2 - 1, dim)))])
+    _assert_matches_oracle(DescriptorSet(a), db)
+
+
+@pytest.mark.parametrize("na, nb, width, bits", [(9, 700, 32, 256), (70, 600, 8, 60)])
+def test_match_mutual_hamming_spans_tiles(na, nb, width, bits):
+    r = rng((60, na))
+    # few distinct bytes give many exact distance ties
+    pool = r.integers(0, 256, 4, dtype=np.uint8)
+    da = DescriptorSet(pool[r.integers(0, 4, (na, width))], METRIC_HAMMING, bits=bits)
+    db = DescriptorSet(pool[r.integers(0, 4, (nb, width))], METRIC_HAMMING, bits=bits)
+    assert na * nb * width > 2 * matching._TILE_ELEMENTS
+    _assert_matches_oracle(da, db)
+
+
 def test_match_mutual_validation_and_empty():
     l2 = DescriptorSet(np.zeros((2, 4), np.float32))
     ham = DescriptorSet(np.zeros((2, 1), np.uint8), METRIC_HAMMING, bits=8)
@@ -178,6 +269,8 @@ def test_descriptor_set_validation():
         DescriptorSet(np.zeros((1, 2), np.uint8), METRIC_HAMMING, bits=17)
     with pytest.raises(ValueError, match="equal length"):
         KeypointSet(np.zeros((2, 2)), np.zeros(3))
+    with pytest.raises(ValueError, match="row 1 holds NaN or inf"):
+        DescriptorSet(np.array([[0.0, 1.0], [np.inf, 0.0]]))
 
 
 # --- files -----------------------------------------------------------------
@@ -225,6 +318,17 @@ def test_feature_file_empty_and_errors(tmp_path):
     (tmp_path / "frame_000003.feat.desc").write_bytes(b"\x00" * 5)
     with pytest.raises(ValueError, match="bytes"):
         load_features(path3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_features_rejects_non_finite_l2(tmp_path, bad):
+    path = feature_path(tmp_path, 5)
+    vec = np.zeros((3, 4), np.float32)
+    save_features(path, KeypointSet(np.zeros((3, 2)), np.zeros(3)), DescriptorSet(vec))
+    vec[2, 1] = bad
+    (tmp_path / "frame_000005.feat.desc").write_bytes(vec.astype("<f4").tobytes())
+    with pytest.raises(ValueError, match=r"frame_000005\.feat\.desc: L2 descriptor row 2"):
+        load_features(path)
 
 
 def test_list_feature_ids(tmp_path):

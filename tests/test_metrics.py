@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from endofeat import metrics
 from endofeat.geometry import Intrinsics, RelativePose, rotation_to_quat
 from endofeat.homography import warp_points
 from endofeat.matching import DescriptorSet, KeypointSet, MatchSet
@@ -176,6 +177,22 @@ def test_evaluate_pairs_ablation_uses_primary_flags():
     assert ab.features.total == 120 and ab.features.without_specular == 119
     assert ab.inliers.total == evals[0].inliers["H"]
     assert ab.inliers.without_specular == ab.inliers.total - 1
+
+
+@pytest.mark.parametrize("x, y", [(-1.0, 10.0), (64.0, 10.0), (10.0, 64.0)])
+def test_evaluate_pairs_rejects_out_of_frame_points(monkeypatch, x, y):
+    features, _ = _planar_features()
+    kp_b, desc_b = features[1]
+    pts = kp_b.points.copy()
+    pts[7] = (x, y)
+    features[1] = (KeypointSet(pts, kp_b.scores, 1), desc_b)
+
+    def no_matching(*args):
+        raise AssertionError("matched before checking keypoint bounds")
+
+    monkeypatch.setattr(metrics, "match_mutual", no_matching)
+    with pytest.raises(ValueError, match=rf"frame 1: keypoint \({x!r}, {y!r}\) lies outside"):
+        evaluate_pairs(features, 1, (64, 64))
 
 
 # --- aggregation and reports -----------------------------------------------
