@@ -70,13 +70,6 @@ def _load_mask(config: RunConfig):
     return data.load_roi_mask(_require_file(config.mask_path, "mask file"))
 
 
-def _check_mask(mask, image, frame_id: int) -> None:
-    if mask is not None and mask.shape != image.shape:
-        raise data.FrameError(
-            f"frame {frame_id}: mask shape {mask.shape} != image shape {image.shape}"
-        )
-
-
 def _map_jobs(fn, items, jobs: int):
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
@@ -117,8 +110,7 @@ def cmd_pseudolabel(config: RunConfig, args) -> int:
         if os.path.exists(out) and not args.force:
             return ("skip", f"frame {frame_id}", "")
         try:
-            image = data.read_pgm(path)
-            _check_mask(mask, image, frame_id)
+            image = data.read_frame(path, mask)
             label = data.generate_pseudolabels(
                 teacher,
                 image,
@@ -147,8 +139,8 @@ def cmd_train(config: RunConfig, args) -> int:
             + " (run the pseudolabel command first)"
         )
     samples = [
-        train.TrainingSample(data.read_pgm(path), data.load_label(data.label_path(label_dir, fid)))
-        for fid, path in frames
+        train.TrainingSample(image, data.load_label(data.label_path(label_dir, fid)))
+        for fid, image in data.ingest_frames(config.frames_dir)
     ]
 
     os.makedirs(config.output_dir, exist_ok=True)
@@ -193,8 +185,7 @@ def cmd_detect(config: RunConfig, args) -> int:
         if os.path.exists(out) and os.path.exists(out + ".desc") and not args.force:
             return ("skip", f"frame {frame_id}", "")
         try:
-            image = data.read_pgm(path)
-            _check_mask(mask, image, frame_id)
+            image = data.read_frame(path, mask)
             heads = network.forward(params, Tensor(image, dtype=params.dtype()))
             dense = network.densify(heads)
             keypoints, descriptors = matching.extract_keypoints(
@@ -255,18 +246,12 @@ def _report_paths(config: RunConfig):
 
 
 def cmd_eval(config: RunConfig, args) -> int:
-    frames = _frame_list(config)
-    images = {}
-    shape = None
-    for frame_id, path in frames:
-        image = data.read_pgm(path)
-        if shape is None:
-            shape = image.shape
-        elif image.shape != shape:
-            raise ConfigError(
-                f"frame {frame_id} has shape {image.shape}, expected {shape}"
-            )
-        images[frame_id] = image
+    _frame_list(config)  # ConfigError on a missing or empty frames_dir
+    images = dict(data.ingest_frames(config.frames_dir))
+    shape = next(iter(images.values())).shape
+    for frame_id, image in images.items():
+        if image.shape != shape:
+            raise ConfigError(f"frame {frame_id} has shape {image.shape}, expected {shape}")
     specular_masks = {fid: data.specularity_mask(img) for fid, img in images.items()}
 
     poses = None
@@ -286,7 +271,7 @@ def cmd_eval(config: RunConfig, args) -> int:
     for method in methods:
         feat_dir = runcfg.features_dir(config, method)
         features = {}
-        for frame_id, _ in frames:
+        for frame_id in images:
             path = matching.feature_path(feat_dir, frame_id)
             if not (os.path.isfile(path) and os.path.isfile(path + ".desc")):
                 missing.append(f"method {method!r}: frame {frame_id}")

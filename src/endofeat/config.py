@@ -5,7 +5,9 @@ Keys map one-to-one onto RunConfig fields; unknown or duplicate keys are
 rejected so typos fail loudly before any computation starts. Values are
 converted to the field's declared type (comma-separated for tuples).
 Command-line ``--set key=value`` overrides are applied after the file,
-so flags win.
+so flags win. Field defaults are read from the module that owns each
+setting: LossConfig, TrainConfig, HomographyConfig and the detection,
+label and RANSAC constants.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 import typing
 from dataclasses import dataclass
 
+from . import data, geometry, matching
 from .homography import HomographyConfig
 from .losses import LossConfig
 from .train import TrainConfig
@@ -37,39 +40,39 @@ class RunConfig:
     pose_path: str = ""  # optional reference poses
     intrinsics_path: str = ""  # optional pinhole intrinsics
     # --- detection (test-time) ---
-    detection_threshold: float = 0.015
-    detection_nms_window: int = 3
-    max_features: int = 10000
+    detection_threshold: float = matching.DETECTION_THRESHOLD
+    detection_nms_window: int = matching.DETECTION_NMS_WINDOW
+    max_features: int = matching.MAX_FEATURES
     # --- pseudo-labels (teacher) ---
-    label_threshold: float = 0.015
-    label_nms_window: int = 9
-    label_max_points: int = 600
+    label_threshold: float = data.LABEL_THRESHOLD
+    label_nms_window: int = data.LABEL_NMS_WINDOW
+    label_max_points: int = data.LABEL_MAX_POINTS
     # --- robust estimation ---
-    ransac_confidence: float = 0.9999
-    ransac_threshold_px: float = 3.0
+    ransac_confidence: float = geometry.RANSAC_CONFIDENCE
+    ransac_threshold_px: float = geometry.RANSAC_THRESHOLD_PX
     # --- evaluation ---
     steps: tuple[int, ...] = (1,)
     models: str = "auto"  # "auto" or comma list drawn from H,E,F
     method: str = "learned"  # name used when writing features
     methods: tuple[str, ...] = ()  # evaluated methods; default: (method,)
     # --- loss weights ---
-    descriptor_weight: float = 0.0001
-    correspondence_weight: float = 250.0
-    margin_positive: float = 1.0
-    margin_negative: float = 0.2
-    specularity_weight: float = 100.0
-    negative_keep: float = 1.0
+    descriptor_weight: float = LossConfig.descriptor_weight
+    correspondence_weight: float = LossConfig.correspondence_weight
+    margin_positive: float = LossConfig.margin_positive
+    margin_negative: float = LossConfig.margin_negative
+    specularity_weight: float = LossConfig.specularity_weight
+    negative_keep: float = LossConfig.negative_keep
     # --- training ---
-    iterations: int = 100
-    learning_rate: float = 1e-5
-    batch_size: int = 2
-    checkpoint_every: int = 0
+    iterations: int = TrainConfig.iterations
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    checkpoint_every: int = TrainConfig.checkpoint_every
     # --- homography sampling amplitudes ---
-    homography_perspective: float = 0.05
-    homography_scale_min: float = 0.8
-    homography_scale_max: float = 1.2
-    homography_rotation_deg: float = 25.0
-    homography_translation: float = 0.1
+    homography_perspective: float = HomographyConfig.perspective
+    homography_scale_min: float = HomographyConfig.scale_min
+    homography_scale_max: float = HomographyConfig.scale_max
+    homography_rotation_deg: float = HomographyConfig.rotation_deg
+    homography_translation: float = HomographyConfig.translation
     # --- misc ---
     seed: int = 0
     jobs: int = 1

@@ -3,12 +3,13 @@
 Frames are binary PGM (P5) files named ``frame_%06d.pgm``, 8- or 16-bit,
 normalized to [0, 1] on load. An optional region-of-interest mask (also
 PGM, nonzero = valid) excludes pixels — typically black corners of the
-endoscope circle — from detection, labeling, and metrics.
+endoscope circle — from detection, labeling, and metrics. read_frame is
+the one frame loader and checks the mask size against each frame.
 
-Pseudo-labels are keypoints proposed by a teacher network: the dense
-heatmap is thresholded, non-maximum suppressed over 9x9 windows, and the
-top 600 survivors are kept. They are cached as text files of
-``x y score`` lines.
+Pseudo-labels are keypoints proposed by a teacher network: its
+network.heatmap (the detection head decoded over tensor.CELL cells) is
+thresholded, non-maximum suppressed over 9x9 windows, and the top 600
+survivors are kept. They are cached as text files of ``x y score`` lines.
 """
 
 from __future__ import annotations
@@ -100,13 +101,6 @@ def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrameRecord:
-    frame_id: int
-    image: np.ndarray  # float64 in [0, 1]
-    mask: np.ndarray  # bool, True = valid region
-
-
 def frame_name(frame_id: int) -> str:
     return f"frame_{frame_id:06d}.pgm"
 
@@ -127,28 +121,23 @@ def load_roi_mask(path) -> np.ndarray:
     return mask > 0
 
 
-def ingest_frames(directory, mask_path=None):
-    """Load every frame in id order, applying the optional ROI mask.
+def read_frame(path, mask=None) -> np.ndarray:
+    """Read one frame; FrameError names the file when it cannot be read or
+    when the ROI mask, if given, has a different size."""
+    try:
+        image = read_pgm(path)
+    except OSError as e:
+        raise FrameError(f"{path}: unreadable frame: {e}") from e
+    if mask is not None and mask.shape != image.shape:
+        raise FrameError(f"{path}: mask size {mask.shape} does not match frame size {image.shape}")
+    return image
 
-    Raises FrameError naming the offending file on unreadable frames or a
-    mask whose size does not match a frame.
-    """
+
+def ingest_frames(directory, mask_path=None):
+    """(frame_id, image) for every frame in id order, each checked by
+    read_frame against the optional ROI mask."""
     mask = load_roi_mask(mask_path) if mask_path else None
-    records = []
-    for frame_id, path in list_frames(directory):
-        try:
-            image = read_pgm(path)
-        except FrameError:
-            raise
-        except OSError as e:
-            raise FrameError(f"{path}: unreadable frame {frame_id}: {e}") from e
-        if mask is not None and mask.shape != image.shape:
-            raise FrameError(
-                f"{path}: mask size {mask.shape} does not match frame {frame_id} size {image.shape}"
-            )
-        m = mask if mask is not None else np.ones(image.shape, dtype=bool)
-        records.append(FrameRecord(frame_id, image, m))
-    return records
+    return [(frame_id, read_frame(path, mask)) for frame_id, path in list_frames(directory)]
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +178,6 @@ class PseudoLabel:
     def __len__(self):
         return self.points.shape[0]
 
-    def to_map(self, height: int, width: int) -> np.ndarray:
-        out = np.zeros((height, width), dtype=np.float64)
-        if len(self):
-            out[self.points[:, 1], self.points[:, 0]] = 1.0
-        return out
-
 
 def generate_pseudolabels(
     teacher: "network.NetworkParams",
@@ -206,7 +189,7 @@ def generate_pseudolabels(
 ) -> PseudoLabel:
     """Run the teacher and keep its strongest well-separated detections."""
     heads = network.forward(teacher, Tensor(image, dtype=teacher.dtype()))
-    heat = np.asarray(network.densify(heads).heatmap.data, dtype=np.float64)
+    heat = np.asarray(network.heatmap(heads.detect).data, dtype=np.float64)
     if mask is not None:
         heat = heat * np.asarray(mask, dtype=bool)
     ys, xs, vals = greedy_nms(heat, threshold, nms_window, max_points)

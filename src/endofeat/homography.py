@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CELL = 8
+from .tensor import CELL
+
 _DET_EPS = 1e-12
 _CORNER_LO = -0.2
 _CORNER_HI = 1.2

@@ -2,17 +2,18 @@
 
 Three building blocks and two compositions:
 
-* detection_loss — per-cell 65-way cross-entropy against pseudo-labels,
-  with a dustbin channel for cells holding no keypoint.
+* detection_loss — per-cell (DUSTBIN + 1)-way cross-entropy against
+  pseudo-labels, with a dustbin channel for cells holding no keypoint.
 * descriptor_loss — hinge contrastive loss over all pairs of cells of the
   two views, driven by the homography-induced cell correspondences.
-* specularity_loss — mean heatmap probability over saturated pixels,
-  penalizing keypoints that sit on highlights.
+* specularity_loss — mean network.heatmap probability over saturated
+  pixels, penalizing keypoints that sit on highlights.
 * pair_loss — the two detection losses plus a weighted descriptor loss.
 * specular_pair_loss — pair_loss plus the weighted specularity losses of
   both views; with specularity_weight 0 it returns pair_loss unchanged.
 
 All functions return scalar Tensors and record onto the active GradTape.
+The cell layout (CELL, DUSTBIN) comes from the tensor module.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import PseudoLabel, specularity_mask
-from .tensor import Tensor
-
-CELL = 8
-DUSTBIN = 64
+from .network import heatmap
+from .tensor import CELL, DUSTBIN, Tensor
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,10 @@ def _cell_targets(label: PseudoLabel, hc: int, wc: int) -> np.ndarray:
 
 
 def detection_loss(detect: Tensor, label: PseudoLabel) -> Tensor:
-    """Mean 65-way cross-entropy over cells of one view."""
+    """Mean (DUSTBIN + 1)-way cross-entropy over cells of one view."""
     hc, wc, ch = detect.shape
     if ch != DUSTBIN + 1:
-        raise ValueError(f"detect tensor must have 65 channels, got {ch}")
+        raise ValueError(f"detect tensor must have {DUSTBIN + 1} channels, got {ch}")
     targets = _cell_targets(label, hc, wc)
     logits = T.reshape(detect, (hc * wc, DUSTBIN + 1))
     return T.softmax_cross_entropy(logits, targets)
@@ -130,15 +129,13 @@ def descriptor_loss(
 
 def specularity_loss(detect: Tensor, image, config: LossConfig = LossConfig()) -> Tensor:
     """Mean heatmap probability over the specular pixels of one view."""
-    hc, wc, ch = detect.shape
-    if ch != DUSTBIN + 1:
-        raise ValueError(f"detect tensor must have 65 channels, got {ch}")
+    hc, wc, _ = detect.shape
     image = np.asarray(image if not isinstance(image, Tensor) else image.data)
     if image.shape != (hc * CELL, wc * CELL):
         raise ValueError(
             f"image shape {image.shape} does not match detect grid {(hc * CELL, wc * CELL)}"
         )
-    heat = T.depth_to_space(T.slice_channels(T.channel_softmax(detect), 0, DUSTBIN))
+    heat = heatmap(detect)
     mask = specularity_mask(image)
     masked = T.mul(heat, Tensor(mask.astype(detect.dtype)))
     return T.affine(T.reduce_sum(masked), 1.0 / (config.guard_eps + float(mask.sum())), 0.0)

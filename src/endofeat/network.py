@@ -2,30 +2,27 @@
 
 The encoder is a VGG-style stack of 3x3 conv + relu blocks in four stages
 separated by three 2x2 max poolings, so the spatial size drops by exactly
-8x. The detection head ends in 65 channels (one per pixel of an 8x8 cell
-plus the "no interest point" dustbin); the description head ends in the
-descriptor dimension (256 by default).
+tensor.CELL (8x). The detection head ends in tensor.DUSTBIN + 1 channels
+(one per pixel of a cell plus the "no interest point" dustbin), which
+heatmap() decodes; the description head ends in the descriptor dimension
+(256 by default).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
-
-DUSTBIN_CHANNELS = 65
-CELL = 8
-
-# grayscale conversion weights for color input
-_LUMA = (0.299, 0.587, 0.114)
+from .ioutil import atomic_write_bytes
+from .tensor import CELL, DUSTBIN, Tensor
 
 
 class WeightsVersionError(Exception):
-    """Bad magic bytes or unsupported format version."""
+    """Bad magic bytes, unsupported format version, or an undecodable record."""
 
 
 class WeightsTruncatedError(Exception):
@@ -67,7 +64,7 @@ class Architecture:
                 cin = cout
         trunk = cin
         plan.append(("det_a", 3, trunk, self.head_width))
-        plan.append(("det_b", 1, self.head_width, DUSTBIN_CHANNELS))
+        plan.append(("det_b", 1, self.head_width, DUSTBIN + 1))
         plan.append(("desc_a", 3, trunk, self.head_width))
         plan.append(("desc_b", 1, self.head_width, self.descriptor_dim))
         return plan
@@ -113,8 +110,8 @@ class NetworkParams:
 
 @dataclass(frozen=True)
 class RawHeads:
-    detect: Tensor  # H/8 x W/8 x 65, raw logits; channel 64 is the dustbin
-    describe: Tensor  # H/8 x W/8 x D, raw descriptors
+    detect: Tensor  # H/CELL x W/CELL x DUSTBIN + 1, raw logits; channel DUSTBIN is the dustbin
+    describe: Tensor  # H/CELL x W/CELL x D, raw descriptors
 
 
 @dataclass(frozen=True)
@@ -132,15 +129,6 @@ def init_params(arch: Architecture, seed: int = 0, dtype=np.float64) -> NetworkP
         kernel = rng.uniform(-limit, limit, size=(k, k, cin, cout)).astype(dtype)
         weights[name] = (Tensor(kernel), Tensor(np.zeros(cout, dtype=dtype)))
     return NetworkParams(arch, weights)
-
-
-def to_grayscale(image: np.ndarray) -> np.ndarray:
-    """H x W x 3 color to H x W luma; grayscale passes through."""
-    if image.ndim == 2:
-        return image
-    if image.ndim == 3 and image.shape[2] == 3:
-        return image @ np.asarray(_LUMA, dtype=image.dtype)
-    raise ValueError(f"expected H x W or H x W x 3 image, got shape {image.shape}")
 
 
 def forward(params: NetworkParams, image: Tensor) -> RawHeads:
@@ -174,12 +162,20 @@ def forward(params: NetworkParams, image: Tensor) -> RawHeads:
     return RawHeads(detect=detect, describe=describe)
 
 
+def heatmap(detect: Tensor) -> Tensor:
+    """Detection logits to the H x W keypoint probability map.
+
+    Softmax over each cell's channels, drop the dustbin, and tile the
+    remaining per-pixel probabilities back into the cell.
+    """
+    return T.depth_to_space(T.slice_channels(T.channel_softmax(detect), 0, DUSTBIN))
+
+
 def densify(raw: RawHeads) -> DenseOutputs:
     """Cell tensors to per-pixel heatmap and unit-norm descriptor map."""
-    probs = T.channel_softmax(raw.detect)
-    heatmap = T.depth_to_space(T.slice_channels(probs, 0, 64))
+    heat = heatmap(raw.detect)
     descriptors = T.l2_normalize(T.bicubic_upsample(raw.describe, CELL))
-    return DenseOutputs(heatmap=heatmap, descriptors=descriptors)
+    return DenseOutputs(heatmap=heat, descriptors=descriptors)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +201,7 @@ def save_weights(params: NetworkParams, path) -> None:
             chunks.append(struct.pack("<BB", kind, arr.ndim))
             chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
             chunks.append(arr.astype("<f4").tobytes())
-    with open(path, "wb") as f:
-        f.write(b"".join(chunks))
+    atomic_write_bytes(path, b"".join(chunks))
 
 
 class _Reader:
@@ -234,10 +229,13 @@ def _read_records(path):
     records = []
     for _ in range(count):
         (name_len,) = struct.unpack("<I", r.take(4))
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise WeightsVersionError(f"record name at byte {r.pos - name_len} is not UTF-8") from e
         kind, rank = struct.unpack("<BB", r.take(2))
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
-        n = int(np.prod(dims)) if dims else 1
+        dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
+        n = math.prod(dims)  # Python ints: an oversize declaration cannot wrap
         data = np.frombuffer(r.take(4 * n), dtype="<f4").reshape(dims)
         records.append((name, kind, np.ascontiguousarray(data)))
     return records

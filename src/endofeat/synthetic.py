@@ -200,9 +200,3 @@ def random_two_view_scene(
         pts_b = pts_b + rng.normal(0, noise_px, pts_b.shape)
     pose = RelativePose(rotation_to_quat(r), t)
     return pts_a, pts_b, pose, intrinsics
-
-
-def checkerboard(height: int, width: int, cell: int = 16, lo: float = 0.15, hi: float = 0.6) -> np.ndarray:
-    ys, xs = np.mgrid[0:height, 0:width]
-    board = ((ys // cell + xs // cell) % 2).astype(np.float64)
-    return lo + (hi - lo) * board

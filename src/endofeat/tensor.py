@@ -1,13 +1,17 @@
 """Dense-tensor numerics with reverse-mode gradients.
 
 Implements exactly the operations needed by the keypoint network and its
-training losses: 2-D convolution, 2x2 max pooling, the 65-channel cell
+training losses: 2-D convolution, 2x2 max pooling, the per-cell channel
 softmax, depth-to-space reshaping of cell probabilities, bicubic
 descriptor upsampling, L2 normalization, and a handful of elementwise /
 reduction primitives. Forward functions are pure. While a GradTape is
 active on the calling thread, every op appends a backward closure to it;
 ``backward(tape, loss)`` replays the tape in reverse and accumulates
 gradients for every tensor that participated.
+
+The module owns the detector's cell layout, which the other modules
+import: CELL x CELL pixel cells, each with CELL * CELL pixel channels and
+a "no interest point" dustbin channel at index DUSTBIN (65 in all).
 
 Tensors wrap read-only numpy arrays and are treated as immutable values.
 Use float64 for gradient checking; float32 is fine for inference.
@@ -25,11 +29,9 @@ __all__ = [
     "Gradients",
     "backward",
     "add",
-    "sub",
     "mul",
     "affine",
     "reduce_sum",
-    "reduce_mean",
     "relu",
     "conv2d",
     "max_pool2x2",
@@ -43,6 +45,9 @@ __all__ = [
     "slice_channels",
     "softmax_cross_entropy",
 ]
+
+CELL = 8  # side of a detector cell, in pixels
+DUSTBIN = CELL * CELL  # channel index of the "no interest point" bin
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 _NORM_GUARD = 1e-12
@@ -86,22 +91,6 @@ class Tensor:
 
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data, dtype=dtype)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return affine(self, float(other), 0.0)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return affine(self, -1.0, 0.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -191,13 +180,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    out = Tensor._wrap(a.data - b.data)
-    _record(out, (a, b), lambda g: (g, -g))
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     out = Tensor._wrap(a.data * b.data)
@@ -215,13 +197,6 @@ def affine(x: Tensor, scale: float, shift: float) -> Tensor:
 def reduce_sum(x: Tensor) -> Tensor:
     out = Tensor._wrap(np.asarray(x.data.sum()))
     _record(out, (x,), lambda g: (np.broadcast_to(g, x.data.shape).copy(),))
-    return out
-
-
-def reduce_mean(x: Tensor) -> Tensor:
-    n = x.data.size
-    out = Tensor._wrap(np.asarray(x.data.mean()))
-    _record(out, (x,), lambda g: (np.broadcast_to(g / n, x.data.shape).copy(),))
     return out
 
 
@@ -345,10 +320,10 @@ def max_pool2x2(x: Tensor) -> Tensor:
 
 
 def channel_softmax(x: Tensor) -> Tensor:
-    """Softmax over the 65-channel axis, independently per cell."""
+    """Softmax over the DUSTBIN + 1 channel axis, independently per cell."""
     xv = x.data
-    if xv.ndim != 3 or xv.shape[2] != 65:
-        raise ValueError(f"channel_softmax expects Hc x Wc x 65, got shape {xv.shape}")
+    if xv.ndim != 3 or xv.shape[2] != DUSTBIN + 1:
+        raise ValueError(f"channel_softmax expects Hc x Wc x {DUSTBIN + 1}, got shape {xv.shape}")
     z = xv - xv.max(axis=2, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=2, keepdims=True)
@@ -358,20 +333,20 @@ def channel_softmax(x: Tensor) -> Tensor:
 
 
 def depth_to_space(x: Tensor) -> Tensor:
-    """Hc x Wc x 64 cell tensor to the 8Hc x 8Wc pixel map.
+    """Hc x Wc x DUSTBIN cell tensor to the CELL*Hc x CELL*Wc pixel map.
 
     Channel c of cell (i, j) lands on pixel (8i + c // 8, 8j + c % 8), so the
     64 channels tile each cell row-major. Total mass is preserved exactly.
     """
     xv = x.data
-    if xv.ndim != 3 or xv.shape[2] != 64:
-        raise ValueError(f"depth_to_space expects Hc x Wc x 64, got shape {xv.shape}")
+    if xv.ndim != 3 or xv.shape[2] != DUSTBIN:
+        raise ValueError(f"depth_to_space expects Hc x Wc x {DUSTBIN}, got shape {xv.shape}")
     hc, wc, _ = xv.shape
-    y = xv.reshape(hc, wc, 8, 8).transpose(0, 2, 1, 3).reshape(hc * 8, wc * 8)
+    y = xv.reshape(hc, wc, CELL, CELL).transpose(0, 2, 1, 3).reshape(hc * CELL, wc * CELL)
     out = Tensor._wrap(np.ascontiguousarray(y))
 
     def back(g):
-        gx = g.reshape(hc, 8, wc, 8).transpose(0, 2, 1, 3).reshape(hc, wc, 64)
+        gx = g.reshape(hc, CELL, wc, CELL).transpose(0, 2, 1, 3).reshape(hc, wc, DUSTBIN)
         return (np.ascontiguousarray(gx),)
 
     _record(out, (x,), back)
@@ -381,9 +356,10 @@ def depth_to_space(x: Tensor) -> Tensor:
 def space_to_depth(y: np.ndarray) -> np.ndarray:
     """Exact inverse of depth_to_space, on plain arrays (no gradient)."""
     h, w = y.shape
-    if h % 8 or w % 8:
-        raise ValueError(f"space_to_depth needs dims divisible by 8, got {h}x{w}")
-    return y.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3).reshape(h // 8, w // 8, 64)
+    if h % CELL or w % CELL:
+        raise ValueError(f"space_to_depth needs dims divisible by {CELL}, got {h}x{w}")
+    hc, wc = h // CELL, w // CELL
+    return y.reshape(hc, CELL, wc, CELL).transpose(0, 2, 1, 3).reshape(hc, wc, DUSTBIN)
 
 
 def _cubic_kernel(d: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from .data import PseudoLabel, warp_label
 from .homography import HomographyConfig, correspondence_tensor, sample_homography, to_pixel_frame, warp_image
 from .ioutil import atomic_write_text, fmt
 from .network import NetworkParams
-from .tensor import GradTape, Tensor, backward
+from .tensor import CELL, GradTape, Tensor, backward
 from . import tensor as T
 
 
@@ -142,7 +142,7 @@ def finetune(
             corr = correspondence_tensor(h_px, h_img, w_img)
             neg_mask = None
             if loss_config.negative_keep < 1.0:
-                hc, wc = h_img // 8, w_img // 8
+                hc, wc = h_img // CELL, w_img // CELL
                 n = hc * wc
                 neg_mask = hom_rng.random((n, n)) < loss_config.negative_keep
 

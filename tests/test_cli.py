@@ -166,6 +166,19 @@ def test_corrupt_frame_is_partial_failure(tmp_path, capsys):
     assert not (ws["out"] / "labels" / "frame_000001.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["detect", "pseudolabel"])
+def test_wrong_size_mask_fails_every_frame(tmp_path, capsys, command):
+    ws = make_workspace(tmp_path, n_frames=2)
+    mask = tmp_path / "mask.pgm"
+    data.write_pgm(mask, np.ones((32, 64)))  # frames are 64 x 64
+    assert run(ws, command, "--set", f"mask_path={mask}") == 1
+    captured = capsys.readouterr()
+    assert "wrote 0, skipped 0, failed 2" in captured.out
+    for fid in range(2):
+        assert f"frame {fid} failed" in captured.err
+        assert f"{data.frame_name(fid)}: mask size (32, 64)" in captured.err
+
+
 def test_train_without_labels_exits_2(tmp_path, capsys):
     ws = make_workspace(tmp_path, n_frames=2)
     assert run(ws, "train") == 2

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from endofeat import data, geometry, matching
 from endofeat.config import (
     ConfigError,
     RunConfig,
@@ -20,6 +21,8 @@ from endofeat.config import (
     parse_value,
     train_config,
 )
+from endofeat.losses import LossConfig
+from endofeat.train import TrainConfig
 
 
 def test_defaults_match_release_settings():
@@ -129,3 +132,23 @@ def test_sub_config_conversion_and_errors():
         loss_config(RunConfig(negative_keep=2.0))
     with pytest.raises(ConfigError):
         train_config(RunConfig(batch_size=0))
+
+
+def test_defaults_come_from_their_owners():
+    cfg = RunConfig()
+    assert loss_config(cfg) == LossConfig()
+    assert train_config(cfg) == TrainConfig()
+    assert (cfg.detection_threshold, cfg.detection_nms_window, cfg.max_features) == (
+        matching.DETECTION_THRESHOLD,
+        matching.DETECTION_NMS_WINDOW,
+        matching.MAX_FEATURES,
+    )
+    assert (cfg.label_threshold, cfg.label_nms_window, cfg.label_max_points) == (
+        data.LABEL_THRESHOLD,
+        data.LABEL_NMS_WINDOW,
+        data.LABEL_MAX_POINTS,
+    )
+    assert (cfg.ransac_confidence, cfg.ransac_threshold_px) == (
+        geometry.RANSAC_CONFIDENCE,
+        geometry.RANSAC_THRESHOLD_PX,
+    )

@@ -1,9 +1,11 @@
 """Frame IO, specular masks, pseudo-label generation and caching."""
 
+import re
+
 import numpy as np
 import pytest
 
-from endofeat import data
+from endofeat import data, network
 from endofeat.data import (
     FrameError,
     PseudoLabel,
@@ -13,13 +15,16 @@ from endofeat.data import (
     label_path,
     list_frames,
     load_label,
+    read_frame,
     read_pgm,
     save_label,
     specularity_mask,
     warp_label,
     write_pgm,
 )
+from endofeat.matching import greedy_nms
 from endofeat.network import init_params
+from endofeat.tensor import Tensor
 
 from helpers import rng, toy_architecture
 
@@ -69,8 +74,9 @@ def test_list_and_ingest_frames(tmp_path):
     assert [f[0] for f in frames] == [0, 2, 5]
 
     records = ingest_frames(tmp_path)
-    assert [r.frame_id for r in records] == [0, 2, 5]
-    assert records[0].mask.all()
+    assert [fid for fid, _ in records] == [0, 2, 5]
+    for _, image in records:
+        np.testing.assert_array_equal(image, read_pgm(tmp_path / frame_name(0)))
 
 
 def test_ingest_applies_roi_mask(tmp_path):
@@ -80,11 +86,22 @@ def test_ingest_applies_roi_mask(tmp_path):
     mask[:, 4:] = 1.0
     write_pgm(tmp_path / "mask.pgm", mask)
     records = ingest_frames(tmp_path, tmp_path / "mask.pgm")
-    assert records[0].mask[:, 4:].all() and not records[0].mask[:, :4].any()
+    assert [fid for fid, _ in records] == [0]
+    np.testing.assert_array_equal(records[0][1], read_pgm(tmp_path / frame_name(0)))
 
     write_pgm(tmp_path / "mask_bad.pgm", np.ones((4, 4)))
     with pytest.raises(FrameError, match="mask size"):
         ingest_frames(tmp_path, tmp_path / "mask_bad.pgm")
+
+
+def test_read_frame_errors_name_the_file(tmp_path):
+    path = tmp_path / frame_name(3)
+    with pytest.raises(FrameError, match=re.escape(f"{path}: unreadable")):
+        read_frame(path)  # the OSError of a missing file becomes a FrameError
+    write_pgm(path, np.zeros((8, 8)))
+    with pytest.raises(FrameError, match=re.escape(f"{path}: mask size (4, 8)")):
+        read_frame(path, np.ones((4, 8), dtype=bool))
+    np.testing.assert_array_equal(read_frame(path, np.ones((8, 8), dtype=bool)), 0.0)
 
 
 def test_specularity_mask_is_strict():
@@ -96,8 +113,7 @@ def test_pseudolabel_shape_validation():
     with pytest.raises(ValueError):
         PseudoLabel(np.zeros((3, 2)), np.zeros(2))
     label = PseudoLabel(np.array([[1, 2], [3, 4]]), np.array([0.5, 0.25]))
-    m = label.to_map(6, 6)
-    assert m[2, 1] == 1.0 and m[4, 3] == 1.0 and m.sum() == 2.0
+    assert len(label) == 2 and label.points.dtype == np.int64
 
 
 def test_generate_pseudolabels_properties():
@@ -115,6 +131,24 @@ def test_generate_pseudolabels_properties():
 
     again = generate_pseudolabels(params, img, threshold=1e-4, nms_window=9, max_points=10)
     np.testing.assert_array_equal(label.points, again.points)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_generate_pseudolabels_equals_densify_path(dtype):
+    # The labels only need the detection head; decoding the descriptor head
+    # too (densify) must not change them.
+    params = init_params(toy_architecture(), seed=12, dtype=dtype)
+    img = rng(12).uniform(0, 0.8, (32, 40))
+    mask = np.ones((32, 40), dtype=bool)
+    mask[:4] = False
+    label = generate_pseudolabels(params, img, mask, threshold=1e-4, nms_window=5, max_points=30)
+
+    heads = network.forward(params, Tensor(img, dtype=dtype))
+    heat = np.asarray(network.densify(heads).heatmap.data, dtype=np.float64) * mask
+    ys, xs, vals = greedy_nms(heat, 1e-4, 5, 30)
+    assert len(label) > 0
+    np.testing.assert_array_equal(label.points, np.stack([xs, ys], axis=1))
+    np.testing.assert_array_equal(label.scores, vals)
 
 
 def test_generate_pseudolabels_respects_mask():

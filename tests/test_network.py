@@ -14,10 +14,10 @@ from endofeat.network import (
     WeightsVersionError,
     densify,
     forward,
+    heatmap,
     init_params,
     load_weights,
     save_weights,
-    to_grayscale,
 )
 from endofeat.tensor import Tensor
 
@@ -106,6 +106,17 @@ def test_densify_heatmap_is_cellwise_probability():
     np.testing.assert_allclose(np.linalg.norm(desc, axis=2), 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_heatmap_equals_densify_heatmap(dtype):
+    params = init_params(toy_architecture(), seed=4, dtype=dtype)
+    heads = forward(params, Tensor(rng(4).uniform(0, 1, (16, 24)).astype(dtype)))
+    heat = heatmap(heads.detect)
+    assert heat.dtype == dtype and heat.shape == (16, 24)
+    np.testing.assert_array_equal(heat.data, densify(heads).heatmap.data)
+    with pytest.raises(ValueError, match="65"):
+        heatmap(Tensor(np.zeros((2, 2, 64))))
+
+
 def test_validate_names_bad_layer():
     params = init_params(toy_architecture(), seed=0)
     kernel, bias = params.weights["enc1_c0"]
@@ -123,16 +134,6 @@ def test_dtype_round_trip():
         np.testing.assert_array_equal(t32.data, t64.data.astype(np.float32))
 
 
-def test_to_grayscale():
-    color = np.zeros((2, 2, 3))
-    color[..., 0] = 1.0
-    np.testing.assert_allclose(to_grayscale(color), 0.299)
-    gray = np.ones((2, 2))
-    assert to_grayscale(gray) is gray
-    with pytest.raises(ValueError):
-        to_grayscale(np.zeros((2, 2, 4)))
-
-
 # ---------------------------------------------------------------------------
 # weights files
 # ---------------------------------------------------------------------------
@@ -142,6 +143,7 @@ def test_weights_round_trip_bit_exact(tmp_path):
     params = init_params(toy_architecture(), seed=7, dtype=np.float32)
     path = tmp_path / "net.weights"
     save_weights(params, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.weights"]  # no temp file left
     loaded = load_weights(path)
     assert loaded.architecture == params.architecture
     for (la, ta), (lb, tb) in zip(params.param_tensors(), loaded.param_tensors()):
@@ -195,6 +197,27 @@ def _record(name: str, kind: int, arr: np.ndarray) -> bytes:
     head = struct.pack("<I", len(nb)) + nb + struct.pack("<BB", kind, arr.ndim)
     head += struct.pack(f"<{arr.ndim}I", *arr.shape)
     return head + arr.astype("<f4").tobytes()
+
+
+def test_undecodable_record_name_is_typed(tmp_path):
+    name = b"\xff\xfe"  # not UTF-8
+    blob = b"SPWT" + struct.pack("<II", 1, 1) + struct.pack("<I", len(name)) + name
+    blob += struct.pack("<BB", 1, 1) + struct.pack("<I", 1) + b"\x00" * 4
+    path = tmp_path / "net.weights"
+    path.write_bytes(blob)
+    with pytest.raises(WeightsVersionError, match="not UTF-8"):
+        load_weights(path)
+
+
+def test_oversize_dims_are_truncation_not_wraparound(tmp_path):
+    # 65536**4 elements overflow a 64-bit product to 0; the declared size
+    # must still be read as far larger than the file.
+    blob = b"SPWT" + struct.pack("<II", 1, 1) + struct.pack("<I", 7) + b"enc0_c0"
+    blob += struct.pack("<BB", 0, 4) + struct.pack("<4I", *(65536,) * 4)
+    path = tmp_path / "net.weights"
+    path.write_bytes(blob)
+    with pytest.raises(WeightsTruncatedError):
+        load_weights(path)
 
 
 def test_kernel_without_bias_rejected(tmp_path):

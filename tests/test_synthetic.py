@@ -9,7 +9,6 @@ from endofeat.synthetic import (
     add_corner_markers,
     add_specular_blobs,
     band_limited_texture,
-    checkerboard,
     planted_label,
     random_two_view_scene,
     specular_training_set,
@@ -89,10 +88,3 @@ def test_random_two_view_scene_geometry_is_exact():
     # same scene and pose, noise perturbs both projections
     assert 0.01 < np.abs(noisy_a - pts_a).max() < 6.0
     assert 0.01 < np.abs(noisy_b - pts_b).max() < 6.0
-
-
-def test_checkerboard_pattern():
-    img = checkerboard(32, 48, cell=8, lo=0.2, hi=0.6)
-    assert img.shape == (32, 48)
-    assert img[0, 0] == 0.2 and img[0, 8] == 0.6 and img[8, 8] == 0.2
-    assert set(np.unique(img)) == {0.2, 0.6}
