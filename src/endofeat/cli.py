@@ -1,6 +1,7 @@
 """Command-line harness wiring the pipeline into reproducible batch runs.
 
-Subcommands: pseudolabel | train | detect | match | eval | report.
+Subcommands: pseudolabel | train | detect | eval | report. Matches are
+not written to disk: eval recomputes them from the feature files.
 Each command reads a `key = value` config file (--config) with optional
 --set key=value overrides (flags win), validates its inputs up front, and
 writes outputs atomically under the configured output directory. Commands
@@ -204,39 +205,6 @@ def cmd_detect(config: RunConfig, args) -> int:
     return _summarize("detect", _map_jobs(work, frames, config.jobs), out_dir)
 
 
-def cmd_match(config: RunConfig, args) -> int:
-    exit_code = 0
-    for method in runcfg.method_names(config):
-        feat_dir = runcfg.features_dir(config, method)
-        if not os.path.isdir(feat_dir):
-            raise ConfigError(f"no feature directory for method {method!r}: {feat_dir}")
-        ids = matching.list_feature_ids(feat_dir)
-        if not ids:
-            raise ConfigError(f"no feature files in {feat_dir}")
-        id_set = set(ids)
-        for step in config.steps:
-            out_dir = runcfg.matches_dir(config, method, step)
-            os.makedirs(out_dir, exist_ok=True)
-            pairs = [(fa, fa + step) for fa in ids if fa + step in id_set and step != 0]
-
-            def work(pair):
-                fa, fb = pair
-                out = os.path.join(out_dir, f"pair_{fa:06d}_{fb:06d}.matches")
-                if os.path.exists(out) and not args.force:
-                    return ("skip", f"pair {fa}-{fb}", "")
-                try:
-                    _, desc_a = matching.load_features(matching.feature_path(feat_dir, fa), fa)
-                    _, desc_b = matching.load_features(matching.feature_path(feat_dir, fb), fb)
-                    matching.save_matches(out, matching.match_mutual(desc_a, desc_b))
-                    return ("ok", f"pair {fa}-{fb}", "")
-                except Exception as exc:  # log per-pair failures, keep going
-                    return ("fail", f"pair {fa}-{fb}", str(exc))
-
-            results = _map_jobs(work, pairs, config.jobs)
-            exit_code = max(exit_code, _summarize(f"match[{method} step {step}]", results, out_dir))
-    return exit_code
-
-
 def _report_paths(config: RunConfig):
     return (
         os.path.join(config.output_dir, "report.json"),
@@ -351,7 +319,6 @@ _COMMANDS = {
     "pseudolabel": cmd_pseudolabel,
     "train": cmd_train,
     "detect": cmd_detect,
-    "match": cmd_match,
     "eval": cmd_eval,
     "report": cmd_report,
 }
@@ -360,7 +327,6 @@ _HELP = {
     "pseudolabel": "run the teacher network and cache one label file per frame",
     "train": "fine-tune weights on cached labels with warped-pair losses",
     "detect": "extract keypoints + descriptors into per-frame feature files",
-    "match": "write mutual-nearest-neighbor match files for frame pairs",
     "eval": "match, fit robust models, and write report.json/report.csv",
     "report": "re-render report.csv and the histogram from report.json",
 }

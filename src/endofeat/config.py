@@ -36,7 +36,6 @@ class RunConfig:
     output_dir: str = "out"
     labels_dir: str = ""  # default: <output_dir>/labels
     features_dir: str = ""  # default: <output_dir>/features
-    matches_dir: str = ""  # default: <output_dir>/matches
     pose_path: str = ""  # optional reference poses
     intrinsics_path: str = ""  # optional pinhole intrinsics
     # --- detection (test-time) ---
@@ -79,24 +78,12 @@ class RunConfig:
 
 
 _HINTS = typing.get_type_hints(RunConfig)
-_BOOL_WORDS = {
-    "true": True,
-    "false": False,
-    "yes": True,
-    "no": False,
-    "1": True,
-    "0": False,
-}
 
 
 def _convert(kind, key: str, raw: str):
     try:
         if kind is str:
             return raw
-        if kind is bool:
-            if raw.lower() not in _BOOL_WORDS:
-                raise ValueError(f"not a boolean: {raw!r}")
-            return _BOOL_WORDS[raw.lower()]
         if kind is int:
             return int(raw)
         if kind is float:
@@ -173,11 +160,6 @@ def labels_dir(config: RunConfig) -> str:
 def features_dir(config: RunConfig, method: str) -> str:
     base = config.features_dir or os.path.join(config.output_dir, "features")
     return os.path.join(base, method)
-
-
-def matches_dir(config: RunConfig, method: str, step: int) -> str:
-    base = config.matches_dir or os.path.join(config.output_dir, "matches")
-    return os.path.join(base, method, f"step_{step}")
 
 
 def method_names(config: RunConfig) -> tuple:

@@ -358,23 +358,31 @@ def _adaptive_bound(inlier_ratio: float, sample_size: int, confidence: float) ->
 
 
 def _ransac(
-    pts_a: np.ndarray,
-    pts_b: np.ndarray,
-    order: np.ndarray,
+    matches,
+    kp_a,
+    kp_b,
     sample_size: int,
     fit,
     residuals,
     threshold: float,
     confidence: float,
     seed: int,
-):
-    """Generic RANSAC core; returns (model, inlier flags, iterations, reason).
+) -> RansacResult:
+    """Generic RANSAC core shared by the H, F and E estimators.
 
-    order is the canonical permutation (matches sorted by index pair);
-    samples are drawn from that view so the seed-to-sample mapping ignores
-    the caller's match ordering.
+    fit(sample_a, sample_b) and residuals(model, pts_a, pts_b) both take
+    pixel points. Samples are drawn from the matches sorted by index pair,
+    so the seed-to-sample mapping ignores the caller's match ordering.
     """
-    n = pts_a.shape[0]
+    n = len(matches)
+
+    def failed(iterations: int, reason: str) -> RansacResult:
+        return RansacResult(False, None, np.zeros(n, bool), iterations, reason)
+
+    if n < sample_size:
+        return failed(0, f"need at least {sample_size} matches")
+    pts_a, pts_b = _match_points(matches, kp_a, kp_b)
+    order = _canonical_order(matches)
     ca, cb = pts_a[order], pts_b[order]
 
     best_count = -1
@@ -394,13 +402,13 @@ def _ransac(
             best_model = model
             bound = min(bound, _adaptive_bound(count / n, sample_size, confidence))
     if best_model is None:
-        return None, None, it, "all hypotheses degenerate"
+        return failed(it, "all hypotheses degenerate")
     flags = residuals(best_model, pts_a, pts_b) <= threshold
     if flags.sum() < sample_size:
-        return None, None, it, "insufficient inlier support"
+        return failed(it, "insufficient inlier support")
     refit = fit(pts_a[flags], pts_b[flags])
     if refit is None:
-        return None, None, it, "degenerate final support"
+        return failed(it, "degenerate final support")
     new_flags = residuals(refit, pts_a, pts_b) <= threshold
     if 2 * int(new_flags.sum()) < int(flags.sum()):
         # An algebraic least-squares refit can drift far from the geometric
@@ -408,8 +416,8 @@ def _ransac(
         # most of the consensus that selected the hypothesis.  Keep the
         # sampled hypothesis on such a collapse; marginal one-off flips near
         # the threshold are normal and the refit stays preferable there.
-        return best_model, flags, it, ""
-    return refit, new_flags, it, ""
+        return RansacResult(True, best_model, flags, it)
+    return RansacResult(True, refit, new_flags, it)
 
 
 def estimate_homography_ransac(
@@ -421,16 +429,10 @@ def estimate_homography_ransac(
     seed: int = 0,
 ) -> RansacResult:
     """Robust plane-projective fit; inlier = symmetric transfer <= threshold."""
-    if len(matches) < 4:
-        return RansacResult(False, None, np.zeros(len(matches), bool), 0, "need at least 4 matches")
-    pts_a, pts_b = _match_points(matches, kp_a, kp_b)
-    model, flags, iters, reason = _ransac(
-        pts_a, pts_b, _canonical_order(matches), 4,
+    return _ransac(
+        matches, kp_a, kp_b, 4,
         fit_homography, homography_distances, threshold_px, confidence, seed,
     )
-    if model is None:
-        return RansacResult(False, None, np.zeros(len(matches), bool), iters, reason)
-    return RansacResult(True, model, flags, iters)
 
 
 def estimate_fundamental_ransac(
@@ -442,16 +444,10 @@ def estimate_fundamental_ransac(
     seed: int = 0,
 ) -> RansacResult:
     """Robust uncalibrated epipolar fit, rank-2 enforced."""
-    if len(matches) < 8:
-        return RansacResult(False, None, np.zeros(len(matches), bool), 0, "need at least 8 matches")
-    pts_a, pts_b = _match_points(matches, kp_a, kp_b)
-    model, flags, iters, reason = _ransac(
-        pts_a, pts_b, _canonical_order(matches), 8,
+    return _ransac(
+        matches, kp_a, kp_b, 8,
         fit_fundamental, epipolar_distances, threshold_px, confidence, seed,
     )
-    if model is None:
-        return RansacResult(False, None, np.zeros(len(matches), bool), iters, reason)
-    return RansacResult(True, model, flags, iters)
 
 
 def estimate_essential_ransac(
@@ -469,28 +465,16 @@ def estimate_essential_ransac(
     stays in pixels by scoring the pixel-frame equivalent of each
     candidate.
     """
-    if len(matches) < 8:
-        return RansacResult(False, None, np.zeros(len(matches), bool), 0, "need at least 8 matches")
-    pts_a, pts_b = _match_points(matches, kp_a, kp_b)
-    norm_a = intrinsics.normalize(pts_a)
-    norm_b = intrinsics.normalize(pts_b)
     kinv = np.linalg.inv(intrinsics.matrix)
 
     def fit(sa, sb):
-        return fit_fundamental(sa, sb, essential=True)
+        return fit_fundamental(intrinsics.normalize(sa), intrinsics.normalize(sb), essential=True)
 
-    def residuals(e, na, nb):
-        # na/nb are the normalized clouds; score in pixel units instead
+    def residuals(e, pts_a, pts_b):
         f_px = kinv.T @ e @ kinv
         return epipolar_distances(f_px, pts_a, pts_b)
 
-    model, flags, iters, reason = _ransac(
-        norm_a, norm_b, _canonical_order(matches), 8,
-        fit, residuals, threshold_px, confidence, seed,
-    )
-    if model is None:
-        return RansacResult(False, None, np.zeros(len(matches), bool), iters, reason)
-    return RansacResult(True, model, flags, iters)
+    return _ransac(matches, kp_a, kp_b, 8, fit, residuals, threshold_px, confidence, seed)
 
 
 # ---------------------------------------------------------------------------

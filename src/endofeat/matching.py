@@ -8,12 +8,13 @@ real descriptors and Hamming distance for packed binary ones.
 
 Feature files are a small text + binary-sidecar format shared with
 ingested baseline detectors, so every method flows through one pipeline.
+Matches live only in memory: evaluation recomputes them from the feature
+files, so no match file format exists.
 """
 
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,21 +262,8 @@ def _nearest_l2(q: np.ndarray, ref: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-_FEATURE_NAME = re.compile(r"^frame_(\d{6})\.feat$")
-
-
 def feature_path(directory, frame_id: int) -> str:
     return os.path.join(os.fspath(directory), f"frame_{frame_id:06d}.feat")
-
-
-def list_feature_ids(directory):
-    """Sorted frame ids that have a feature file in the directory."""
-    ids = []
-    for name in os.listdir(directory):
-        m = _FEATURE_NAME.match(name)
-        if m:
-            ids.append(int(m.group(1)))
-    return sorted(ids)
 
 
 def save_features(path, keypoints: KeypointSet, descriptors: DescriptorSet) -> None:
@@ -334,11 +322,3 @@ def load_features(path, frame_id: int = -1):
         except ValueError as exc:
             raise ValueError(f"{path}.desc: {exc}") from exc
     return kp, desc
-
-
-# match files: one pair per line
-def save_matches(path, matches: MatchSet) -> None:
-    lines = [f"metric {matches.metric}"]
-    for (i, j), d in zip(matches.pairs, matches.distances):
-        lines.append(f"{int(i)} {int(j)} {fmt(d)}")
-    atomic_write_bytes(os.fspath(path), "".join(l + "\n" for l in lines).encode("ascii"))

@@ -192,11 +192,7 @@ def evaluate_pairs(
             flags = result.inliers if result.success else np.zeros(len(matches), bool)
             matches.inliers[tag] = flags
             ev.inliers[tag] = int(flags.sum())
-            ev.grid_pct[tag] = grid_coverage(
-                kp_a.points[matches.pairs[flags, 0]] if len(matches) else np.empty((0, 2)),
-                height,
-                width,
-            )
+            ev.grid_pct[tag] = _inlier_coverage(kp_a, matches, flags, height, width)
             if primary_flags is None or flags.sum() > primary_flags.sum():
                 primary_flags = flags
             if tag == "E" and result.success and pose_gt is not None:
@@ -212,11 +208,7 @@ def evaluate_pairs(
             flags = geometry.pgt_inliers(matches, kp_a, kp_b, pose_gt, intrinsics, threshold_px)
             matches.inliers["pGT"] = flags
             ev.inliers["pGT"] = int(flags.sum())
-            ev.grid_pct["pGT"] = grid_coverage(
-                kp_a.points[matches.pairs[flags, 0]] if len(matches) else np.empty((0, 2)),
-                height,
-                width,
-            )
+            ev.grid_pct["pGT"] = _inlier_coverage(kp_a, matches, flags, height, width)
 
         if specular_masks is not None and fa in specular_masks and fb in specular_masks:
             flags = primary_flags if primary_flags is not None else np.zeros(len(matches), bool)
@@ -225,6 +217,11 @@ def evaluate_pairs(
             )
         evaluations.append(ev)
     return evaluations, skipped
+
+
+def _inlier_coverage(kp_a: KeypointSet, matches: MatchSet, flags, height: int, width: int) -> float:
+    """Grid coverage of the flagged matches' keypoints in the first image."""
+    return grid_coverage(kp_a.points[matches.pairs[flags, 0]], height, width)
 
 
 def _check_in_frame(frame_id: int, kp: KeypointSet, height: int, width: int) -> None:

@@ -236,7 +236,11 @@ def _read_records(path):
         kind, rank = struct.unpack("<BB", r.take(2))
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
         n = math.prod(dims)  # Python ints: an oversize declaration cannot wrap
-        data = np.frombuffer(r.take(4 * n), dtype="<f4").reshape(dims)
+        data = np.frombuffer(r.take(4 * n), dtype="<f4")
+        try:
+            data = data.reshape(dims)
+        except ValueError as e:  # zero elements, but other dims past numpy's size limit
+            raise WeightsShapeError(f"layer {name}: dims {dims} exceed the array size limit") from e
         records.append((name, kind, np.ascontiguousarray(data)))
     return records
 
@@ -264,6 +268,8 @@ def load_weights(path, architecture: Architecture | None = None) -> NetworkParam
         else:
             raise WeightsVersionError(f"unknown record kind {kind} for {name}")
     for name in order:
+        if kernels[name].shape[3] == 0:
+            raise WeightsShapeError(f"layer {name}: kernel has no output channels")
         if name not in biases:
             raise WeightsShapeError(f"layer {name}: kernel without bias")
         if biases[name].shape[0] != kernels[name].shape[3]:

@@ -5,22 +5,43 @@ sampled homography, runs the network on both views, and minimizes the
 combined pair loss (with highlight suppression when the specularity
 weight is nonzero) with Adam. All randomness derives from the run seed
 keyed by (seed, iteration, slot), so runs are bit-reproducible.
+
+A checkpoint is two files: the SPWT weights (network.save_weights) and an
+``.opt`` np.savez archive of the Adam state, which keeps each moment at
+its own dtype.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from . import losses, network
 from .data import PseudoLabel, warp_label
 from .homography import HomographyConfig, correspondence_tensor, sample_homography, to_pixel_frame, warp_image
-from .ioutil import atomic_write_text, fmt
+from .ioutil import atomic_write_bytes, fmt
 from .network import NetworkParams
 from .tensor import CELL, GradTape, Tensor, backward
 from . import tensor as T
+
+
+class CheckpointError(Exception):
+    """A checkpoint's optimizer-state file is unreadable or malformed; names the file."""
+
+
+# What np.load and NpzFile raise on a damaged or foreign archive
+# (NotImplementedError: a zip feature or version zipfile lacks). np.savez
+# writes stored, unencrypted entries; the loader rejects any other entry
+# before reading it, since zipfile raises RuntimeError for encrypted
+# entries (flag bit 0), NotImplementedError for flag bits 5 and 6, and
+# codec-specific errors for compressed data.
+_ARCHIVE_ERRORS = (zipfile.BadZipFile, EOFError, ValueError, OSError, NotImplementedError)
+_ZIP_UNREADABLE_FLAGS = 0x01 | 0x20 | 0x40
 
 
 class TrainingDivergedError(Exception):
@@ -185,7 +206,7 @@ def finetune(
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: weights file + sidecar text with optimizer state
+# checkpoints: SPWT weights file + np.savez optimizer state
 # ---------------------------------------------------------------------------
 
 
@@ -197,34 +218,64 @@ def checkpoint_paths(directory, iteration: int):
 def save_checkpoint(directory, iteration: int, params: NetworkParams, state: AdamState) -> None:
     wpath, opath = checkpoint_paths(directory, iteration)
     network.save_weights(params, wpath)
-    lines = [f"iteration {iteration}", f"step {state.step}"]
+    entries = {"iteration": np.int64(iteration), "step": np.int64(state.step)}
     for label in sorted(state.m):
-        lines.append(f"m {label} " + " ".join(fmt(v) for v in state.m[label].ravel()))
-        lines.append(f"v {label} " + " ".join(fmt(v) for v in state.v[label].ravel()))
-    atomic_write_text(opath, "".join(l + "\n" for l in lines))
+        entries[f"m/{label}"] = state.m[label]
+        entries[f"v/{label}"] = state.v[label]
+    buffer = io.BytesIO()
+    np.savez(buffer, **entries)
+    atomic_write_bytes(opath, buffer.getvalue())
 
 
 def load_checkpoint(directory, iteration: int):
-    """Returns (params, AdamState, iteration). Moments keep stored shapes."""
+    """Returns (params, AdamState, iteration); moments keep their stored dtype.
+
+    Raises CheckpointError naming the .opt file unless it is an np.savez
+    archive of integer scalars ``iteration`` and ``step`` plus float
+    ``m/<label>`` and ``v/<label>`` moments, for the same labels, each
+    shaped like its parameter.
+    """
     wpath, opath = checkpoint_paths(directory, iteration)
     params = network.load_weights(wpath)
+    shapes = {label: t.shape for label, t in params.param_tensors()}
+    try:
+        payload = np.load(opath, allow_pickle=False)
+        if not isinstance(payload, NpzFile):
+            raise CheckpointError(f"{opath}: not an np.savez archive")
+        with payload:
+            for info in payload.zip.infolist():
+                if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & _ZIP_UNREADABLE_FLAGS:
+                    raise CheckpointError(f"{opath}: entry {info.filename!r} is compressed or encrypted")
+            entries = {key: payload[key] for key in payload.files}
+    except _ARCHIVE_ERRORS as exc:
+        raise CheckpointError(f"{opath}: unreadable optimizer state: {exc}") from exc
+
     state = AdamState()
-    shapes = {f"{n}.{s}": t.shape for n, (k, b) in params.weights.items() for s, t in (("kernel", k), ("bias", b))}
-    stored_iteration = iteration
-    with open(opath, "r", encoding="utf-8") as f:
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "iteration":
-                stored_iteration = int(parts[1])
-            elif parts[0] == "step":
-                state.step = int(parts[1])
-            elif parts[0] in ("m", "v"):
-                label = parts[1]
-                arr = np.asarray([float(v) for v in parts[2:]]).reshape(shapes[label])
-                (state.m if parts[0] == "m" else state.v)[label] = arr
-    return params, state, stored_iteration
+    moments = {"m": state.m, "v": state.v}
+    scalars = {}
+    for key, arr in entries.items():
+        kind, _, label = key.partition("/")
+        if not isinstance(arr, np.ndarray):
+            raise CheckpointError(f"{opath}: entry {key!r} is not an array")
+        if key in ("iteration", "step"):
+            if arr.shape != () or arr.dtype.kind not in "iu":
+                raise CheckpointError(f"{opath}: {key} is {arr.dtype} {arr.shape}, expected an integer scalar")
+            scalars[key] = int(arr)
+        elif kind in moments and label in shapes:
+            if arr.shape != shapes[label] or arr.dtype.kind != "f":
+                raise CheckpointError(
+                    f"{opath}: {key} is {arr.dtype} {arr.shape}, expected floats {shapes[label]}"
+                )
+            moments[kind][label] = arr
+        else:
+            raise CheckpointError(f"{opath}: unknown entry {key!r}")
+    for key in ("iteration", "step"):
+        if key not in scalars:
+            raise CheckpointError(f"{opath}: missing {key}")
+    if state.m.keys() != state.v.keys():
+        raise CheckpointError(f"{opath}: m and v moments cover different parameters")
+    state.step = scalars["step"]
+    return params, state, scalars["iteration"]
 
 
 def history_csv(history) -> str:

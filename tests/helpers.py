@@ -1,8 +1,9 @@
-"""Shared test fixtures: finite-difference gradient checks and toy nets."""
+"""Shared test fixtures: finite-difference gradient checks, toy nets, byte damage."""
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from endofeat import losses, network
 from endofeat import tensor as T
@@ -224,3 +225,16 @@ def toy_pair_loss_case(size: int = 16, seed: int = 3):
         )
 
     return build, arrays
+
+
+def damaged(blob: bytes):
+    """Hypothesis strategy: blob with up to four bytes overwritten, then cut at any length."""
+    edits = st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)), max_size=4)
+
+    def apply(pairs, cut):
+        out = bytearray(blob)
+        for pos, value in pairs:
+            out[pos] = value
+        return bytes(out[:cut])
+
+    return st.builds(apply, edits, st.integers(0, len(blob)))

@@ -91,16 +91,6 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     assert run(ws, "detect") == 0
     assert "skipped 4" in capsys.readouterr().out
 
-    # match: one file per adjacent pair
-    assert run(ws, "match") == 0
-    capsys.readouterr()
-    match_dir = out / "matches" / "learned" / "step_1"
-    assert sorted(os.listdir(match_dir)) == [
-        "pair_000000_000001.matches",
-        "pair_000001_000002.matches",
-        "pair_000002_000003.matches",
-    ]
-
     # eval: report triple with recorded metadata
     assert run(ws, "eval") == 0
     printed = capsys.readouterr().out
@@ -186,10 +176,12 @@ def test_train_without_labels_exits_2(tmp_path, capsys):
     assert "missing label files" in err and "pseudolabel" in err
 
 
-def test_match_without_features_exits_2(tmp_path, capsys):
+def test_match_is_not_a_command(tmp_path, capsys):
     ws = make_workspace(tmp_path, n_frames=2)
-    assert run(ws, "match") == 2
-    assert "no feature directory" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(ws, "match")
+    assert exc.value.code == 2
+    assert "invalid choice: 'match'" in capsys.readouterr().err
 
 
 def test_eval_incomplete_coverage_exits_2(tmp_path, capsys):

@@ -8,13 +8,13 @@ from endofeat import data, geometry, matching
 from endofeat.config import (
     ConfigError,
     RunConfig,
+    _convert,
     apply_overrides,
     features_dir,
     homography_config,
     labels_dir,
     load_config,
     loss_config,
-    matches_dir,
     method_names,
     model_tags,
     parse_config_text,
@@ -67,6 +67,14 @@ def test_parse_config_text_rejects_bad_lines():
         parse_config_text("seed = 1\nseed = 2\n")
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_text("iterations = soon\n")
+    # match files are no longer written, so their directory is no longer a key
+    with pytest.raises(ConfigError, match="unknown key 'matches_dir'"):
+        parse_config_text("matches_dir = out/matches\n")
+
+
+def test_convert_rejects_unsupported_type():
+    with pytest.raises(ConfigError, match="unsupported type"):
+        _convert(bool, "flag", "true")
 
 
 def test_parse_value_tuple_and_scalar():
@@ -99,11 +107,9 @@ def test_derived_paths():
     cfg = RunConfig(output_dir="run")
     assert labels_dir(cfg) == os.path.join("run", "labels")
     assert features_dir(cfg, "learned") == os.path.join("run", "features", "learned")
-    assert matches_dir(cfg, "orb", 5) == os.path.join("run", "matches", "orb", "step_5")
-    custom = RunConfig(labels_dir="L", features_dir="F", matches_dir="M")
+    custom = RunConfig(labels_dir="L", features_dir="F")
     assert labels_dir(custom) == "L"
     assert features_dir(custom, "m") == os.path.join("F", "m")
-    assert matches_dir(custom, "m", 1) == os.path.join("M", "m", "step_1")
 
 
 def test_method_names_and_model_tags():

@@ -198,10 +198,15 @@ def test_homography_ransac_is_deterministic_and_order_independent():
 def test_ransac_too_few_matches():
     kp = KeypointSet(np.zeros((3, 2)), np.zeros(3))
     ms = MatchSet(np.stack([np.arange(3)] * 2, 1), np.zeros(3))
-    res = estimate_homography_ransac(ms, kp, kp)
-    assert not res.success and "at least 4" in res.reason
-    res = estimate_fundamental_ransac(ms, kp, kp)
-    assert not res.success and "at least 8" in res.reason
+    k = Intrinsics(100.0, 100.0, 50.0, 50.0)
+    for res, need in (
+        (estimate_homography_ransac(ms, kp, kp), 4),
+        (estimate_fundamental_ransac(ms, kp, kp), 8),
+        (estimate_essential_ransac(ms, kp, kp, k), 8),
+    ):
+        assert not res.success and res.model is None and res.iterations == 0
+        assert res.reason == f"need at least {need} matches"
+        np.testing.assert_array_equal(res.inliers, np.zeros(3, bool))
 
 
 def test_fundamental_ransac_with_outliers():

@@ -1,4 +1,4 @@
-"""NMS, keypoint extraction, mutual matching, feature/match files."""
+"""NMS, keypoint extraction, mutual matching, feature files."""
 
 from types import SimpleNamespace
 
@@ -15,11 +15,9 @@ from endofeat.matching import (
     extract_keypoints,
     feature_path,
     greedy_nms,
-    list_feature_ids,
     load_features,
     match_mutual,
     save_features,
-    save_matches,
 )
 from endofeat.tensor import Tensor
 
@@ -329,21 +327,3 @@ def test_load_features_rejects_non_finite_l2(tmp_path, bad):
     (tmp_path / "frame_000005.feat.desc").write_bytes(vec.astype("<f4").tobytes())
     with pytest.raises(ValueError, match=r"frame_000005\.feat\.desc: L2 descriptor row 2"):
         load_features(path)
-
-
-def test_list_feature_ids(tmp_path):
-    for fid in (7, 1, 30):
-        save_features(feature_path(tmp_path, fid), KeypointSet(np.empty((0, 2)), np.empty(0)),
-                      DescriptorSet(np.empty((0, 2), np.float32)))
-    (tmp_path / "frame_12.feat").write_text("decoy")
-    (tmp_path / "other.txt").write_text("decoy")
-    assert list_feature_ids(tmp_path) == [1, 7, 30]
-
-
-def test_save_matches_layout(tmp_path):
-    ms = MatchSet(np.array([[0, 2], [3, 1]]), np.array([0.5, 1.25]), METRIC_L2)
-    path = tmp_path / "pair.matches"
-    save_matches(path, ms)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "metric L2"
-    assert lines[1] == "0 2 0.5" and lines[2] == "3 1 1.25"

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endofeat import network
 from endofeat.network import (
@@ -21,7 +23,7 @@ from endofeat.network import (
 )
 from endofeat.tensor import Tensor
 
-from helpers import rng, toy_architecture
+from helpers import damaged, rng, toy_architecture
 
 
 def test_architecture_requires_four_stages():
@@ -220,6 +222,16 @@ def test_oversize_dims_are_truncation_not_wraparound(tmp_path):
         load_weights(path)
 
 
+def test_zero_element_dims_past_size_limit_are_typed(tmp_path):
+    # no data to read, but numpy cannot represent the declared shape
+    blob = b"SPWT" + struct.pack("<II", 1, 1) + struct.pack("<I", 7) + b"enc0_c0"
+    blob += struct.pack("<BB", 0, 4) + struct.pack("<4I", 0, *(2**32 - 1,) * 3)
+    path = tmp_path / "net.weights"
+    path.write_bytes(blob)
+    with pytest.raises(WeightsShapeError, match="enc0_c0"):
+        load_weights(path)
+
+
 def test_kernel_without_bias_rejected(tmp_path):
     blob = b"SPWT" + struct.pack("<II", 1, 1)
     blob += _record("enc0_c0", 0, np.zeros((3, 3, 1, 2), dtype=np.float32))
@@ -237,6 +249,49 @@ def test_bias_length_mismatch_rejected(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(WeightsShapeError, match="bias length"):
         load_weights(path)
+
+
+def test_zero_width_layer_is_typed(tmp_path):
+    # Architecture rejects a zero channel width with a bare ValueError; the
+    # loader must report the layer with its own error before that.
+    params = init_params(toy_architecture(), seed=0)
+    blob = b"SPWT" + struct.pack("<II", 1, 2 * len(params.weights))
+    for name, (kernel, bias) in params.weights.items():
+        if name == "enc0_c0":
+            kernel, bias = Tensor(np.zeros((3, 3, 1, 0))), Tensor(np.zeros(0))
+        blob += _record(name, 0, kernel.data) + _record(name, 1, bias.data)
+    path = tmp_path / "net.weights"
+    path.write_bytes(blob)
+    with pytest.raises(WeightsShapeError, match="enc0_c0"):
+        load_weights(path)
+
+
+_WEIGHTS_ERRORS = (WeightsVersionError, WeightsTruncatedError, WeightsShapeError)
+_SPWT_HEADER = b"SPWT" + struct.pack("<I", 1)
+
+
+@pytest.fixture(scope="module")
+def toy_weights_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("weights") / "toy.weights"
+    save_weights(init_params(toy_architecture(), seed=0), path)
+    return path.read_bytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_load_weights_fuzz_raises_only_typed_errors(toy_weights_blob, tmp_path_factory, data):
+    blob = data.draw(
+        st.one_of(
+            st.binary(max_size=256).map(lambda tail: _SPWT_HEADER + tail),
+            damaged(toy_weights_blob),
+        )
+    )
+    path = tmp_path_factory.getbasetemp() / "fuzz.weights"
+    path.write_bytes(blob)
+    try:
+        load_weights(path)
+    except _WEIGHTS_ERRORS:
+        pass
 
 
 def test_inferred_architecture_runs_forward(tmp_path):

@@ -1,7 +1,12 @@
 """Adam updates, fine-tuning determinism, divergence, checkpoints."""
 
+import io
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endofeat.data import PseudoLabel
 from endofeat.homography import HomographyConfig
@@ -10,6 +15,7 @@ from endofeat.network import init_params
 from endofeat.tensor import Tensor
 from endofeat.train import (
     AdamState,
+    CheckpointError,
     TrainConfig,
     TrainingDivergedError,
     TrainingSample,
@@ -21,7 +27,7 @@ from endofeat.train import (
     save_checkpoint,
 )
 
-from helpers import rng, toy_architecture
+from helpers import damaged, rng, toy_architecture
 
 
 def mild_config(**kw):
@@ -135,21 +141,144 @@ def test_checkpoint_round_trip(tmp_path):
     for (la, ta), (lb, tb) in zip(params.param_tensors(), back.param_tensors()):
         assert la == lb
         np.testing.assert_array_equal(ta.data, tb.data)
+    assert back_state.m.keys() == state.m.keys() and back_state.v.keys() == state.v.keys()
     for label in state.m:
-        np.testing.assert_array_equal(back_state.m[label], state.m[label])
-        np.testing.assert_array_equal(back_state.v[label], state.v[label])
+        for back, want in ((back_state.m[label], state.m[label]), (back_state.v[label], state.v[label])):
+            assert back.dtype == np.float64
+            np.testing.assert_array_equal(back, want)
 
 
 def test_finetune_writes_periodic_checkpoints(tmp_path):
     params = init_params(toy_architecture(), seed=8)
     cfg = mild_config(iterations=4, learning_rate=1e-4, checkpoint_every=2)
     finetune(params, toy_samples(), cfg, checkpoint_dir=tmp_path)
-    import os
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        os.path.basename(p) for it in (2, 4) for p in checkpoint_paths(tmp_path, it)
+    )
 
-    for it in (2, 4):
-        wpath, opath = checkpoint_paths(tmp_path, it)
-        assert os.path.exists(wpath) and os.path.exists(opath)
-    assert not os.path.exists(checkpoint_paths(tmp_path, 3)[0])
+
+def test_float32_finetune_checkpoint_loads_back(tmp_path):
+    params = init_params(toy_architecture(), seed=10).as_dtype(np.float32)
+    cfg = mild_config(iterations=2, learning_rate=1e-3, checkpoint_every=2)
+    tuned, _ = finetune(params, toy_samples(), cfg, checkpoint_dir=tmp_path)
+    back, state, iteration = load_checkpoint(tmp_path, 2)
+    assert iteration == 2 and state.step == 2
+    for (label, want), (back_label, got) in zip(tuned.param_tensors(), back.param_tensors()):
+        assert back_label == label
+        np.testing.assert_array_equal(got.data, want.data)
+        for moments in (state.m, state.v):
+            assert moments[label].dtype == np.float32 and moments[label].shape == want.shape
+
+
+# --- malformed optimizer state ---------------------------------------------
+
+
+def _moment_entries(params):
+    entries = {"iteration": np.int64(5), "step": np.int64(5)}
+    for i, (label, tensor) in enumerate(params.param_tensors()):
+        entries[f"m/{label}"] = rng((43, i, 0)).normal(size=tensor.shape).astype(np.float32)
+        entries[f"v/{label}"] = rng((43, i, 1)).uniform(0, 1, size=tensor.shape).astype(np.float32)
+    return entries
+
+
+def _savez_bytes(entries) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, **entries)
+    return buffer.getvalue()
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """(directory, .opt path, valid savez entries) of a float32 toy checkpoint at iteration 5."""
+    directory = tmp_path_factory.mktemp("checkpoint")
+    params = init_params(toy_architecture(), seed=11).as_dtype(np.float32)
+    save_checkpoint(directory, 5, params, AdamState())
+    return directory, checkpoint_paths(directory, 5)[1], _moment_entries(params)
+
+
+_LABEL = "enc0_c0.kernel"
+
+
+def _edited(entries, **changes):
+    """savez bytes of entries with keys replaced, added, or dropped (value None)."""
+    out = {**entries, **changes}
+    return _savez_bytes({k: v for k, v in out.items() if v is not None})
+
+
+def _npy_bytes(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def _encrypted_flag(entries) -> bytes:
+    blob = bytearray(_savez_bytes(entries))
+    blob[blob.index(b"PK\x01\x02") + 8] |= 0x01  # first central-directory entry
+    return bytes(blob)
+
+
+def _compressed(entries) -> bytes:
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **entries)
+    return buffer.getvalue()
+
+
+def _old_text_format(entries) -> bytes:
+    values = " ".join(repr(float(x)) for x in entries[f"m/{_LABEL}"].ravel())
+    return f"iteration 5\nstep 5\nm {_LABEL} {values}\n".encode()
+
+
+_BAD_OPT = {
+    "old text format": _old_text_format,
+    "empty": lambda e: b"",
+    "truncated": lambda e: _savez_bytes(e)[:-100],
+    "bare npy": lambda e: _npy_bytes(e[f"m/{_LABEL}"]),
+    "unknown label": lambda e: _edited(e, **{"m/nope.kernel": e[f"m/{_LABEL}"]}),
+    "wrong shape": lambda e: _edited(e, **{f"m/{_LABEL}": e[f"m/{_LABEL}"].ravel()}),
+    "missing step": lambda e: _edited(e, step=None),
+    "float step": lambda e: _edited(e, step=np.float64(5)),
+    "object moment": lambda e: _edited(e, **{f"m/{_LABEL}": e[f"m/{_LABEL}"].astype(object)}),
+    "int moment": lambda e: _edited(e, **{f"m/{_LABEL}": e[f"m/{_LABEL}"].astype(np.int32)}),
+    "m without v": lambda e: _edited(e, **{f"v/{_LABEL}": None}),
+    "encrypted flag": _encrypted_flag,
+    "compressed": _compressed,
+}
+
+
+def test_optimizer_state_layout_loads(saved_checkpoint):
+    # the documented layout, written by np.savez directly, is what loads
+    directory, opath, entries = saved_checkpoint
+    with open(opath, "wb") as f:
+        f.write(_savez_bytes(entries))
+    _, state, iteration = load_checkpoint(directory, 5)
+    assert iteration == 5 and state.step == 5
+    for key, want in entries.items():
+        if "/" in key:
+            got = (state.m if key[0] == "m" else state.v)[key[2:]]
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", list(_BAD_OPT))
+def test_malformed_optimizer_state_is_typed(saved_checkpoint, case):
+    directory, opath, entries = saved_checkpoint
+    with open(opath, "wb") as f:
+        f.write(_BAD_OPT[case](entries))
+    with pytest.raises(CheckpointError, match=os.path.basename(opath)):
+        load_checkpoint(directory, 5)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_load_checkpoint_fuzz_raises_only_checkpoint_error(saved_checkpoint, data):
+    directory, opath, entries = saved_checkpoint
+    blob = data.draw(st.one_of(st.binary(max_size=512), damaged(_savez_bytes(entries))))
+    with open(opath, "wb") as f:
+        f.write(blob)
+    try:
+        load_checkpoint(directory, 5)
+    except CheckpointError:
+        pass
 
 
 def test_history_csv_layout():
