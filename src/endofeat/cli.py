@@ -32,9 +32,7 @@ _INPUT_ERRORS = (
     ValueError,
     OSError,
     data.FrameError,
-    network.WeightsVersionError,
-    network.WeightsTruncatedError,
-    network.WeightsShapeError,
+    network.WeightsError,
 )
 
 

@@ -60,7 +60,6 @@ class RunConfig:
     margin_positive: float = LossConfig.margin_positive
     margin_negative: float = LossConfig.margin_negative
     specularity_weight: float = LossConfig.specularity_weight
-    negative_keep: float = LossConfig.negative_keep
     # --- training ---
     iterations: int = TrainConfig.iterations
     learning_rate: float = TrainConfig.learning_rate
@@ -200,7 +199,6 @@ def loss_config(config: RunConfig) -> LossConfig:
             margin_positive=config.margin_positive,
             margin_negative=config.margin_negative,
             specularity_weight=config.specularity_weight,
-            negative_keep=config.negative_keep,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

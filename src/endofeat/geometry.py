@@ -121,6 +121,8 @@ class RelativePose:
         q = np.asarray(self.quaternion, dtype=np.float64).reshape(4)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         qn, tn = np.linalg.norm(q), np.linalg.norm(t)
+        if not (np.isfinite(qn) and np.isfinite(tn)):  # also catches an overflowing norm
+            raise ValueError("quaternion and translation must be finite")
         if qn < _EPS or tn < _EPS:
             raise ValueError("quaternion and translation must be nonzero")
         q = q / qn
@@ -142,6 +144,8 @@ class Intrinsics:
     cy: float
 
     def __post_init__(self):
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
+            raise ValueError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
 

@@ -4,8 +4,8 @@ Three building blocks and two compositions:
 
 * detection_loss — per-cell (DUSTBIN + 1)-way cross-entropy against
   pseudo-labels, with a dustbin channel for cells holding no keypoint.
-* descriptor_loss — hinge contrastive loss over all pairs of cells of the
-  two views, driven by the homography-induced cell correspondences.
+* descriptor_loss — dense hinge contrastive loss over all pairs of cells
+  of the two views, driven by the homography-induced cell correspondences.
 * specularity_loss — mean network.heatmap probability over saturated
   pixels, penalizing keypoints that sit on highlights.
 * pair_loss — the two detection losses plus a weighted descriptor loss.
@@ -35,9 +35,7 @@ class LossConfig:
     descriptor_weight balances the descriptor term against the detection
     terms; specularity_weight scales the highlight-suppression terms (0
     disables them); correspondence_weight boosts the corresponding-cell
-    hinge term inside the descriptor loss. negative_keep below 1 drops a
-    random fraction of non-corresponding cell pairs, a cheaper sparse
-    approximation of the dense loss.
+    hinge term inside the descriptor loss.
     """
 
     descriptor_weight: float = 0.0001
@@ -46,15 +44,12 @@ class LossConfig:
     margin_positive: float = 1.0
     margin_negative: float = 0.2
     correspondence_weight: float = 250.0
-    negative_keep: float = 1.0
 
     def __post_init__(self):
         if self.specularity_weight < 0:
             raise ValueError("specularity_weight must be >= 0")
         if self.guard_eps <= 0:
             raise ValueError("guard_eps must be > 0")
-        if not 0 < self.negative_keep <= 1:
-            raise ValueError("negative_keep must be in (0, 1]")
 
 
 def _cell_targets(label: PseudoLabel, hc: int, wc: int) -> np.ndarray:
@@ -89,14 +84,12 @@ def descriptor_loss(
     desc_b: Tensor,
     correspondence: np.ndarray,
     config: LossConfig = LossConfig(),
-    negative_mask: np.ndarray | None = None,
 ) -> Tensor:
     """Hinge contrastive loss over all cell pairs of the two views.
 
     Corresponding pairs (correspondence 1) are pulled above the positive
     margin, all others pushed below the negative margin; the result is the
-    mean over the retained pairs. negative_mask, when given, marks the
-    non-corresponding pairs to keep (corresponding pairs always count).
+    mean over all Hc*Wc x Hc*Wc pairs.
     """
     if desc_a.shape != desc_b.shape or len(desc_a.shape) != 3:
         raise ValueError(
@@ -109,12 +102,6 @@ def descriptor_loss(
     pos_coef = config.correspondence_weight * s
     neg_coef = 1.0 - s
     denom = float(n) * float(n)
-    if negative_mask is not None:
-        keep = np.asarray(negative_mask, dtype=bool).reshape(n, n)
-        neg_coef = neg_coef * keep
-        denom = float(s.sum() + (keep & (s == 0)).sum())
-        if denom == 0:
-            raise ValueError("no cell pairs retained")
 
     a = T.reshape(desc_a, (n, d))
     b = T.reshape(desc_b, (n, d))
@@ -148,12 +135,11 @@ def pair_loss(
     label_b: PseudoLabel,
     correspondence: np.ndarray,
     config: LossConfig = LossConfig(),
-    negative_mask: np.ndarray | None = None,
     terms_out: dict | None = None,
 ) -> Tensor:
     """Joint detection + description loss of a warped image pair."""
     det = T.add(detection_loss(heads_a.detect, label_a), detection_loss(heads_b.detect, label_b))
-    desc = descriptor_loss(heads_a.describe, heads_b.describe, correspondence, config, negative_mask)
+    desc = descriptor_loss(heads_a.describe, heads_b.describe, correspondence, config)
     if terms_out is not None:
         terms_out["detection"] = det.item()
         terms_out["descriptor"] = desc.item()
@@ -169,7 +155,6 @@ def specular_pair_loss(
     label_b: PseudoLabel,
     correspondence: np.ndarray,
     config: LossConfig = LossConfig(),
-    negative_mask: np.ndarray | None = None,
     terms_out: dict | None = None,
 ) -> Tensor:
     """Pair loss plus highlight suppression on both views.
@@ -177,7 +162,7 @@ def specular_pair_loss(
     With specularity_weight == 0 this is exactly pair_loss: same graph,
     same value, bit for bit.
     """
-    sp = pair_loss(heads_a, label_a, heads_b, label_b, correspondence, config, negative_mask, terms_out)
+    sp = pair_loss(heads_a, label_a, heads_b, label_b, correspondence, config, terms_out)
     if config.specularity_weight == 0:
         if terms_out is not None:
             terms_out["specularity"] = 0.0

@@ -4,7 +4,8 @@ Extraction thresholds the dense heatmap, suppresses non-maxima greedily
 over a square window, caps the count, and samples a descriptor at each
 surviving pixel. Matching keeps a pair only when each descriptor is the
 other's nearest neighbor (ties to the lowest index), with L2 distance for
-real descriptors and Hamming distance for packed binary ones.
+real descriptors and Hamming distance for packed binary ones; both go
+through one exact nearest-neighbour kernel, Hamming on the unpacked bits.
 
 Feature files are a small text + binary-sidecar format shared with
 ingested baseline detectors, so every method flows through one pipeline.
@@ -28,9 +29,8 @@ MAX_FEATURES = 10000
 METRIC_L2 = "L2"
 METRIC_HAMMING = "HAMMING"
 
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
-# Elements per nearest-neighbour tile (float64 distances for L2, per-byte
-# popcounts for Hamming): 2^16 keeps each tile's scratch near 0.5 MB.
+# float64 distances per nearest-neighbour tile: 2^16 keeps each tile's
+# scratch near 0.5 MB.
 _TILE_ELEMENTS = 1 << 16
 
 
@@ -165,14 +165,18 @@ def match_mutual(da: DescriptorSet, db: DescriptorSet) -> MatchSet:
 
     Each direction is searched in tiles: as many query rows as fit in
     ``_TILE_ELEMENTS`` (2^16) distances, and at least one, against every
-    reference row, so a tile's scratch memory stays near 0.5 MB. Hamming
-    tiles XOR the packed rows and count bits with a lookup table; their
-    integer distances are exact. L2 tiles rank columns by the Gram
-    expansion ``|a|^2 + |b|^2 - 2 a.b`` (one matrix product), which rounds
-    differently from the direct formula, so every column within twice a
-    rounding-error bound of the row's Gram minimum is re-scored with the
-    direct formula and the lowest index among the exact minima wins. The
-    result is bit-for-bit that of a full matrix of direct distances.
+    reference row, so a tile's scratch memory stays near 0.5 MB. Tiles
+    rank columns by the Gram expansion ``|a|^2 + |b|^2 - 2 a.b`` (one
+    matrix product), which rounds differently from the direct formula, so
+    every column within twice a rounding-error bound of the row's Gram
+    minimum is re-scored with the direct formula and the lowest index
+    among the exact minima wins. The result is bit-for-bit that of a full
+    matrix of direct distances.
+
+    Hamming rows are unpacked to 0/1 floats, every packed bit including
+    the padding, and searched the same way: the direct squared distance
+    of two bit rows is their exact Hamming distance, an integer, and the
+    re-check bound is far below 1.
     """
     if da.metric != db.metric:
         raise ValueError(f"metric mismatch: {da.metric} vs {db.metric}")
@@ -183,31 +187,18 @@ def match_mutual(da: DescriptorSet, db: DescriptorSet) -> MatchSet:
         raise ValueError("descriptor widths differ")
 
     if da.metric == METRIC_HAMMING:
-        a_rows, b_rows = da.vectors, db.vectors
-        nearest = _nearest_hamming
+        a_rows = np.unpackbits(da.vectors, axis=1).astype(np.float64)
+        b_rows = np.unpackbits(db.vectors, axis=1).astype(np.float64)
     else:
         a_rows = da.vectors.astype(np.float64, copy=False)
         b_rows = db.vectors.astype(np.float64, copy=False)
-        nearest = _nearest_l2
-    best_b, dist_b = nearest(a_rows, b_rows)
-    best_a, _ = nearest(b_rows, a_rows)
+    best_b, dist_b = _nearest_l2(a_rows, b_rows)
+    best_a, _ = _nearest_l2(b_rows, a_rows)
 
     rows = np.flatnonzero(best_a[best_b] == np.arange(na))
     pairs = np.stack([rows, best_b[rows]], axis=1)
     dists = np.sqrt(dist_b[rows]) if da.metric == METRIC_L2 else dist_b[rows]
     return MatchSet(pairs, dists, da.metric)
-
-
-def _nearest_hamming(q: np.ndarray, ref: np.ndarray):
-    """Lowest-index nearest ref row of each packed-bit q row, and its distance."""
-    step = max(1, _TILE_ELEMENTS // (ref.shape[0] * ref.shape[1]))
-    best = np.empty(q.shape[0], dtype=np.int64)
-    dist = np.empty(q.shape[0], dtype=np.int64)
-    for lo in range(0, q.shape[0], step):
-        tile = _POPCOUNT[np.bitwise_xor(q[lo : lo + step, None, :], ref[None, :, :])].sum(axis=2)
-        best[lo : lo + step] = tile.argmin(axis=1)
-        dist[lo : lo + step] = tile.min(axis=1)
-    return best, dist
 
 
 def _nearest_l2(q: np.ndarray, ref: np.ndarray):

@@ -6,31 +6,26 @@ tensor.CELL (8x). The detection head ends in tensor.DUSTBIN + 1 channels
 (one per pixel of a cell plus the "no interest point" dustbin), which
 heatmap() decodes; the description head ends in the descriptor dimension
 (256 by default).
+
+A weights file is an np.savez archive (ioutil.write_archive) of float32
+arrays named by the param_tensors() labels; load_weights raises
+WeightsError, naming the file or the layer, for anything else.
 """
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .ioutil import atomic_write_bytes
+from .ioutil import read_archive, write_archive
 from .tensor import CELL, DUSTBIN, Tensor
 
 
-class WeightsVersionError(Exception):
-    """Bad magic bytes, unsupported format version, or an undecodable record."""
-
-
-class WeightsTruncatedError(Exception):
-    """File ended before the declared records were read."""
-
-
-class WeightsShapeError(Exception):
-    """A stored tensor is inconsistent with the architecture; names the layer."""
+class WeightsError(Exception):
+    """A weights file is unreadable, or a tensor is inconsistent with the
+    architecture; names the file or the layer."""
 
 
 @dataclass(frozen=True)
@@ -80,14 +75,14 @@ class NetworkParams:
     def validate(self) -> None:
         for name, k, cin, cout in self.architecture.layer_plan():
             if name not in self.weights:
-                raise WeightsShapeError(f"missing layer {name}")
+                raise WeightsError(f"missing layer {name}")
             kernel, bias = self.weights[name]
             if kernel.shape != (k, k, cin, cout):
-                raise WeightsShapeError(
+                raise WeightsError(
                     f"layer {name}: kernel shape {kernel.shape}, expected {(k, k, cin, cout)}"
                 )
             if bias.shape != (cout,):
-                raise WeightsShapeError(f"layer {name}: bias shape {bias.shape}, expected {(cout,)}")
+                raise WeightsError(f"layer {name}: bias shape {bias.shape}, expected {(cout,)}")
 
     def dtype(self):
         kernel, _ = next(iter(self.weights.values()))
@@ -179,131 +174,80 @@ def densify(raw: RawHeads) -> DenseOutputs:
 
 
 # ---------------------------------------------------------------------------
-# weights file: magic "SPWT", little endian, one record per tensor
-#   u32 name_len, name utf-8, u8 kind (0 kernel / 1 bias), u8 rank,
-#   u32 per dim, f32 data
+# weights file: an np.savez archive of float32 arrays keyed by the
+# param_tensors() labels, "<layer>.kernel" (k x k x Cin x Cout) and
+# "<layer>.bias" (Cout)
 # ---------------------------------------------------------------------------
-
-_MAGIC = b"SPWT"
-_VERSION = 1
-_KIND_KERNEL = 0
-_KIND_BIAS = 1
 
 
 def save_weights(params: NetworkParams, path) -> None:
-    chunks = [_MAGIC, struct.pack("<II", _VERSION, 2 * len(params.weights))]
-    for name, (kernel, bias) in params.weights.items():
-        for kind, t in ((_KIND_KERNEL, kernel), (_KIND_BIAS, bias)):
-            nb = name.encode("utf-8")
-            arr = np.ascontiguousarray(t.data, dtype=np.float32)
-            chunks.append(struct.pack("<I", len(nb)))
-            chunks.append(nb)
-            chunks.append(struct.pack("<BB", kind, arr.ndim))
-            chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            chunks.append(arr.astype("<f4").tobytes())
-    atomic_write_bytes(path, b"".join(chunks))
-
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise WeightsTruncatedError(f"file truncated at byte {self.pos} (needed {n} more)")
-        b = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return b
-
-
-def _read_records(path):
-    with open(path, "rb") as f:
-        blob = f.read()
-    r = _Reader(blob)
-    if r.take(4) != _MAGIC:
-        raise WeightsVersionError("bad magic bytes, not a weights file")
-    version, count = struct.unpack("<II", r.take(8))
-    if version != _VERSION:
-        raise WeightsVersionError(f"unsupported weights version {version}")
-    records = []
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", r.take(4))
-        try:
-            name = r.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise WeightsVersionError(f"record name at byte {r.pos - name_len} is not UTF-8") from e
-        kind, rank = struct.unpack("<BB", r.take(2))
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        n = math.prod(dims)  # Python ints: an oversize declaration cannot wrap
-        data = np.frombuffer(r.take(4 * n), dtype="<f4")
-        try:
-            data = data.reshape(dims)
-        except ValueError as e:  # zero elements, but other dims past numpy's size limit
-            raise WeightsShapeError(f"layer {name}: dims {dims} exceed the array size limit") from e
-        records.append((name, kind, np.ascontiguousarray(data)))
-    return records
+    """Write the params as float32 (f64 params are quantised)."""
+    write_archive(path, {label: t.data.astype(np.float32) for label, t in params.param_tensors()})
 
 
 def load_weights(path, architecture: Architecture | None = None) -> NetworkParams:
     """Load float32 params; validates layer chaining against the format.
 
-    The architecture is reconstructed from record names and kernel shapes
-    when not supplied, then the parameter set is structurally validated.
+    The architecture is reconstructed from the layer names and kernel
+    shapes when not supplied, then the parameter set is structurally
+    validated and ordered as its layer_plan(). Raises WeightsError naming
+    the file or the layer for any other archive.
     """
-    records = _read_records(path)
     kernels: dict[str, np.ndarray] = {}
     biases: dict[str, np.ndarray] = {}
-    order = []
-    for name, kind, arr in records:
-        if kind == _KIND_KERNEL:
-            if arr.ndim != 4:
-                raise WeightsShapeError(f"layer {name}: kernel rank {arr.ndim}, expected 4")
-            kernels[name] = arr
-            order.append(name)
-        elif kind == _KIND_BIAS:
-            if arr.ndim != 1:
-                raise WeightsShapeError(f"layer {name}: bias rank {arr.ndim}, expected 1")
-            biases[name] = arr
-        else:
-            raise WeightsVersionError(f"unknown record kind {kind} for {name}")
-    for name in order:
+    for key, arr in read_archive(path, WeightsError).items():
+        name, _, kind = key.rpartition(".")
+        if kind not in ("kernel", "bias") or not name:
+            raise WeightsError(f"{path}: unknown entry {key!r}")
+        if arr.dtype != np.float32:
+            raise WeightsError(f"layer {name}: {kind} dtype {arr.dtype}, expected float32")
+        rank = 4 if kind == "kernel" else 1
+        if arr.ndim != rank:
+            raise WeightsError(f"layer {name}: {kind} rank {arr.ndim}, expected {rank}")
+        (kernels if kind == "kernel" else biases)[name] = arr
+    for name in kernels:
         if kernels[name].shape[3] == 0:
-            raise WeightsShapeError(f"layer {name}: kernel has no output channels")
+            raise WeightsError(f"layer {name}: kernel has no output channels")
         if name not in biases:
-            raise WeightsShapeError(f"layer {name}: kernel without bias")
+            raise WeightsError(f"layer {name}: kernel without bias")
         if biases[name].shape[0] != kernels[name].shape[3]:
-            raise WeightsShapeError(
+            raise WeightsError(
                 f"layer {name}: bias length {biases[name].shape[0]} vs kernel Cout {kernels[name].shape[3]}"
             )
 
     if architecture is None:
-        architecture = _infer_architecture(order, kernels)
+        architecture = _infer_architecture(kernels)
+    plan = [name for name, *_ in architecture.layer_plan()]
+    unknown = sorted((kernels.keys() | biases.keys()) - set(plan))
+    if unknown:
+        raise WeightsError(f"{path}: layers {unknown} are not in the architecture")
     params = NetworkParams(
-        architecture, {n: (Tensor(kernels[n]), Tensor(biases[n])) for n in order}
+        architecture,
+        {n: (Tensor(kernels[n]), Tensor(biases[n])) for n in plan if n in kernels},
     )
     params.validate()
     return params
 
 
-def _infer_architecture(order, kernels) -> Architecture:
-    stages: list[list[int]] = [[], [], [], []]
-    for name in order:
+def _infer_architecture(kernels) -> Architecture:
+    stages: list[dict[int, int]] = [{}, {}, {}, {}]  # conv index -> width, per stage
+    for name, kernel in kernels.items():
         if name.startswith("enc"):
+            stage, _, conv = name[3:].partition("_c")
             try:
-                si = int(name[3 : name.index("_")])
+                si, ci = int(stage), int(conv)
             except ValueError as e:
-                raise WeightsShapeError(f"layer {name}: unrecognized encoder layer name") from e
+                raise WeightsError(f"layer {name}: unrecognized encoder layer name") from e
             if not 0 <= si < 4:
-                raise WeightsShapeError(f"layer {name}: encoder stage index out of range")
-            stages[si].append(kernels[name].shape[3])
+                raise WeightsError(f"layer {name}: encoder stage index out of range")
+            stages[si][ci] = kernel.shape[3]
     for need in ("det_a", "det_b", "desc_a", "desc_b"):
         if need not in kernels:
-            raise WeightsShapeError(f"missing layer {need}")
+            raise WeightsError(f"missing layer {need}")
     if any(not s for s in stages):
-        raise WeightsShapeError("missing encoder stage layers")
+        raise WeightsError("missing encoder stage layers")
     return Architecture(
-        encoder_stages=tuple(tuple(s) for s in stages),
+        encoder_stages=tuple(tuple(s[ci] for ci in sorted(s)) for s in stages),
         head_width=kernels["det_a"].shape[3],
         descriptor_dim=kernels["desc_b"].shape[3],
     )

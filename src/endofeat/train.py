@@ -6,42 +6,29 @@ combined pair loss (with highlight suppression when the specularity
 weight is nonzero) with Adam. All randomness derives from the run seed
 keyed by (seed, iteration, slot), so runs are bit-reproducible.
 
-A checkpoint is two files: the SPWT weights (network.save_weights) and an
-``.opt`` np.savez archive of the Adam state, which keeps each moment at
-its own dtype.
+A checkpoint is two np.savez archives (ioutil.write_archive): the f32
+weights (network.save_weights) and the ``.opt`` Adam state, which keeps
+each moment at its own dtype.
 """
 
 from __future__ import annotations
 
-import io
 import os
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.npyio import NpzFile
 
 from . import losses, network
 from .data import PseudoLabel, warp_label
 from .homography import HomographyConfig, correspondence_tensor, sample_homography, to_pixel_frame, warp_image
-from .ioutil import atomic_write_bytes, fmt
+from .ioutil import fmt, read_archive, write_archive
 from .network import NetworkParams
-from .tensor import CELL, GradTape, Tensor, backward
+from .tensor import GradTape, Tensor, backward
 from . import tensor as T
 
 
 class CheckpointError(Exception):
     """A checkpoint's optimizer-state file is unreadable or malformed; names the file."""
-
-
-# What np.load and NpzFile raise on a damaged or foreign archive
-# (NotImplementedError: a zip feature or version zipfile lacks). np.savez
-# writes stored, unencrypted entries; the loader rejects any other entry
-# before reading it, since zipfile raises RuntimeError for encrypted
-# entries (flag bit 0), NotImplementedError for flag bits 5 and 6, and
-# codec-specific errors for compressed data.
-_ARCHIVE_ERRORS = (zipfile.BadZipFile, EOFError, ValueError, OSError, NotImplementedError)
-_ZIP_UNREADABLE_FLAGS = 0x01 | 0x20 | 0x40
 
 
 class TrainingDivergedError(Exception):
@@ -161,11 +148,6 @@ def finetune(
             warped = warp_image(sample.image, h_px)
             warped_label = warp_label(sample.label, h_px, h_img, w_img)
             corr = correspondence_tensor(h_px, h_img, w_img)
-            neg_mask = None
-            if loss_config.negative_keep < 1.0:
-                hc, wc = h_img // CELL, w_img // CELL
-                n = hc * wc
-                neg_mask = hom_rng.random((n, n)) < loss_config.negative_keep
 
             dtype = params.dtype()
             img_a = Tensor(sample.image, dtype=dtype)
@@ -176,7 +158,7 @@ def finetune(
                 heads_b = network.forward(params, img_b)
                 loss = losses.specular_pair_loss(
                     img_a, heads_a, sample.label, img_b, heads_b, warped_label,
-                    corr, loss_config, neg_mask, terms,
+                    corr, loss_config, terms,
                 )
                 scaled = T.affine(loss, 1.0 / train_config.batch_size, 0.0)
                 grads = backward(tape, scaled)
@@ -206,7 +188,7 @@ def finetune(
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: SPWT weights file + np.savez optimizer state
+# checkpoints: weights archive + optimizer-state archive
 # ---------------------------------------------------------------------------
 
 
@@ -222,9 +204,7 @@ def save_checkpoint(directory, iteration: int, params: NetworkParams, state: Ada
     for label in sorted(state.m):
         entries[f"m/{label}"] = state.m[label]
         entries[f"v/{label}"] = state.v[label]
-    buffer = io.BytesIO()
-    np.savez(buffer, **entries)
-    atomic_write_bytes(opath, buffer.getvalue())
+    write_archive(opath, entries)
 
 
 def load_checkpoint(directory, iteration: int):
@@ -238,25 +218,12 @@ def load_checkpoint(directory, iteration: int):
     wpath, opath = checkpoint_paths(directory, iteration)
     params = network.load_weights(wpath)
     shapes = {label: t.shape for label, t in params.param_tensors()}
-    try:
-        payload = np.load(opath, allow_pickle=False)
-        if not isinstance(payload, NpzFile):
-            raise CheckpointError(f"{opath}: not an np.savez archive")
-        with payload:
-            for info in payload.zip.infolist():
-                if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & _ZIP_UNREADABLE_FLAGS:
-                    raise CheckpointError(f"{opath}: entry {info.filename!r} is compressed or encrypted")
-            entries = {key: payload[key] for key in payload.files}
-    except _ARCHIVE_ERRORS as exc:
-        raise CheckpointError(f"{opath}: unreadable optimizer state: {exc}") from exc
-
+    entries = read_archive(opath, CheckpointError)
     state = AdamState()
     moments = {"m": state.m, "v": state.v}
     scalars = {}
     for key, arr in entries.items():
         kind, _, label = key.partition("/")
-        if not isinstance(arr, np.ndarray):
-            raise CheckpointError(f"{opath}: entry {key!r} is not an array")
         if key in ("iteration", "step"):
             if arr.shape != () or arr.dtype.kind not in "iu":
                 raise CheckpointError(f"{opath}: {key} is {arr.dtype} {arr.shape}, expected an integer scalar")

@@ -135,7 +135,7 @@ def test_sub_config_conversion_and_errors():
     with pytest.raises(ConfigError):
         homography_config(RunConfig(homography_scale_min=0.0))
     with pytest.raises(ConfigError):
-        loss_config(RunConfig(negative_keep=2.0))
+        loss_config(RunConfig(specularity_weight=-1.0))
     with pytest.raises(ConfigError):
         train_config(RunConfig(batch_size=0))
 

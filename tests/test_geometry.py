@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endofeat.geometry import (
     Intrinsics,
@@ -347,3 +349,54 @@ def test_intrinsics_round_trip(tmp_path):
         load_intrinsics(path)
     with pytest.raises(ValueError):
         Intrinsics(-1.0, 1.0, 0.0, 0.0)
+
+
+def test_non_finite_pose_and_intrinsics_rejected(tmp_path):
+    path = tmp_path / "poses.txt"
+    for line in ("0 1 nan 0 0 0 1 0 0", "0 1 1 0 0 0 inf 0 0", "0 1 1e200 1e200 0 0 1 0 0"):
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_pose_file(path)
+    path = tmp_path / "intrinsics.txt"
+    path.write_text("nan 280 inf 119.5\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_intrinsics(path)
+
+
+_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "1e999", "-0", "1e-320", "1e160"]),
+    st.integers(-3, 3).map(str),
+)
+_ID = st.integers(-2, 2).map(str)
+
+
+def _lines(*tokens):
+    line = st.tuples(*tokens).map(" ".join)
+    return st.lists(st.one_of(line, st.text(max_size=40)), min_size=1, max_size=4).map("\n".join)
+
+
+@settings(deadline=None, max_examples=200)
+@given(text=_lines(_ID, _ID, *[_NUMBER] * 7))
+def test_load_pose_file_fuzz_finite_or_value_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz_poses.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        poses = load_pose_file(path)
+    except ValueError:
+        return
+    for pose in poses.values():
+        for v in (pose.quaternion, pose.translation):
+            assert np.isfinite(v).all() and abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+@settings(deadline=None, max_examples=200)
+@given(text=_lines(*[_NUMBER] * 4))
+def test_load_intrinsics_fuzz_finite_or_value_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz_intrinsics.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        k = load_intrinsics(path)
+    except ValueError:
+        return
+    assert np.isfinite(k.matrix).all() and k.fx > 0 and k.fy > 0

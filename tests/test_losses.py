@@ -80,25 +80,19 @@ def test_detection_loss_rejects_wrong_channel_count():
 # --- descriptor ------------------------------------------------------------
 
 
-def _descriptor_oracle(da, db, s, cfg, keep=None):
+def _descriptor_oracle(da, db, s, cfg):
     hc, wc, d = da.shape
     n = hc * wc
     a = da.reshape(n, d)
     b = db.reshape(n, d)
     s = s.reshape(n, n)
-    if keep is None:
-        denom = n * n
-    else:
-        keep = keep.reshape(n, n)
-        denom = s.sum() + (keep & (s == 0)).sum()
     total = 0.0
     for i in range(n):
         for j in range(n):
             g = float(a[i] @ b[j])
             total += cfg.correspondence_weight * s[i, j] * max(0.0, cfg.margin_positive - g)
-            kn = 1.0 if keep is None else float(keep[i, j])
-            total += (1.0 - s[i, j]) * kn * max(0.0, g - cfg.margin_negative)
-    return total / denom
+            total += (1.0 - s[i, j]) * max(0.0, g - cfg.margin_negative)
+    return total / (n * n)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -114,26 +108,6 @@ def test_descriptor_loss_matches_pair_oracle(seed):
     got = descriptor_loss(Tensor(da), Tensor(db), s, cfg).item()
     want = _descriptor_oracle(da, db, s, cfg)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-
-def test_descriptor_loss_negative_mask_denominator():
-    r = rng(21)
-    hc, wc, d = 2, 2, 3
-    da = r.normal(size=(hc, wc, d))
-    db = r.normal(size=(hc, wc, d))
-    n = hc * wc
-    s = np.eye(n)
-    keep = r.uniform(size=(n, n)) < 0.5
-    cfg = LossConfig(negative_keep=0.5)
-    got = descriptor_loss(Tensor(da), Tensor(db), s, cfg, negative_mask=keep).item()
-    want = _descriptor_oracle(da, db, s, cfg, keep=keep)
-    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-
-def test_descriptor_loss_empty_retention_raises():
-    da = Tensor(np.zeros((1, 1, 2)))
-    with pytest.raises(ValueError, match="retained"):
-        descriptor_loss(da, da, np.zeros((1, 1)), negative_mask=np.zeros((1, 1), dtype=bool))
 
 
 def test_descriptor_loss_shape_mismatch():
@@ -224,7 +198,5 @@ def test_specular_pair_loss_reports_terms():
 def test_loss_config_validation():
     with pytest.raises(ValueError):
         LossConfig(specularity_weight=-1.0)
-    with pytest.raises(ValueError):
-        LossConfig(negative_keep=0.0)
     with pytest.raises(ValueError):
         LossConfig(guard_eps=0.0)

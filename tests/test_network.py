@@ -1,6 +1,7 @@
 """Network layout, forward contract, and the weights file format."""
 
-import struct
+import io
+import zipfile
 
 import numpy as np
 import pytest
@@ -11,9 +12,7 @@ from endofeat import network
 from endofeat.network import (
     Architecture,
     NetworkParams,
-    WeightsShapeError,
-    WeightsTruncatedError,
-    WeightsVersionError,
+    WeightsError,
     densify,
     forward,
     heatmap,
@@ -21,6 +20,7 @@ from endofeat.network import (
     load_weights,
     save_weights,
 )
+from endofeat.ioutil import write_archive
 from endofeat.tensor import Tensor
 
 from helpers import damaged, rng, toy_architecture
@@ -123,7 +123,7 @@ def test_validate_names_bad_layer():
     params = init_params(toy_architecture(), seed=0)
     kernel, bias = params.weights["enc1_c0"]
     params.weights["enc1_c0"] = (Tensor(np.zeros((3, 3, 2, 9))), bias)
-    with pytest.raises(WeightsShapeError, match="enc1_c0"):
+    with pytest.raises(WeightsError, match="enc1_c0"):
         params.validate()
 
 
@@ -146,6 +146,9 @@ def test_weights_round_trip_bit_exact(tmp_path):
     path = tmp_path / "net.weights"
     save_weights(params, path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["net.weights"]  # no temp file left
+    with np.load(path) as archive:  # the documented layout: one f32 array per param label
+        assert archive.files == [label for label, _ in params.param_tensors()]
+        assert all(archive[k].dtype == np.float32 for k in archive.files)
     loaded = load_weights(path)
     assert loaded.architecture == params.architecture
     for (la, ta), (lb, tb) in zip(params.param_tensors(), loaded.param_tensors()):
@@ -169,105 +172,115 @@ def test_load_with_matching_and_mismatching_architecture(tmp_path):
     save_weights(init_params(arch, seed=0), path)
     assert load_weights(path, arch).architecture == arch
     other = Architecture(encoder_stages=((3, 3), (3, 3), (3, 3), (3, 3)), head_width=3, descriptor_dim=2)
-    with pytest.raises(WeightsShapeError):
+    with pytest.raises(WeightsError):
         load_weights(path, other)
+    wider = Architecture(encoder_stages=((2, 2, 2), (2, 2), (2, 2), (2, 2)), head_width=3, descriptor_dim=2)
+    with pytest.raises(WeightsError, match="missing layer enc0_c2"):
+        load_weights(path, wider)
 
 
-def test_bad_magic_and_version(tmp_path):
+def _toy_entries(seed=0):
+    params = init_params(toy_architecture(), seed=seed)
+    return {label: t.data.astype(np.float32) for label, t in params.param_tensors()}
+
+
+def _write(path, entries):
+    write_archive(path, {k: v for k, v in entries.items() if v is not None})
+
+
+def test_entries_load_in_layer_plan_order(tmp_path):
+    entries = _toy_entries(seed=3)
     path = tmp_path / "net.weights"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(WeightsVersionError, match="magic"):
-        load_weights(path)
-    path.write_bytes(b"SPWT" + struct.pack("<II", 9, 0))
-    with pytest.raises(WeightsVersionError, match="version 9"):
-        load_weights(path)
+    _write(path, dict(reversed(list(entries.items()))))
+    loaded = load_weights(path)
+    assert list(loaded.weights) == [name for name, *_ in toy_architecture().layer_plan()]
+    for label, t in loaded.param_tensors():
+        np.testing.assert_array_equal(t.data, entries[label])
 
 
 def test_truncated_file(tmp_path):
-    params = init_params(toy_architecture(), seed=0)
     path = tmp_path / "net.weights"
-    save_weights(params, path)
+    save_weights(init_params(toy_architecture(), seed=0), path)
     blob = path.read_bytes()
-    for cut in (2, 10, len(blob) // 2, len(blob) - 3):
+    for cut in (0, 2, 10, len(blob) // 2, len(blob) - 3):
         path.write_bytes(blob[:cut])
-        with pytest.raises((WeightsTruncatedError, WeightsVersionError)):
+        with pytest.raises(WeightsError, match="net.weights"):
             load_weights(path)
 
 
-def _record(name: str, kind: int, arr: np.ndarray) -> bytes:
-    nb = name.encode()
-    head = struct.pack("<I", len(nb)) + nb + struct.pack("<BB", kind, arr.ndim)
-    head += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + arr.astype("<f4").tobytes()
-
-
-def test_undecodable_record_name_is_typed(tmp_path):
-    name = b"\xff\xfe"  # not UTF-8
-    blob = b"SPWT" + struct.pack("<II", 1, 1) + struct.pack("<I", len(name)) + name
-    blob += struct.pack("<BB", 1, 1) + struct.pack("<I", 1) + b"\x00" * 4
-    path = tmp_path / "net.weights"
-    path.write_bytes(blob)
-    with pytest.raises(WeightsVersionError, match="not UTF-8"):
-        load_weights(path)
-
-
-def test_oversize_dims_are_truncation_not_wraparound(tmp_path):
-    # 65536**4 elements overflow a 64-bit product to 0; the declared size
-    # must still be read as far larger than the file.
-    blob = b"SPWT" + struct.pack("<II", 1, 1) + struct.pack("<I", 7) + b"enc0_c0"
-    blob += struct.pack("<BB", 0, 4) + struct.pack("<4I", *(65536,) * 4)
-    path = tmp_path / "net.weights"
-    path.write_bytes(blob)
-    with pytest.raises(WeightsTruncatedError):
-        load_weights(path)
-
-
-def test_zero_element_dims_past_size_limit_are_typed(tmp_path):
-    # no data to read, but numpy cannot represent the declared shape
-    blob = b"SPWT" + struct.pack("<II", 1, 1) + struct.pack("<I", 7) + b"enc0_c0"
-    blob += struct.pack("<BB", 0, 4) + struct.pack("<4I", 0, *(2**32 - 1,) * 3)
-    path = tmp_path / "net.weights"
-    path.write_bytes(blob)
-    with pytest.raises(WeightsShapeError, match="enc0_c0"):
-        load_weights(path)
-
-
 def test_kernel_without_bias_rejected(tmp_path):
-    blob = b"SPWT" + struct.pack("<II", 1, 1)
-    blob += _record("enc0_c0", 0, np.zeros((3, 3, 1, 2), dtype=np.float32))
     path = tmp_path / "net.weights"
-    path.write_bytes(blob)
-    with pytest.raises(WeightsShapeError, match="kernel without bias"):
+    _write(path, {**_toy_entries(), "enc0_c0.bias": None})
+    with pytest.raises(WeightsError, match="enc0_c0: kernel without bias"):
         load_weights(path)
 
 
 def test_bias_length_mismatch_rejected(tmp_path):
-    blob = b"SPWT" + struct.pack("<II", 1, 2)
-    blob += _record("enc0_c0", 0, np.zeros((3, 3, 1, 2), dtype=np.float32))
-    blob += _record("enc0_c0", 1, np.zeros(5, dtype=np.float32))
     path = tmp_path / "net.weights"
-    path.write_bytes(blob)
-    with pytest.raises(WeightsShapeError, match="bias length"):
+    _write(path, {**_toy_entries(), "enc0_c0.bias": np.zeros(5, dtype=np.float32)})
+    with pytest.raises(WeightsError, match="enc0_c0: bias length"):
         load_weights(path)
 
 
 def test_zero_width_layer_is_typed(tmp_path):
     # Architecture rejects a zero channel width with a bare ValueError; the
     # loader must report the layer with its own error before that.
-    params = init_params(toy_architecture(), seed=0)
-    blob = b"SPWT" + struct.pack("<II", 1, 2 * len(params.weights))
-    for name, (kernel, bias) in params.weights.items():
-        if name == "enc0_c0":
-            kernel, bias = Tensor(np.zeros((3, 3, 1, 0))), Tensor(np.zeros(0))
-        blob += _record(name, 0, kernel.data) + _record(name, 1, bias.data)
     path = tmp_path / "net.weights"
-    path.write_bytes(blob)
-    with pytest.raises(WeightsShapeError, match="enc0_c0"):
+    zero = {"enc0_c0.kernel": np.zeros((3, 3, 1, 0), np.float32), "enc0_c0.bias": np.zeros(0, np.float32)}
+    _write(path, {**_toy_entries(), **zero})
+    with pytest.raises(WeightsError, match="enc0_c0"):
         load_weights(path)
 
 
-_WEIGHTS_ERRORS = (WeightsVersionError, WeightsTruncatedError, WeightsShapeError)
-_SPWT_HEADER = b"SPWT" + struct.pack("<I", 1)
+def _npy_bytes(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+_KERNEL = "enc1_c0.kernel"
+
+
+def _oversize_kernel(e) -> bytes:
+    # a valid .npy header declaring 8 TiB of float32 over the real 24 bytes
+    npy = io.BytesIO()
+    header = {"descr": "<f4", "fortran_order": False, "shape": (1 << 20, 1 << 20, 1, 2)}
+    np.lib.format.write_array_header_1_0(npy, header)
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr(f"{_KERNEL}.npy", npy.getvalue() + e[_KERNEL].tobytes())
+    return buffer.getvalue()
+
+# each case: (entries -> file bytes, or entries -> edited entries), expected message
+_BAD_WEIGHTS = {
+    "empty": (lambda e: b"", "net.weights"),
+    "not a zip": (lambda e: b"SPWT" + bytes(64), "net.weights"),
+    "bare npy": (lambda e: _npy_bytes(e[_KERNEL]), "not an np.savez archive"),
+    "oversize shape": (_oversize_kernel, "net.weights"),
+    "unknown entry": (lambda e: {**e, "notes": np.zeros(1, np.float32)}, "unknown entry 'notes'"),
+    "extra layer": (
+        lambda e: {**e, "enc0_c9.kernel": e["enc0_c1.kernel"], "enc0_c9.bias": e["enc0_c1.bias"]},
+        "enc0_c9",
+    ),
+    "bias without kernel": (lambda e: {**e, "enc2_c5.bias": e["enc2_c0.bias"]}, "enc2_c5"),
+    "kernel rank": (lambda e: {**e, _KERNEL: e[_KERNEL][0]}, "enc1_c0: kernel rank 3"),
+    "float64 entry": (lambda e: {**e, _KERNEL: e[_KERNEL].astype(np.float64)}, "enc1_c0: kernel dtype float64"),
+    "int entry": (lambda e: {**e, "enc1_c0.bias": e["enc1_c0.bias"].astype(np.int32)}, "enc1_c0: bias dtype int32"),
+    "missing head": (lambda e: {**e, "desc_b.kernel": None, "desc_b.bias": None}, "missing layer desc_b"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_WEIGHTS))
+def test_malformed_weights_are_typed(tmp_path, case):
+    build, message = _BAD_WEIGHTS[case]
+    path = tmp_path / "net.weights"
+    bad = build(_toy_entries())
+    if isinstance(bad, bytes):
+        path.write_bytes(bad)
+    else:
+        _write(path, bad)
+    with pytest.raises(WeightsError, match=message):
+        load_weights(path)
 
 
 @pytest.fixture(scope="module")
@@ -280,18 +293,19 @@ def toy_weights_blob(tmp_path_factory):
 @settings(deadline=None, max_examples=150)
 @given(data=st.data())
 def test_load_weights_fuzz_raises_only_typed_errors(toy_weights_blob, tmp_path_factory, data):
-    blob = data.draw(
-        st.one_of(
-            st.binary(max_size=256).map(lambda tail: _SPWT_HEADER + tail),
-            damaged(toy_weights_blob),
-        )
-    )
+    # a damaged archive either fails with WeightsError or loads exactly the saved params
+    blob = data.draw(st.one_of(st.binary(max_size=256), damaged(toy_weights_blob)))
     path = tmp_path_factory.getbasetemp() / "fuzz.weights"
     path.write_bytes(blob)
     try:
-        load_weights(path)
-    except _WEIGHTS_ERRORS:
-        pass
+        loaded = load_weights(path)
+    except WeightsError:
+        return
+    want = _toy_entries()
+    assert [label for label, _ in loaded.param_tensors()] == list(want)
+    for label, t in loaded.param_tensors():
+        assert t.dtype == np.float32
+        np.testing.assert_array_equal(t.data, want[label])
 
 
 def test_inferred_architecture_runs_forward(tmp_path):
