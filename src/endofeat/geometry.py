@@ -599,9 +599,12 @@ def load_pose_file(path) -> dict:
             parts = line.split()
             if len(parts) != 9:
                 raise ValueError(f"{path}:{ln}: expected 'frameA frameB qw qx qy qz tx ty tz'")
-            fa, fb = int(parts[0]), int(parts[1])
-            vals = [float(v) for v in parts[2:]]
-            out[(fa, fb)] = RelativePose(np.array(vals[:4]), np.array(vals[4:]))
+            try:
+                fa, fb = int(parts[0]), int(parts[1])
+                vals = [float(v) for v in parts[2:]]
+                out[(fa, fb)] = RelativePose(np.array(vals[:4]), np.array(vals[4:]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from exc
     return out
 
 
@@ -611,12 +614,15 @@ def save_intrinsics(path, k: Intrinsics) -> None:
 
 def load_intrinsics(path) -> Intrinsics:
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for ln, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             if len(parts) != 4:
-                raise ValueError(f"{path}: expected 'fx fy cx cy'")
-            return Intrinsics(*(float(v) for v in parts))
+                raise ValueError(f"{path}:{ln}: expected 'fx fy cx cy'")
+            try:
+                return Intrinsics(*(float(v) for v in parts))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from exc
     raise ValueError(f"{path}: no intrinsics line found")

@@ -143,17 +143,17 @@ def forward(params: NetworkParams, image: Tensor) -> RawHeads:
     for si, stage in enumerate(params.architecture.encoder_stages):
         for ci in range(len(stage)):
             kernel, bias = params.weights[f"enc{si}_c{ci}"]
-            x = T.relu(T.conv2d(x, kernel, bias, stride=1, padding=1))
+            x = T.relu(T.conv2d(x, kernel, bias, padding=1))
         if si < n_stages - 1:
             x = T.max_pool2x2(x)
 
     ka, ba = params.weights["det_a"]
     kb, bb = params.weights["det_b"]
-    detect = T.conv2d(T.relu(T.conv2d(x, ka, ba, stride=1, padding=1)), kb, bb)
+    detect = T.conv2d(T.relu(T.conv2d(x, ka, ba, padding=1)), kb, bb)
 
     ka, ba = params.weights["desc_a"]
     kb, bb = params.weights["desc_b"]
-    describe = T.conv2d(T.relu(T.conv2d(x, ka, ba, stride=1, padding=1)), kb, bb)
+    describe = T.conv2d(T.relu(T.conv2d(x, ka, ba, padding=1)), kb, bb)
     return RawHeads(detect=detect, describe=describe)
 
 

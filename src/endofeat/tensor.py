@@ -1,13 +1,17 @@
 """Dense-tensor numerics with reverse-mode gradients.
 
 Implements exactly the operations needed by the keypoint network and its
-training losses: 2-D convolution, 2x2 max pooling, the per-cell channel
-softmax, depth-to-space reshaping of cell probabilities, bicubic
+training losses: stride-1 2-D convolution, 2x2 max pooling, the per-cell
+channel softmax, depth-to-space reshaping of cell probabilities, bicubic
 descriptor upsampling, L2 normalization, and a handful of elementwise /
-reduction primitives. Forward functions are pure. While a GradTape is
-active on the calling thread, every op appends a backward closure to it;
-``backward(tape, loss)`` replays the tape in reverse and accumulates
-gradients for every tensor that participated.
+reduction primitives. Max pooling sends each output's gradient to the
+first window position (row-major) that holds the maximum, so ties, such
+as the zeros a relu leaves, route to one input.
+
+Forward functions are pure. While a GradTape is active on the calling
+thread, every op appends a backward closure to it; ``backward(tape,
+loss)`` replays the tape in reverse and accumulates gradients for every
+tensor that participated.
 
 The module owns the detector's cell layout, which the other modules
 import: CELL x CELL pixel cells, each with CELL * CELL pixel channels and
@@ -249,10 +253,10 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of an H x W x Cin input with a k x k x Cin x Cout kernel.
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
+    """Stride-1 cross-correlation of an H x W x Cin input with a k x k x Cin x Cout kernel.
 
-    Zero padding; output spatial size floor((H + 2p - k) / stride) + 1.
+    Zero padding; output spatial size (H + 2p - k + 1) x (W + 2p - k + 1).
     """
     xv, kv, bv = x.data, kernel.data, bias.data
     if xv.ndim != 3:
@@ -262,33 +266,31 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     k = kv.shape[0]
     if k % 2 != 1:
         raise ValueError(f"conv2d kernel size must be odd, got {k}")
-    if stride < 1:
-        raise ValueError(f"conv2d stride must be >= 1, got {stride}")
     if kv.shape[2] != xv.shape[2]:
         raise ValueError(f"conv2d: input has {xv.shape[2]} channels, kernel expects {kv.shape[2]}")
     if bv.shape != (kv.shape[3],):
         raise ValueError(f"conv2d: bias shape {bv.shape} does not match Cout {kv.shape[3]}")
     h, w, _ = xv.shape
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (w + 2 * padding - k) // stride + 1
+    ho = h + 2 * padding - k + 1
+    wo = w + 2 * padding - k + 1
     if ho < 1 or wo < 1:
         raise ValueError(f"conv2d: kernel {k} does not fit input {h}x{w} with padding {padding}")
 
     xp = np.pad(xv, ((padding, padding), (padding, padding), (0, 0)))
     sy, sx, sc = xp.strides
-    patches = np.lib.stride_tricks.as_strided(
-        xp, (ho, wo, k, k, xv.shape[2]), (sy * stride, sx * stride, sy, sx, sc)
-    )
+    patches = np.lib.stride_tricks.as_strided(xp, (ho, wo, k, k, xv.shape[2]), (sy, sx, sy, sx, sc))
     out = Tensor._wrap(np.tensordot(patches, kv, axes=([2, 3, 4], [0, 1, 2])) + bv)
 
     def back(g):
-        gk = np.tensordot(patches, g, axes=([0, 1], [0, 1]))
+        # The row-major (ho*wo, k*k*cin) im2col, transposed as a BLAS flag. One
+        # expression, so the im2col copy is freed before gcols is allocated.
+        gk = (patches.reshape(ho * wo, -1).T @ g.reshape(ho * wo, -1)).reshape(kv.shape)
         gb = g.sum(axis=(0, 1))
         gcols = np.tensordot(g, kv, axes=([2], [3]))  # (ho, wo, k, k, cin)
         gxp = np.zeros_like(xp)
         for di in range(k):
             for dj in range(k):
-                gxp[di : di + stride * ho : stride, dj : dj + stride * wo : stride] += gcols[:, :, di, dj, :]
+                gxp[di : di + ho, dj : dj + wo] += gcols[:, :, di, dj, :]
         gx = gxp[padding : padding + h, padding : padding + w]
         return (np.ascontiguousarray(gx), gk, gb)
 
@@ -297,23 +299,36 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
 
 
 def max_pool2x2(x: Tensor) -> Tensor:
-    """Per-channel 2x2 window maximum with stride 2."""
+    """Per-channel 2x2 window maximum with stride 2.
+
+    The backward routes each output gradient to one input: the first window
+    position, in row-major window order, that holds the maximum.
+    """
     xv = x.data
     if xv.ndim != 3:
         raise ValueError(f"max_pool2x2 input must be H x W x C, got shape {xv.shape}")
     h, w, c = xv.shape
     if h % 2 or w % 2:
         raise ValueError(f"max_pool2x2 needs even spatial dims, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    win = xv.reshape(h2, 2, w2, 2, c).transpose(0, 2, 4, 1, 3).reshape(h2, w2, c, 4)
-    amax = win.argmax(axis=3)  # ties: first window position wins
-    out = Tensor._wrap(np.take_along_axis(win, amax[..., None], axis=3)[..., 0])
+    views = (xv[0::2, 0::2], xv[0::2, 1::2], xv[1::2, 0::2], xv[1::2, 1::2])  # window order
+    y = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+    out = Tensor._wrap(y)
 
     def back(g):
-        gwin = np.zeros((h2, w2, c, 4), dtype=g.dtype)
-        np.put_along_axis(gwin, amax[..., None], g[..., None], axis=3)
-        gx = gwin.reshape(h2, w2, c, 2, 2).transpose(0, 3, 1, 4, 2).reshape(h, w, c)
-        return (np.ascontiguousarray(gx),)
+        gx = np.empty(xv.shape, dtype=g.dtype)  # the four strided writes cover it
+        # Multiplying g's bit patterns by a 0/1 mask gives g where the mask is
+        # set and +0.0 elsewhere, bit for bit; a float multiply would give -0.0
+        # for negative g. It is several times faster than np.where.
+        bits = np.dtype(f"u{g.itemsize}")
+        g_bits, gx_bits = g.view(bits), gx.view(bits)
+        free = np.ones(y.shape, dtype=bool)  # no earlier window position holds the max
+        for (di, dj), view in zip(((0, 0), (0, 1), (1, 0)), views[:3]):
+            hit = view == y
+            hit &= free
+            np.multiply(g_bits, hit, out=gx_bits[di::2, dj::2])
+            free ^= hit
+        np.multiply(g_bits, free, out=gx_bits[1::2, 1::2])  # finite inputs: the last holds the max
+        return (gx,)
 
     _record(out, (x,), back)
     return out

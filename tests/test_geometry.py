@@ -363,6 +363,23 @@ def test_non_finite_pose_and_intrinsics_rejected(tmp_path):
         load_intrinsics(path)
 
 
+def test_pose_file_names_line_of_bad_value(tmp_path):
+    path = tmp_path / "poses.txt"
+    good = "0 1 1 0 0 0 1 0 0"
+    for bad in ("0 1 x 0 0 0 1 0 0", "0 y 1 0 0 0 1 0 0", "0 1 nan 0 0 0 1 0 0", "0 1 0 0 0 0 1 0 0"):
+        path.write_text(f"# poses\n{good}\n\n{bad}\n")
+        with pytest.raises(ValueError, match=r"poses\.txt:4: "):
+            load_pose_file(path)
+
+
+def test_intrinsics_names_line_of_bad_value(tmp_path):
+    path = tmp_path / "intrinsics.txt"
+    for bad in ("400 x 320 240", "400 400 inf 240", "-1 400 320 240", "400 400 320"):
+        path.write_text(f"# fx fy cx cy\n\n{bad}\n")
+        with pytest.raises(ValueError, match=r"intrinsics\.txt:3: "):
+            load_intrinsics(path)
+
+
 _NUMBER = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["nan", "-inf", "1e999", "-0", "1e-320", "1e160"]),

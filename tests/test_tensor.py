@@ -72,7 +72,7 @@ def test_conv2d_matches_naive_oracle():
     x = r.uniform(-1, 1, (5, 6, 2))
     k = r.uniform(-1, 1, (3, 3, 2, 4))
     b = r.uniform(-1, 1, 4)
-    out = T.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=1, padding=1).data
+    out = T.conv2d(Tensor(x), Tensor(k), Tensor(b), padding=1).data
 
     xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
     want = np.zeros((5, 6, 4))
@@ -88,12 +88,128 @@ def test_conv2d_matches_naive_oracle():
     np.testing.assert_allclose(out, want, atol=1e-12)
 
 
-def test_max_pool_tie_prefers_first_window_position():
-    x = Tensor(np.zeros((2, 2, 1)))
+def _old_conv2d_grads(x, k, g, padding):
+    # The tensordot formulas conv2d's backward used before its row-major im2col GEMM.
+    kk = k.shape[0]
+    h, w, cin = x.shape
+    ho, wo = g.shape[:2]
+    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
+    sy, sx, sc = xp.strides
+    patches = np.lib.stride_tricks.as_strided(xp, (ho, wo, kk, kk, cin), (sy, sx, sy, sx, sc))
+    gk = np.tensordot(patches, g, axes=([0, 1], [0, 1]))
+    gb = g.sum(axis=(0, 1))
+    gcols = np.tensordot(g, k, axes=([2], [3]))
+    gxp = np.zeros_like(xp)
+    for di in range(kk):
+        for dj in range(kk):
+            gxp[di : di + ho, dj : dj + wo] += gcols[:, :, di, dj, :]
+    return gxp[padding : padding + h, padding : padding + w], gk, gb
+
+
+def _conv2d_grads(x, k, b, g, padding):
+    tx, tk, tb = Tensor(x), Tensor(k), Tensor(b)
     with GradTape() as tape:
-        loss = T.reduce_sum(T.max_pool2x2(x))
-    g = backward(tape, loss).get(x)
-    assert g[0, 0, 0] == 1.0 and g.sum() == 1.0
+        loss = T.reduce_sum(T.mul(T.conv2d(tx, tk, tb, padding=padding), Tensor(g)))
+    grads = backward(tape, loss)
+    return grads.get(tx), grads.get(tk), grads.get(tb)
+
+
+@pytest.mark.parametrize(
+    "h, w, cin, cout, k, padding",
+    [(120, 160, 1, 64, 3, 1), (120, 160, 64, 64, 3, 1), (15, 20, 256, 65, 1, 0)],
+    ids=["first_layer", "largest_layer", "head_1x1"],
+)
+def test_conv2d_gradients_equal_tensordot_formulas(h, w, cin, cout, k, padding):
+    r = rng(21)
+    x = np.maximum(r.standard_normal((h, w, cin)), 0.0)  # relu zeros, as between layers
+    kernel = r.standard_normal((k, k, cin, cout)) * 0.1
+    bias = r.standard_normal(cout)
+    g = r.standard_normal((h + 2 * padding - k + 1, w + 2 * padding - k + 1, cout))
+    got = _conv2d_grads(x, kernel, bias, g, padding)
+    for name, a, b in zip(("gx", "gk", "gb"), got, _old_conv2d_grads(x, kernel, g, padding)):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv2d_gradients_match_naive_loops(padding):
+    r = rng(22)
+    h, w, cin, cout, k = 5, 7, 3, 2, 3
+    x = r.uniform(-1, 1, (h, w, cin))
+    kernel = r.uniform(-1, 1, (k, k, cin, cout))
+    bias = r.uniform(-1, 1, cout)
+    ho, wo = h + 2 * padding - k + 1, w + 2 * padding - k + 1
+    g = r.uniform(-1, 1, (ho, wo, cout))
+    gx, gk, gb = _conv2d_grads(x, kernel, bias, g, padding)
+
+    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
+    want_gxp = np.zeros_like(xp)
+    want_gk = np.zeros_like(kernel)
+    want_gb = np.zeros_like(bias)
+    for i in range(ho):
+        for j in range(wo):
+            for co in range(cout):
+                want_gb[co] += g[i, j, co]
+                for di in range(k):
+                    for dj in range(k):
+                        for ci in range(cin):
+                            want_gk[di, dj, ci, co] += xp[i + di, j + dj, ci] * g[i, j, co]
+                            want_gxp[i + di, j + dj, ci] += kernel[di, dj, ci, co] * g[i, j, co]
+    np.testing.assert_allclose(gk, want_gk, atol=1e-12)
+    np.testing.assert_allclose(gb, want_gb, atol=1e-12)
+    np.testing.assert_allclose(gx, want_gxp[padding : padding + h, padding : padding + w], atol=1e-12)
+
+
+def _pool_grad(x, g):
+    tx = Tensor(x)
+    with GradTape() as tape:
+        y = T.max_pool2x2(tx)
+        loss = T.reduce_sum(T.mul(y, Tensor(g)))
+    return y.data, backward(tape, loss).get(tx)
+
+
+def test_max_pool_tie_prefers_first_window_position():
+    # each window in row-major order (top-left, top-right, bottom-left, bottom-right)
+    windows = [
+        ([5, 5, 1, 0], 0),
+        ([0, 5, 5, 1], 1),
+        ([1, 0, 5, 5], 2),
+        ([0, 1, 2, 5], 3),
+        ([0, 0, 0, 0], 0),
+        ([3, 3, 3, 3], 0),
+        ([-2, -1, -1, -3], 1),
+        ([-4, -3, -2, -2], 2),
+    ]
+    for dtype in (np.float32, np.float64):
+        x = np.zeros((2, 2 * len(windows), 1), dtype=dtype)
+        for n, (vals, _) in enumerate(windows):
+            x[:, 2 * n : 2 * n + 2, 0] = np.reshape(vals, (2, 2))
+        g = np.arange(1, len(windows) + 1, dtype=dtype).reshape(1, -1, 1)
+        y, gx = _pool_grad(x, g)
+        assert y.dtype == dtype and gx.dtype == dtype
+        for n, (vals, first) in enumerate(windows):
+            assert y[0, n, 0] == max(vals)
+            want = np.zeros(4, dtype=dtype)
+            want[first] = g[0, n, 0]
+            np.testing.assert_array_equal(gx[:, 2 * n : 2 * n + 2, 0].ravel(), want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_max_pool_equals_window_argmax_formula(dtype):
+    r = rng(23)
+    x = np.maximum(r.standard_normal((120, 160, 64)), 0.0).astype(dtype)  # relu zeros tie
+    g = r.standard_normal((60, 80, 64)).astype(dtype)
+    y, gx = _pool_grad(x, g)
+
+    # The reshape/argmax formula max_pool2x2 used before its four strided views.
+    win = x.reshape(60, 2, 80, 2, 64).transpose(0, 2, 4, 1, 3).reshape(60, 80, 64, 4)
+    amax = win.argmax(axis=3)
+    want_y = np.take_along_axis(win, amax[..., None], axis=3)[..., 0]
+    gwin = np.zeros((60, 80, 64, 4), dtype=dtype)
+    np.put_along_axis(gwin, amax[..., None], g[..., None], axis=3)
+    want_gx = gwin.reshape(60, 80, 64, 2, 2).transpose(0, 3, 1, 4, 2).reshape(120, 160, 64)
+    np.testing.assert_array_equal(y, want_y)
+    np.testing.assert_array_equal(gx, want_gx)
+    assert gx.tobytes() == np.ascontiguousarray(want_gx).tobytes()  # +0.0 off the max, never -0.0
 
 
 def test_channel_softmax_rows_sum_to_one_and_shift_invariant():
