@@ -21,8 +21,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from endofeat.homography import HomographyConfig
 from endofeat.losses import LossConfig
-from endofeat.matching import extract_keypoints
-from endofeat.network import Architecture, densify, forward, init_params, save_weights
+from endofeat.matching import detect_points
+from endofeat.network import Architecture, forward, heatmap, init_params, save_weights
 from endofeat.synthetic import specular_training_set
 from endofeat.tensor import Tensor
 from endofeat.train import TrainConfig, TrainingSample, finetune
@@ -51,12 +51,10 @@ def off_highlight_fraction(params, images, masks, args):
     """(percent of keypoints outside the mask, total keypoints) over all images."""
     off = total = 0
     for image, mask in zip(images, masks):
-        dense = densify(forward(params, Tensor(image, dtype=params.dtype())))
-        keypoints, _ = extract_keypoints(dense, None, args.threshold, args.nms, args.max_features)
-        xy = keypoints.points.astype(int)
-        total += len(xy)
-        if len(xy):
-            off += int((~mask[xy[:, 1], xy[:, 0]]).sum())
+        heat = heatmap(forward(params, Tensor(image, dtype=params.dtype())).detect).data
+        ys, xs, _ = detect_points(heat, None, args.threshold, args.nms, args.max_features)
+        total += len(ys)
+        off += int((~mask[ys, xs]).sum())
     return (100.0 * off / total if total else float("nan")), total
 
 

@@ -1,7 +1,9 @@
 """Command-line harness wiring the pipeline into reproducible batch runs.
 
-Subcommands: pseudolabel | train | detect | eval | report. Matches are
-not written to disk: eval recomputes them from the feature files.
+Subcommands: pseudolabel | train | detect | eval. Matches are not
+written to disk: eval recomputes them from the feature files, and writes
+report.json with report.csv and rotation_histogram.csv rendered from the
+same evaluations.
 Each command reads a `key = value` config file (--config) with optional
 --set key=value overrides (flags win), validates its inputs up front, and
 writes outputs atomically under the configured output directory. Commands
@@ -186,9 +188,9 @@ def cmd_detect(config: RunConfig, args) -> int:
         try:
             image = data.read_frame(path, mask)
             heads = network.forward(params, Tensor(image, dtype=params.dtype()))
-            dense = network.densify(heads)
             keypoints, descriptors = matching.extract_keypoints(
-                dense,
+                network.heatmap(heads.detect).data,
+                network.densify(heads.describe.data),
                 mask,
                 config.detection_threshold,
                 config.detection_nms_window,
@@ -201,14 +203,6 @@ def cmd_detect(config: RunConfig, args) -> int:
             return ("fail", f"frame {frame_id}", str(exc))
 
     return _summarize("detect", _map_jobs(work, frames, config.jobs), out_dir)
-
-
-def _report_paths(config: RunConfig):
-    return (
-        os.path.join(config.output_dir, "report.json"),
-        os.path.join(config.output_dir, "report.csv"),
-        os.path.join(config.output_dir, "rotation_histogram.csv"),
-    )
 
 
 def cmd_eval(config: RunConfig, args) -> int:
@@ -273,7 +267,9 @@ def cmd_eval(config: RunConfig, args) -> int:
         method_evaluations[method] = by_step
 
     os.makedirs(config.output_dir, exist_ok=True)
-    json_path, csv_path, hist_path = _report_paths(config)
+    json_path = os.path.join(config.output_dir, "report.json")
+    csv_path = os.path.join(config.output_dir, "report.csv")
+    hist_path = os.path.join(config.output_dir, "rotation_histogram.csv")
     metadata = {
         "seed": config.seed,
         "ransac_confidence": config.ransac_confidence,
@@ -292,33 +288,11 @@ def cmd_eval(config: RunConfig, args) -> int:
     return 0
 
 
-def cmd_report(config: RunConfig, args) -> int:
-    json_path, csv_path, hist_path = _report_paths(config)
-    _require_file(json_path, "report.json (run the eval command first)")
-    doc = metrics.read_report_json(json_path)
-    reports = []
-    for method in sorted(doc.get("methods", {})):
-        for step_key in sorted(doc["methods"][method], key=int):
-            evaluations = [
-                metrics.evaluation_from_dict(e) for e in doc["methods"][method][step_key]
-            ]
-            if evaluations:
-                reports.append(metrics.aggregate(evaluations, method))
-    if not reports:
-        raise ConfigError(f"{json_path} holds no evaluations")
-    csv_text = metrics.report_csv(reports)
-    atomic_write_text(csv_path, csv_text)
-    atomic_write_text(hist_path, metrics.histogram_csv(reports))
-    print(csv_text, end="")
-    return 0
-
-
 _COMMANDS = {
     "pseudolabel": cmd_pseudolabel,
     "train": cmd_train,
     "detect": cmd_detect,
     "eval": cmd_eval,
-    "report": cmd_report,
 }
 
 _HELP = {
@@ -326,7 +300,6 @@ _HELP = {
     "train": "fine-tune weights on cached labels with warped-pair losses",
     "detect": "extract keypoints + descriptors into per-frame feature files",
     "eval": "match, fit robust models, and write report.json/report.csv",
-    "report": "re-render report.csv and the histogram from report.json",
 }
 
 

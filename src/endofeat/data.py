@@ -14,6 +14,7 @@ survivors are kept. They are cached as text files of ``x y score`` lines.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import network
 from .ioutil import atomic_write_bytes, atomic_write_text, fmt
-from .matching import greedy_nms
+from .matching import detect_points
 from .tensor import Tensor
 
 SPECULAR_THRESHOLD = 0.7
@@ -189,10 +190,8 @@ def generate_pseudolabels(
 ) -> PseudoLabel:
     """Run the teacher and keep its strongest well-separated detections."""
     heads = network.forward(teacher, Tensor(image, dtype=teacher.dtype()))
-    heat = np.asarray(network.heatmap(heads.detect).data, dtype=np.float64)
-    if mask is not None:
-        heat = heat * np.asarray(mask, dtype=bool)
-    ys, xs, vals = greedy_nms(heat, threshold, nms_window, max_points)
+    heat = network.heatmap(heads.detect).data
+    ys, xs, vals = detect_points(heat, mask, threshold, nms_window, max_points)
     return PseudoLabel(np.stack([xs, ys], axis=1), vals)
 
 
@@ -248,8 +247,16 @@ def load_label(path) -> PseudoLabel:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{ln}: expected 'x y score'")
-            points.append((int(parts[0]), int(parts[1])))
-            scores.append(float(parts[2]))
+            try:
+                x, y, score = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from exc
+            if max(abs(x), abs(y)) >= 2**63:
+                raise ValueError(f"{path}:{ln}: pixel coordinate out of the int64 range")
+            if not math.isfinite(score):
+                raise ValueError(f"{path}:{ln}: score must be finite, got {parts[2]}")
+            points.append((x, y))
+            scores.append(score)
     if not points:
         return PseudoLabel(np.empty((0, 2), dtype=np.int64), np.empty(0))
     return PseudoLabel(np.asarray(points, dtype=np.int64), np.asarray(scores))

@@ -1,9 +1,10 @@
 """Keypoint extraction and bi-directional brute-force descriptor matching.
 
-Extraction thresholds the dense heatmap, suppresses non-maxima greedily
-over a square window, caps the count, and samples a descriptor at each
-surviving pixel. Matching keeps a pair only when each descriptor is the
-other's nearest neighbor (ties to the lowest index), with L2 distance for
+Detection (detect_points) masks and thresholds the dense heatmap,
+suppresses non-maxima greedily over a square window and caps the count;
+extraction also reads the dense descriptor map at each surviving pixel.
+Both take plain arrays. Matching keeps a pair only when each descriptor is
+the other's nearest neighbor (ties to the lowest index), with L2 distance for
 real descriptors and Hamming distance for packed binary ones; both go
 through one exact nearest-neighbour kernel, Hamming on the unpacked bits.
 
@@ -15,6 +16,7 @@ files, so no match file format exists.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -40,10 +42,13 @@ def greedy_nms(scores: np.ndarray, threshold: float, window: int, max_points=Non
     Candidates are pixels with score >= threshold, visited from highest
     score down (ties by row then column ascending). A candidate is kept
     unless a previously kept point lies within (window-1)//2 pixels in
-    Chebyshev distance. Returns (ys, xs, scores) in kept order.
+    Chebyshev distance. At most max_points points are kept (no cap when
+    None). Returns (ys, xs, scores) in kept order.
     """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and positive, got {window}")
+    if max_points is not None and max_points < 1:
+        raise ValueError(f"max_points must be at least 1, got {max_points}")
     scores = np.asarray(scores)
     ys, xs = np.nonzero(scores >= threshold)
     vals = scores[ys, xs]
@@ -131,27 +136,36 @@ class MatchSet:
         return self.pairs.shape[0]
 
 
+def detect_points(heat, mask, threshold: float, window: int, max_points: int):
+    """Keypoint pixels of an H x W heatmap: (ys, xs, scores) from greedy_nms.
+
+    The heatmap is cast to float64 and zeroed outside the ROI mask (None
+    keeps every pixel) before thresholding, so no keypoint lands on an
+    excluded pixel.
+    """
+    heat = np.asarray(heat, dtype=np.float64)
+    if mask is not None:
+        heat = heat * np.asarray(mask, dtype=bool)
+    return greedy_nms(heat, threshold, window, max_points)
+
+
 def extract_keypoints(
-    dense,
+    heat,
+    descriptors,
     mask=None,
     threshold: float = DETECTION_THRESHOLD,
     nms_window: int = DETECTION_NMS_WINDOW,
     max_features: int = MAX_FEATURES,
     frame_id: int = -1,
 ):
-    """Dense outputs to a (KeypointSet, DescriptorSet) pair.
+    """H x W heatmap and H x W x D descriptor map to a (KeypointSet, DescriptorSet) pair.
 
-    The heatmap is zeroed outside the ROI mask before thresholding, so no
-    keypoint lands on an excluded pixel; descriptors are read from the
-    dense descriptor map at each kept pixel.
+    Points come from detect_points; each point's descriptor is the map's
+    row at its pixel.
     """
-    heat = np.asarray(dense.heatmap.data, dtype=np.float64)
-    if mask is not None:
-        heat = heat * np.asarray(mask, dtype=bool)
-    ys, xs, vals = greedy_nms(heat, threshold, nms_window, max_features)
+    ys, xs, vals = detect_points(heat, mask, threshold, nms_window, max_features)
     kp = KeypointSet(np.stack([xs, ys], axis=1).astype(np.float64), vals, frame_id)
-    dmap = np.asarray(dense.descriptors.data)
-    desc = DescriptorSet(np.ascontiguousarray(dmap[ys, xs]), METRIC_L2)
+    desc = DescriptorSet(np.ascontiguousarray(np.asarray(descriptors)[ys, xs]), METRIC_L2)
     return kp, desc
 
 
@@ -282,14 +296,27 @@ def load_features(path, frame_id: int = -1):
     metric = head[1]
     if metric not in (METRIC_L2, METRIC_HAMMING):
         raise ValueError(f"{path}: unknown metric {metric!r}")
-    dim = int(head[3])
+    try:
+        dim = int(head[3])
+    except ValueError:
+        raise ValueError(f"{path}: bad feature header {lines[0]!r}") from None
+    if dim < 1:
+        raise ValueError(f"{path}: descriptor dim must be at least 1, got {dim}")
     pts, scores = [], []
-    for ln in lines[1:]:
-        if not ln.strip():
+    for ln, line in enumerate(lines[1:], 2):
+        parts = line.split()
+        if not parts:
             continue
-        x, y, s = ln.split()
-        pts.append((float(x), float(y)))
-        scores.append(float(s))
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{ln}: expected 'x y score'")
+        try:
+            x, y, score = float(parts[0]), float(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from exc
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(score)):
+            raise ValueError(f"{path}:{ln}: x, y and score must be finite")
+        pts.append((x, y))
+        scores.append(score)
     n = len(pts)
     kp = KeypointSet(
         np.asarray(pts, np.float64).reshape(-1, 2),

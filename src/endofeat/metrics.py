@@ -413,31 +413,6 @@ def _evaluation_dict(e: PairEvaluation) -> dict:
     return d
 
 
-def evaluation_from_dict(d: dict) -> PairEvaluation:
-    """Inverse of the JSON encoding, for re-rendering saved reports."""
-    ablation = None
-    if "ablation" in d:
-        a = d["ablation"]
-        ablation = AblationResult(
-            AblationCounts(*a["features"]),
-            AblationCounts(*a["matches"]),
-            AblationCounts(*a["inliers"]),
-        )
-    return PairEvaluation(
-        frame_a=d["frame_a"],
-        frame_b=d["frame_b"],
-        step=d["step"],
-        features_a=d["features_a"],
-        features_b=d["features_b"],
-        matches=d["matches"],
-        inliers={k: int(v) for k, v in d["inliers"].items()},
-        grid_pct={k: float(v) for k, v in d["grid_pct"].items()},
-        rotation_error_deg=d["rotation_error_deg"],
-        pose_failure=d["pose_failure"],
-        ablation=ablation,
-    )
-
-
 def write_report_json(path, method_evaluations: dict, metadata: dict) -> None:
     """Full per-pair detail: {method: {step: [evaluations]}} plus metadata."""
     doc = {"metadata": metadata, "methods": {}}
@@ -446,8 +421,3 @@ def write_report_json(path, method_evaluations: dict, metadata: dict) -> None:
             str(step): [_evaluation_dict(e) for e in evs] for step, evs in sorted(by_step.items())
         }
     atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def read_report_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)

@@ -5,7 +5,9 @@ separated by three 2x2 max poolings, so the spatial size drops by exactly
 tensor.CELL (8x). The detection head ends in tensor.DUSTBIN + 1 channels
 (one per pixel of a cell plus the "no interest point" dustbin), which
 heatmap() decodes; the description head ends in the descriptor dimension
-(256 by default).
+(256 by default), which densify() decodes to the per-pixel unit-norm
+descriptor map. densify works on plain arrays, off the gradient tape: the
+descriptor loss is applied to the coarse cells, not to the dense map.
 
 A weights file is an np.savez archive (ioutil.write_archive) of float32
 arrays named by the param_tensors() labels; load_weights raises
@@ -21,6 +23,8 @@ import numpy as np
 from . import tensor as T
 from .ioutil import read_archive, write_archive
 from .tensor import CELL, DUSTBIN, Tensor
+
+_NORM_GUARD = 1e-12  # densify's norm floor, so a zero descriptor stays zero
 
 
 class WeightsError(Exception):
@@ -109,12 +113,6 @@ class RawHeads:
     describe: Tensor  # H/CELL x W/CELL x D, raw descriptors
 
 
-@dataclass(frozen=True)
-class DenseOutputs:
-    heatmap: Tensor  # H x W keypoint probability per pixel
-    descriptors: Tensor  # H x W x D, unit L2 norm per pixel
-
-
 def init_params(arch: Architecture, seed: int = 0, dtype=np.float64) -> NetworkParams:
     """He-uniform kernels, zero biases."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -166,11 +164,44 @@ def heatmap(detect: Tensor) -> Tensor:
     return T.depth_to_space(T.slice_channels(T.channel_softmax(detect), 0, DUSTBIN))
 
 
-def densify(raw: RawHeads) -> DenseOutputs:
-    """Cell tensors to per-pixel heatmap and unit-norm descriptor map."""
-    heat = heatmap(raw.detect)
-    descriptors = T.l2_normalize(T.bicubic_upsample(raw.describe, CELL))
-    return DenseOutputs(heatmap=heat, descriptors=descriptors)
+def densify(describe: np.ndarray) -> np.ndarray:
+    """Hc x Wc x D cell descriptors to the H x W x D unit-norm descriptor map.
+
+    Separable Catmull-Rom bicubic upsampling by CELL (pixel centres,
+    edge-clamped taps), then each pixel's vector is divided by its L2 norm;
+    a vector with norm at most 1e-12 is divided by 1e-12 instead, so a zero
+    vector stays zero. Plain arrays: inference only, nothing differentiates it.
+    """
+    if describe.ndim != 3:
+        raise ValueError(f"densify expects Hc x Wc x D, got shape {describe.shape}")
+    wh = _upsample_matrix(describe.shape[0], describe.dtype)
+    ww = _upsample_matrix(describe.shape[1], describe.dtype)
+    up = np.einsum("oi,pj,ijc->opc", wh, ww, describe, optimize=True)
+    # The einsum output's channel axis is strided, so this sum is sequential;
+    # the feature bytes depend on that summation order.
+    norm = np.sqrt((up * up).sum(axis=-1, keepdims=True))
+    return up / np.where(norm > _NORM_GUARD, norm, _NORM_GUARD)
+
+
+def _cubic_kernel(d: np.ndarray) -> np.ndarray:
+    # Catmull-Rom (a = -0.5) cubic convolution kernel.
+    d = np.abs(d)
+    near = ((1.5 * d - 2.5) * d) * d + 1.0
+    far = (((-0.5 * d + 2.5) * d) - 4.0) * d + 2.0
+    return np.where(d <= 1.0, near, np.where(d < 2.0, far, 0.0))
+
+
+def _upsample_matrix(n_in: int, dtype) -> np.ndarray:
+    n_out = n_in * CELL
+    out_idx = np.arange(n_out)
+    src = (out_idx + 0.5) / CELL - 0.5  # align-corners = false
+    base = np.floor(src).astype(np.int64)
+    t = src - base
+    w = np.zeros((n_out, n_in), dtype=dtype)
+    for tap in (-1, 0, 1, 2):
+        idx = np.clip(base + tap, 0, n_in - 1)  # edge clamp
+        np.add.at(w, (out_idx, idx), _cubic_kernel(t - tap).astype(dtype))
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
-"""Synthetic imagery and scenes for tests and scaled-down experiments.
+"""Synthetic imagery for tests, scripts and scaled-down experiments.
 
 Provides band-limited textures, planted specular blobs with a target
-coverage fraction, distinctive corner markers with known locations,
-warped frame sequences with known homographies, and random two-view 3-D
-scenes with known relative pose.
+coverage fraction, distinctive corner markers with known locations, and
+warped frame sequences with known homographies.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .data import PseudoLabel
-from .geometry import Intrinsics, RelativePose, rotation_to_quat
 from .homography import HomographyConfig, sample_homography, to_pixel_frame, warp_image
 
 
@@ -145,58 +143,3 @@ def warped_sequence(base: np.ndarray, n_frames: int, seed: int = 0,
         frames.append(warp_image(base, h_px))
         homs.append(h_px)
     return frames, homs
-
-
-def random_rotation(rng: np.random.Generator, max_angle_deg: float) -> np.ndarray:
-    axis = rng.standard_normal(3)
-    axis = axis / np.linalg.norm(axis)
-    angle = np.deg2rad(rng.uniform(0, max_angle_deg))
-    k = np.array(
-        [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
-    )
-    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
-
-
-def random_two_view_scene(
-    n_points: int = 100,
-    seed: int = 0,
-    noise_px: float = 0.0,
-    rotation_deg: float = 10.0,
-    baseline: float = 0.3,
-    intrinsics: Intrinsics | None = None,
-    translation: np.ndarray | None = None,
-):
-    """Random 3-D points seen by two cameras with a known relative pose.
-
-    Returns (pts_a, pts_b, pose, intrinsics): pixel correspondences, the
-    ground-truth RelativePose (camera A frame to camera B frame), and the
-    shared intrinsics. Points are drawn in front of both cameras.
-    """
-    if intrinsics is None:
-        intrinsics = Intrinsics(400.0, 400.0, 320.0, 240.0)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 5)))
-    r = random_rotation(rng, rotation_deg)
-    if translation is None:
-        t = rng.standard_normal(3)
-        t = baseline * t / np.linalg.norm(t)
-    else:
-        t = np.asarray(translation, dtype=np.float64)
-    k = intrinsics.matrix
-    pts_a = np.zeros((n_points, 2))
-    pts_b = np.zeros((n_points, 2))
-    kept = 0
-    while kept < n_points:
-        x = np.array([rng.uniform(-2, 2), rng.uniform(-1.5, 1.5), rng.uniform(4, 9)])
-        x2 = r @ x + t
-        if x[2] <= 0.1 or x2[2] <= 0.1:
-            continue
-        pa = k @ (x / x[2])
-        pb = k @ (x2 / x2[2])
-        pts_a[kept] = pa[:2]
-        pts_b[kept] = pb[:2]
-        kept += 1
-    if noise_px > 0:
-        pts_a = pts_a + rng.normal(0, noise_px, pts_a.shape)
-        pts_b = pts_b + rng.normal(0, noise_px, pts_b.shape)
-    pose = RelativePose(rotation_to_quat(r), t)
-    return pts_a, pts_b, pose, intrinsics

@@ -1,12 +1,13 @@
 """Dense-tensor numerics with reverse-mode gradients.
 
-Implements exactly the operations needed by the keypoint network and its
-training losses: stride-1 2-D convolution, 2x2 max pooling, the per-cell
-channel softmax, depth-to-space reshaping of cell probabilities, bicubic
-descriptor upsampling, L2 normalization, and a handful of elementwise /
-reduction primitives. Max pooling sends each output's gradient to the
-first window position (row-major) that holds the maximum, so ties, such
-as the zeros a relu leaves, route to one input.
+Implements exactly the operations the keypoint network and its training
+losses differentiate: stride-1 2-D convolution, 2x2 max pooling, the
+per-cell channel softmax, depth-to-space reshaping of cell probabilities,
+and a handful of elementwise / reduction primitives. Inference-only
+decoding, the dense descriptor map, is plain numpy in the network module.
+Max pooling sends each output's gradient to the first window position
+(row-major) that holds the maximum, so ties, such as the zeros a relu
+leaves, route to one input.
 
 Forward functions are pure. While a GradTape is active on the calling
 thread, every op appends a backward closure to it; ``backward(tape,
@@ -41,8 +42,6 @@ __all__ = [
     "max_pool2x2",
     "channel_softmax",
     "depth_to_space",
-    "bicubic_upsample",
-    "l2_normalize",
     "matmul",
     "transpose2d",
     "reshape",
@@ -54,7 +53,6 @@ CELL = 8  # side of a detector cell, in pixels
 DUSTBIN = CELL * CELL  # channel index of the "no interest point" bin
 
 _FLOAT_DTYPES = (np.float32, np.float64)
-_NORM_GUARD = 1e-12
 
 
 class Tensor:
@@ -363,72 +361,6 @@ def depth_to_space(x: Tensor) -> Tensor:
     def back(g):
         gx = g.reshape(hc, CELL, wc, CELL).transpose(0, 2, 1, 3).reshape(hc, wc, DUSTBIN)
         return (np.ascontiguousarray(gx),)
-
-    _record(out, (x,), back)
-    return out
-
-
-def space_to_depth(y: np.ndarray) -> np.ndarray:
-    """Exact inverse of depth_to_space, on plain arrays (no gradient)."""
-    h, w = y.shape
-    if h % CELL or w % CELL:
-        raise ValueError(f"space_to_depth needs dims divisible by {CELL}, got {h}x{w}")
-    hc, wc = h // CELL, w // CELL
-    return y.reshape(hc, CELL, wc, CELL).transpose(0, 2, 1, 3).reshape(hc, wc, DUSTBIN)
-
-
-def _cubic_kernel(d: np.ndarray) -> np.ndarray:
-    # Catmull-Rom (a = -0.5) cubic convolution kernel.
-    d = np.abs(d)
-    near = ((1.5 * d - 2.5) * d) * d + 1.0
-    far = (((-0.5 * d + 2.5) * d) - 4.0) * d + 2.0
-    return np.where(d <= 1.0, near, np.where(d < 2.0, far, 0.0))
-
-
-def _upsample_matrix(n_in: int, factor: int, dtype) -> np.ndarray:
-    n_out = n_in * factor
-    out_idx = np.arange(n_out)
-    src = (out_idx + 0.5) / factor - 0.5  # align-corners = false
-    base = np.floor(src).astype(np.int64)
-    t = src - base
-    w = np.zeros((n_out, n_in), dtype=dtype)
-    for tap in (-1, 0, 1, 2):
-        idx = np.clip(base + tap, 0, n_in - 1)  # edge clamp
-        np.add.at(w, (out_idx, idx), _cubic_kernel(t - tap).astype(dtype))
-    return w
-
-
-def bicubic_upsample(x: Tensor, factor: int) -> Tensor:
-    """Separable Catmull-Rom bicubic upsampling of an Hc x Wc x C map."""
-    xv = x.data
-    if xv.ndim != 3:
-        raise ValueError(f"bicubic_upsample expects Hc x Wc x C, got shape {xv.shape}")
-    if int(factor) != factor or factor < 1:
-        raise ValueError(f"bicubic_upsample factor must be an integer >= 1, got {factor}")
-    factor = int(factor)
-    wh = _upsample_matrix(xv.shape[0], factor, xv.dtype)
-    ww = _upsample_matrix(xv.shape[1], factor, xv.dtype)
-    y = np.einsum("oi,pj,ijc->opc", wh, ww, xv, optimize=True)
-    out = Tensor._wrap(y)
-    _record(out, (x,), lambda g: (np.einsum("oi,pj,opc->ijc", wh, ww, g, optimize=True),))
-    return out
-
-
-def l2_normalize(x: Tensor) -> Tensor:
-    """Normalize each trailing-dimension vector; zero vectors stay zero."""
-    xv = x.data
-    if xv.ndim < 1:
-        raise ValueError("l2_normalize expects at least one dimension")
-    n = np.sqrt((xv * xv).sum(axis=-1, keepdims=True))
-    safe = n > _NORM_GUARD
-    neff = np.where(safe, n, _NORM_GUARD)
-    y = xv / neff
-    out = Tensor._wrap(y)
-
-    def back(g):
-        dot = (g * xv).sum(axis=-1, keepdims=True)
-        gx = g / neff - np.where(safe, xv * dot / neff**3, 0.0)
-        return (gx,)
 
     _record(out, (x,), back)
     return out

@@ -1,4 +1,5 @@
-"""Shared test fixtures: finite-difference gradient checks, toy nets, byte damage."""
+"""Shared test fixtures: finite-difference gradient checks, toy nets, byte damage,
+and the oracles and scene generators only tests use."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from endofeat import losses, network
 from endofeat import tensor as T
 from endofeat.data import PseudoLabel, warp_label
+from endofeat.geometry import Intrinsics, RelativePose, rotation_to_quat
 from endofeat.homography import (
     HomographyConfig,
     correspondence_tensor,
@@ -16,7 +18,7 @@ from endofeat.homography import (
     warp_image,
 )
 from endofeat.network import Architecture
-from endofeat.tensor import Tensor
+from endofeat.tensor import CELL, DUSTBIN, Tensor
 
 
 def rng(seed) -> np.random.Generator:
@@ -136,22 +138,6 @@ def op_cases():
         )
     )
 
-    x342 = r.uniform(-1.0, 1.0, (3, 4, 2))
-    w682 = r.uniform(-1.0, 1.0, (6, 8, 2))
-    cases.append(
-        (
-            "bicubic_upsample",
-            lambda a: T.reduce_sum(T.mul(T.bicubic_upsample(a, 2), Tensor(w682))),
-            [x342],
-        )
-    )
-
-    x35 = r.uniform(0.3, 1.0, (3, 5)) * r.choice([-1.0, 1.0], (3, 5))  # norms clear the guard
-    w35 = r.uniform(-1.0, 1.0, (3, 5))
-    cases.append(
-        ("l2_normalize", lambda a: T.reduce_sum(T.mul(T.l2_normalize(a), Tensor(w35))), [x35])
-    )
-
     logits = r.uniform(-1.0, 1.0, (5, 7))
     targets = r.integers(0, 7, 5)
     cases.append(
@@ -226,3 +212,67 @@ def damaged(blob: bytes):
         return bytes(out[:cut])
 
     return st.builds(apply, edits, st.integers(0, len(blob)))
+
+
+def space_to_depth(y: np.ndarray) -> np.ndarray:
+    """Exact inverse of depth_to_space, on plain arrays (no gradient)."""
+    h, w = y.shape
+    if h % CELL or w % CELL:
+        raise ValueError(f"space_to_depth needs dims divisible by {CELL}, got {h}x{w}")
+    hc, wc = h // CELL, w // CELL
+    return y.reshape(hc, CELL, wc, CELL).transpose(0, 2, 1, 3).reshape(hc, wc, DUSTBIN)
+
+
+def random_rotation(rng: np.random.Generator, max_angle_deg: float) -> np.ndarray:
+    axis = rng.standard_normal(3)
+    axis = axis / np.linalg.norm(axis)
+    angle = np.deg2rad(rng.uniform(0, max_angle_deg))
+    k = np.array(
+        [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
+    )
+    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+
+
+def random_two_view_scene(
+    n_points: int = 100,
+    seed: int = 0,
+    noise_px: float = 0.0,
+    rotation_deg: float = 10.0,
+    baseline: float = 0.3,
+    intrinsics: Intrinsics | None = None,
+    translation: np.ndarray | None = None,
+):
+    """Random 3-D points seen by two cameras with a known relative pose.
+
+    Returns (pts_a, pts_b, pose, intrinsics): pixel correspondences, the
+    ground-truth RelativePose (camera A frame to camera B frame), and the
+    shared intrinsics. Points are drawn in front of both cameras.
+    """
+    if intrinsics is None:
+        intrinsics = Intrinsics(400.0, 400.0, 320.0, 240.0)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 5)))
+    r = random_rotation(rng, rotation_deg)
+    if translation is None:
+        t = rng.standard_normal(3)
+        t = baseline * t / np.linalg.norm(t)
+    else:
+        t = np.asarray(translation, dtype=np.float64)
+    k = intrinsics.matrix
+    pts_a = np.zeros((n_points, 2))
+    pts_b = np.zeros((n_points, 2))
+    kept = 0
+    while kept < n_points:
+        x = np.array([rng.uniform(-2, 2), rng.uniform(-1.5, 1.5), rng.uniform(4, 9)])
+        x2 = r @ x + t
+        if x[2] <= 0.1 or x2[2] <= 0.1:
+            continue
+        pa = k @ (x / x[2])
+        pb = k @ (x2 / x2[2])
+        pts_a[kept] = pa[:2]
+        pts_b[kept] = pb[:2]
+        kept += 1
+    if noise_px > 0:
+        pts_a = pts_a + rng.normal(0, noise_px, pts_a.shape)
+        pts_b = pts_b + rng.normal(0, noise_px, pts_b.shape)
+    pose = RelativePose(rotation_to_quat(r), t)
+    return pts_a, pts_b, pose, intrinsics

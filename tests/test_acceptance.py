@@ -35,14 +35,13 @@ from endofeat.matching import (
     DescriptorSet,
     KeypointSet,
     MatchSet,
-    extract_keypoints,
+    detect_points,
     match_mutual,
 )
-from endofeat.network import Architecture, forward, densify, init_params
+from endofeat.network import Architecture, forward, heatmap, init_params
 from endofeat.synthetic import (
     band_limited_texture,
     planted_label,
-    random_two_view_scene,
     specular_training_set,
     warped_sequence,
 )
@@ -50,7 +49,14 @@ from endofeat.tensor import Tensor
 from endofeat import tensor as T
 from endofeat.train import TrainConfig, TrainingSample, finetune
 
-from helpers import check_gradients, op_cases, rng, toy_architecture, toy_pair_loss_case
+from helpers import (
+    check_gradients,
+    op_cases,
+    random_two_view_scene,
+    rng,
+    toy_architecture,
+    toy_pair_loss_case,
+)
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -319,14 +325,12 @@ def test_criterion_4_robust_geometry():
 def _retention(params, images, masks) -> tuple:
     kept = total = 0
     for img, mask in zip(images, masks):
-        dense = densify(forward(params, Tensor(img)))
-        kp, _ = extract_keypoints(dense, threshold=0.015, nms_window=3, max_features=200)
-        if not len(kp):
+        heat = heatmap(forward(params, Tensor(img)).detect).data
+        ys, xs, _ = detect_points(heat, None, 0.015, 3, 200)
+        if not len(ys):
             continue
-        xs = kp.points[:, 0].astype(int)
-        ys = kp.points[:, 1].astype(int)
         on_blob = mask[ys, xs]
-        total += len(kp)
+        total += len(ys)
         kept += int((~on_blob).sum())
     return (100.0 * kept / total if total else 0.0), total
 

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endofeat import data, network
 from endofeat.data import (
@@ -22,7 +24,7 @@ from endofeat.data import (
     warp_label,
     write_pgm,
 )
-from endofeat.matching import greedy_nms
+from endofeat.matching import extract_keypoints
 from endofeat.network import init_params
 from endofeat.tensor import Tensor
 
@@ -135,8 +137,8 @@ def test_generate_pseudolabels_properties():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_generate_pseudolabels_equals_densify_path(dtype):
-    # The labels only need the detection head; decoding the descriptor head
-    # too (densify) must not change them.
+    # The labels only need the detection head; the detect command decodes
+    # the descriptor head too (densify) and must find the same points.
     params = init_params(toy_architecture(), seed=12, dtype=dtype)
     img = rng(12).uniform(0, 0.8, (32, 40))
     mask = np.ones((32, 40), dtype=bool)
@@ -144,11 +146,12 @@ def test_generate_pseudolabels_equals_densify_path(dtype):
     label = generate_pseudolabels(params, img, mask, threshold=1e-4, nms_window=5, max_points=30)
 
     heads = network.forward(params, Tensor(img, dtype=dtype))
-    heat = np.asarray(network.densify(heads).heatmap.data, dtype=np.float64) * mask
-    ys, xs, vals = greedy_nms(heat, 1e-4, 5, 30)
+    kp, _ = extract_keypoints(
+        network.heatmap(heads.detect).data, network.densify(heads.describe.data), mask, 1e-4, 5, 30
+    )
     assert len(label) > 0
-    np.testing.assert_array_equal(label.points, np.stack([xs, ys], axis=1))
-    np.testing.assert_array_equal(label.scores, vals)
+    np.testing.assert_array_equal(label.points, kp.points)
+    np.testing.assert_array_equal(label.scores, kp.scores)
 
 
 def test_generate_pseudolabels_respects_mask():
@@ -193,3 +196,43 @@ def test_label_cache_round_trip(tmp_path):
     empty = PseudoLabel(np.empty((0, 2)), np.empty(0))
     save_label(path, empty)
     assert len(load_label(path)) == 0
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["1 2 nan", "1 2 inf", "1 2 -1e999", "1 2", "1.5 2 0.3", "1 2 x", f"1 {2**63} 0.3"],
+)
+def test_load_label_names_line_of_bad_value(tmp_path, line):
+    path = tmp_path / "frame_000001.txt"
+    path.write_text(f"3 4 0.5\n\n{line}\n")
+    with pytest.raises(ValueError, match=r"frame_000001\.txt:3: "):
+        load_label(path)
+
+
+_COORD = st.one_of(
+    st.integers(-3, 70).map(str),
+    st.sampled_from([str(2**63), str(-(2**63) - 1), "1.5", "nan", "1e3"]),
+)
+_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "1e999", "-0", "1e-320", "1e160"]),
+    st.integers(-3, 3).map(str),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    lines=st.lists(
+        st.one_of(st.tuples(_COORD, _COORD, _NUMBER).map(" ".join), st.text(max_size=30)),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_load_label_fuzz_finite_or_value_error(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "fuzz_label.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        label = load_label(path)
+    except ValueError:
+        return
+    assert label.points.dtype == np.int64 and np.isfinite(label.scores).all()

@@ -34,9 +34,7 @@ from endofeat.geometry import (
 )
 from endofeat.homography import HomographyConfig, sample_homography, to_pixel_frame, warp_points
 from endofeat.matching import KeypointSet, MatchSet
-from endofeat.synthetic import random_rotation, random_two_view_scene
-
-from helpers import rng
+from helpers import random_rotation, random_two_view_scene, rng
 
 
 # --- quaternions -----------------------------------------------------------

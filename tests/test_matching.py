@@ -1,9 +1,9 @@
 """NMS, keypoint extraction, mutual matching, feature files."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endofeat import matching
 from endofeat.matching import (
@@ -12,6 +12,7 @@ from endofeat.matching import (
     DescriptorSet,
     KeypointSet,
     MatchSet,
+    detect_points,
     extract_keypoints,
     feature_path,
     greedy_nms,
@@ -19,8 +20,6 @@ from endofeat.matching import (
     match_mutual,
     save_features,
 )
-from endofeat.tensor import Tensor
-
 from helpers import rng
 
 
@@ -73,6 +72,9 @@ def test_greedy_nms_ties_row_major():
 def test_greedy_nms_validation_and_empty():
     with pytest.raises(ValueError, match="odd"):
         greedy_nms(np.zeros((4, 4)), 0.1, 4)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="max_points"):
+            greedy_nms(np.ones((4, 4)), 0.5, 3, max_points=cap)
     ys, xs, vs = greedy_nms(np.zeros((4, 4)), 0.1, 3)
     assert ys.size == xs.size == vs.size == 0
 
@@ -80,8 +82,20 @@ def test_greedy_nms_validation_and_empty():
 # --- extraction ------------------------------------------------------------
 
 
-def _fake_dense(heat, desc):
-    return SimpleNamespace(heatmap=Tensor(heat), descriptors=Tensor(desc))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_detect_points_masks_then_suppresses(dtype):
+    heat = rng(50).uniform(0, 1, (16, 16)).astype(dtype)
+    mask = np.ones((16, 16), dtype=np.uint8)  # any nonzero value keeps a pixel
+    mask[5:, :3] = 0
+    ys, xs, vals = detect_points(heat, mask, 0.2, 3, 25)
+    want = greedy_nms(heat.astype(np.float64) * (mask != 0), 0.2, 3, 25)
+    for g, w in zip((ys, xs, vals), want):
+        np.testing.assert_array_equal(g, w)
+    assert vals.dtype == np.float64 and len(ys) == 25
+    assert not np.any((ys >= 5) & (xs < 3))
+    unmasked = detect_points(heat, None, 0.2, 3, 25)
+    for g, w in zip(unmasked, greedy_nms(heat.astype(np.float64), 0.2, 3, 25)):
+        np.testing.assert_array_equal(g, w)
 
 
 def test_extract_keypoints_reads_descriptors_and_mask():
@@ -90,7 +104,7 @@ def test_extract_keypoints_reads_descriptors_and_mask():
     desc = r.normal(size=(16, 16, 4))
     mask = np.ones((16, 16), dtype=bool)
     mask[:, 8:] = False
-    kp, ds = extract_keypoints(_fake_dense(heat, desc), mask, threshold=0.2, nms_window=3)
+    kp, ds = extract_keypoints(heat, desc, mask, threshold=0.2, nms_window=3)
     assert len(kp) == len(ds) > 0
     assert np.all(kp.points[:, 0] < 8)  # x stays inside the ROI
     for (x, y), row in zip(kp.points, ds.vectors):
@@ -100,8 +114,8 @@ def test_extract_keypoints_reads_descriptors_and_mask():
 
 def test_extract_keypoints_cap():
     heat = rng(52).uniform(0.5, 1.0, (16, 16))
-    kp, ds = extract_keypoints(_fake_dense(heat, np.zeros((16, 16, 2))), threshold=0.1,
-                               nms_window=3, max_features=5)
+    kp, ds = extract_keypoints(heat, np.zeros((16, 16, 2)), threshold=0.1, nms_window=3,
+                               max_features=5)
     assert len(kp) == 5 and len(ds) == 5
 
 
@@ -327,3 +341,62 @@ def test_load_features_rejects_non_finite_l2(tmp_path, bad):
     (tmp_path / "frame_000005.feat.desc").write_bytes(vec.astype("<f4").tobytes())
     with pytest.raises(ValueError, match=r"frame_000005\.feat\.desc: L2 descriptor row 2"):
         load_features(path)
+
+
+@pytest.mark.parametrize("line", ["nan 1 0.5", "1 2 -inf", "1e999 1 0.5", "1 2", "1 x 0.5"])
+def test_load_features_names_line_of_bad_keypoint(tmp_path, line):
+    path = feature_path(tmp_path, 6)
+    with open(path, "w", encoding="ascii") as f:
+        f.write(f"metric L2 dim 2\n1 2 0.5\n\n{line}\n")
+    (tmp_path / "frame_000006.feat.desc").write_bytes(b"\x00" * 16)
+    with pytest.raises(ValueError, match=r"frame_000006\.feat:4: "):
+        load_features(path)
+
+
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_load_features_rejects_dim_below_one(tmp_path, dim):
+    path = feature_path(tmp_path, 7)
+    with open(path, "w", encoding="ascii") as f:
+        f.write(f"metric L2 dim {dim}\n")
+    (tmp_path / "frame_000007.feat.desc").write_bytes(b"")
+    with pytest.raises(ValueError, match=r"frame_000007\.feat: descriptor dim"):
+        load_features(path)
+
+
+_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "1e999", "-0", "1e-320", "1e160"]),
+    st.integers(-3, 3).map(str),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    metric=st.sampled_from([METRIC_L2, METRIC_HAMMING, "l2"]),
+    dim=st.integers(-3, 9),
+    garbled_head=st.one_of(st.none(), st.text(max_size=30)),
+    body=st.lists(
+        st.one_of(
+            st.tuples(_NUMBER, _NUMBER, _NUMBER).map(" ".join),
+            st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\r\n"), max_size=30),
+        ),
+        max_size=4,
+    ),
+    extra_bytes=st.sampled_from([0, 0, 0, 5]),
+)
+def test_load_features_fuzz_finite_or_value_error(
+    tmp_path_factory, metric, dim, garbled_head, body, extra_bytes
+):
+    path = tmp_path_factory.getbasetemp() / "fuzz.feat"
+    head = f"metric {metric} dim {dim}" if garbled_head is None else garbled_head
+    path.write_text("\n".join([head, *body]) + "\n", encoding="utf-8")
+    # a sidecar sized for every non-blank body line, unless extra_bytes damages it
+    points = sum(1 for line in body if line.split())
+    row = 4 * dim if metric == METRIC_L2 else (dim + 7) // 8
+    path.with_name("fuzz.feat.desc").write_bytes(b"\x00" * (points * max(row, 0) + extra_bytes))
+    try:
+        kp, desc = load_features(path)
+    except ValueError:
+        return
+    assert np.isfinite(kp.points).all() and np.isfinite(kp.scores).all()
+    assert len(kp) == len(desc) and desc.dim >= 1

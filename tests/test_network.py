@@ -1,6 +1,7 @@
-"""Network layout, forward contract, and the weights file format."""
+"""Network layout, forward contract, decoding, and the weights file format."""
 
 import io
+import math
 import zipfile
 
 import numpy as np
@@ -94,29 +95,75 @@ def test_forward_shapes_and_validation():
         forward(params, Tensor(img + 1.0))  # out of [0, 1]
 
 
-def test_densify_heatmap_is_cellwise_probability():
-    params = init_params(toy_architecture(), seed=1)
-    img = rng(1).uniform(0, 1, (16, 16))
-    dense = densify(forward(params, Tensor(img)))
-    heat = np.asarray(dense.heatmap.data)
-    assert heat.shape == (16, 16)
-    assert heat.min() >= 0.0
-    cell_sums = heat.reshape(2, 8, 2, 8).sum(axis=(1, 3))
-    assert np.all(cell_sums <= 1.0 + 1e-12)  # dustbin holds the remainder
-    desc = np.asarray(dense.descriptors.data)
-    assert desc.shape == (16, 16, 2)
-    np.testing.assert_allclose(np.linalg.norm(desc, axis=2), 1.0, atol=1e-9)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_heatmap_is_cellwise_probability(dtype):
+    params = init_params(toy_architecture(), seed=1, dtype=dtype)
+    img = rng(1).uniform(0, 1, (16, 24)).astype(dtype)
+    heat = heatmap(forward(params, Tensor(img)).detect)
+    assert heat.dtype == dtype and heat.shape == (16, 24)
+    assert heat.data.min() >= 0.0
+    cell_sums = heat.data.astype(np.float64).reshape(2, 8, 3, 8).sum(axis=(1, 3))
+    tol = 1e-12 if dtype == np.float64 else 1e-6
+    assert np.all(cell_sums <= 1.0 + tol)  # dustbin holds the remainder
+    with pytest.raises(ValueError, match="65"):
+        heatmap(Tensor(np.zeros((2, 2, 64))))
+
+
+def _cubic(d):
+    d = abs(d)
+    if d <= 1.0:
+        return ((1.5 * d - 2.5) * d) * d + 1.0
+    if d < 2.0:
+        return (((-0.5 * d + 2.5) * d) - 4.0) * d + 2.0
+    return 0.0
+
+
+def test_densify_matches_per_pixel_bicubic_oracle():
+    x = rng(13).uniform(-1, 1, (3, 4, 2))
+    got = densify(x)
+    h, w, c = x.shape
+    want = np.zeros((h * 8, w * 8, c))
+    for oy in range(h * 8):
+        sy = (oy + 0.5) / 8 - 0.5
+        by = math.floor(sy)
+        for ox in range(w * 8):
+            sx = (ox + 0.5) / 8 - 0.5
+            bx = math.floor(sx)
+            for ch in range(c):
+                acc = 0.0
+                for dy in (-1, 0, 1, 2):
+                    iy = min(max(by + dy, 0), h - 1)
+                    wy = _cubic(sy - by - dy)
+                    for dx in (-1, 0, 1, 2):
+                        ix = min(max(bx + dx, 0), w - 1)
+                        acc += wy * _cubic(sx - bx - dx) * x[iy, ix, ch]
+                want[oy, ox, ch] = acc
+    want /= np.linalg.norm(want, axis=2, keepdims=True)
+    assert got.shape == want.shape and got.dtype == np.float64
+    np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_densify_preserves_constants():
+    v = np.array([0.37, -0.2, 0.5])
+    got = densify(np.broadcast_to(v, (2, 3, 3)).copy())
+    assert got.shape == (16, 24, 3)
+    np.testing.assert_allclose(got, np.broadcast_to(v / np.linalg.norm(v), got.shape), atol=1e-12)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_heatmap_equals_densify_heatmap(dtype):
-    params = init_params(toy_architecture(), seed=4, dtype=dtype)
-    heads = forward(params, Tensor(rng(4).uniform(0, 1, (16, 24)).astype(dtype)))
-    heat = heatmap(heads.detect)
-    assert heat.dtype == dtype and heat.shape == (16, 24)
-    np.testing.assert_array_equal(heat.data, densify(heads).heatmap.data)
-    with pytest.raises(ValueError, match="65"):
-        heatmap(Tensor(np.zeros((2, 2, 64))))
+def test_densify_unit_norms_and_zero_stays_zero(dtype):
+    x = rng(14).uniform(0.2, 1.0, (2, 3, 5)).astype(dtype)
+    got = densify(x)
+    assert got.dtype == dtype and got.shape == (16, 24, 5)
+    tol = 1e-12 if dtype == np.float64 else 1e-6
+    np.testing.assert_allclose(np.linalg.norm(got.astype(np.float64), axis=2), 1.0, atol=tol)
+    zero = densify(np.zeros((2, 3, 4), dtype=dtype))
+    assert np.all(zero == 0.0)
+    # below the norm floor a vector is divided by the floor, not by its norm
+    tiny = densify(np.full((1, 1, 3), 1e-14))
+    np.testing.assert_allclose(tiny, 1e-2, rtol=1e-9)
+    with pytest.raises(ValueError, match="Hc x Wc x D"):
+        densify(np.zeros((2, 3)))
 
 
 def test_validate_names_bad_layer():

@@ -10,10 +10,11 @@ from endofeat.synthetic import (
     add_specular_blobs,
     band_limited_texture,
     planted_label,
-    random_two_view_scene,
     specular_training_set,
     warped_sequence,
 )
+
+from helpers import random_two_view_scene
 
 
 def test_band_limited_texture_range_and_determinism():
