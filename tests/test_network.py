@@ -109,6 +109,40 @@ def test_heatmap_is_cellwise_probability(dtype):
         heatmap(Tensor(np.zeros((2, 2, 64))))
 
 
+def test_densify_heatmap_is_cellwise_probability():
+    # both decoders on one forward pass: the detect head to the heatmap, the
+    # describe head (as a plain array) to the dense unit-norm descriptors
+    params = init_params(toy_architecture(), seed=1)
+    heads = forward(params, Tensor(rng(1).uniform(0, 1, (16, 16))))
+    heat = heatmap(heads.detect).data
+    assert heat.shape == (16, 16)
+    assert heat.min() >= 0.0
+    cell_sums = heat.reshape(2, 8, 2, 8).sum(axis=(1, 3))
+    assert np.all(cell_sums <= 1.0 + 1e-12)  # dustbin holds the remainder
+    desc = densify(heads.describe.data)
+    assert desc.shape == (16, 16, 2)
+    np.testing.assert_allclose(np.linalg.norm(desc, axis=2), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_heatmap_equals_densify_heatmap(dtype):
+    # heatmap against a per-pixel oracle of the dense decoding: pixel
+    # (8i + r, 8j + c) holds the softmax mass of channel 8r + c of cell (i, j)
+    params = init_params(toy_architecture(), seed=4, dtype=dtype)
+    heads = forward(params, Tensor(rng(4).uniform(0, 1, (16, 24)).astype(dtype)))
+    heat = heatmap(heads.detect)
+    assert heat.dtype == dtype and heat.shape == (16, 24)
+    logits = heads.detect.data.astype(np.float64)
+    want = np.zeros((16, 24))
+    for y in range(16):
+        for x in range(24):
+            cell = logits[y // 8, x // 8]
+            p = np.exp(cell - cell.max())
+            want[y, x] = p[(y % 8) * 8 + x % 8] / p.sum()
+    tol = 1e-12 if dtype == np.float64 else 1e-6
+    np.testing.assert_allclose(heat.data, want, rtol=tol, atol=tol)
+
+
 def _cubic(d):
     d = abs(d)
     if d <= 1.0:
