@@ -139,10 +139,17 @@ def cmd_train(config: RunConfig, args) -> int:
             + ", ".join(str(m) for m in missing)
             + " (run the pseudolabel command first)"
         )
-    samples = [
-        train.TrainingSample(image, data.load_label(data.label_path(label_dir, fid)))
-        for fid, image in data.ingest_frames(config.frames_dir)
-    ]
+    samples = []
+    for fid, image in data.ingest_frames(config.frames_dir):
+        path = data.label_path(label_dir, fid)
+        label = data.load_label(path)
+        h, w = image.shape
+        xs, ys = label.points[:, 0], label.points[:, 1]
+        outside = (xs < 0) | (xs >= w) | (ys < 0) | (ys >= h)
+        if outside.any():
+            x, y = label.points[outside][0]
+            raise ValueError(f"{path}: point ({x}, {y}) outside the {h}x{w} frame")
+        samples.append(train.TrainingSample(image, label))
 
     os.makedirs(config.output_dir, exist_ok=True)
     out_weights = os.path.join(config.output_dir, "trained.weights")

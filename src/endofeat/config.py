@@ -1,8 +1,9 @@
 """Run configuration for the command-line harness.
 
 Config files are line-oriented ``key = value`` text with ``#`` comments.
-Keys map one-to-one onto RunConfig fields; unknown or duplicate keys are
-rejected so typos fail loudly before any computation starts. Values are
+Keys map one-to-one onto RunConfig fields; unknown or duplicate keys, and
+detection, label and RANSAC settings the pipeline cannot run with, are
+rejected so mistakes fail loudly before any computation starts. Values are
 converted to the field's declared type (comma-separated for tuples).
 Command-line ``--set key=value`` overrides are applied after the file,
 so flags win. Field defaults are read from the module that owns each
@@ -13,6 +14,7 @@ label and RANSAC constants.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import typing
 from dataclasses import dataclass
@@ -74,6 +76,24 @@ class RunConfig:
     # --- misc ---
     seed: int = 0
     jobs: int = 1
+
+    def __post_init__(self):
+        for key in ("detection_nms_window", "label_nms_window"):
+            window = getattr(self, key)
+            if window < 1 or window % 2 == 0:
+                raise ConfigError(f"key {key!r}: must be odd and positive, got {window}")
+        for key in ("max_features", "label_max_points"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"key {key!r}: must be at least 1, got {getattr(self, key)}")
+        if not 0.0 < self.ransac_confidence < 1.0:
+            raise ConfigError(
+                f"key 'ransac_confidence': must lie in (0, 1), got {self.ransac_confidence}"
+            )
+        if not (math.isfinite(self.ransac_threshold_px) and self.ransac_threshold_px > 0):
+            raise ConfigError(
+                f"key 'ransac_threshold_px': must be finite and positive,"
+                f" got {self.ransac_threshold_px}"
+            )
 
 
 _HINTS = typing.get_type_hints(RunConfig)

@@ -17,6 +17,12 @@ the earliest iteration wins. The winning model is refit by least squares
 on its inliers and the returned flags correspond to the refit model,
 unless the refit sheds more than half of that support — then the sampled
 hypothesis and its flags are returned instead.
+
+Hypotheses are fit and scored in blocks: each model kernel takes a
+leading hypothesis axis, and the public single-model functions are B=1
+calls of it. A stacked numpy.linalg or matmul call runs the same LAPACK
+or BLAS routine on each member that a single call would, so a block
+walked in iteration order gives the serial loop's result bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .ioutil import atomic_write_text, fmt
 RANSAC_CONFIDENCE = 0.9999
 RANSAC_THRESHOLD_PX = 3.0
 RANSAC_MAX_ITERATIONS = 10000
+_BLOCK = 32  # RANSAC hypotheses drawn, fit and scored together
 
 _EPS = 1e-12
 
@@ -175,76 +182,179 @@ def essential_from_pose(pose: RelativePose) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _hartley_stack(points: np.ndarray):
+    """Hartley conditioning of a (B, n, 2) stack of point sets.
+
+    Returns (T (B, 3, 3), normalized points (B, n, 2), ok (B,)). A
+    degenerate member (ok False) gets the identity and zero points, so
+    no NaN or inf reaches the SVD downstream.
+    """
+    centroid = points.mean(axis=1)
+    d = np.sqrt(((points - centroid[:, None]) ** 2).sum(axis=2)).mean(axis=1)
+    ok = np.isfinite(d) & ~(d < _EPS)
+    s = np.sqrt(2.0) / np.where(ok, d, np.sqrt(2.0))
+    centroid = np.where(ok[:, None], centroid, 0.0)
+    t = np.zeros((points.shape[0], 3, 3))
+    t[:, 0, 0] = s
+    t[:, 1, 1] = s
+    t[:, 0, 2] = -s * centroid[:, 0]
+    t[:, 1, 2] = -s * centroid[:, 1]
+    t[:, 2, 2] = 1.0
+    norm = np.where(ok[:, None, None], (points - centroid[:, None]) * s[:, None, None], 0.0)
+    return t, norm, ok
+
+
 def hartley_normalization(points: np.ndarray):
     """Similarity T mapping points to zero centroid, mean distance sqrt(2).
 
     Returns (T, normalized points) or (None, None) for a degenerate cloud.
     """
-    points = np.asarray(points, dtype=np.float64)
-    centroid = points.mean(axis=0)
-    d = np.sqrt(((points - centroid) ** 2).sum(axis=1)).mean()
-    if not np.isfinite(d) or d < _EPS:
-        return None, None
-    s = np.sqrt(2.0) / d
-    t = np.array([[s, 0, -s * centroid[0]], [0, s, -s * centroid[1]], [0, 0, 1.0]])
-    return t, (points - centroid) * s
+    t, norm, ok = _hartley_stack(np.asarray(points, dtype=np.float64)[None])
+    return (t[0], norm[0]) if ok[0] else (None, None)
+
+
+def _dlt_svd(a: np.ndarray):
+    """Singular values and V^T of a (B, m, 9) stack of DLT systems.
+
+    A tall system (a refit) skips the m x m U, which nothing reads:
+    LAPACK returns the same singular values and V^T bit for bit.
+    """
+    _, sv, vt = np.linalg.svd(a, full_matrices=a.shape[1] < a.shape[2])
+    return sv, vt
+
+
+def _fit_one(fit, pts_a: np.ndarray, pts_b: np.ndarray):
+    """One model from a stacked fit kernel as a B=1 call; None when it fails."""
+    models, ok = _fit_block(fit, pts_a[None], pts_b[None])
+    return models[0] if ok[0] else None
+
+
+def _fit_block(fit, sample_a: np.ndarray, sample_b: np.ndarray):
+    """fit on a (B, s, 2) block; if its stacked SVD fails, fit each sample alone.
+
+    Every LAPACK call works on one matrix of the stack, so the fallback
+    gives the same models and only the sample whose own SVD fails comes
+    back invalid, as when each sample was fit on its own.
+    """
+    try:
+        return fit(sample_a, sample_b)
+    except np.linalg.LinAlgError:
+        pass
+    models = np.tile(np.eye(3), (sample_a.shape[0], 1, 1))
+    ok = np.zeros(sample_a.shape[0], bool)
+    for j in range(sample_a.shape[0]):
+        try:
+            m, good = fit(sample_a[j : j + 1], sample_b[j : j + 1])
+        except np.linalg.LinAlgError:
+            continue
+        models[j], ok[j] = m[0], good[0]
+    return models, ok
+
+
+def _fit_homography_stack(pts_a: np.ndarray, pts_b: np.ndarray):
+    """Normalized DLT of B samples (B, n, 2) -> (models (B, 3, 3), ok (B,)).
+
+    Members that fail (ok False) carry the identity. Raises LinAlgError
+    when the stacked SVD does not converge.
+    """
+    b, n = pts_a.shape[:2]
+    t1, na, ok1 = _hartley_stack(pts_a)
+    t2, nb, ok2 = _hartley_stack(pts_b)
+    a = np.zeros((b, 2 * n, 9))
+    x, y = na[..., 0], na[..., 1]
+    u, v = nb[..., 0], nb[..., 1]
+    a[:, 0::2, 0] = -x
+    a[:, 0::2, 1] = -y
+    a[:, 0::2, 2] = -1
+    a[:, 0::2, 6] = x * u
+    a[:, 0::2, 7] = y * u
+    a[:, 0::2, 8] = u
+    a[:, 1::2, 3] = -x
+    a[:, 1::2, 4] = -y
+    a[:, 1::2, 5] = -1
+    a[:, 1::2, 6] = x * v
+    a[:, 1::2, 7] = y * v
+    a[:, 1::2, 8] = v
+    sv, vt = _dlt_svd(a)
+    h = np.linalg.inv(t2) @ vt[:, -1].reshape(b, 3, 3) @ t1
+    ok = ok1 & ok2 & np.isfinite(h).all(axis=(1, 2))
+    if n == 4:  # null space not unique: degenerate (collinear) sample
+        ok &= ~(sv[:, -2] < 1e-9 * np.maximum(sv[:, 0], _EPS))
+    h = np.where(ok[:, None, None], h, np.eye(3))
+    ok &= ~(np.abs(np.linalg.det(h)) < _EPS)
+    scale = np.where(ok & (np.abs(h[:, 2, 2]) > _EPS), h[:, 2, 2], 1.0)
+    return np.where(ok[:, None, None], h / scale[:, None, None], np.eye(3)), ok
 
 
 def fit_homography(pts_a: np.ndarray, pts_b: np.ndarray):
     """Normalized DLT from >= 4 correspondences; None when degenerate."""
     pts_a = np.asarray(pts_a, dtype=np.float64)
     pts_b = np.asarray(pts_b, dtype=np.float64)
-    n = pts_a.shape[0]
-    if n < 4:
+    if pts_a.shape[0] < 4:
         return None
-    t1, na = hartley_normalization(pts_a)
-    t2, nb = hartley_normalization(pts_b)
-    if t1 is None or t2 is None:
-        return None
-    a = np.zeros((2 * n, 9))
-    x, y = na[:, 0], na[:, 1]
-    u, v = nb[:, 0], nb[:, 1]
-    a[0::2, 0] = -x
-    a[0::2, 1] = -y
-    a[0::2, 2] = -1
-    a[0::2, 6] = x * u
-    a[0::2, 7] = y * u
-    a[0::2, 8] = u
-    a[1::2, 3] = -x
-    a[1::2, 4] = -y
-    a[1::2, 5] = -1
-    a[1::2, 6] = x * v
-    a[1::2, 7] = y * v
-    a[1::2, 8] = v
-    try:
-        _, sv, vt = np.linalg.svd(a)
-    except np.linalg.LinAlgError:
-        return None
-    h = vt[-1].reshape(3, 3)
-    if n == 4 and sv[-2] < 1e-9 * max(sv[0], _EPS):
-        return None  # null space not unique: degenerate (collinear) sample
-    h = np.linalg.inv(t2) @ h @ t1
-    if not np.all(np.isfinite(h)) or abs(np.linalg.det(h)) < _EPS:
-        return None
-    if abs(h[2, 2]) > _EPS:
-        h = h / h[2, 2]
-    return h
+    return _fit_one(_fit_homography_stack, pts_a, pts_b)
+
+
+def _transfer_stack(m: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """(B, N) distances from dst to src mapped by each of the B homographies m."""
+    mapped = np.hstack([src, np.ones((src.shape[0], 1))]) @ m.transpose(0, 2, 1)
+    w = mapped[..., 2]
+    bad = np.abs(w) < _EPS
+    w = np.where(bad, 1.0, w)
+    dx = mapped[..., 0] / w - dst[:, 0]
+    dy = mapped[..., 1] / w - dst[:, 1]
+    return np.where(bad, np.inf, np.sqrt(dx * dx + dy * dy))
+
+
+def _homography_distances_stack(h: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
+    """(B, N) symmetric transfer residuals of B homographies (B, 3, 3)."""
+    return np.maximum(
+        _transfer_stack(h, pts_a, pts_b), _transfer_stack(np.linalg.inv(h), pts_b, pts_a)
+    )
 
 
 def homography_distances(h: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
     """Symmetric transfer residual: max of forward and backward distance."""
+    pts_a = np.asarray(pts_a, dtype=np.float64)
+    pts_b = np.asarray(pts_b, dtype=np.float64)
+    return _homography_distances_stack(np.asarray(h, dtype=np.float64)[None], pts_a, pts_b)[0]
 
-    def transfer(m, src, dst):
-        ones = np.ones((src.shape[0], 1))
-        mapped = np.hstack([src, ones]) @ m.T
-        w = mapped[:, 2]
-        bad = np.abs(w) < _EPS
-        w = np.where(bad, 1.0, w)
-        d = np.sqrt(((mapped[:, :2] / w[:, None] - dst) ** 2).sum(axis=1))
-        return np.where(bad, np.inf, d)
 
-    hinv = np.linalg.inv(h)
-    return np.maximum(transfer(h, pts_a, pts_b), transfer(hinv, pts_b, pts_a))
+def _fit_fundamental_stack(pts_a: np.ndarray, pts_b: np.ndarray, essential: bool = False):
+    """Normalized 8-point fit of B samples (B, n, 2) -> (models (B, 3, 3), ok (B,)).
+
+    Members that fail (ok False) carry the identity. Raises LinAlgError
+    when a stacked SVD does not converge.
+    """
+    b, n = pts_a.shape[:2]
+    t1, na, ok1 = _hartley_stack(pts_a)
+    t2, nb, ok2 = _hartley_stack(pts_b)
+    x, y = na[..., 0], na[..., 1]
+    u, v = nb[..., 0], nb[..., 1]
+    a = np.stack([u * x, u * y, u, v * x, v * y, v, x, y, np.ones((b, n))], axis=2)
+    sv, vt = _dlt_svd(a)
+    f = vt[:, -1].reshape(b, 3, 3)
+    ok = ok1 & ok2
+    if n == 8:
+        ok &= ~(sv[:, -2] < 1e-9 * np.maximum(sv[:, 0], _EPS))
+    if not essential:
+        u2, s2, vt2 = np.linalg.svd(f)
+        rank2 = np.zeros((b, 3, 3))
+        rank2[:, 0, 0] = s2[:, 0]
+        rank2[:, 1, 1] = s2[:, 1]
+        f = u2 @ rank2 @ vt2
+    f = np.where(ok[:, None, None], t2.transpose(0, 2, 1) @ f @ t1, np.eye(3))
+    # np.linalg.norm of a single matrix is a BLAS dot; an axis=(1, 2) norm
+    # sums in another order, so each model keeps its own call.
+    norm = np.array([np.linalg.norm(m) for m in f])
+    ok &= np.isfinite(f).all(axis=(1, 2)) & ~(norm < _EPS)
+    f = np.where(ok[:, None, None], f / np.where(ok, norm, 1.0)[:, None, None], np.eye(3))
+    if essential:
+        # single manifold projection, in the original (unconditioned) frame
+        u3, s3, vt3 = np.linalg.svd(f)
+        ok &= ~((s3[:, 0] + s3[:, 1]) / 2.0 < _EPS)
+        f = u3 @ np.diag([1.0, 1.0, 0.0]) @ vt3
+    return np.where(ok[:, None, None], f, np.eye(3)), ok
 
 
 def fit_fundamental(pts_a: np.ndarray, pts_b: np.ndarray, essential: bool = False):
@@ -260,64 +370,36 @@ def fit_fundamental(pts_a: np.ndarray, pts_b: np.ndarray, essential: bool = Fals
     """
     pts_a = np.asarray(pts_a, dtype=np.float64)
     pts_b = np.asarray(pts_b, dtype=np.float64)
-    n = pts_a.shape[0]
-    if n < 8:
+    if pts_a.shape[0] < 8:
         return None
-    t1, na = hartley_normalization(pts_a)
-    t2, nb = hartley_normalization(pts_b)
-    if t1 is None or t2 is None:
-        return None
-    x, y = na[:, 0], na[:, 1]
-    u, v = nb[:, 0], nb[:, 1]
-    a = np.stack([u * x, u * y, u, v * x, v * y, v, x, y, np.ones(n)], axis=1)
-    try:
-        _, sv, vt = np.linalg.svd(a)
-    except np.linalg.LinAlgError:
-        return None
-    f = vt[-1].reshape(3, 3)
-    if n == 8 and sv[-2] < 1e-9 * max(sv[0], _EPS):
-        return None
-    if not essential:
-        try:
-            u2, s2, vt2 = np.linalg.svd(f)
-        except np.linalg.LinAlgError:
-            return None
-        f = u2 @ np.diag([s2[0], s2[1], 0.0]) @ vt2
-    f = t2.T @ f @ t1
-    norm = np.linalg.norm(f)
-    if not np.all(np.isfinite(f)) or norm < _EPS:
-        return None
-    f = f / norm
-    if essential:
-        # single manifold projection, in the original (unconditioned) frame
-        try:
-            u3, s3, vt3 = np.linalg.svd(f)
-        except np.linalg.LinAlgError:
-            return None
-        sigma = (s3[0] + s3[1]) / 2.0
-        if sigma < _EPS:
-            return None
-        f = u3 @ np.diag([1.0, 1.0, 0.0]) @ vt3
-    return f
+    return _fit_one(
+        lambda sa, sb: _fit_fundamental_stack(sa, sb, essential), pts_a, pts_b
+    )
+
+
+def _epipolar_distances_stack(f: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
+    """(B, N) symmetric epipolar residuals of B models (B, 3, 3)."""
+    ones = np.ones((pts_a.shape[0], 1))
+    x1 = np.hstack([pts_a, ones])
+    x2 = np.hstack([pts_b, ones])
+    lines_b = x1 @ f.transpose(0, 2, 1)  # epipolar lines of A-points in image B
+    lines_a = x2 @ f  # epipolar lines of B-points in image A
+    # (x2 * lines_b).sum(axis=2), spelled out in numpy's left-to-right order
+    val = np.abs(x2[:, 0] * lines_b[..., 0] + x2[:, 1] * lines_b[..., 1] + lines_b[..., 2])
+
+    def dist(lines):
+        n = np.sqrt(lines[..., 0] ** 2 + lines[..., 1] ** 2)
+        bad = n < _EPS
+        return np.where(bad, np.inf, val / np.where(bad, 1.0, n))
+
+    return np.maximum(dist(lines_b), dist(lines_a))
 
 
 def epipolar_distances(f: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
     """Symmetric epipolar residual: max point-to-line distance both ways."""
     pts_a = np.asarray(pts_a, dtype=np.float64)
     pts_b = np.asarray(pts_b, dtype=np.float64)
-    ones = np.ones((pts_a.shape[0], 1))
-    x1 = np.hstack([pts_a, ones])
-    x2 = np.hstack([pts_b, ones])
-    lines_b = x1 @ f.T  # epipolar lines of A-points in image B
-    lines_a = x2 @ f  # epipolar lines of B-points in image A
-    val = np.abs((x2 * lines_b).sum(axis=1))
-
-    def dist(val, lines):
-        n = np.sqrt(lines[:, 0] ** 2 + lines[:, 1] ** 2)
-        bad = n < _EPS
-        return np.where(bad, np.inf, val / np.where(bad, 1.0, n))
-
-    return np.maximum(dist(val, lines_b), dist(val, lines_a))
+    return _epipolar_distances_stack(np.asarray(f, dtype=np.float64)[None], pts_a, pts_b)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +456,20 @@ def _ransac(
 ) -> RansacResult:
     """Generic RANSAC core shared by the H, F and E estimators.
 
-    fit(sample_a, sample_b) and residuals(model, pts_a, pts_b) both take
-    pixel points. Samples are drawn from the matches sorted by index pair,
-    so the seed-to-sample mapping ignores the caller's match ordering.
+    fit(sample_a, sample_b) takes a (B, s, 2) stack of pixel samples and
+    returns (models (B, 3, 3), ok (B,)); residuals(models, pts_a, pts_b)
+    returns the (B, N) residuals of every match under each model. Samples
+    are drawn from the matches sorted by index pair, so the seed-to-sample
+    mapping ignores the caller's match ordering.
+
+    Hypotheses are drawn, fit and scored in blocks of up to _BLOCK, then
+    walked in iteration order with the serial best/bound update; those
+    past the bound are discarded and not counted. The result equals the
+    one-hypothesis-at-a-time loop bit for bit: iteration it still draws
+    from _hypothesis_rng(seed, it), each LAPACK and BLAS call of a
+    stacked fit or residual pass works on one model exactly as a single
+    fit does, the winner's flags are its row of the block's residual
+    pass, and the refit is a B=1 call of the same kernels.
     """
     n = len(matches)
 
@@ -390,30 +483,44 @@ def _ransac(
     ca, cb = pts_a[order], pts_b[order]
 
     best_count = -1
-    best_model = None
+    best_model = flags = None
     bound = RANSAC_MAX_ITERATIONS
     it = 0
     while it < bound:
-        rng = _hypothesis_rng(seed, it)
-        pick = rng.choice(n, size=sample_size, replace=False)
-        model = fit(ca[pick], cb[pick])
-        it += 1
-        if model is None:
-            continue
-        count = int((residuals(model, pts_a, pts_b) <= threshold).sum())
-        if count > best_count:
-            best_count = count
-            best_model = model
-            bound = min(bound, _adaptive_bound(count / n, sample_size, confidence))
+        picks = np.stack(
+            [
+                _hypothesis_rng(seed, it + j).choice(n, size=sample_size, replace=False)
+                for j in range(min(_BLOCK, bound - it))
+            ]
+        )
+        models, ok = _fit_block(fit, ca[picks], cb[picks])
+        try:
+            inside = residuals(models, pts_a, pts_b) <= threshold
+        except np.linalg.LinAlgError:
+            # A model without a transfer inverse: score them one at a time,
+            # so that only a hypothesis within the bound raises.
+            inside = None
+        for j in range(len(picks)):
+            it += 1
+            if ok[j]:
+                row = (
+                    inside[j] if inside is not None
+                    else residuals(models[j : j + 1], pts_a, pts_b)[0] <= threshold
+                )
+                count = int(row.sum())
+                if count > best_count:
+                    best_count, best_model, flags = count, models[j], row
+                    bound = min(bound, _adaptive_bound(count / n, sample_size, confidence))
+            if it >= bound:
+                break
     if best_model is None:
         return failed(it, "all hypotheses degenerate")
-    flags = residuals(best_model, pts_a, pts_b) <= threshold
     if flags.sum() < sample_size:
         return failed(it, "insufficient inlier support")
-    refit = fit(pts_a[flags], pts_b[flags])
+    refit = _fit_one(fit, pts_a[flags], pts_b[flags])
     if refit is None:
         return failed(it, "degenerate final support")
-    new_flags = residuals(refit, pts_a, pts_b) <= threshold
+    new_flags = residuals(refit[None], pts_a, pts_b)[0] <= threshold
     if 2 * int(new_flags.sum()) < int(flags.sum()):
         # An algebraic least-squares refit can drift far from the geometric
         # inlier criterion (plane-dominant or low-parallax supports) and shed
@@ -435,7 +542,7 @@ def estimate_homography_ransac(
     """Robust plane-projective fit; inlier = symmetric transfer <= threshold."""
     return _ransac(
         matches, kp_a, kp_b, 4,
-        fit_homography, homography_distances, threshold_px, confidence, seed,
+        _fit_homography_stack, _homography_distances_stack, threshold_px, confidence, seed,
     )
 
 
@@ -450,8 +557,13 @@ def estimate_fundamental_ransac(
     """Robust uncalibrated epipolar fit, rank-2 enforced."""
     return _ransac(
         matches, kp_a, kp_b, 8,
-        fit_fundamental, epipolar_distances, threshold_px, confidence, seed,
+        _fit_fundamental_stack, _epipolar_distances_stack, threshold_px, confidence, seed,
     )
+
+
+def _pixel_frame(e: np.ndarray, kinv: np.ndarray) -> np.ndarray:
+    """Pixel-frame fundamental matrices K^-T E K^-1 of (B, 3, 3) essentials."""
+    return kinv.T @ e @ kinv
 
 
 def estimate_essential_ransac(
@@ -472,11 +584,12 @@ def estimate_essential_ransac(
     kinv = np.linalg.inv(intrinsics.matrix)
 
     def fit(sa, sb):
-        return fit_fundamental(intrinsics.normalize(sa), intrinsics.normalize(sb), essential=True)
+        na = intrinsics.normalize(sa).reshape(sa.shape)
+        nb = intrinsics.normalize(sb).reshape(sb.shape)
+        return _fit_fundamental_stack(na, nb, essential=True)
 
     def residuals(e, pts_a, pts_b):
-        f_px = kinv.T @ e @ kinv
-        return epipolar_distances(f_px, pts_a, pts_b)
+        return _epipolar_distances_stack(_pixel_frame(e, kinv), pts_a, pts_b)
 
     return _ransac(matches, kp_a, kp_b, 8, fit, residuals, threshold_px, confidence, seed)
 
@@ -564,11 +677,9 @@ def pgt_inliers(
     """Matches consistent with a reference pose's epipolar geometry."""
     if len(matches) == 0:
         return np.zeros(0, dtype=bool)
-    e = essential_from_pose(pose)
-    kinv = np.linalg.inv(intrinsics.matrix)
-    f_px = kinv.T @ e @ kinv
+    f_px = _pixel_frame(essential_from_pose(pose)[None], np.linalg.inv(intrinsics.matrix))
     pts_a, pts_b = _match_points(matches, kp_a, kp_b)
-    return epipolar_distances(f_px, pts_a, pts_b) <= threshold_px
+    return _epipolar_distances_stack(f_px, pts_a, pts_b)[0] <= threshold_px
 
 
 # ---------------------------------------------------------------------------

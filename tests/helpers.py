@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from endofeat import losses, network
 from endofeat import tensor as T
 from endofeat.data import PseudoLabel, warp_label
-from endofeat.geometry import Intrinsics, RelativePose, rotation_to_quat
+from endofeat import geometry
+from endofeat.geometry import Intrinsics, RelativePose, RansacResult, rotation_to_quat
 from endofeat.homography import (
     HomographyConfig,
     correspondence_tensor,
@@ -276,3 +277,202 @@ def random_two_view_scene(
         pts_b = pts_b + rng.normal(0, noise_px, pts_b.shape)
     pose = RelativePose(rotation_to_quat(r), t)
     return pts_a, pts_b, pose, intrinsics
+
+
+# ---------------------------------------------------------------------------
+# serial RANSAC oracle: one hypothesis at a time, single-model fits and
+# residuals, exactly as geometry ran them before hypotheses were stacked
+# ---------------------------------------------------------------------------
+
+_EPS = 1e-12
+
+
+def oracle_hartley_normalization(points):
+    points = np.asarray(points, dtype=np.float64)
+    centroid = points.mean(axis=0)
+    d = np.sqrt(((points - centroid) ** 2).sum(axis=1)).mean()
+    if not np.isfinite(d) or d < _EPS:
+        return None, None
+    s = np.sqrt(2.0) / d
+    t = np.array([[s, 0, -s * centroid[0]], [0, s, -s * centroid[1]], [0, 0, 1.0]])
+    return t, (points - centroid) * s
+
+
+def oracle_fit_homography(pts_a, pts_b):
+    pts_a = np.asarray(pts_a, dtype=np.float64)
+    pts_b = np.asarray(pts_b, dtype=np.float64)
+    n = pts_a.shape[0]
+    if n < 4:
+        return None
+    t1, na = oracle_hartley_normalization(pts_a)
+    t2, nb = oracle_hartley_normalization(pts_b)
+    if t1 is None or t2 is None:
+        return None
+    a = np.zeros((2 * n, 9))
+    x, y = na[:, 0], na[:, 1]
+    u, v = nb[:, 0], nb[:, 1]
+    a[0::2, 0] = -x
+    a[0::2, 1] = -y
+    a[0::2, 2] = -1
+    a[0::2, 6] = x * u
+    a[0::2, 7] = y * u
+    a[0::2, 8] = u
+    a[1::2, 3] = -x
+    a[1::2, 4] = -y
+    a[1::2, 5] = -1
+    a[1::2, 6] = x * v
+    a[1::2, 7] = y * v
+    a[1::2, 8] = v
+    try:
+        _, sv, vt = np.linalg.svd(a)
+    except np.linalg.LinAlgError:
+        return None
+    h = vt[-1].reshape(3, 3)
+    if n == 4 and sv[-2] < 1e-9 * max(sv[0], _EPS):
+        return None
+    h = np.linalg.inv(t2) @ h @ t1
+    if not np.all(np.isfinite(h)) or abs(np.linalg.det(h)) < _EPS:
+        return None
+    if abs(h[2, 2]) > _EPS:
+        h = h / h[2, 2]
+    return h
+
+
+def oracle_homography_distances(h, pts_a, pts_b):
+    def transfer(m, src, dst):
+        ones = np.ones((src.shape[0], 1))
+        mapped = np.hstack([src, ones]) @ m.T
+        w = mapped[:, 2]
+        bad = np.abs(w) < _EPS
+        w = np.where(bad, 1.0, w)
+        d = np.sqrt(((mapped[:, :2] / w[:, None] - dst) ** 2).sum(axis=1))
+        return np.where(bad, np.inf, d)
+
+    hinv = np.linalg.inv(h)
+    return np.maximum(transfer(h, pts_a, pts_b), transfer(hinv, pts_b, pts_a))
+
+
+def oracle_fit_fundamental(pts_a, pts_b, essential=False):
+    pts_a = np.asarray(pts_a, dtype=np.float64)
+    pts_b = np.asarray(pts_b, dtype=np.float64)
+    n = pts_a.shape[0]
+    if n < 8:
+        return None
+    t1, na = oracle_hartley_normalization(pts_a)
+    t2, nb = oracle_hartley_normalization(pts_b)
+    if t1 is None or t2 is None:
+        return None
+    x, y = na[:, 0], na[:, 1]
+    u, v = nb[:, 0], nb[:, 1]
+    a = np.stack([u * x, u * y, u, v * x, v * y, v, x, y, np.ones(n)], axis=1)
+    try:
+        _, sv, vt = np.linalg.svd(a)
+    except np.linalg.LinAlgError:
+        return None
+    f = vt[-1].reshape(3, 3)
+    if n == 8 and sv[-2] < 1e-9 * max(sv[0], _EPS):
+        return None
+    if not essential:
+        try:
+            u2, s2, vt2 = np.linalg.svd(f)
+        except np.linalg.LinAlgError:
+            return None
+        f = u2 @ np.diag([s2[0], s2[1], 0.0]) @ vt2
+    f = t2.T @ f @ t1
+    norm = np.linalg.norm(f)
+    if not np.all(np.isfinite(f)) or norm < _EPS:
+        return None
+    f = f / norm
+    if essential:
+        try:
+            u3, s3, vt3 = np.linalg.svd(f)
+        except np.linalg.LinAlgError:
+            return None
+        sigma = (s3[0] + s3[1]) / 2.0
+        if sigma < _EPS:
+            return None
+        f = u3 @ np.diag([1.0, 1.0, 0.0]) @ vt3
+    return f
+
+
+def oracle_epipolar_distances(f, pts_a, pts_b):
+    pts_a = np.asarray(pts_a, dtype=np.float64)
+    pts_b = np.asarray(pts_b, dtype=np.float64)
+    ones = np.ones((pts_a.shape[0], 1))
+    x1 = np.hstack([pts_a, ones])
+    x2 = np.hstack([pts_b, ones])
+    lines_b = x1 @ f.T
+    lines_a = x2 @ f
+    val = np.abs((x2 * lines_b).sum(axis=1))
+
+    def dist(val, lines):
+        n = np.sqrt(lines[:, 0] ** 2 + lines[:, 1] ** 2)
+        bad = n < _EPS
+        return np.where(bad, np.inf, val / np.where(bad, 1.0, n))
+
+    return np.maximum(dist(val, lines_b), dist(val, lines_a))
+
+
+def oracle_ransac(matches, kp_a, kp_b, sample_size, fit, residuals, threshold, confidence, seed):
+    n = len(matches)
+
+    def failed(iterations, reason):
+        return RansacResult(False, None, np.zeros(n, bool), iterations, reason)
+
+    if n < sample_size:
+        return failed(0, f"need at least {sample_size} matches")
+    pairs = matches.pairs
+    pts_a, pts_b = kp_a.points[pairs[:, 0]], kp_b.points[pairs[:, 1]]
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    ca, cb = pts_a[order], pts_b[order]
+
+    best_count = -1
+    best_model = None
+    bound = geometry.RANSAC_MAX_ITERATIONS
+    it = 0
+    while it < bound:
+        rng = geometry._hypothesis_rng(seed, it)
+        pick = rng.choice(n, size=sample_size, replace=False)
+        model = fit(ca[pick], cb[pick])
+        it += 1
+        if model is None:
+            continue
+        count = int((residuals(model, pts_a, pts_b) <= threshold).sum())
+        if count > best_count:
+            best_count = count
+            best_model = model
+            bound = min(bound, geometry._adaptive_bound(count / n, sample_size, confidence))
+    if best_model is None:
+        return failed(it, "all hypotheses degenerate")
+    flags = residuals(best_model, pts_a, pts_b) <= threshold
+    if flags.sum() < sample_size:
+        return failed(it, "insufficient inlier support")
+    refit = fit(pts_a[flags], pts_b[flags])
+    if refit is None:
+        return failed(it, "degenerate final support")
+    new_flags = residuals(refit, pts_a, pts_b) <= threshold
+    if 2 * int(new_flags.sum()) < int(flags.sum()):
+        return RansacResult(True, best_model, flags, it)
+    return RansacResult(True, refit, new_flags, it)
+
+
+def oracle_estimate(tag, matches, kp_a, kp_b, intrinsics=None, threshold_px=3.0,
+                    confidence=geometry.RANSAC_CONFIDENCE, seed=0):
+    """The serial H ('H'), F ('F') or E ('E') estimator."""
+    if tag == "H":
+        fit, residuals, size = oracle_fit_homography, oracle_homography_distances, 4
+    elif tag == "F":
+        fit, residuals, size = oracle_fit_fundamental, oracle_epipolar_distances, 8
+    else:
+        kinv = np.linalg.inv(intrinsics.matrix)
+
+        def fit(sa, sb):
+            return oracle_fit_fundamental(
+                intrinsics.normalize(sa), intrinsics.normalize(sb), essential=True
+            )
+
+        def residuals(e, pts_a, pts_b):
+            return oracle_epipolar_distances(kinv.T @ e @ kinv, pts_a, pts_b)
+
+        size = 8
+    return oracle_ransac(matches, kp_a, kp_b, size, fit, residuals, threshold_px, confidence, seed)

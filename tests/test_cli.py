@@ -170,6 +170,38 @@ def test_train_without_labels_exits_2(tmp_path, capsys):
     assert "missing label files" in err and "pseudolabel" in err
 
 
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("detect", "max_features=0"),
+        ("detect", "detection_nms_window=4"),
+        ("pseudolabel", "label_nms_window=4"),
+        ("pseudolabel", "label_max_points=0"),
+        ("eval", "ransac_confidence=1"),
+        ("eval", "ransac_threshold_px=nan"),
+    ],
+)
+def test_invalid_setting_exits_2_before_any_frame(tmp_path, capsys, command, setting):
+    ws = make_workspace(tmp_path, n_frames=2)
+    assert run(ws, command, "--set", setting) == 2
+    captured = capsys.readouterr()
+    assert f"key '{setting.split('=')[0]}'" in captured.err
+    assert "failed" not in captured.err and captured.out == ""
+    assert not ws["out"].exists()
+
+
+def test_train_label_outside_frame_names_file(tmp_path, capsys):
+    ws = make_workspace(tmp_path, n_frames=2)
+    assert run(ws, "pseudolabel") == 0
+    label = ws["out"] / "labels" / "frame_000001.txt"
+    label.write_text("1000 3 0.5\n")
+    capsys.readouterr()
+    assert run(ws, "train") == 2
+    err = capsys.readouterr().err
+    assert f"{label}: point (1000, 3) outside the 64x64 frame" in err
+    assert not (ws["out"] / "trained.weights").exists()
+
+
 def test_match_is_not_a_command(tmp_path, capsys):
     # eval computes matches in memory and writes every report file itself
     ws = make_workspace(tmp_path, n_frames=2)

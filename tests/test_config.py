@@ -103,6 +103,29 @@ def test_apply_overrides_win_and_validate():
         apply_overrides(cfg, ["sneed=1"])
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("detection_nms_window", "4"),
+        ("detection_nms_window", "0"),
+        ("label_nms_window", "-3"),
+        ("max_features", "0"),
+        ("label_max_points", "-1"),
+        ("ransac_confidence", "0"),
+        ("ransac_confidence", "1.0"),
+        ("ransac_confidence", "nan"),
+        ("ransac_threshold_px", "0"),
+        ("ransac_threshold_px", "inf"),
+        ("ransac_threshold_px", "nan"),
+    ],
+)
+def test_detection_label_and_ransac_settings_validated(key, value):
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        parse_config_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        apply_overrides(RunConfig(), [f"{key}={value}"])
+
+
 def test_derived_paths():
     cfg = RunConfig(output_dir="run")
     assert labels_dir(cfg) == os.path.join("run", "labels")

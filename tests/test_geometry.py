@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endofeat import geometry
 from endofeat.geometry import (
+    RANSAC_MAX_ITERATIONS,
     Intrinsics,
     PoseRecoveryError,
     RelativePose,
@@ -34,7 +36,17 @@ from endofeat.geometry import (
 )
 from endofeat.homography import HomographyConfig, sample_homography, to_pixel_frame, warp_points
 from endofeat.matching import KeypointSet, MatchSet
-from helpers import random_rotation, random_two_view_scene, rng
+from helpers import (
+    oracle_epipolar_distances,
+    oracle_estimate,
+    oracle_fit_fundamental,
+    oracle_fit_homography,
+    oracle_homography_distances,
+    oracle_ransac,
+    random_rotation,
+    random_two_view_scene,
+    rng,
+)
 
 
 # --- quaternions -----------------------------------------------------------
@@ -241,6 +253,239 @@ def test_essential_ransac_survives_outliers():
     rel = quat_multiply(est.quaternion, quat_conjugate(pose.quaternion))
     assert quat_rotation_angle_deg(rel) < 0.5
     assert float(est.translation @ pose.translation) > 0.999
+
+
+def test_ransac_all_hypotheses_degenerate_on_collinear_points():
+    xs = np.arange(12.0)
+    pts_a = np.stack([xs * 5, xs * 10 + 1], axis=1)  # every sample is collinear
+    pts_b = rng(80).uniform(0, 64, (12, 2))
+    kp_a, kp_b, matches, _ = _identity_matches(pts_a, pts_b)
+    res = estimate_homography_ransac(matches, kp_a, kp_b, seed=1)
+    assert not res.success and res.model is None
+    assert res.iterations == RANSAC_MAX_ITERATIONS
+    assert res.reason == "all hypotheses degenerate"
+    np.testing.assert_array_equal(res.inliers, np.zeros(12, bool))
+
+
+def test_ransac_insufficient_inlier_support():
+    # 9 unrelated matches: the rank-2 projection of an 8-point fit keeps
+    # fewer than 8 of them within 3 px; a low confidence stops after one draw
+    r = np.random.default_rng(0)
+    pts_a = r.uniform(0, 64, (9, 2)).round()
+    pts_b = r.uniform(0, 64, (9, 2)).round()
+    kp_a, kp_b, matches, _ = _identity_matches(pts_a, pts_b)
+    res = estimate_fundamental_ransac(matches, kp_a, kp_b, confidence=1e-6, seed=0)
+    assert not res.success and res.model is None
+    assert res.iterations == 1
+    assert res.reason == "insufficient inlier support"
+    np.testing.assert_array_equal(res.inliers, np.zeros(9, bool))
+
+
+def test_ransac_refit_collapse_keeps_sampled_model():
+    r = rng((90, 3))
+    pts_a = r.uniform(0, 64, (20, 2))
+    pts_b = r.uniform(0, 64, (20, 2))
+    kp_a, kp_b, matches, _ = _identity_matches(pts_a, pts_b)
+    res = estimate_homography_ransac(matches, kp_a, kp_b, threshold_px=20.0, seed=3)
+    assert res.success and res.reason == "" and res.iterations == 220
+    # the winner is hypothesis 123, returned as sampled with its own flags
+    pick = geometry._hypothesis_rng(3, 123).choice(20, size=4, replace=False)
+    sampled = fit_homography(pts_a[pick], pts_b[pick])
+    assert res.model.tobytes() == sampled.tobytes()
+    flags = homography_distances(sampled, pts_a, pts_b) <= 20.0
+    np.testing.assert_array_equal(res.inliers, flags)
+    assert flags.sum() == 9
+    # because the least-squares refit on those 9 keeps only 1 of them
+    refit = fit_homography(pts_a[flags], pts_b[flags])
+    assert (homography_distances(refit, pts_a, pts_b) <= 20.0).sum() == 1
+
+
+# --- stacked RANSAC against the serial oracle ------------------------------
+
+
+def _estimate(tag, matches, kp_a, kp_b, k, confidence, seed):
+    if tag == "H":
+        return estimate_homography_ransac(matches, kp_a, kp_b, confidence, seed=seed)
+    if tag == "F":
+        return estimate_fundamental_ransac(matches, kp_a, kp_b, confidence, seed=seed)
+    return estimate_essential_ransac(matches, kp_a, kp_b, k, confidence, seed=seed)
+
+
+def _assert_same_result(got, want):
+    assert (got.success, got.iterations, got.reason) == (want.success, want.iterations, want.reason)
+    assert got.inliers.tobytes() == want.inliers.tobytes()
+    if want.model is None:
+        assert got.model is None
+    else:
+        assert got.model.tobytes() == want.model.tobytes()
+
+
+def _oracle_scene(index):
+    """0-59 matches of a two-view scene, some planar, collinear or duplicated,
+    with 0-60% of the B points replaced by uniform outliers."""
+    r = rng((95, index))
+    n = int(r.integers(0, 60))
+    pts_a, pts_b, _, k = random_two_view_scene(max(n, 1), seed=(96, index), noise_px=r.uniform(0, 0.5))
+    pts_a, pts_b = pts_a[:n], pts_b[:n]
+    kind = index % 6
+    if kind == 1:  # near-homography
+        h = np.eye(3) + r.normal(0, 1e-3, (3, 3))
+        h[:2, 2] += r.normal(0, 5, 2)
+        pts_b = warp_points(pts_a, h) + r.normal(0, 0.3, pts_a.shape)
+    elif kind == 2:  # image-A points on one line
+        pts_a[:, 1] = 0.5 * pts_a[:, 0] + 3.0
+    elif kind == 3:  # duplicated points: about n/3 distinct positions
+        src = r.integers(0, max(1, n // 3), n)
+        pts_a, pts_b = pts_a[src], pts_b[src]
+    outliers = r.random(n) < r.uniform(0, 0.6)
+    pts_b[outliers] = r.uniform(0, 640, (int(outliers.sum()), 2))
+    return pts_a, pts_b, k, (0.9999, 0.99, 0.9)[index % 3]
+
+
+def test_block_ransac_matches_serial_oracle(monkeypatch):
+    # A 100-iteration cap keeps the oracle affordable on all-degenerate and
+    # outlier-heavy scenes, and ends those runs 4 hypotheses into a block.
+    monkeypatch.setattr(geometry, "RANSAC_MAX_ITERATIONS", 100)
+    reasons = set()
+    for index in range(150):
+        pts_a, pts_b, k, confidence = _oracle_scene(index)
+        kp_a, kp_b, matches, _ = _identity_matches(pts_a, pts_b)
+        for tag in "HFE":
+            want = oracle_estimate(tag, matches, kp_a, kp_b, k, confidence=confidence, seed=index)
+            got = _estimate(tag, matches, kp_a, kp_b, k, confidence, index)
+            _assert_same_result(got, want)
+            reasons.add(want.reason)
+    assert reasons == {
+        "",
+        "all hypotheses degenerate",
+        "insufficient inlier support",
+        "degenerate final support",
+        "need at least 4 matches",
+        "need at least 8 matches",
+    }
+
+
+@pytest.mark.parametrize("tag", ["H", "F", "E"])
+@pytest.mark.parametrize("stop", [31, 32, 33])
+def test_block_ransac_stops_at_block_edges(tag, stop):
+    # Noise-free inliers plus far outliers: the best hypothesis holds exactly
+    # the inliers, so a confidence solved from the inlier ratio pins the bound.
+    pts_a, pts_b, _, k = random_two_view_scene(45, seed=(97, stop))
+    if tag == "H":
+        pts_b = warp_points(pts_a, _random_pixel_homography((98, stop), size=640))
+    pts_b = pts_b.copy()
+    pts_b[40:] += 300.0
+    kp_a, kp_b, matches, _ = _identity_matches(pts_a, pts_b)
+    p_good = (40 / 45) ** (4 if tag == "H" else 8)
+    confidence = 1.0 - (1.0 - p_good) ** (stop - 0.5)
+    want = oracle_estimate(tag, matches, kp_a, kp_b, k, confidence=confidence, seed=stop)
+    assert want.success and want.iterations == stop and want.inliers.sum() == 40
+    _assert_same_result(_estimate(tag, matches, kp_a, kp_b, k, confidence, stop), want)
+
+
+def test_block_ransac_linalg_fallbacks_match_serial_oracle():
+    # A LinAlgError from a stacked fit refits the block one sample at a time
+    # and one from a stacked residual pass scores it one model at a time;
+    # a sample whose own fit raises is skipped, as the serial loop skipped it.
+    pts_a = rng(101).uniform(0, 640, (50, 2))
+    pts_b = warp_points(pts_a, _random_pixel_homography(102, size=640))
+    pts_b[30:] = rng(103).uniform(0, 640, (20, 2))
+    kp_a, kp_b, matches, _ = _identity_matches(pts_a, pts_b)
+
+    def poisoned(sa):  # a 4-point sample holding match 0
+        return len(sa) == 4 and (sa[:, 0] == pts_a[0, 0]).any()
+
+    def fit(sa, sb):
+        if len(sa) > 1 or poisoned(sa[0]):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return geometry._fit_homography_stack(sa, sb)
+
+    def residuals(models, pa, pb):
+        if len(models) > 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return geometry._homography_distances_stack(models, pa, pb)
+
+    def oracle_fit(sa, sb):
+        return None if poisoned(sa) else oracle_fit_homography(sa, sb)
+
+    want = oracle_ransac(
+        matches, kp_a, kp_b, 4, oracle_fit, oracle_homography_distances, 3.0, 0.9999, 7
+    )
+    got = geometry._ransac(matches, kp_a, kp_b, 4, fit, residuals, 3.0, 0.9999, 7)
+    assert want.success and want.iterations > 32
+    skipped = [
+        it for it in range(want.iterations)
+        if 0 in geometry._hypothesis_rng(7, it).choice(50, size=4, replace=False)
+    ]
+    assert skipped  # the poisoned path was taken
+    _assert_same_result(got, want)
+
+
+def _same_or_none(got, want):
+    return got is None and want is None or (
+        got is not None and want is not None and got.tobytes() == want.tobytes()
+    )
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 37, 200, 640])
+def test_single_model_kernels_match_oracle(n):
+    r = rng((99, n))
+    for trial in range(12):
+        pts_a = r.uniform(0, 320, (n, 2))
+        pts_b = pts_a + r.normal(0, 5, (n, 2))
+        if trial % 4 == 1:
+            pts_a[:, 1] = 2 * pts_a[:, 0] + 1
+        elif trial % 4 == 2:
+            pts_a[:] = pts_a[0]
+        h = fit_homography(pts_a, pts_b)
+        assert _same_or_none(h, oracle_fit_homography(pts_a, pts_b))
+        for essential in (False, True):
+            na, nb = pts_a / 300, pts_b / 300
+            assert _same_or_none(
+                fit_fundamental(na, nb, essential), oracle_fit_fundamental(na, nb, essential)
+            )
+        model = r.normal(size=(3, 3))
+        assert homography_distances(model, pts_a, pts_b).tobytes() == (
+            oracle_homography_distances(model, pts_a, pts_b).tobytes()
+        )
+        assert epipolar_distances(model, pts_a, pts_b).tobytes() == (
+            oracle_epipolar_distances(model, pts_a, pts_b).tobytes()
+        )
+
+
+@pytest.mark.parametrize(
+    "size, stack_fit, oracle_fit",
+    [
+        (4, geometry._fit_homography_stack, oracle_fit_homography),
+        (8, geometry._fit_fundamental_stack, oracle_fit_fundamental),
+        (
+            8,
+            lambda a, b: geometry._fit_fundamental_stack(a, b, essential=True),
+            lambda a, b: oracle_fit_fundamental(a, b, essential=True),
+        ),
+    ],
+    ids=["H", "F", "E"],
+)
+def test_stacked_fits_match_oracle_with_degenerate_members(size, stack_fit, oracle_fit):
+    r = rng((100, size))
+    for trial in range(10):
+        sa = r.uniform(0, 2, (32, size, 2))
+        sb = sa + r.normal(0, 0.1, (32, size, 2))
+        sa[3] = sa[3, 0]  # one point repeated
+        sa[5, :, 1] = sa[5, :, 0]  # collinear
+        sb[7] = 0.0  # all at the origin
+        models, ok = stack_fit(sa, sb)
+        for j in range(32):
+            assert _same_or_none(models[j] if ok[j] else None, oracle_fit(sa[j], sb[j]))
+        assert not ok[[3, 5, 7]].any()
+        residual = (
+            geometry._homography_distances_stack if size == 4 else geometry._epipolar_distances_stack
+        )
+        oracle_residual = oracle_homography_distances if size == 4 else oracle_epipolar_distances
+        pts_a, pts_b = r.uniform(0, 2, (50, 2)), r.uniform(0, 2, (50, 2))
+        stacked = residual(models, pts_a, pts_b)
+        for j in range(32):
+            assert stacked[j].tobytes() == oracle_residual(models[j], pts_a, pts_b).tobytes()
 
 
 def test_recover_pose_requires_inliers():
