@@ -140,7 +140,8 @@ def cmd_train(config: RunConfig, args) -> int:
             + " (run the pseudolabel command first)"
         )
     samples = []
-    for fid, image in data.ingest_frames(config.frames_dir):
+    for fid, frame_path in frames:
+        image = data.read_frame(frame_path)
         path = data.label_path(label_dir, fid)
         label = data.load_label(path)
         h, w = image.shape
@@ -213,8 +214,7 @@ def cmd_detect(config: RunConfig, args) -> int:
 
 
 def cmd_eval(config: RunConfig, args) -> int:
-    _frame_list(config)  # ConfigError on a missing or empty frames_dir
-    images = dict(data.ingest_frames(config.frames_dir))
+    images = {fid: data.read_frame(path) for fid, path in _frame_list(config)}
     shape = next(iter(images.values())).shape
     for frame_id, image in images.items():
         if image.shape != shape:

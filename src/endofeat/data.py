@@ -2,9 +2,11 @@
 
 Frames are binary PGM (P5) files named ``frame_%06d.pgm``, 8- or 16-bit,
 normalized to [0, 1] on load. An optional region-of-interest mask (also
-PGM, nonzero = valid) excludes pixels — typically black corners of the
-endoscope circle — from detection, labeling, and metrics. read_frame is
-the one frame loader and checks the mask size against each frame.
+PGM, nonzero = valid; the mask_path setting) excludes pixels — typically
+black corners of the endoscope circle — from keypoints. Only the
+pseudolabel and detect commands read it; train and eval do not, and the
+metrics count every pixel. read_frame is the one frame loader and checks
+the mask size against each frame when given one.
 
 Pseudo-labels are keypoints proposed by a teacher network: its
 network.heatmap (the detection head decoded over tensor.CELL cells) is
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
+from .homography import warp_points
 from .ioutil import atomic_write_bytes, atomic_write_text, fmt
 from .matching import detect_points
 from .tensor import Tensor
@@ -44,7 +47,11 @@ class FrameError(Exception):
 
 
 def read_pgm(path) -> np.ndarray:
-    """Binary PGM to a float64 image in [0, 1] (value / maxval)."""
+    """Binary PGM to a float64 image in [0, 1] (value / maxval).
+
+    FrameError names the file for anything else: a bad or truncated
+    header or pixel data, or a pixel value above maxval.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     pos = 0
@@ -81,6 +88,8 @@ def read_pgm(path) -> np.ndarray:
     if len(raw) != count * dtype.itemsize:
         raise FrameError(f"{path}: pixel data truncated")
     img = np.frombuffer(raw, dtype=dtype).reshape(height, width)
+    if img.max() > maxval:
+        raise FrameError(f"{path}: pixel value above maxval {maxval}")
     return img.astype(np.float64) / maxval
 
 
@@ -132,13 +141,6 @@ def read_frame(path, mask=None) -> np.ndarray:
     if mask is not None and mask.shape != image.shape:
         raise FrameError(f"{path}: mask size {mask.shape} does not match frame size {image.shape}")
     return image
-
-
-def ingest_frames(directory, mask_path=None):
-    """(frame_id, image) for every frame in id order, each checked by
-    read_frame against the optional ROI mask."""
-    mask = load_roi_mask(mask_path) if mask_path else None
-    return [(frame_id, read_frame(path, mask)) for frame_id, path in list_frames(directory)]
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +203,6 @@ def warp_label(label: PseudoLabel, h: np.ndarray, height: int, width: int) -> Ps
     Points are rounded to the nearest pixel; out-of-frame points are
     dropped; if two land on one pixel the higher score wins.
     """
-    from .homography import warp_points
-
     if not len(label):
         return label
     mapped = warp_points(label.points.astype(np.float64), h)

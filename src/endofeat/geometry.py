@@ -42,11 +42,7 @@ _EPS = 1e-12
 
 
 class PoseRecoveryError(Exception):
-    """Pose decomposition failed; .front_counts lists per-candidate support."""
-
-    def __init__(self, message: str, front_counts=None):
-        super().__init__(message)
-        self.front_counts = list(front_counts) if front_counts is not None else []
+    """Pose decomposition failed; the message says why."""
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +250,9 @@ def _fit_block(fit, sample_a: np.ndarray, sample_b: np.ndarray):
 def _fit_homography_stack(pts_a: np.ndarray, pts_b: np.ndarray):
     """Normalized DLT of B samples (B, n, 2) -> (models (B, 3, 3), ok (B,)).
 
-    Members that fail (ok False) carry the identity. Raises LinAlgError
-    when the stacked SVD does not converge.
+    Members that fail (ok False) carry the identity, so every returned
+    model has an inverse. Raises LinAlgError when the stacked SVD does not
+    converge.
     """
     b, n = pts_a.shape[:2]
     t1, na, ok1 = _hartley_stack(pts_a)
@@ -283,7 +280,13 @@ def _fit_homography_stack(pts_a: np.ndarray, pts_b: np.ndarray):
     h = np.where(ok[:, None, None], h, np.eye(3))
     ok &= ~(np.abs(np.linalg.det(h)) < _EPS)
     scale = np.where(ok & (np.abs(h[:, 2, 2]) > _EPS), h[:, 2, 2], 1.0)
-    return np.where(ok[:, None, None], h / scale[:, None, None], np.eye(3)), ok
+    h = h / scale[:, None, None]
+    # The scaled model can still be exactly singular: a cloud whose spread
+    # is only rounding error gets a Hartley scale near 1e12. det and inv
+    # factor a matrix the same way (LU), so det == 0 flags every model
+    # that inv would reject.
+    ok &= np.linalg.det(h) != 0
+    return np.where(ok[:, None, None], h, np.eye(3)), ok
 
 
 def fit_homography(pts_a: np.ndarray, pts_b: np.ndarray):
@@ -458,7 +461,9 @@ def _ransac(
 
     fit(sample_a, sample_b) takes a (B, s, 2) stack of pixel samples and
     returns (models (B, 3, 3), ok (B,)); residuals(models, pts_a, pts_b)
-    returns the (B, N) residuals of every match under each model. Samples
+    returns the (B, N) residuals of every match under each model, and
+    must accept every model fit returns (a homography fit returns only
+    invertible models and identity placeholders). Samples
     are drawn from the matches sorted by index pair, so the seed-to-sample
     mapping ignores the caller's match ordering.
 
@@ -494,22 +499,13 @@ def _ransac(
             ]
         )
         models, ok = _fit_block(fit, ca[picks], cb[picks])
-        try:
-            inside = residuals(models, pts_a, pts_b) <= threshold
-        except np.linalg.LinAlgError:
-            # A model without a transfer inverse: score them one at a time,
-            # so that only a hypothesis within the bound raises.
-            inside = None
+        inside = residuals(models, pts_a, pts_b) <= threshold
         for j in range(len(picks)):
             it += 1
             if ok[j]:
-                row = (
-                    inside[j] if inside is not None
-                    else residuals(models[j : j + 1], pts_a, pts_b)[0] <= threshold
-                )
-                count = int(row.sum())
+                count = int(inside[j].sum())
                 if count > best_count:
-                    best_count, best_model, flags = count, models[j], row
+                    best_count, best_model, flags = count, models[j], inside[j]
                     bound = min(bound, _adaptive_bound(count / n, sample_size, confidence))
             if it >= bound:
                 break
@@ -641,7 +637,8 @@ def recover_pose(e: np.ndarray, matches, kp_a, kp_b, intrinsics: Intrinsics, inl
 
     Triangulates the (inlier) correspondences under each of the four
     candidates and keeps the one with the most points at positive depth
-    in both cameras; a tie is a failure carrying the per-candidate counts.
+    in both cameras; a tie is a failure whose message lists the per-candidate
+    counts.
     """
     pts_a, pts_b = _match_points(matches, kp_a, kp_b)
     if inlier_flags is not None:
@@ -659,9 +656,7 @@ def recover_pose(e: np.ndarray, matches, kp_a, kp_b, intrinsics: Intrinsics, inl
         counts.append(int(((z1 > 0) & (z2 > 0)).sum()))
     best = int(np.argmax(counts))
     if counts.count(counts[best]) > 1:
-        raise PoseRecoveryError(
-            f"ambiguous pose: front-point counts {counts}", front_counts=counts
-        )
+        raise PoseRecoveryError(f"ambiguous pose: front-point counts {counts}")
     r, t = candidates[best]
     return RelativePose(rotation_to_quat(r), t)
 

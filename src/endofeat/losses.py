@@ -27,6 +27,8 @@ from .data import PseudoLabel, specularity_mask
 from .network import heatmap
 from .tensor import CELL, DUSTBIN, Tensor
 
+_GUARD_EPS = 1e-10  # keeps the specularity mean finite on a frame without highlights
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -40,7 +42,6 @@ class LossConfig:
 
     descriptor_weight: float = 0.0001
     specularity_weight: float = 100.0
-    guard_eps: float = 1e-10
     margin_positive: float = 1.0
     margin_negative: float = 0.2
     correspondence_weight: float = 250.0
@@ -48,8 +49,6 @@ class LossConfig:
     def __post_init__(self):
         if self.specularity_weight < 0:
             raise ValueError("specularity_weight must be >= 0")
-        if self.guard_eps <= 0:
-            raise ValueError("guard_eps must be > 0")
 
 
 def _cell_targets(label: PseudoLabel, hc: int, wc: int) -> np.ndarray:
@@ -114,7 +113,7 @@ def descriptor_loss(
     return T.affine(total, 1.0 / denom, 0.0)
 
 
-def specularity_loss(detect: Tensor, image, config: LossConfig = LossConfig()) -> Tensor:
+def specularity_loss(detect: Tensor, image) -> Tensor:
     """Mean heatmap probability over the specular pixels of one view."""
     hc, wc, _ = detect.shape
     image = np.asarray(image if not isinstance(image, Tensor) else image.data)
@@ -125,7 +124,7 @@ def specularity_loss(detect: Tensor, image, config: LossConfig = LossConfig()) -
     heat = heatmap(detect)
     mask = specularity_mask(image)
     masked = T.mul(heat, Tensor(mask.astype(detect.dtype)))
-    return T.affine(T.reduce_sum(masked), 1.0 / (config.guard_eps + float(mask.sum())), 0.0)
+    return T.affine(T.reduce_sum(masked), 1.0 / (_GUARD_EPS + float(mask.sum())), 0.0)
 
 
 def pair_loss(
@@ -168,8 +167,8 @@ def specular_pair_loss(
             terms_out["specularity"] = 0.0
         return sp
     spec = T.add(
-        specularity_loss(heads_a.detect, image_a, config),
-        specularity_loss(heads_b.detect, image_b, config),
+        specularity_loss(heads_a.detect, image_a),
+        specularity_loss(heads_b.detect, image_b),
     )
     if terms_out is not None:
         terms_out["specularity"] = spec.item()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +36,18 @@ METRIC_HAMMING = "HAMMING"
 _TILE_ELEMENTS = 1 << 16
 
 
-def greedy_nms(scores: np.ndarray, threshold: float, window: int, max_points=None):
+def greedy_nms(scores: np.ndarray, threshold: float, window: int, max_points: int):
     """Greedy descending-score non-maximum suppression.
 
     Candidates are pixels with score >= threshold, visited from highest
     score down (ties by row then column ascending). A candidate is kept
     unless a previously kept point lies within (window-1)//2 pixels in
-    Chebyshev distance. At most max_points points are kept (no cap when
-    None). Returns (ys, xs, scores) in kept order.
+    Chebyshev distance. At most max_points (>= 1) points are kept.
+    Returns (ys, xs, scores) in kept order.
     """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and positive, got {window}")
-    if max_points is not None and max_points < 1:
+    if max_points < 1:
         raise ValueError(f"max_points must be at least 1, got {max_points}")
     scores = np.asarray(scores)
     ys, xs = np.nonzero(scores >= threshold)
@@ -65,7 +65,7 @@ def greedy_nms(scores: np.ndarray, threshold: float, window: int, max_points=Non
         if blocked[y, x]:
             continue
         kept.append(idx)
-        if max_points is not None and len(kept) >= max_points:
+        if len(kept) >= max_points:
             break
         blocked[max(0, y - radius) : y + radius + 1, max(0, x - radius) : x + radius + 1] = True
     kept = np.asarray(kept, dtype=np.int64)
@@ -125,8 +125,6 @@ class DescriptorSet:
 class MatchSet:
     pairs: np.ndarray  # (M, 2) int64 indices into the two keypoint sets
     distances: np.ndarray  # (M,) float64
-    metric: str = METRIC_L2
-    inliers: dict = field(default_factory=dict)  # model tag -> (M,) bool flags
 
     def __post_init__(self):
         self.pairs = np.asarray(self.pairs, np.int64).reshape(-1, 2)
@@ -196,7 +194,7 @@ def match_mutual(da: DescriptorSet, db: DescriptorSet) -> MatchSet:
         raise ValueError(f"metric mismatch: {da.metric} vs {db.metric}")
     na, nb = len(da), len(db)
     if na == 0 or nb == 0:
-        return MatchSet(np.empty((0, 2), np.int64), np.empty(0), da.metric)
+        return MatchSet(np.empty((0, 2), np.int64), np.empty(0))
     if da.vectors.shape[1] != db.vectors.shape[1]:
         raise ValueError("descriptor widths differ")
 
@@ -212,7 +210,7 @@ def match_mutual(da: DescriptorSet, db: DescriptorSet) -> MatchSet:
     rows = np.flatnonzero(best_a[best_b] == np.arange(na))
     pairs = np.stack([rows, best_b[rows]], axis=1)
     dists = np.sqrt(dist_b[rows]) if da.metric == METRIC_L2 else dist_b[rows]
-    return MatchSet(pairs, dists, da.metric)
+    return MatchSet(pairs, dists)
 
 
 def _nearest_l2(q: np.ndarray, ref: np.ndarray):

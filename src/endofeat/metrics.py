@@ -82,12 +82,10 @@ def specularity_ablation(
 
     A feature falls into a specularity when the mask at its pixel is set
     (features of both images count); a match or inlier is discarded when
-    either endpoint falls in.
+    either endpoint falls in. inlier_flags holds one flag per match.
     """
 
     def on_mask(kp: KeypointSet, mask: np.ndarray) -> np.ndarray:
-        if len(kp) == 0:
-            return np.zeros(0, dtype=bool)
         xs = kp.points[:, 0].astype(np.int64)
         ys = kp.points[:, 1].astype(np.int64)
         return np.asarray(mask, dtype=bool)[ys, xs]
@@ -97,12 +95,9 @@ def specularity_ablation(
     feats = AblationCounts(
         len(kp_a) + len(kp_b), int((~spec_a).sum() + (~spec_b).sum())
     )
-    if len(matches):
-        bad = spec_a[matches.pairs[:, 0]] | spec_b[matches.pairs[:, 1]]
-    else:
-        bad = np.zeros(0, dtype=bool)
+    bad = spec_a[matches.pairs[:, 0]] | spec_b[matches.pairs[:, 1]]
     match_counts = AblationCounts(len(matches), int((~bad).sum()))
-    flags = np.asarray(inlier_flags, dtype=bool) if inlier_flags is not None else np.zeros(len(matches), bool)
+    flags = np.asarray(inlier_flags, dtype=bool)
     inl = AblationCounts(int(flags.sum()), int((flags & ~bad).sum()))
     return AblationResult(feats, match_counts, inl)
 
@@ -190,7 +185,6 @@ def evaluate_pairs(
             else:
                 raise ValueError(f"unknown model tag {tag!r}")
             flags = result.inliers if result.success else np.zeros(len(matches), bool)
-            matches.inliers[tag] = flags
             ev.inliers[tag] = int(flags.sum())
             ev.grid_pct[tag] = _inlier_coverage(kp_a, matches, flags, height, width)
             if primary_flags is None or flags.sum() > primary_flags.sum():
@@ -206,7 +200,6 @@ def evaluate_pairs(
 
         if pose_gt is not None and intrinsics is not None:
             flags = geometry.pgt_inliers(matches, kp_a, kp_b, pose_gt, intrinsics, threshold_px)
-            matches.inliers["pGT"] = flags
             ev.inliers["pGT"] = int(flags.sum())
             ev.grid_pct["pGT"] = _inlier_coverage(kp_a, matches, flags, height, width)
 

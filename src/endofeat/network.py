@@ -92,12 +92,6 @@ class NetworkParams:
         kernel, _ = next(iter(self.weights.values()))
         return kernel.dtype
 
-    def as_dtype(self, dtype) -> "NetworkParams":
-        return NetworkParams(
-            self.architecture,
-            {n: (kern.astype(dtype), b.astype(dtype)) for n, (kern, b) in self.weights.items()},
-        )
-
     def param_tensors(self):
         """Flat (label, Tensor) list over kernels and biases, in layer order."""
         out = []

@@ -91,9 +91,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data, dtype=dtype)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 

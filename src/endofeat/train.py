@@ -3,8 +3,10 @@
 Each iteration draws a batch of frames, warps every frame by a freshly
 sampled homography, runs the network on both views, and minimizes the
 combined pair loss (with highlight suppression when the specularity
-weight is nonzero) with Adam. All randomness derives from the run seed
-keyed by (seed, iteration, slot), so runs are bit-reproducible.
+weight is nonzero) with Adam. Adam's constants are fixed: moment decays
+0.9 and 0.999, denominator guard 1e-8; only the learning rate is a
+setting. All randomness derives from the run seed keyed by (seed,
+iteration, slot), so runs are bit-reproducible.
 
 A checkpoint is two np.savez archives (ioutil.write_archive): the f32
 weights (network.save_weights) and the ``.opt`` Adam state, which keeps
@@ -26,6 +28,10 @@ from .network import NetworkParams
 from .tensor import GradTape, Tensor, backward
 from . import tensor as T
 
+_BETA1 = 0.9  # Adam's first-moment decay
+_BETA2 = 0.999  # Adam's second-moment decay
+_ADAM_EPS = 1e-8  # Adam's denominator guard
+
 
 class CheckpointError(Exception):
     """A checkpoint's optimizer-state file is unreadable or malformed; names the file."""
@@ -44,9 +50,6 @@ class TrainConfig:
     iterations: int = 100
     learning_rate: float = 1e-5
     batch_size: int = 2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
     homography: HomographyConfig = field(default_factory=HomographyConfig)
@@ -88,7 +91,6 @@ def adam_step(params: NetworkParams, grads: dict, state: AdamState, config: Trai
     """One Adam update; returns fresh params, mutates state."""
     state.step += 1
     t = state.step
-    b1, b2 = config.beta1, config.beta2
     new_weights = {}
     for name, (kernel, bias) in params.weights.items():
         updated = []
@@ -101,13 +103,13 @@ def adam_step(params: NetworkParams, grads: dict, state: AdamState, config: Trai
                 v = np.zeros_like(tensor.data)
             else:
                 v = state.v[label]
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
+            m = _BETA1 * m + (1 - _BETA1) * g
+            v = _BETA2 * v + (1 - _BETA2) * g * g
             state.m[label] = m
             state.v[label] = v
-            mhat = m / (1 - b1**t)
-            vhat = v / (1 - b2**t)
-            step = config.learning_rate * mhat / (np.sqrt(vhat) + config.adam_eps)
+            mhat = m / (1 - _BETA1**t)
+            vhat = v / (1 - _BETA2**t)
+            step = config.learning_rate * mhat / (np.sqrt(vhat) + _ADAM_EPS)
             updated.append(Tensor(tensor.data - step.astype(tensor.data.dtype)))
         new_weights[name] = (updated[0], updated[1])
     return NetworkParams(params.architecture, new_weights)

@@ -120,7 +120,7 @@ def test_criterion_2_specularity_loss_oracle():
             image.ravel()[flat] = r.uniform(0.71, 1.0, n_hot)
         mask = image > 0.7
         want = _dense_heat(logits)[mask].sum() / (1e-10 + mask.sum())
-        got = losses.specularity_loss(Tensor(logits), image, LossConfig()).item()
+        got = losses.specularity_loss(Tensor(logits), image).item()
         worst = max(worst, abs(got - want))
 
     # the combined loss with zero highlight weight is exactly the plain one

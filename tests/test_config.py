@@ -1,8 +1,11 @@
 """Config parsing, overrides, derived paths, sub-config conversion."""
 
+import dataclasses
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endofeat import data, geometry, matching
 from endofeat.config import (
@@ -181,3 +184,36 @@ def test_defaults_come_from_their_owners():
         geometry.RANSAC_CONFIDENCE,
         geometry.RANSAC_THRESHOLD_PX,
     )
+
+
+_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
+_VALUE = st.one_of(
+    st.text(max_size=12),
+    st.integers(-5, 20000).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "nan", "-inf", "1e999", "1,3", ",", "1, x", "9" * 5000, "H,E", "auto"]),
+)
+_LINE = st.one_of(
+    st.text(max_size=30),
+    st.tuples(st.sampled_from(_KEYS), st.sampled_from(["=", " = ", "=="]), _VALUE).map("".join),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(lines=st.lists(_LINE, max_size=6))
+def test_parse_config_text_fuzz_config_or_config_error(lines):
+    try:
+        cfg = parse_config_text("\n".join(lines))
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+@settings(deadline=None, max_examples=300)
+@given(items=st.lists(_LINE, max_size=4))
+def test_apply_overrides_fuzz_config_or_config_error(items):
+    try:
+        cfg = apply_overrides(RunConfig(), items)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from endofeat import data, network
@@ -13,7 +13,6 @@ from endofeat.data import (
     PseudoLabel,
     frame_name,
     generate_pseudolabels,
-    ingest_frames,
     label_path,
     list_frames,
     load_label,
@@ -65,6 +64,33 @@ def test_pgm_rejects_bad_files(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\n\x00\x00")
     with pytest.raises(FrameError, match="truncated"):
         read_pgm(path)
+    path.write_bytes(b"P5\n1 1\n7\n\x08")
+    with pytest.raises(FrameError, match="above maxval 7"):
+        read_pgm(path)
+
+
+_PGM_HEADER = st.builds(
+    lambda magic, w, h, maxval, sep: magic + sep + f"{w} {h}{sep.decode()}{maxval}".encode() + b"\n",
+    st.sampled_from([b"P5", b"P5", b"P5", b"P6", b""]),
+    st.one_of(st.integers(0, 4), st.sampled_from([-1, "x", "1e3"])),
+    st.integers(0, 4),
+    st.sampled_from([1, 7, 255, 256, 1000, 65535, 0, 65536]),
+    st.sampled_from([b" ", b"\n", b"\n# comment\n", b"\t"]),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(blob=st.one_of(st.binary(max_size=64), st.tuples(_PGM_HEADER, st.binary(max_size=64)).map(b"".join)))
+@example(blob=b"P5 1 1 1\n\x05")  # a pixel above maxval
+def test_read_pgm_fuzz_unit_image_or_frame_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+    path.write_bytes(blob)
+    try:
+        img = read_pgm(path)
+    except FrameError:
+        return
+    assert img.ndim == 2 and img.dtype == np.float64 and img.size > 0
+    assert img.min() >= 0.0 and img.max() <= 1.0
 
 
 def test_list_and_ingest_frames(tmp_path):
@@ -75,25 +101,9 @@ def test_list_and_ingest_frames(tmp_path):
     frames = list_frames(tmp_path)
     assert [f[0] for f in frames] == [0, 2, 5]
 
-    records = ingest_frames(tmp_path)
-    assert [fid for fid, _ in records] == [0, 2, 5]
-    for _, image in records:
-        np.testing.assert_array_equal(image, read_pgm(tmp_path / frame_name(0)))
-
-
-def test_ingest_applies_roi_mask(tmp_path):
-    img = rng(4).uniform(0, 1, (8, 8))
-    write_pgm(tmp_path / frame_name(0), img)
-    mask = np.zeros((8, 8))
-    mask[:, 4:] = 1.0
-    write_pgm(tmp_path / "mask.pgm", mask)
-    records = ingest_frames(tmp_path, tmp_path / "mask.pgm")
-    assert [fid for fid, _ in records] == [0]
-    np.testing.assert_array_equal(records[0][1], read_pgm(tmp_path / frame_name(0)))
-
-    write_pgm(tmp_path / "mask_bad.pgm", np.ones((4, 4)))
-    with pytest.raises(FrameError, match="mask size"):
-        ingest_frames(tmp_path, tmp_path / "mask_bad.pgm")
+    # train and eval ingest a directory as read_frame over this list
+    for _, path in frames:
+        np.testing.assert_array_equal(read_frame(path), read_pgm(tmp_path / frame_name(0)))
 
 
 def test_read_frame_errors_name_the_file(tmp_path):

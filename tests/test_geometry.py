@@ -384,8 +384,7 @@ def test_block_ransac_stops_at_block_edges(tag, stop):
 
 
 def test_block_ransac_linalg_fallbacks_match_serial_oracle():
-    # A LinAlgError from a stacked fit refits the block one sample at a time
-    # and one from a stacked residual pass scores it one model at a time;
+    # A LinAlgError from a stacked fit refits the block one sample at a time;
     # a sample whose own fit raises is skipped, as the serial loop skipped it.
     pts_a = rng(101).uniform(0, 640, (50, 2))
     pts_b = warp_points(pts_a, _random_pixel_homography(102, size=640))
@@ -400,18 +399,15 @@ def test_block_ransac_linalg_fallbacks_match_serial_oracle():
             raise np.linalg.LinAlgError("SVD did not converge")
         return geometry._fit_homography_stack(sa, sb)
 
-    def residuals(models, pa, pb):
-        if len(models) > 1:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return geometry._homography_distances_stack(models, pa, pb)
-
     def oracle_fit(sa, sb):
         return None if poisoned(sa) else oracle_fit_homography(sa, sb)
 
     want = oracle_ransac(
         matches, kp_a, kp_b, 4, oracle_fit, oracle_homography_distances, 3.0, 0.9999, 7
     )
-    got = geometry._ransac(matches, kp_a, kp_b, 4, fit, residuals, 3.0, 0.9999, 7)
+    got = geometry._ransac(
+        matches, kp_a, kp_b, 4, fit, geometry._homography_distances_stack, 3.0, 0.9999, 7
+    )
     assert want.success and want.iterations > 32
     skipped = [
         it for it in range(want.iterations)
@@ -419,6 +415,31 @@ def test_block_ransac_linalg_fallbacks_match_serial_oracle():
     ]
     assert skipped  # the poisoned path was taken
     _assert_same_result(got, want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rounding_cloud_homographies_are_invertible(seed):
+    # Image-A points up to 16 ulps apart pass the Hartley spread check with a
+    # scale near 1e12, and the scaled fit can come out exactly singular.
+    # Such a model counts as degenerate: fit_homography returns None and
+    # RANSAC skips it, so no inv call meets a singular matrix.
+    r = rng((104, seed))
+    p = r.uniform(0, 1e4, 2)
+    pts_a = p + r.integers(-16, 17, (40, 2)) * np.spacing(p)
+    pts_b = r.uniform(0, 640, (40, 2))
+    fits = [fit_homography(pts_a, pts_b)] + [
+        fit_homography(pts_a[pick], pts_b[pick])
+        for pick in (r.choice(40, size=4, replace=False) for _ in range(30))
+    ]
+    assert any(h is not None for h in fits)
+    for h in fits:
+        if h is not None:
+            np.linalg.inv(h)  # LinAlgError on a singular model
+    kp_a, kp_b, matches, _ = _identity_matches(pts_a, pts_b)
+    res = estimate_homography_ransac(matches, kp_a, kp_b, seed=seed)
+    assert res.iterations > 0
+    if res.success:
+        np.linalg.inv(res.model)
 
 
 def _same_or_none(got, want):

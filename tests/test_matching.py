@@ -26,7 +26,7 @@ from helpers import rng
 # --- greedy NMS ------------------------------------------------------------
 
 
-def _nms_oracle(scores, threshold, window, max_points=None):
+def _nms_oracle(scores, threshold, window, max_points):
     radius = (window - 1) // 2
     cands = [
         (y, x, scores[y, x])
@@ -40,7 +40,7 @@ def _nms_oracle(scores, threshold, window, max_points=None):
         if any(max(abs(y - ky), abs(x - kx)) <= radius for ky, kx, _ in kept):
             continue
         kept.append((y, x, v))
-        if max_points is not None and len(kept) >= max_points:
+        if len(kept) >= max_points:
             break
     ys = np.asarray([k[0] for k in kept], np.int64)
     xs = np.asarray([k[1] for k in kept], np.int64)
@@ -53,7 +53,7 @@ def test_greedy_nms_matches_oracle(seed):
     r = rng((50, seed))
     scores = r.uniform(0, 1, (17, 23))
     scores[scores < 0.2] = 0.0
-    for window, cap in ((3, None), (9, 10), (5, 3)):
+    for window, cap in ((3, scores.size), (9, 10), (5, 3)):
         got = greedy_nms(scores, 0.3, window, cap)
         want = _nms_oracle(scores, 0.3, window, cap)
         for g, w in zip(got, want):
@@ -65,17 +65,17 @@ def test_greedy_nms_ties_row_major():
     scores[2, 7] = 0.5
     scores[2, 1] = 0.5
     scores[6, 0] = 0.5
-    ys, xs, _ = greedy_nms(scores, 0.1, 3)
+    ys, xs, _ = greedy_nms(scores, 0.1, 3, 10)
     np.testing.assert_array_equal(np.stack([ys, xs], 1), [[2, 1], [2, 7], [6, 0]])
 
 
 def test_greedy_nms_validation_and_empty():
     with pytest.raises(ValueError, match="odd"):
-        greedy_nms(np.zeros((4, 4)), 0.1, 4)
+        greedy_nms(np.zeros((4, 4)), 0.1, 4, 1)
     for cap in (0, -3):
         with pytest.raises(ValueError, match="max_points"):
             greedy_nms(np.ones((4, 4)), 0.5, 3, max_points=cap)
-    ys, xs, vs = greedy_nms(np.zeros((4, 4)), 0.1, 3)
+    ys, xs, vs = greedy_nms(np.zeros((4, 4)), 0.1, 3, 1)
     assert ys.size == xs.size == vs.size == 0
 
 

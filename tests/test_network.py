@@ -208,10 +208,10 @@ def test_validate_names_bad_layer():
         params.validate()
 
 
-def test_dtype_round_trip():
+def test_init_params_float32_is_cast_of_float64():
     params = init_params(toy_architecture(), seed=0, dtype=np.float64)
     assert params.dtype() == np.float64
-    p32 = params.as_dtype(np.float32)
+    p32 = init_params(toy_architecture(), seed=0, dtype=np.float32)
     assert p32.dtype() == np.float32
     for (_, t64), (_, t32) in zip(params.param_tensors(), p32.param_tensors()):
         np.testing.assert_array_equal(t32.data, t64.data.astype(np.float32))

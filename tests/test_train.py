@@ -74,8 +74,8 @@ def test_adam_first_step_matches_closed_form():
     for name, (kernel, bias) in params.weights.items():
         for suffix, old in (("kernel", kernel), ("bias", bias)):
             g = grads[f"{name}.{suffix}"]
-            # after one step mhat == g and vhat == g*g exactly
-            want = old.data - cfg.learning_rate * g / (np.abs(g) + cfg.adam_eps)
+            # after one step mhat == g and vhat == g*g exactly; Adam's eps is 1e-8
+            want = old.data - cfg.learning_rate * g / (np.abs(g) + 1e-8)
             new = dict(updated.weights.items())[name][0 if suffix == "kernel" else 1]
             np.testing.assert_allclose(new.data, want, rtol=1e-12, atol=1e-15)
 
@@ -128,7 +128,7 @@ def test_divergence_raises_with_iteration():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    params = init_params(toy_architecture(), seed=7).as_dtype(np.float32)
+    params = init_params(toy_architecture(), seed=7, dtype=np.float32)
     state = AdamState()
     state.step = 9
     for i, (label, tensor) in enumerate(params.param_tensors()):
@@ -158,7 +158,7 @@ def test_finetune_writes_periodic_checkpoints(tmp_path):
 
 
 def test_float32_finetune_checkpoint_loads_back(tmp_path):
-    params = init_params(toy_architecture(), seed=10).as_dtype(np.float32)
+    params = init_params(toy_architecture(), seed=10, dtype=np.float32)
     cfg = mild_config(iterations=2, learning_rate=1e-3, checkpoint_every=2)
     tuned, _ = finetune(params, toy_samples(), cfg, checkpoint_dir=tmp_path)
     back, state, iteration = load_checkpoint(tmp_path, 2)
@@ -191,7 +191,7 @@ def _savez_bytes(entries) -> bytes:
 def saved_checkpoint(tmp_path_factory):
     """(directory, .opt path, valid savez entries) of a float32 toy checkpoint at iteration 5."""
     directory = tmp_path_factory.mktemp("checkpoint")
-    params = init_params(toy_architecture(), seed=11).as_dtype(np.float32)
+    params = init_params(toy_architecture(), seed=11, dtype=np.float32)
     save_checkpoint(directory, 5, params, AdamState())
     return directory, checkpoint_paths(directory, 5)[1], _moment_entries(params)
 
