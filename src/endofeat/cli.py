@@ -198,7 +198,7 @@ def cmd_detect(config: RunConfig, args) -> int:
             heads = network.forward(params, Tensor(image, dtype=params.dtype()))
             keypoints, descriptors = matching.extract_keypoints(
                 network.heatmap(heads.detect).data,
-                network.densify(heads.describe.data),
+                heads.describe.data,
                 mask,
                 config.detection_threshold,
                 config.detection_nms_window,

@@ -108,6 +108,16 @@ def quat_rotation_angle_deg(q: np.ndarray) -> float:
     return float(np.degrees(2.0 * np.arctan2(vec, abs(q[0]))))
 
 
+def _norm_scaled(v: np.ndarray):
+    """(v, |v|) for a finite vector, or (v / max|v_i|, its norm) when |v| overflows."""
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    if np.isfinite(n):
+        return v, n
+    v = v / np.abs(v).max()
+    return v, np.linalg.norm(v)
+
+
 @dataclass(frozen=True)
 class RelativePose:
     """Rotation (unit quaternion, w >= 0) and unit translation direction.
@@ -123,9 +133,9 @@ class RelativePose:
     def __post_init__(self):
         q = np.asarray(self.quaternion, dtype=np.float64).reshape(4)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        qn, tn = np.linalg.norm(q), np.linalg.norm(t)
-        if not (np.isfinite(qn) and np.isfinite(tn)):  # also catches an overflowing norm
+        if not (np.isfinite(q).all() and np.isfinite(t).all()):
             raise ValueError("quaternion and translation must be finite")
+        (q, qn), (t, tn) = _norm_scaled(q), _norm_scaled(t)
         if qn < _EPS or tn < _EPS:
             raise ValueError("quaternion and translation must be nonzero")
         q = q / qn

@@ -2,7 +2,8 @@
 
 Detection (detect_points) masks and thresholds the dense heatmap,
 suppresses non-maxima greedily over a square window and caps the count;
-extraction also reads the dense descriptor map at each surviving pixel.
+extraction also decodes the coarse descriptor cells at each surviving
+pixel (network.densify), so no full-resolution descriptor map is built.
 Both take plain arrays. Matching keeps a pair only when each descriptor is
 the other's nearest neighbor (ties to the lowest index), with L2 distance for
 real descriptors and Hamming distance for packed binary ones; both go
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import network
 from .ioutil import atomic_write_bytes, fmt
 
 DETECTION_THRESHOLD = 0.015
@@ -149,22 +151,21 @@ def detect_points(heat, mask, threshold: float, window: int, max_points: int):
 
 def extract_keypoints(
     heat,
-    descriptors,
+    describe,
     mask=None,
     threshold: float = DETECTION_THRESHOLD,
     nms_window: int = DETECTION_NMS_WINDOW,
     max_features: int = MAX_FEATURES,
     frame_id: int = -1,
 ):
-    """H x W heatmap and H x W x D descriptor map to a (KeypointSet, DescriptorSet) pair.
+    """H x W heatmap and Hc x Wc x D descriptor cells to a (KeypointSet, DescriptorSet) pair.
 
-    Points come from detect_points; each point's descriptor is the map's
-    row at its pixel.
+    Points come from detect_points; network.densify decodes the cells to
+    each point's unit-norm descriptor.
     """
     ys, xs, vals = detect_points(heat, mask, threshold, nms_window, max_features)
     kp = KeypointSet(np.stack([xs, ys], axis=1).astype(np.float64), vals, frame_id)
-    desc = DescriptorSet(np.ascontiguousarray(np.asarray(descriptors)[ys, xs]), METRIC_L2)
-    return kp, desc
+    return kp, DescriptorSet(network.densify(np.asarray(describe), ys, xs), METRIC_L2)
 
 
 def match_mutual(da: DescriptorSet, db: DescriptorSet) -> MatchSet:

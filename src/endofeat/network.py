@@ -5,9 +5,10 @@ separated by three 2x2 max poolings, so the spatial size drops by exactly
 tensor.CELL (8x). The detection head ends in tensor.DUSTBIN + 1 channels
 (one per pixel of a cell plus the "no interest point" dustbin), which
 heatmap() decodes; the description head ends in the descriptor dimension
-(256 by default), which densify() decodes to the per-pixel unit-norm
-descriptor map. densify works on plain arrays, off the gradient tape: the
-descriptor loss is applied to the coarse cells, not to the dense map.
+(256 by default), which densify() decodes to unit-norm descriptors at
+given pixels: the bicubic upsample of the cells, read and normalised only
+at those pixels. densify works on plain arrays, off the gradient tape: the
+descriptor loss is applied to the coarse cells, not to the upsampled map.
 
 A weights file is an np.savez archive (ioutil.write_archive) of float32
 arrays named by the param_tensors() labels; load_weights raises
@@ -158,23 +159,35 @@ def heatmap(detect: Tensor) -> Tensor:
     return T.depth_to_space(T.slice_channels(T.channel_softmax(detect), 0, DUSTBIN))
 
 
-def densify(describe: np.ndarray) -> np.ndarray:
-    """Hc x Wc x D cell descriptors to the H x W x D unit-norm descriptor map.
+def densify(describe: np.ndarray, ys, xs) -> np.ndarray:
+    """Unit-norm descriptors of Hc x Wc x D cells at pixels (ys, xs), as K x D rows.
 
-    Separable Catmull-Rom bicubic upsampling by CELL (pixel centres,
-    edge-clamped taps), then each pixel's vector is divided by its L2 norm;
-    a vector with norm at most 1e-12 is divided by 1e-12 instead, so a zero
-    vector stays zero. Plain arrays: inference only, nothing differentiates it.
+    The cells are upsampled by CELL with separable Catmull-Rom bicubic
+    interpolation (pixel centres, edge-clamped taps); row i is the upsampled
+    vector at pixel (ys[i], xs[i]) divided by its L2 norm, or by 1e-12 when
+    the norm is at most 1e-12, so a zero vector stays zero. Only the K
+    gathered vectors are normalised. Plain arrays: inference only, nothing
+    differentiates it.
     """
     if describe.ndim != 3:
         raise ValueError(f"densify expects Hc x Wc x D, got shape {describe.shape}")
+    h, w = describe.shape[0] * CELL, describe.shape[1] * CELL
+    ys, xs = np.asarray(ys, dtype=np.int64), np.asarray(xs, dtype=np.int64)
+    if ys.shape != xs.shape or ys.ndim != 1:
+        raise ValueError(f"densify needs equal-length 1-D ys and xs, got {ys.shape} and {xs.shape}")
+    if ys.size and (ys.min() < 0 or ys.max() >= h or xs.min() < 0 or xs.max() >= w):
+        raise ValueError(f"densify: a pixel lies outside the {h}x{w} map")
     wh = _upsample_matrix(describe.shape[0], describe.dtype)
     ww = _upsample_matrix(describe.shape[1], describe.dtype)
     up = np.einsum("oi,pj,ijc->opc", wh, ww, describe, optimize=True)
-    # The einsum output's channel axis is strided, so this sum is sequential;
-    # the feature bytes depend on that summation order.
-    norm = np.sqrt((up * up).sum(axis=-1, keepdims=True))
-    return up / np.where(norm > _NORM_GUARD, norm, _NORM_GUARD)
+    # Gather the K pixels from each channel plane into a D x K array. The norm
+    # is then an axis-0 sum, sequential over channels like the strided-channel
+    # sum over the dense map, so the feature bytes are the same as those of
+    # the dense map read at the keypoints.
+    cols = np.take(up.transpose(2, 1, 0).reshape(describe.shape[2], -1), xs * h + ys, axis=1)
+    norm = np.sqrt((cols * cols).sum(axis=0))
+    cols /= np.where(norm > _NORM_GUARD, norm, _NORM_GUARD)
+    return np.ascontiguousarray(cols.T)
 
 
 def _cubic_kernel(d: np.ndarray) -> np.ndarray:

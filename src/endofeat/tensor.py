@@ -4,7 +4,10 @@ Implements exactly the operations the keypoint network and its training
 losses differentiate: stride-1 2-D convolution, 2x2 max pooling, the
 per-cell channel softmax, depth-to-space reshaping of cell probabilities,
 and a handful of elementwise / reduction primitives. Inference-only
-decoding, the dense descriptor map, is plain numpy in the network module.
+decoding, the descriptors at the detected keypoints, is plain numpy in the
+network module. The convolution's forward copies its im2col matrix one
+block of output rows at a time (at most _IM2COL_ELEMENTS), one GEMM per
+block; its backward reads the whole im2col as a strided view.
 Max pooling sends each output's gradient to the first window position
 (row-major) that holds the maximum, so ties, such as the zeros a relu
 leaves, route to one input.
@@ -53,6 +56,12 @@ CELL = 8  # side of a detector cell, in pixels
 DUSTBIN = CELL * CELL  # channel index of the "no interest point" bin
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+# im2col elements per conv2d forward GEMM block: 2^21 is 8 MB in f32. Blocks
+# of a few rows can change output bits, because OpenBLAS uses another kernel
+# for small matrices (the 1x1 detector head differs at 2^14);
+# tests/test_tensor.py checks every network layer against one whole GEMM.
+_IM2COL_ELEMENTS = 1 << 21
 
 
 class Tensor:
@@ -271,10 +280,21 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
     if ho < 1 or wo < 1:
         raise ValueError(f"conv2d: kernel {k} does not fit input {h}x{w} with padding {padding}")
 
+    cin, cout = kv.shape[2], kv.shape[3]
     xp = np.pad(xv, ((padding, padding), (padding, padding), (0, 0)))
     sy, sx, sc = xp.strides
-    patches = np.lib.stride_tricks.as_strided(xp, (ho, wo, k, k, xv.shape[2]), (sy, sx, sy, sx, sc))
-    out = Tensor._wrap(np.tensordot(patches, kv, axes=([2, 3, 4], [0, 1, 2])) + bv)
+    patches = np.lib.stride_tricks.as_strided(xp, (ho, wo, k, k, cin), (sy, sx, sy, sx, sc))
+    # One GEMM per block of output rows, so only that block's im2col is copied.
+    # The blocks split ho evenly; each output element is the same dot product
+    # as in one whole-image GEMM.
+    y = np.empty((ho, wo, cout), dtype=np.result_type(xv, kv))
+    kmat = kv.reshape(-1, cout)
+    blocks = min(ho, max(1, -(-ho * wo * k * k * cin // _IM2COL_ELEMENTS)))
+    edges = [ho * i // blocks for i in range(blocks + 1)]
+    for r0, r1 in zip(edges, edges[1:]):
+        np.matmul(patches[r0:r1].reshape(-1, k * k * cin), kmat, out=y[r0:r1].reshape(-1, cout))
+    y += bv
+    out = Tensor._wrap(y)
 
     def back(g):
         # The row-major (ho*wo, k*k*cin) im2col, transposed as a BLAS flag. One

@@ -224,6 +224,42 @@ def space_to_depth(y: np.ndarray) -> np.ndarray:
     return y.reshape(hc, CELL, wc, CELL).transpose(0, 2, 1, 3).reshape(hc, wc, DUSTBIN)
 
 
+def conv2d_tensordot(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, padding: int) -> np.ndarray:
+    """conv2d's forward as one whole-image GEMM: np.tensordot over the full
+    (ho, wo, k, k, cin) im2col, plus the bias. The blocked forward must
+    give the same bytes."""
+    k = kernel.shape[0]
+    ho, wo = x.shape[0] + 2 * padding - k + 1, x.shape[1] + 2 * padding - k + 1
+    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
+    sy, sx, sc = xp.strides
+    patches = np.lib.stride_tricks.as_strided(xp, (ho, wo, k, k, x.shape[2]), (sy, sx, sy, sx, sc))
+    return np.tensordot(patches, kernel, axes=([2, 3, 4], [0, 1, 2])) + bias
+
+
+def conv2d_layers(arch: Architecture, h: int, w: int):
+    """(name, h, w, k, cin, cout, padding) of every conv of arch on an h x w image."""
+    out = []
+    for name, k, cin, cout in arch.layer_plan():
+        stage = int(name[3]) if name.startswith("enc") else 3  # the heads run at 1/8
+        out.append((name, h >> stage, w >> stage, k, cin, cout, k // 2))
+    return out
+
+
+def dense_densify(describe: np.ndarray, ys, xs) -> np.ndarray:
+    """The whole H x W x D unit-norm descriptor map, read at (ys, xs).
+
+    The dense decode network.densify replaced: the same bicubic einsum, then
+    the norm summed over the einsum output's strided channel axis for every
+    pixel, the 1e-12 floor, and the division, before the gather.
+    """
+    wh = network._upsample_matrix(describe.shape[0], describe.dtype)
+    ww = network._upsample_matrix(describe.shape[1], describe.dtype)
+    up = np.einsum("oi,pj,ijc->opc", wh, ww, describe, optimize=True)
+    norm = np.sqrt((up * up).sum(axis=-1, keepdims=True))
+    dense = up / np.where(norm > 1e-12, norm, 1e-12)
+    return np.ascontiguousarray(dense[ys, xs])
+
+
 def random_rotation(rng: np.random.Generator, max_angle_deg: float) -> np.ndarray:
     axis = rng.standard_normal(3)
     axis = axis / np.linalg.norm(axis)

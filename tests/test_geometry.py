@@ -1,5 +1,7 @@
 """Quaternions, model fitting, RANSAC, pose recovery, pose files."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -617,7 +619,7 @@ def test_intrinsics_round_trip(tmp_path):
 
 def test_non_finite_pose_and_intrinsics_rejected(tmp_path):
     path = tmp_path / "poses.txt"
-    for line in ("0 1 nan 0 0 0 1 0 0", "0 1 1 0 0 0 inf 0 0", "0 1 1e200 1e200 0 0 1 0 0"):
+    for line in ("0 1 nan 0 0 0 1 0 0", "0 1 1 0 0 0 inf 0 0", "0 1 1 0 0 0 1 -1e999 0"):
         path.write_text(line + "\n")
         with pytest.raises(ValueError, match="finite"):
             load_pose_file(path)
@@ -625,6 +627,25 @@ def test_non_finite_pose_and_intrinsics_rejected(tmp_path):
     path.write_text("nan 280 inf 119.5\n")
     with pytest.raises(ValueError, match="finite"):
         load_intrinsics(path)
+
+
+def test_pose_with_overflowing_norm_is_normalised(tmp_path):
+    # Finite components whose plain norm overflows are rescaled by their
+    # largest magnitude, with no overflow warning; finite is never "non-finite".
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pose = RelativePose((1e200, 0, 0, 0), (0, 0, 1))
+        np.testing.assert_array_equal(pose.quaternion, [1.0, 0, 0, 0])
+        pose = RelativePose((-1.7e308, 1.7e308, 0, 0), (1e300, -1e300, 0))
+        np.testing.assert_allclose(pose.quaternion, [np.sqrt(0.5), -np.sqrt(0.5), 0, 0], atol=1e-15)
+        np.testing.assert_allclose(pose.translation, [np.sqrt(0.5), -np.sqrt(0.5), 0], atol=1e-15)
+        path = tmp_path / "poses.txt"
+        path.write_text("0 1 1e200 1e200 0 0 1 0 0\n")
+        pose = load_pose_file(path)[(0, 1)]
+        np.testing.assert_allclose(pose.quaternion, [np.sqrt(0.5), np.sqrt(0.5), 0, 0], atol=1e-15)
+    # a norm that does not overflow keeps the plain division
+    q = np.array([3e150, -4e150, 1e149, 2.0])
+    np.testing.assert_array_equal(RelativePose(q, (1, 0, 0)).quaternion, q / np.linalg.norm(q))
 
 
 def test_pose_file_names_line_of_bad_value(tmp_path):

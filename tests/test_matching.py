@@ -20,7 +20,7 @@ from endofeat.matching import (
     match_mutual,
     save_features,
 )
-from helpers import rng
+from helpers import dense_densify, rng
 
 
 # --- greedy NMS ------------------------------------------------------------
@@ -101,20 +101,20 @@ def test_detect_points_masks_then_suppresses(dtype):
 def test_extract_keypoints_reads_descriptors_and_mask():
     r = rng(51)
     heat = r.uniform(0, 1, (16, 16))
-    desc = r.normal(size=(16, 16, 4))
+    cells = r.normal(size=(2, 2, 4))
     mask = np.ones((16, 16), dtype=bool)
     mask[:, 8:] = False
-    kp, ds = extract_keypoints(heat, desc, mask, threshold=0.2, nms_window=3)
+    kp, ds = extract_keypoints(heat, cells, mask, threshold=0.2, nms_window=3)
     assert len(kp) == len(ds) > 0
     assert np.all(kp.points[:, 0] < 8)  # x stays inside the ROI
     for (x, y), row in zip(kp.points, ds.vectors):
-        np.testing.assert_array_equal(row, desc[int(y), int(x)])
+        np.testing.assert_array_equal(row, dense_densify(cells, int(y), int(x)))
     assert np.all(np.diff(kp.scores) <= 0)
 
 
 def test_extract_keypoints_cap():
     heat = rng(52).uniform(0.5, 1.0, (16, 16))
-    kp, ds = extract_keypoints(heat, np.zeros((16, 16, 2)), threshold=0.1, nms_window=3,
+    kp, ds = extract_keypoints(heat, np.zeros((2, 2, 2)), threshold=0.1, nms_window=3,
                                max_features=5)
     assert len(kp) == 5 and len(ds) == 5
 

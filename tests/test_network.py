@@ -24,7 +24,13 @@ from endofeat.network import (
 from endofeat.ioutil import write_archive
 from endofeat.tensor import Tensor
 
-from helpers import damaged, rng, toy_architecture
+from helpers import damaged, dense_densify, rng, toy_architecture
+
+
+def _all_pixels(describe):
+    # (ys, xs) of every pixel of the upsampled map, row-major
+    ys, xs = np.indices((describe.shape[0] * 8, describe.shape[1] * 8))
+    return ys.ravel(), xs.ravel()
 
 
 def test_architecture_requires_four_stages():
@@ -119,9 +125,9 @@ def test_densify_heatmap_is_cellwise_probability():
     assert heat.min() >= 0.0
     cell_sums = heat.reshape(2, 8, 2, 8).sum(axis=(1, 3))
     assert np.all(cell_sums <= 1.0 + 1e-12)  # dustbin holds the remainder
-    desc = densify(heads.describe.data)
-    assert desc.shape == (16, 16, 2)
-    np.testing.assert_allclose(np.linalg.norm(desc, axis=2), 1.0, atol=1e-9)
+    desc = densify(heads.describe.data, *_all_pixels(heads.describe.data))
+    assert desc.shape == (256, 2)
+    np.testing.assert_allclose(np.linalg.norm(desc, axis=1), 1.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -154,7 +160,7 @@ def _cubic(d):
 
 def test_densify_matches_per_pixel_bicubic_oracle():
     x = rng(13).uniform(-1, 1, (3, 4, 2))
-    got = densify(x)
+    got = densify(x, *_all_pixels(x)).reshape(24, 32, 2)
     h, w, c = x.shape
     want = np.zeros((h * 8, w * 8, c))
     for oy in range(h * 8):
@@ -179,25 +185,56 @@ def test_densify_matches_per_pixel_bicubic_oracle():
 
 def test_densify_preserves_constants():
     v = np.array([0.37, -0.2, 0.5])
-    got = densify(np.broadcast_to(v, (2, 3, 3)).copy())
-    assert got.shape == (16, 24, 3)
+    x = np.broadcast_to(v, (2, 3, 3)).copy()
+    got = densify(x, *_all_pixels(x))
+    assert got.shape == (16 * 24, 3)
     np.testing.assert_allclose(got, np.broadcast_to(v / np.linalg.norm(v), got.shape), atol=1e-12)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_densify_unit_norms_and_zero_stays_zero(dtype):
     x = rng(14).uniform(0.2, 1.0, (2, 3, 5)).astype(dtype)
-    got = densify(x)
-    assert got.dtype == dtype and got.shape == (16, 24, 5)
+    got = densify(x, *_all_pixels(x))
+    assert got.dtype == dtype and got.shape == (16 * 24, 5) and got.flags.c_contiguous
     tol = 1e-12 if dtype == np.float64 else 1e-6
-    np.testing.assert_allclose(np.linalg.norm(got.astype(np.float64), axis=2), 1.0, atol=tol)
-    zero = densify(np.zeros((2, 3, 4), dtype=dtype))
-    assert np.all(zero == 0.0)
+    np.testing.assert_allclose(np.linalg.norm(got.astype(np.float64), axis=1), 1.0, atol=tol)
+    zero = np.zeros((2, 3, 4), dtype=dtype)
+    assert np.all(densify(zero, *_all_pixels(zero)) == 0.0)
     # below the norm floor a vector is divided by the floor, not by its norm
-    tiny = densify(np.full((1, 1, 3), 1e-14))
-    np.testing.assert_allclose(tiny, 1e-2, rtol=1e-9)
+    tiny = np.full((1, 1, 3), 1e-14)
+    np.testing.assert_allclose(densify(tiny, *_all_pixels(tiny)), 1e-2, rtol=1e-9)
+    assert densify(x, [], []).shape == (0, 5)
     with pytest.raises(ValueError, match="Hc x Wc x D"):
-        densify(np.zeros((2, 3)))
+        densify(np.zeros((2, 3)), [0], [0])
+    for ys, xs in (([16], [0]), ([0], [24]), ([-1], [0]), ([0], [-1])):
+        with pytest.raises(ValueError, match="outside the 16x24 map"):
+            densify(x, ys, xs)
+    with pytest.raises(ValueError, match="equal-length"):
+        densify(x, [0, 1], [0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hc, wc, d", [(10, 12, 33), (15, 20, 256)])
+def test_densify_equals_dense_map_oracle(hc, wc, d, dtype):
+    # densify normalises only the gathered vectors; every byte must equal the
+    # whole normalised map read at the same pixels.
+    r = rng(15)
+    x = r.standard_normal((hc, wc, d)).astype(dtype)
+    x[:4, :4] = 0.0  # a corner of zero cells: upsampled vectors there are exactly zero
+    x[-4:, -4:] = 1e-14  # norms below the 1e-12 floor
+    h, w = hc * 8, wc * 8
+    picks = r.choice(h * w, 600, replace=False)
+    border = np.concatenate([np.arange(w), np.arange(w) + (h - 1) * w,
+                             np.arange(h) * w, np.arange(h) * w + w - 1])  # edge-clamped taps
+    special = np.array([4 * w + 4, (h - 5) * w + w - 5])  # inside the zero and tiny corners
+    idx = np.concatenate([picks, border, special])
+    ys, xs = idx // w, idx % w
+    got = densify(x, ys, xs)
+    want = dense_densify(x, ys, xs)
+    assert np.all(want[-2] == 0.0)
+    assert 0.0 < np.linalg.norm(want[-1].astype(np.float64)) < 1.0  # divided by the floor
+    assert got.dtype == want.dtype == dtype and got.shape == (idx.size, d)
+    np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
 
 
 def test_validate_names_bad_layer():

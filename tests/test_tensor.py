@@ -9,9 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endofeat import tensor as T
+from endofeat.network import Architecture
 from endofeat.tensor import GradTape, Tensor, backward
 
-from helpers import check_gradients, op_cases, rng, space_to_depth
+from helpers import (
+    check_gradients,
+    conv2d_layers,
+    conv2d_tensordot,
+    op_cases,
+    rng,
+    space_to_depth,
+    toy_architecture,
+)
 
 _CASES = op_cases()
 
@@ -93,6 +102,42 @@ def test_conv2d_matches_naive_oracle():
                             acc += xp[i + di, j + dj, ci] * k[di, dj, ci, co]
                 want[i, j, co] = acc
     np.testing.assert_allclose(out, want, atol=1e-12)
+
+
+# Every layer shape of the default net at 120x160 and 240x320 and of the toy
+# net at 64x64 (each shape once), plus one whose rows split into uneven blocks.
+_FORWARD_SHAPES = sorted(
+    {
+        (h, w, k, cin, cout, padding)
+        for arch, h, w in ((Architecture(), 120, 160), (Architecture(), 240, 320),
+                           (toy_architecture(), 64, 64))
+        for _, h, w, k, cin, cout, padding in conv2d_layers(arch, h, w)
+    }
+) + [(101, 160, 3, 64, 64, 1)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h, w, k, cin, cout, padding", _FORWARD_SHAPES)
+def test_conv2d_forward_equals_tensordot(h, w, k, cin, cout, padding, dtype):
+    # The forward runs one GEMM per block of output rows; each output must be
+    # the bytes of one whole-image tensordot. Small blocks would break this
+    # (OpenBLAS uses another kernel for small matrices), so this also guards
+    # the block budget.
+    r = rng(23)
+    x = np.maximum(r.standard_normal((h, w, cin)), 0.0).astype(dtype)  # relu zeros, as between layers
+    kernel = (r.standard_normal((k, k, cin, cout)) * 0.1).astype(dtype)
+    bias = r.standard_normal(cout).astype(dtype)
+    got = T.conv2d(Tensor(x), Tensor(kernel), Tensor(bias), padding=padding).data
+    want = conv2d_tensordot(x, kernel, bias, padding)
+    assert got.dtype == want.dtype == dtype
+    np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
+
+
+def test_conv2d_forward_shapes_cover_uneven_blocks():
+    # The last forward shape must really be split, into blocks of unequal rows.
+    h, w, k, cin, cout, padding = _FORWARD_SHAPES[-1]
+    blocks = -(-h * w * k * k * cin // T._IM2COL_ELEMENTS)
+    assert 1 < blocks < h and h % blocks != 0
 
 
 def _old_conv2d_grads(x, k, g, padding):
