@@ -129,6 +129,8 @@ def cmd_pseudolabel(config: RunConfig, args) -> int:
 
 
 def cmd_train(config: RunConfig, args) -> int:
+    train_config = runcfg.train_config(config)
+    loss_config = runcfg.loss_config(config)
     frames = _frame_list(config)
     params = _load_weights(config)
     label_dir = runcfg.labels_dir(config)
@@ -159,8 +161,6 @@ def cmd_train(config: RunConfig, args) -> int:
         print(f"train: outputs exist, skipping (use --force to retrain) -> {out_weights}")
         return 0
 
-    train_config = runcfg.train_config(config)
-    loss_config = runcfg.loss_config(config)
     checkpoint_dir = None
     if train_config.checkpoint_every > 0:
         checkpoint_dir = os.path.join(config.output_dir, "checkpoints")
@@ -214,6 +214,7 @@ def cmd_detect(config: RunConfig, args) -> int:
 
 
 def cmd_eval(config: RunConfig, args) -> int:
+    tags = runcfg.model_tags(config)
     images = {fid: data.read_frame(path) for fid, path in _frame_list(config)}
     shape = next(iter(images.values())).shape
     for frame_id, image in images.items():
@@ -231,7 +232,6 @@ def cmd_eval(config: RunConfig, args) -> int:
         )
 
     methods = runcfg.method_names(config)
-    tags = runcfg.model_tags(config)
 
     features_by_method = {}
     missing = []

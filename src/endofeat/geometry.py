@@ -19,8 +19,8 @@ unless the refit sheds more than half of that support — then the sampled
 hypothesis and its flags are returned instead.
 
 Hypotheses are fit and scored in blocks: each model kernel takes a
-leading hypothesis axis, and the public single-model functions are B=1
-calls of it. A stacked numpy.linalg or matmul call runs the same LAPACK
+leading hypothesis axis, and the refit and pgt_inliers are B=1 calls of
+it. A stacked numpy.linalg or matmul call runs the same LAPACK
 or BLAS routine on each member that a single call would, so a block
 walked in iteration order gives the serial loop's result bit for bit.
 """
@@ -210,15 +210,6 @@ def _hartley_stack(points: np.ndarray):
     return t, norm, ok
 
 
-def hartley_normalization(points: np.ndarray):
-    """Similarity T mapping points to zero centroid, mean distance sqrt(2).
-
-    Returns (T, normalized points) or (None, None) for a degenerate cloud.
-    """
-    t, norm, ok = _hartley_stack(np.asarray(points, dtype=np.float64)[None])
-    return (t[0], norm[0]) if ok[0] else (None, None)
-
-
 def _dlt_svd(a: np.ndarray):
     """Singular values and V^T of a (B, m, 9) stack of DLT systems.
 
@@ -230,7 +221,10 @@ def _dlt_svd(a: np.ndarray):
 
 
 def _fit_one(fit, pts_a: np.ndarray, pts_b: np.ndarray):
-    """One model from a stacked fit kernel as a B=1 call; None when it fails."""
+    """One model from a stacked fit kernel as a B=1 call; None when it fails.
+
+    Callers pass at least the kernel's sample size (4 for H, 8 for F and E).
+    """
     models, ok = _fit_block(fit, pts_a[None], pts_b[None])
     return models[0] if ok[0] else None
 
@@ -299,15 +293,6 @@ def _fit_homography_stack(pts_a: np.ndarray, pts_b: np.ndarray):
     return np.where(ok[:, None, None], h, np.eye(3)), ok
 
 
-def fit_homography(pts_a: np.ndarray, pts_b: np.ndarray):
-    """Normalized DLT from >= 4 correspondences; None when degenerate."""
-    pts_a = np.asarray(pts_a, dtype=np.float64)
-    pts_b = np.asarray(pts_b, dtype=np.float64)
-    if pts_a.shape[0] < 4:
-        return None
-    return _fit_one(_fit_homography_stack, pts_a, pts_b)
-
-
 def _transfer_stack(m: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """(B, N) distances from dst to src mapped by each of the B homographies m."""
     mapped = np.hstack([src, np.ones((src.shape[0], 1))]) @ m.transpose(0, 2, 1)
@@ -326,18 +311,20 @@ def _homography_distances_stack(h: np.ndarray, pts_a: np.ndarray, pts_b: np.ndar
     )
 
 
-def homography_distances(h: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
-    """Symmetric transfer residual: max of forward and backward distance."""
-    pts_a = np.asarray(pts_a, dtype=np.float64)
-    pts_b = np.asarray(pts_b, dtype=np.float64)
-    return _homography_distances_stack(np.asarray(h, dtype=np.float64)[None], pts_a, pts_b)[0]
-
-
 def _fit_fundamental_stack(pts_a: np.ndarray, pts_b: np.ndarray, essential: bool = False):
-    """Normalized 8-point fit of B samples (B, n, 2) -> (models (B, 3, 3), ok (B,)).
+    """Normalized 8-point fit of x2^T F x1 = 0 for B samples (B, n, 2).
 
-    Members that fail (ok False) carry the identity. Raises LinAlgError
-    when a stacked SVD does not converge.
+    Returns (models (B, 3, 3), ok (B,)); members that fail (ok False)
+    carry the identity. Raises LinAlgError when a stacked SVD does not
+    converge.
+
+    With essential=True each model is projected onto the essential
+    manifold (two equal singular values, one zero) and scaled to
+    Frobenius norm sqrt(2). That projection happens only after undoing
+    the conditioning maps: the conditioned frame is a different
+    similarity of each image plane, where an essential matrix loses its
+    equal-singular-value structure, so projecting there would bias even
+    a noise-free fit.
     """
     b, n = pts_a.shape[:2]
     t1, na, ok1 = _hartley_stack(pts_a)
@@ -370,26 +357,6 @@ def _fit_fundamental_stack(pts_a: np.ndarray, pts_b: np.ndarray, essential: bool
     return np.where(ok[:, None, None], f, np.eye(3)), ok
 
 
-def fit_fundamental(pts_a: np.ndarray, pts_b: np.ndarray, essential: bool = False):
-    """Normalized 8-point fit of x2^T F x1 = 0; None when degenerate.
-
-    With essential=True the result is projected onto the essential
-    manifold (two equal singular values, one zero) and scaled to
-    Frobenius norm sqrt(2). That projection happens only after undoing
-    the conditioning maps: the conditioned frame is a different
-    similarity of each image plane, where an essential matrix loses its
-    equal-singular-value structure, so projecting there would bias even
-    a noise-free fit.
-    """
-    pts_a = np.asarray(pts_a, dtype=np.float64)
-    pts_b = np.asarray(pts_b, dtype=np.float64)
-    if pts_a.shape[0] < 8:
-        return None
-    return _fit_one(
-        lambda sa, sb: _fit_fundamental_stack(sa, sb, essential), pts_a, pts_b
-    )
-
-
 def _epipolar_distances_stack(f: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
     """(B, N) symmetric epipolar residuals of B models (B, 3, 3)."""
     ones = np.ones((pts_a.shape[0], 1))
@@ -406,13 +373,6 @@ def _epipolar_distances_stack(f: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarra
         return np.where(bad, np.inf, val / np.where(bad, 1.0, n))
 
     return np.maximum(dist(lines_b), dist(lines_a))
-
-
-def epipolar_distances(f: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
-    """Symmetric epipolar residual: max point-to-line distance both ways."""
-    pts_a = np.asarray(pts_a, dtype=np.float64)
-    pts_b = np.asarray(pts_b, dtype=np.float64)
-    return _epipolar_distances_stack(np.asarray(f, dtype=np.float64)[None], pts_a, pts_b)[0]
 
 
 # ---------------------------------------------------------------------------

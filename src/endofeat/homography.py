@@ -66,17 +66,14 @@ def _corners_ok(h: np.ndarray) -> bool:
     return bool(np.all(pts >= _CORNER_LO) and np.all(pts <= _CORNER_HI))
 
 
-def sample_homography(rng_seed, config: HomographyConfig = HomographyConfig()) -> np.ndarray:
+def sample_homography(
+    rng: np.random.Generator, config: HomographyConfig = HomographyConfig()
+) -> np.ndarray:
     """Draw a random unit-square homography; 3x3, normalized so h[2,2] = 1.
 
-    rng_seed may be an int, a SeedSequence, or a Generator. Degenerate or
-    out-of-box samples are redrawn, with an error after 100 attempts.
+    All draws come from rng. Degenerate or out-of-box samples are redrawn,
+    with an error after 100 attempts.
     """
-    if isinstance(rng_seed, np.random.Generator):
-        rng = rng_seed
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-
     center = np.array([[1, 0, 0.5], [0, 1, 0.5], [0, 0, 1.0]])
     uncenter = np.array([[1, 0, -0.5], [0, 1, -0.5], [0, 0, 1.0]])
     for _ in range(_MAX_ATTEMPTS):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .ioutil import atomic_write_bytes, fmt
+from .ioutil import atomic_write_bytes
 
 DETECTION_THRESHOLD = 0.015
 DETECTION_NMS_WINDOW = 3
@@ -273,10 +273,12 @@ def feature_path(directory, frame_id: int) -> str:
 def save_features(path, keypoints: KeypointSet, descriptors: DescriptorSet) -> None:
     if len(keypoints) != len(descriptors):
         raise ValueError("keypoint and descriptor counts differ")
-    lines = [f"metric {descriptors.metric} dim {descriptors.dim}"]
-    for (x, y), s in zip(keypoints.points, keypoints.scores):
-        lines.append(f"{fmt(x)} {fmt(y)} {fmt(s)}")
-    atomic_write_bytes(os.fspath(path), "".join(l + "\n" for l in lines).encode("ascii"))
+    # repr of a Python float is ioutil.fmt, so each row reads back exactly
+    rows = np.column_stack([keypoints.points, keypoints.scores]).tolist()
+    text = f"metric {descriptors.metric} dim {descriptors.dim}\n" + "".join(
+        f"{x!r} {y!r} {s!r}\n" for x, y, s in rows
+    )
+    atomic_write_bytes(os.fspath(path), text.encode("ascii"))
     if descriptors.metric == METRIC_HAMMING:
         payload = np.ascontiguousarray(descriptors.vectors).tobytes()
     else:

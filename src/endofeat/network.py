@@ -223,13 +223,13 @@ def save_weights(params: NetworkParams, path) -> None:
     write_archive(path, {label: t.data.astype(np.float32) for label, t in params.param_tensors()})
 
 
-def load_weights(path, architecture: Architecture | None = None) -> NetworkParams:
+def load_weights(path) -> NetworkParams:
     """Load float32 params; validates layer chaining against the format.
 
-    The architecture is reconstructed from the layer names and kernel
-    shapes when not supplied, then the parameter set is structurally
-    validated and ordered as its layer_plan(). Raises WeightsError naming
-    the file or the layer for any other archive.
+    The architecture is inferred from the layer names and kernel shapes,
+    then the parameter set is structurally validated and ordered as its
+    layer_plan(). Raises WeightsError naming the file or the layer for any
+    other archive.
     """
     kernels: dict[str, np.ndarray] = {}
     biases: dict[str, np.ndarray] = {}
@@ -253,8 +253,7 @@ def load_weights(path, architecture: Architecture | None = None) -> NetworkParam
                 f"layer {name}: bias length {biases[name].shape[0]} vs kernel Cout {kernels[name].shape[3]}"
             )
 
-    if architecture is None:
-        architecture = _infer_architecture(kernels)
+    architecture = _infer_architecture(kernels)
     plan = [name for name, *_ in architecture.layer_plan()]
     unknown = sorted((kernels.keys() | biases.keys()) - set(plan))
     if unknown:

@@ -190,6 +190,35 @@ def test_invalid_setting_exits_2_before_any_frame(tmp_path, capsys, command, set
     assert not ws["out"].exists()
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("iterations=0", "iterations must be >= 1"),
+        ("learning_rate=-1", "learning_rate must be >= 0"),
+        ("homography_scale_min=5", "need 0 < scale_min <= scale_max"),
+        ("specularity_weight=-1", "specularity_weight must be >= 0"),
+    ],
+)
+def test_invalid_train_setting_exits_2_even_when_outputs_exist(tmp_path, capsys, setting, message):
+    ws = make_workspace(tmp_path, n_frames=2)
+    assert run(ws, "pseudolabel") == 0
+    for name in ("trained.weights", "train_history.csv"):
+        (ws["out"] / name).write_text("earlier run\n")
+    capsys.readouterr()
+    assert run(ws, "train", "--set", setting) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert (ws["out"] / "trained.weights").read_text() == "earlier run\n"
+
+
+def test_eval_bad_models_exits_2_before_reading_frames(tmp_path, capsys):
+    ws = make_workspace(tmp_path, n_frames=2)
+    (ws["frames"] / data.frame_name(0)).write_bytes(b"not a pgm")
+    assert run(ws, "eval", "--set", "models=H,Q") == 2
+    err = capsys.readouterr().err
+    assert "unknown model tag 'Q'" in err and "pgm" not in err
+
+
 def test_train_label_outside_frame_names_file(tmp_path, capsys):
     ws = make_workspace(tmp_path, n_frames=2)
     assert run(ws, "pseudolabel") == 0

@@ -284,19 +284,6 @@ def test_weights_round_trip_quantizes_doubles(tmp_path):
         np.testing.assert_array_equal(t32.data, t64.data.astype(np.float32))
 
 
-def test_load_with_matching_and_mismatching_architecture(tmp_path):
-    arch = toy_architecture()
-    path = tmp_path / "net.weights"
-    save_weights(init_params(arch, seed=0), path)
-    assert load_weights(path, arch).architecture == arch
-    other = Architecture(encoder_stages=((3, 3), (3, 3), (3, 3), (3, 3)), head_width=3, descriptor_dim=2)
-    with pytest.raises(WeightsError):
-        load_weights(path, other)
-    wider = Architecture(encoder_stages=((2, 2, 2), (2, 2), (2, 2), (2, 2)), head_width=3, descriptor_dim=2)
-    with pytest.raises(WeightsError, match="missing layer enc0_c2"):
-        load_weights(path, wider)
-
-
 def _toy_entries(seed=0):
     params = init_params(toy_architecture(), seed=seed)
     return {label: t.data.astype(np.float32) for label, t in params.param_tensors()}
