@@ -24,7 +24,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import config as runcfg
-from . import data, geometry, matching, metrics, network, train
+from . import data, geometry, homography, matching, metrics, network, train
 from .config import ConfigError, RunConfig
 from .ioutil import atomic_write_text, fmt
 from .tensor import Tensor
@@ -35,6 +35,7 @@ _INPUT_ERRORS = (
     OSError,
     data.FrameError,
     network.WeightsError,
+    homography.HomographySamplingError,
 )
 
 

@@ -150,7 +150,7 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config_text(text, base)
 

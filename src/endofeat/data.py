@@ -25,7 +25,7 @@ import numpy as np
 
 from . import network
 from .homography import warp_points
-from .ioutil import atomic_write_bytes, atomic_write_text, fmt
+from .ioutil import atomic_write_bytes, atomic_write_text, fmt, read_records
 from .matching import detect_points
 from .tensor import Tensor
 
@@ -236,27 +236,18 @@ def save_label(path, label: PseudoLabel) -> None:
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
+def _label_record(fields):
+    x, y, score = int(fields[0]), int(fields[1]), float(fields[2])
+    if max(abs(x), abs(y)) >= 2**63:
+        raise ValueError("pixel coordinate out of the int64 range")
+    if not math.isfinite(score):
+        raise ValueError(f"score must be finite, got {fields[2]}")
+    return (x, y), score
+
+
 def load_label(path) -> PseudoLabel:
-    points = []
-    scores = []
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{ln}: expected 'x y score'")
-            try:
-                x, y, score = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from exc
-            if max(abs(x), abs(y)) >= 2**63:
-                raise ValueError(f"{path}:{ln}: pixel coordinate out of the int64 range")
-            if not math.isfinite(score):
-                raise ValueError(f"{path}:{ln}: score must be finite, got {parts[2]}")
-            points.append((x, y))
-            scores.append(score)
-    if not points:
+    records = list(read_records(path, "x y score", _label_record))
+    if not records:
         return PseudoLabel(np.empty((0, 2), dtype=np.int64), np.empty(0))
+    points, scores = zip(*records)
     return PseudoLabel(np.asarray(points, dtype=np.int64), np.asarray(scores))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import atomic_write_text, fmt
+from .ioutil import atomic_write_text, fmt, read_records
 
 RANSAC_CONFIDENCE = 0.9999
 RANSAC_THRESHOLD_PX = 3.0
@@ -664,24 +664,15 @@ def save_pose_file(path, entries) -> None:
     atomic_write_text(path, "".join(l + "\n" for l in lines))
 
 
+def _pose_record(fields):
+    key = int(fields[0]), int(fields[1])
+    vals = [float(v) for v in fields[2:]]
+    return key, RelativePose(np.array(vals[:4]), np.array(vals[4:]))
+
+
 def load_pose_file(path) -> dict:
-    """Text pose file to {(frame_a, frame_b): RelativePose}."""
-    out = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 9:
-                raise ValueError(f"{path}:{ln}: expected 'frameA frameB qw qx qy qz tx ty tz'")
-            try:
-                fa, fb = int(parts[0]), int(parts[1])
-                vals = [float(v) for v in parts[2:]]
-                out[(fa, fb)] = RelativePose(np.array(vals[:4]), np.array(vals[4:]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from exc
-    return out
+    """Text pose file to {(frame_a, frame_b): RelativePose}; a repeated pair keeps its last line."""
+    return dict(read_records(path, "frameA frameB qw qx qy qz tx ty tz", _pose_record))
 
 
 def save_intrinsics(path, k: Intrinsics) -> None:
@@ -689,16 +680,17 @@ def save_intrinsics(path, k: Intrinsics) -> None:
 
 
 def load_intrinsics(path) -> Intrinsics:
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{ln}: expected 'fx fy cx cy'")
-            try:
-                return Intrinsics(*(float(v) for v in parts))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from exc
-    raise ValueError(f"{path}: no intrinsics line found")
+    """The one 'fx fy cx cy' record of a text intrinsics file."""
+    found = 0
+
+    def parse(fields):
+        nonlocal found
+        found += 1
+        if found > 1:
+            raise ValueError("a second intrinsics record; the file holds exactly one")
+        return Intrinsics(*(float(v) for v in fields))
+
+    records = list(read_records(path, "fx fy cx cy", parse))
+    if not records:
+        raise ValueError(f"{path}: no intrinsics line found")
+    return records[0]

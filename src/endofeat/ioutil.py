@@ -1,9 +1,14 @@
-"""Small IO helpers shared across modules, and the one array-archive codec.
+"""Small IO helpers shared across modules, the one array-archive codec and
+the one text-record reader.
 
 Weights files and checkpoint optimizer state are np.savez archives:
 write_archive writes one atomically, read_archive reads it back as
 {name: ndarray} and reports any damaged or foreign file through the
 caller's error class.
+
+Label, pose, intrinsics and feature files are UTF-8 text read by
+read_records: one record per line, blank and '#' lines skipped, and every
+error names the file (and the line, for a bad record) as a ValueError.
 """
 
 from __future__ import annotations
@@ -67,6 +72,44 @@ def read_archive(path, error) -> dict:
         if not isinstance(arr, np.ndarray):  # a member not written by np.save
             raise error(f"{path}: entry {key!r} is not an array")
     return entries
+
+
+def read_records(path, usage: str, parse, header=None):
+    """Yield parse(fields) for each record of the UTF-8 text file at path.
+
+    A record is a line that is neither blank nor a '#' comment; lines count
+    from 1. Every error is a ValueError that names the file:
+    - a record whose field count differs from usage's ('x y score': three)
+      raises f"{path}:{line}: expected {usage!r}";
+    - a ValueError from parse is re-raised as f"{path}:{line}: {msg}";
+    - a file that is not UTF-8 raises f"{path}: not UTF-8 text: ...".
+    With header, the first record is yielded as header(text) instead, where
+    text is its line without the newline; header checks its own fields, and
+    its ValueError is re-raised as f"{path}: {msg}".
+    """
+    n_fields = len(usage.split())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for ln, line in enumerate(f, 1):
+                fields = line.split()
+                if not fields or fields[0].startswith("#"):
+                    continue
+                if header is not None:
+                    try:
+                        record = header(line.rstrip("\n"))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: {exc}") from exc
+                    header = None
+                elif len(fields) != n_fields:
+                    raise ValueError(f"{path}:{ln}: expected {usage!r}")
+                else:
+                    try:
+                        record = parse(fields)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{ln}: {exc}") from exc
+                yield record
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def fmt(x: float) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .ioutil import atomic_write_bytes
+from .ioutil import atomic_write_bytes, read_records
 
 DETECTION_THRESHOLD = 0.015
 DETECTION_NMS_WINDOW = 3
@@ -286,44 +286,37 @@ def save_features(path, keypoints: KeypointSet, descriptors: DescriptorSet) -> N
     atomic_write_bytes(os.fspath(path) + ".desc", payload)
 
 
-def load_features(path, frame_id: int = -1):
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    if not lines:
-        raise ValueError(f"{path}: empty feature file")
-    head = lines[0].split()
+def _feature_header(text):
+    head = text.split()
     if len(head) != 4 or head[0] != "metric" or head[2] != "dim":
-        raise ValueError(f"{path}: bad feature header {lines[0]!r}")
+        raise ValueError(f"bad feature header {text!r}")
     metric = head[1]
     if metric not in (METRIC_L2, METRIC_HAMMING):
-        raise ValueError(f"{path}: unknown metric {metric!r}")
+        raise ValueError(f"unknown metric {metric!r}")
     try:
         dim = int(head[3])
     except ValueError:
-        raise ValueError(f"{path}: bad feature header {lines[0]!r}") from None
+        raise ValueError(f"bad feature header {text!r}") from None
     if dim < 1:
-        raise ValueError(f"{path}: descriptor dim must be at least 1, got {dim}")
-    pts, scores = [], []
-    for ln, line in enumerate(lines[1:], 2):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{ln}: expected 'x y score'")
-        try:
-            x, y, score = float(parts[0]), float(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{ln}: {exc}") from exc
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(score)):
-            raise ValueError(f"{path}:{ln}: x, y and score must be finite")
-        pts.append((x, y))
-        scores.append(score)
-    n = len(pts)
-    kp = KeypointSet(
-        np.asarray(pts, np.float64).reshape(-1, 2),
-        np.asarray(scores, np.float64),
-        frame_id,
-    )
+        raise ValueError(f"descriptor dim must be at least 1, got {dim}")
+    return metric, dim
+
+
+def _keypoint_record(fields):
+    x, y, score = float(fields[0]), float(fields[1]), float(fields[2])
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(score)):
+        raise ValueError("x, y and score must be finite")
+    return x, y, score
+
+
+def load_features(path, frame_id: int = -1):
+    records = read_records(path, "x y score", _keypoint_record, header=_feature_header)
+    metric, dim = next(records, (None, None))
+    if metric is None:
+        raise ValueError(f"{path}: empty feature file")
+    rows = np.array(list(records), np.float64).reshape(-1, 3)
+    n = len(rows)
+    kp = KeypointSet(np.ascontiguousarray(rows[:, :2]), rows[:, 2].copy(), frame_id)
     with open(os.fspath(path) + ".desc", "rb") as f:
         blob = f.read()
     if metric == METRIC_HAMMING:

@@ -10,7 +10,9 @@ iteration, slot), so runs are bit-reproducible.
 
 A checkpoint is two np.savez archives (ioutil.write_archive): the f32
 weights (network.save_weights) and the ``.opt`` Adam state, which keeps
-each moment at its own dtype.
+each moment at its own dtype: integer scalars ``iteration`` and ``step``
+plus ``m/<label>`` and ``v/<label>`` moments. Training does not resume
+from one; network.load_weights and ioutil.read_archive read them back.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from . import losses, network
 from .data import PseudoLabel, warp_label
 from .homography import HomographyConfig, correspondence_tensor, sample_homography, to_pixel_frame, warp_image
-from .ioutil import fmt, read_archive, write_archive
+from .ioutil import fmt, write_archive
 from .network import NetworkParams
 from .tensor import GradTape, Tensor, backward
 from . import tensor as T
@@ -31,10 +33,6 @@ from . import tensor as T
 _BETA1 = 0.9  # Adam's first-moment decay
 _BETA2 = 0.999  # Adam's second-moment decay
 _ADAM_EPS = 1e-8  # Adam's denominator guard
-
-
-class CheckpointError(Exception):
-    """A checkpoint's optimizer-state file is unreadable or malformed; names the file."""
 
 
 class TrainingDivergedError(Exception):
@@ -207,44 +205,6 @@ def save_checkpoint(directory, iteration: int, params: NetworkParams, state: Ada
         entries[f"m/{label}"] = state.m[label]
         entries[f"v/{label}"] = state.v[label]
     write_archive(opath, entries)
-
-
-def load_checkpoint(directory, iteration: int):
-    """Returns (params, AdamState, iteration); moments keep their stored dtype.
-
-    Raises CheckpointError naming the .opt file unless it is an np.savez
-    archive of integer scalars ``iteration`` and ``step`` plus float
-    ``m/<label>`` and ``v/<label>`` moments, for the same labels, each
-    shaped like its parameter.
-    """
-    wpath, opath = checkpoint_paths(directory, iteration)
-    params = network.load_weights(wpath)
-    shapes = {label: t.shape for label, t in params.param_tensors()}
-    entries = read_archive(opath, CheckpointError)
-    state = AdamState()
-    moments = {"m": state.m, "v": state.v}
-    scalars = {}
-    for key, arr in entries.items():
-        kind, _, label = key.partition("/")
-        if key in ("iteration", "step"):
-            if arr.shape != () or arr.dtype.kind not in "iu":
-                raise CheckpointError(f"{opath}: {key} is {arr.dtype} {arr.shape}, expected an integer scalar")
-            scalars[key] = int(arr)
-        elif kind in moments and label in shapes:
-            if arr.shape != shapes[label] or arr.dtype.kind != "f":
-                raise CheckpointError(
-                    f"{opath}: {key} is {arr.dtype} {arr.shape}, expected floats {shapes[label]}"
-                )
-            moments[kind][label] = arr
-        else:
-            raise CheckpointError(f"{opath}: unknown entry {key!r}")
-    for key in ("iteration", "step"):
-        if key not in scalars:
-            raise CheckpointError(f"{opath}: missing {key}")
-    if state.m.keys() != state.v.keys():
-        raise CheckpointError(f"{opath}: m and v moments cover different parameters")
-    state.step = scalars["step"]
-    return params, state, scalars["iteration"]
 
 
 def history_csv(history) -> str:

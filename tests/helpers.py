@@ -215,6 +215,24 @@ def damaged(blob: bytes):
     return st.builds(apply, edits, st.integers(0, len(blob)))
 
 
+BYTE_EDITS = st.lists(st.tuples(st.integers(0, 1 << 12), st.integers(0, 255)), max_size=3)
+
+
+def overwrite(blob: bytes, edits) -> bytes:
+    """blob with byte pos % len(blob) set to value for each (pos, value) in edits."""
+    out = bytearray(blob)
+    for pos, value in edits:
+        if out:
+            out[pos % len(out)] = value
+    return bytes(out)
+
+
+def text_file_bytes(text):
+    """Hypothesis strategy: a drawn text as UTF-8 with up to three bytes
+    overwritten (often no longer UTF-8), or arbitrary bytes."""
+    return st.one_of(st.builds(overwrite, text.map(str.encode), BYTE_EDITS), st.binary(max_size=64))
+
+
 def space_to_depth(y: np.ndarray) -> np.ndarray:
     """Exact inverse of depth_to_space, on plain arrays (no gradient)."""
     h, w = y.shape

@@ -231,6 +231,26 @@ def test_train_label_outside_frame_names_file(tmp_path, capsys):
     assert not (ws["out"] / "trained.weights").exists()
 
 
+def test_train_label_not_utf8_names_file(tmp_path, capsys):
+    ws = make_workspace(tmp_path, n_frames=2)
+    assert run(ws, "pseudolabel") == 0
+    label = ws["out"] / "labels" / "frame_000001.txt"
+    label.write_bytes(b"3 3 0.5\n\xff\n")
+    capsys.readouterr()
+    assert run(ws, "train") == 2
+    assert f"{label}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_unsatisfiable_warp_exits_2(tmp_path, capsys):
+    # a valid scale range that no sampled homography can keep inside the frame
+    ws = make_workspace(tmp_path, n_frames=2)
+    assert run(ws, "pseudolabel") == 0
+    capsys.readouterr()
+    assert run(ws, "train", "--set", "homography_scale_min=3", "--set", "homography_scale_max=3") == 2
+    assert "error: no homography" in capsys.readouterr().err
+    assert not (ws["out"] / "trained.weights").exists()
+
+
 def test_match_is_not_a_command(tmp_path, capsys):
     # eval computes matches in memory and writes every report file itself
     ws = make_workspace(tmp_path, n_frames=2)

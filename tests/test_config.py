@@ -94,6 +94,9 @@ def test_load_config_and_missing_file(tmp_path):
     assert load_config(path).seed == 5
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.cfg")
+    path.write_bytes(b"seed = 1\xff\n")  # not UTF-8
+    with pytest.raises(ConfigError, match=r"cannot read config file .*run\.cfg: 'utf-8' codec"):
+        load_config(path)
 
 
 def test_apply_overrides_win_and_validate():

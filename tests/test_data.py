@@ -27,7 +27,7 @@ from endofeat.matching import extract_keypoints
 from endofeat.network import init_params
 from endofeat.tensor import Tensor
 
-from helpers import rng, toy_architecture
+from helpers import rng, text_file_bytes, toy_architecture
 
 
 def test_pgm_round_trip_8bit(tmp_path):
@@ -232,17 +232,21 @@ _NUMBER = st.one_of(
 
 @settings(deadline=None, max_examples=200)
 @given(
-    lines=st.lists(
-        st.one_of(st.tuples(_COORD, _COORD, _NUMBER).map(" ".join), st.text(max_size=30)),
-        min_size=1,
-        max_size=4,
+    blob=text_file_bytes(
+        st.lists(
+            st.one_of(st.tuples(_COORD, _COORD, _NUMBER).map(" ".join), st.text(max_size=30)),
+            min_size=1,
+            max_size=4,
+        ).map("\n".join)
     )
 )
-def test_load_label_fuzz_finite_or_value_error(tmp_path_factory, lines):
+@example(blob=b"1 2 0.5\n\xff\n")
+def test_load_label_fuzz_finite_or_value_error(tmp_path_factory, blob):
     path = tmp_path_factory.getbasetemp() / "fuzz_label.txt"
-    path.write_text("\n".join(lines), encoding="utf-8")
+    path.write_bytes(blob)
     try:
         label = load_label(path)
-    except ValueError:
+    except ValueError as exc:
+        assert str(path) in str(exc)
         return
     assert label.points.dtype == np.int64 and np.isfinite(label.scores).all()

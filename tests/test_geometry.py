@@ -5,7 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from endofeat import geometry
@@ -44,6 +44,7 @@ from helpers import (
     random_rotation,
     random_two_view_scene,
     rng,
+    text_file_bytes,
 )
 
 
@@ -616,6 +617,14 @@ def test_intrinsics_round_trip(tmp_path):
         Intrinsics(-1.0, 1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("extra", ["this is garbage", "400 400 320 240"])
+def test_intrinsics_rejects_a_second_record(tmp_path, extra):
+    path = tmp_path / "intrinsics.txt"
+    path.write_text(f"400 400 320 240\n# note\n{extra}\n")
+    with pytest.raises(ValueError, match=r"intrinsics\.txt:3: "):
+        load_intrinsics(path)
+
+
 def test_non_finite_pose_and_intrinsics_rejected(tmp_path):
     path = tmp_path / "poses.txt"
     for line in ("0 1 nan 0 0 0 1 0 0", "0 1 1 0 0 0 inf 0 0", "0 1 1 0 0 0 1 -1e999 0"):
@@ -674,17 +683,19 @@ _ID = st.integers(-2, 2).map(str)
 
 def _lines(*tokens):
     line = st.tuples(*tokens).map(" ".join)
-    return st.lists(st.one_of(line, st.text(max_size=40)), min_size=1, max_size=4).map("\n".join)
+    return text_file_bytes(st.lists(st.one_of(line, st.text(max_size=40)), min_size=1, max_size=4).map("\n".join))
 
 
 @settings(deadline=None, max_examples=200)
-@given(text=_lines(_ID, _ID, *[_NUMBER] * 7))
-def test_load_pose_file_fuzz_finite_or_value_error(tmp_path_factory, text):
+@given(blob=_lines(_ID, _ID, *[_NUMBER] * 7))
+@example(blob=b"0 1 1 0 0 0 1 0 0\n\xff\n")
+def test_load_pose_file_fuzz_finite_or_value_error(tmp_path_factory, blob):
     path = tmp_path_factory.getbasetemp() / "fuzz_poses.txt"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(blob)
     try:
         poses = load_pose_file(path)
-    except ValueError:
+    except ValueError as exc:
+        assert str(path) in str(exc)
         return
     for pose in poses.values():
         for v in (pose.quaternion, pose.translation):
@@ -692,12 +703,14 @@ def test_load_pose_file_fuzz_finite_or_value_error(tmp_path_factory, text):
 
 
 @settings(deadline=None, max_examples=200)
-@given(text=_lines(*[_NUMBER] * 4))
-def test_load_intrinsics_fuzz_finite_or_value_error(tmp_path_factory, text):
+@given(blob=_lines(*[_NUMBER] * 4))
+@example(blob=b"400 400 320 240\n\xff\n")
+def test_load_intrinsics_fuzz_finite_or_value_error(tmp_path_factory, blob):
     path = tmp_path_factory.getbasetemp() / "fuzz_intrinsics.txt"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(blob)
     try:
         k = load_intrinsics(path)
-    except ValueError:
+    except ValueError as exc:
+        assert str(path) in str(exc)
         return
     assert np.isfinite(k.matrix).all() and k.fx > 0 and k.fy > 0

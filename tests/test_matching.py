@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from endofeat import matching
@@ -20,7 +20,7 @@ from endofeat.matching import (
     match_mutual,
     save_features,
 )
-from helpers import dense_densify, rng
+from helpers import BYTE_EDITS, dense_densify, overwrite, rng
 
 
 # --- greedy NMS ------------------------------------------------------------
@@ -332,6 +332,20 @@ def test_feature_file_empty_and_errors(tmp_path):
         load_features(path3)
 
 
+def test_feature_file_skips_comment_and_blank_lines(tmp_path):
+    path = tmp_path / "frame_000008.feat"
+    save_features(path, KeypointSet([[1.5, 2.0], [3.0, 4.25]], [0.5, 0.75]),
+                  DescriptorSet(np.eye(2, dtype=np.float32)))
+    kp, ds = load_features(path)
+    text = path.read_text(encoding="utf-8").split("\n")
+    # a leading blank line and '#' lines before the header and between points
+    path.write_text("\n".join(["", "# produced elsewhere", text[0], "  # x y score", *text[1:]]))
+    kp2, ds2 = load_features(path)
+    np.testing.assert_array_equal(kp2.points, kp.points)
+    np.testing.assert_array_equal(kp2.scores, kp.scores)
+    np.testing.assert_array_equal(ds2.vectors, ds.vectors)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_load_features_rejects_non_finite_l2(tmp_path, bad):
     path = feature_path(tmp_path, 5)
@@ -383,20 +397,25 @@ _NUMBER = st.one_of(
         max_size=4,
     ),
     extra_bytes=st.sampled_from([0, 0, 0, 5]),
+    edits=BYTE_EDITS,
 )
+@example(metric=METRIC_L2, dim=1, garbled_head=None, body=["1 2 0.5"], extra_bytes=0, edits=[(17, 0xFF)])
 def test_load_features_fuzz_finite_or_value_error(
-    tmp_path_factory, metric, dim, garbled_head, body, extra_bytes
+    tmp_path_factory, metric, dim, garbled_head, body, extra_bytes, edits
 ):
     path = tmp_path_factory.getbasetemp() / "fuzz.feat"
     head = f"metric {metric} dim {dim}" if garbled_head is None else garbled_head
-    path.write_text("\n".join([head, *body]) + "\n", encoding="utf-8")
-    # a sidecar sized for every non-blank body line, unless extra_bytes damages it
-    points = sum(1 for line in body if line.split())
+    lines = [head, *body]
+    path.write_bytes(overwrite(("\n".join(lines) + "\n").encode("utf-8"), edits))
+    # a sidecar sized for every record after the header (blank and '#' lines
+    # are not records), unless extra_bytes or edits damage it
+    points = max(sum(1 for line in lines if line.split() and not line.split()[0].startswith("#")) - 1, 0)
     row = 4 * dim if metric == METRIC_L2 else (dim + 7) // 8
     path.with_name("fuzz.feat.desc").write_bytes(b"\x00" * (points * max(row, 0) + extra_bytes))
     try:
         kp, desc = load_features(path)
-    except ValueError:
+    except ValueError as exc:
+        assert str(path) in str(exc)
         return
     assert np.isfinite(kp.points).all() and np.isfinite(kp.scores).all()
     assert len(kp) == len(desc) and desc.dim >= 1

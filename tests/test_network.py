@@ -356,12 +356,28 @@ def _oversize_kernel(e) -> bytes:
         archive.writestr(f"{_KERNEL}.npy", npy.getvalue() + e[_KERNEL].tobytes())
     return buffer.getvalue()
 
+
+def _savez_bytes(entries, savez=np.savez) -> bytes:
+    buffer = io.BytesIO()
+    savez(buffer, **entries)
+    return buffer.getvalue()
+
+
+def _encrypted_flag(e) -> bytes:
+    blob = bytearray(_savez_bytes(e))
+    blob[blob.index(b"PK\x01\x02") + 8] |= 0x01  # first central-directory entry
+    return bytes(blob)
+
+
 # each case: (entries -> file bytes, or entries -> edited entries), expected message
 _BAD_WEIGHTS = {
     "empty": (lambda e: b"", "net.weights"),
     "not a zip": (lambda e: b"SPWT" + bytes(64), "net.weights"),
     "bare npy": (lambda e: _npy_bytes(e[_KERNEL]), "not an np.savez archive"),
     "oversize shape": (_oversize_kernel, "net.weights"),
+    "encrypted flag": (_encrypted_flag, "is compressed or encrypted"),
+    "compressed": (lambda e: _savez_bytes(e, np.savez_compressed), "is compressed or encrypted"),
+    "object entry": (lambda e: {**e, _KERNEL: e[_KERNEL].astype(object)}, "net.weights"),
     "unknown entry": (lambda e: {**e, "notes": np.zeros(1, np.float32)}, "unknown entry 'notes'"),
     "extra layer": (
         lambda e: {**e, "enc0_c9.kernel": e["enc0_c1.kernel"], "enc0_c9.bias": e["enc0_c1.bias"]},
