@@ -9,7 +9,8 @@ on the written PGM frames and prints the recovered per-pair inlier counts and
 grid coverage next to the planted truth.
 
 Everything lands under --output so the intermediate files (frames, weights,
-features, matches, report.json/report.csv) can be inspected afterwards.
+features, report.json, report.csv, rotation_histogram.csv) can be inspected
+afterwards.
 """
 
 import argparse
@@ -123,7 +124,8 @@ def main(argv=None) -> int:
             print(f"{command} failed with exit code {code}")
             return code
 
-    doc = json.loads(open(os.path.join(args.output, "report.json")).read())
+    with open(os.path.join(args.output, "report.json"), encoding="utf-8") as f:
+        doc = json.load(f)
     evals = [e for e in doc["methods"]["learned"]["1"] if "H" in e["inliers"]]
     cell = max(1, size // 16)
     print(f"\n{'pair':>7s} {'inliers':>8s} {'planted':>8s} {'grid %':>7s} {'truth %':>8s}")

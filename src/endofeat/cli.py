@@ -259,14 +259,13 @@ def cmd_eval(config: RunConfig, args) -> int:
             evaluations, _ = metrics.evaluate_pairs(
                 features_by_method[method],
                 step,
-                shape,
+                specular_masks,
                 poses,
                 intrinsics,
                 tags,
                 config.ransac_confidence,
                 config.ransac_threshold_px,
                 config.seed,
-                specular_masks,
             )
             if not evaluations:
                 raise ConfigError(f"step {step} leaves no frame pairs to evaluate")

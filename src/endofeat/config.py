@@ -19,7 +19,7 @@ import os
 import typing
 from dataclasses import dataclass
 
-from . import data, geometry, matching
+from . import data, geometry, matching, metrics
 from .homography import HomographyConfig
 from .losses import LossConfig
 from .train import TrainConfig
@@ -53,7 +53,7 @@ class RunConfig:
     ransac_threshold_px: float = geometry.RANSAC_THRESHOLD_PX
     # --- evaluation ---
     steps: tuple[int, ...] = (1,)
-    models: str = "auto"  # "auto" or comma list drawn from H,E,F
+    models: str = "auto"  # "auto" or comma list of metrics.MODELS tags
     method: str = "learned"  # name used when writing features
     methods: tuple[str, ...] = ()  # evaluated methods; default: (method,)
     # --- loss weights ---
@@ -78,6 +78,10 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        if not self.steps or min(self.steps) < 1:
+            raise ConfigError(
+                f"key 'steps': must list one or more steps, each at least 1, got {self.steps}"
+            )
         for key in ("detection_nms_window", "label_nms_window"):
             window = getattr(self, key)
             if window < 1 or window % 2 == 0:
@@ -186,15 +190,18 @@ def method_names(config: RunConfig) -> tuple:
 
 
 def model_tags(config: RunConfig):
-    """'auto' or an explicit tuple of robust-model tags."""
+    """'auto' or an explicit tuple of metrics.MODELS tags; E needs intrinsics."""
     if config.models.strip() == "auto":
         return "auto"
+    known = ", ".join(metrics.MODELS)
     tags = tuple(t.strip() for t in config.models.split(",") if t.strip())
     for t in tags:
-        if t not in ("H", "E", "F"):
-            raise ConfigError(f"unknown model tag {t!r} (expected H, E, or F)")
+        if t not in metrics.MODELS:
+            raise ConfigError(f"unknown model tag {t!r} (expected one of {known})")
     if not tags:
-        raise ConfigError("models must be 'auto' or a comma list of H,E,F")
+        raise ConfigError(f"models must be 'auto' or a comma list of {known}")
+    if "E" in tags and not config.intrinsics_path:
+        raise ConfigError("model E needs intrinsics_path")
     return tags
 
 

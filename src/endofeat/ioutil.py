@@ -7,8 +7,9 @@ write_archive writes one atomically, read_archive reads it back as
 caller's error class.
 
 Label, pose, intrinsics and feature files are UTF-8 text read by
-read_records: one record per line, blank and '#' lines skipped, and every
-error names the file (and the line, for a bad record) as a ValueError.
+read_records: one record per line, blank and '#' lines skipped, fields of
+plain ASCII without '_', and every error names the file (and the line, for
+a bad record) as a ValueError.
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ def read_records(path, usage: str, parse, header=None):
 
     A record is a line that is neither blank nor a '#' comment; lines count
     from 1. Every error is a ValueError that names the file:
+    - a record field that is not ASCII or holds '_' raises
+      f"{path}:{line}: ...", since int() and float() would read '1_0' as
+      10 and non-ASCII digits as numbers;
     - a record whose field count differs from usage's ('x y score': three)
       raises f"{path}:{line}: expected {usage!r}";
     - a ValueError from parse is re-raised as f"{path}:{line}: {msg}";
@@ -94,6 +98,10 @@ def read_records(path, usage: str, parse, header=None):
                 fields = line.split()
                 if not fields or fields[0].startswith("#"):
                     continue
+                if not line.isascii() or "_" in line:  # rare: find the field at fault
+                    bad = next((x for x in fields if not x.isascii() or "_" in x), None)
+                    if bad is not None:
+                        raise ValueError(f"{path}:{ln}: field {bad!r} is not ASCII without '_'")
                 if header is not None:
                     try:
                         record = header(line.rstrip("\n"))

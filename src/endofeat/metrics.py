@@ -4,17 +4,22 @@ A sequence is evaluated over frame pairs (t, t + step). Each pair gets
 mutual matches, robust-model inlier counts (homography for adjacent
 frames, essential/fundamental for wide baselines, plus reference-pose
 inliers when a pose file is available), grid coverage of the inliers,
-and a rotation error against the reference pose. Grid coverage is always
-computed on the first image of the pair. Reports aggregate the pairs into
-per-method mean columns, rotation statistics with a failure rate at 30
-degrees, and a specularity ablation that counts how many features and
-inliers survive once saturated-highlight pixels are excluded.
+a rotation error against the reference pose, and a specularity ablation
+that counts how many features and inliers survive once
+saturated-highlight pixels are excluded. Every pair carries its
+ablation, so every report does too. Grid coverage is always computed on
+the first image of the pair. Reports aggregate the pairs into per-method
+mean columns, rotation statistics with a failure rate at 30 degrees, and
+the ablation totals. The config that drives eval (config.RunConfig and
+config.model_tags) rejects, with exit code 2 before any frame is read, an
+empty steps list or a step below 1, and an explicit E model without
+intrinsics.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,48 +115,53 @@ class PairEvaluation:
     features_a: int
     features_b: int
     matches: int
-    inliers: dict = field(default_factory=dict)  # model tag -> count
-    grid_pct: dict = field(default_factory=dict)  # model tag -> %Gr on image A
-    rotation_error_deg: float | None = None
-    pose_failure: str = ""
-    ablation: AblationResult | None = None
+    inliers: dict  # model tag -> count
+    grid_pct: dict  # model tag -> %Gr on image A
+    rotation_error_deg: float | None
+    pose_failure: str
+    ablation: AblationResult
 
 
-def _auto_models(step: int) -> tuple:
-    return ("H",) if step <= 1 else ("E", "F")
+# Robust models: tag -> (RANSAC seed slot, estimator). An estimator takes
+# (matches, kp_a, kp_b, intrinsics, confidence, threshold_px, seed) and
+# looks its geometry function up when called, so a patched module
+# attribute (the benchmark tracer's) is the one that runs.
+MODELS = {
+    "H": (0, lambda m, a, b, k, *ransac: geometry.estimate_homography_ransac(m, a, b, *ransac)),
+    "F": (1, lambda m, a, b, k, *ransac: geometry.estimate_fundamental_ransac(m, a, b, *ransac)),
+    "E": (2, lambda m, a, b, k, *ransac: geometry.estimate_essential_ransac(m, a, b, k, *ransac)),
+}
 
 
 def evaluate_pairs(
     features,
     step: int,
-    image_shape,
+    specular_masks: dict,
     poses: dict | None = None,
     intrinsics: Intrinsics | None = None,
     models="auto",
     confidence: float = geometry.RANSAC_CONFIDENCE,
     threshold_px: float = geometry.RANSAC_THRESHOLD_PX,
     seed: int = 0,
-    specular_masks: dict | None = None,
 ):
     """Evaluate all (t, t + step) pairs of a sequence.
 
-    features: {frame_id: (KeypointSet, DescriptorSet)}. Returns
-    (evaluations, skipped) where skipped lists (frame_a, frame_b, reason)
-    for pairs missing a frame. Model tags: H, E, F, plus pGT whenever the
-    pose of a pair is known. step 0 pairs every frame with itself (debug).
-    Raises ValueError, before any matching, when a keypoint of any frame
-    lies outside [0, width) x [0, height).
+    features: {frame_id: (KeypointSet, DescriptorSet)}; specular_masks:
+    {frame_id: bool mask} for every frame, whose shape is the frame's
+    height and width. Returns (evaluations, skipped) where skipped lists
+    (frame_a, frame_b, reason) for pairs missing a frame. models is a
+    tuple of MODELS tags, or "auto": H for step 1, else E (with
+    intrinsics only) and F. pGT is added whenever the pose of a pair and
+    the intrinsics are known. Raises ValueError, before any matching,
+    when a keypoint of any frame lies outside [0, width) x [0, height).
     """
-    height, width = image_shape
     frame_ids = sorted(features)
     for fid in frame_ids:
-        _check_in_frame(fid, features[fid][0], height, width)
+        _check_in_frame(fid, features[fid][0], *specular_masks[fid].shape)
+    if models == "auto":
+        models = ("H",) if step <= 1 else ("E", "F") if intrinsics is not None else ("F",)
     evaluations = []
     skipped = []
-    if models == "auto":
-        model_tags = _auto_models(step)
-    else:
-        model_tags = tuple(models)
     for fa in frame_ids:
         fb = fa + step
         if fb not in features:
@@ -159,56 +169,45 @@ def evaluate_pairs(
             continue
         kp_a, desc_a = features[fa]
         kp_b, desc_b = features[fb]
+        shape_a = specular_masks[fa].shape
         matches = match_mutual(desc_a, desc_b)
-        ev = PairEvaluation(
-            fa, fb, step, len(kp_a), len(kp_b), len(matches)
-        )
         pose_gt = poses.get((fa, fb)) if poses else None
+        inliers, grid_pct = {}, {}
+        rotation_deg, pose_failure = None, ""
 
-        primary_flags = None
-        for tag in model_tags:
-            run_seed = int(np.random.SeedSequence((seed, fa, fb, _model_slot(tag))).generate_state(1)[0])
-            if tag == "H":
-                result = geometry.estimate_homography_ransac(
-                    matches, kp_a, kp_b, confidence, threshold_px, run_seed
-                )
-            elif tag == "F":
-                result = geometry.estimate_fundamental_ransac(
-                    matches, kp_a, kp_b, confidence, threshold_px, run_seed
-                )
-            elif tag == "E":
-                if intrinsics is None:
-                    continue
-                result = geometry.estimate_essential_ransac(
-                    matches, kp_a, kp_b, intrinsics, confidence, threshold_px, run_seed
-                )
-            else:
-                raise ValueError(f"unknown model tag {tag!r}")
-            flags = result.inliers if result.success else np.zeros(len(matches), bool)
-            ev.inliers[tag] = int(flags.sum())
-            ev.grid_pct[tag] = _inlier_coverage(kp_a, matches, flags, height, width)
-            if primary_flags is None or flags.sum() > primary_flags.sum():
+        primary_flags = np.zeros(len(matches), bool)
+        for tag in models:
+            slot, estimate = MODELS[tag]
+            run_seed = int(np.random.SeedSequence((seed, fa, fb, slot)).generate_state(1)[0])
+            result = estimate(matches, kp_a, kp_b, intrinsics, confidence, threshold_px, run_seed)
+            flags = result.inliers
+            inliers[tag] = int(flags.sum())
+            grid_pct[tag] = _inlier_coverage(kp_a, matches, flags, *shape_a)
+            if flags.sum() > primary_flags.sum():
                 primary_flags = flags
             if tag == "E" and result.success and pose_gt is not None:
                 try:
                     est = geometry.recover_pose(
                         result.model, matches, kp_a, kp_b, intrinsics, flags
                     )
-                    ev.rotation_error_deg = rotation_error(est, pose_gt)
+                    rotation_deg = rotation_error(est, pose_gt)
                 except PoseRecoveryError as exc:
-                    ev.pose_failure = str(exc)
+                    pose_failure = str(exc)
 
         if pose_gt is not None and intrinsics is not None:
             flags = geometry.pgt_inliers(matches, kp_a, kp_b, pose_gt, intrinsics, threshold_px)
-            ev.inliers["pGT"] = int(flags.sum())
-            ev.grid_pct["pGT"] = _inlier_coverage(kp_a, matches, flags, height, width)
+            inliers["pGT"] = int(flags.sum())
+            grid_pct["pGT"] = _inlier_coverage(kp_a, matches, flags, *shape_a)
 
-        if specular_masks is not None and fa in specular_masks and fb in specular_masks:
-            flags = primary_flags if primary_flags is not None else np.zeros(len(matches), bool)
-            ev.ablation = specularity_ablation(
-                kp_a, kp_b, matches, flags, specular_masks[fa], specular_masks[fb]
+        ablation = specularity_ablation(
+            kp_a, kp_b, matches, primary_flags, specular_masks[fa], specular_masks[fb]
+        )
+        evaluations.append(
+            PairEvaluation(
+                fa, fb, step, len(kp_a), len(kp_b), len(matches),
+                inliers, grid_pct, rotation_deg, pose_failure, ablation,
             )
-        evaluations.append(ev)
+        )
     return evaluations, skipped
 
 
@@ -228,10 +227,6 @@ def _check_in_frame(frame_id: int, kp: KeypointSet, height: int, width: int) -> 
         )
 
 
-def _model_slot(tag: str) -> int:
-    return {"H": 0, "F": 1, "E": 2, "pGT": 3}[tag]
-
-
 @dataclass
 class MethodReport:
     method: str
@@ -245,8 +240,8 @@ class MethodReport:
     rotation_median_deg: float | None
     failure_rate: float | None
     histogram: list  # 4 bucket counts: <5, 5-10, 10-30, >30 degrees
-    ablation_features: AblationCounts | None = None
-    ablation_inliers: AblationCounts | None = None
+    ablation_features: AblationCounts
+    ablation_inliers: AblationCounts
 
 
 def rotation_histogram(errors) -> list:
@@ -287,17 +282,14 @@ def aggregate(evaluations, method: str = "method") -> MethodReport:
         rot_mean = rot_median = failure = None
     hist = rotation_histogram(errors)
 
-    ab_feat = ab_inl = None
-    with_ablation = [e for e in evaluations if e.ablation is not None]
-    if with_ablation:
-        ab_feat = AblationCounts(
-            sum(e.ablation.features.total for e in with_ablation),
-            sum(e.ablation.features.without_specular for e in with_ablation),
-        )
-        ab_inl = AblationCounts(
-            sum(e.ablation.inliers.total for e in with_ablation),
-            sum(e.ablation.inliers.without_specular for e in with_ablation),
-        )
+    ab_feat = AblationCounts(
+        sum(e.ablation.features.total for e in evaluations),
+        sum(e.ablation.features.without_specular for e in evaluations),
+    )
+    ab_inl = AblationCounts(
+        sum(e.ablation.inliers.total for e in evaluations),
+        sum(e.ablation.inliers.without_specular for e in evaluations),
+    )
     return MethodReport(
         method=method,
         step=step,
@@ -355,22 +347,8 @@ def report_csv(reports) -> str:
         for tag in _CSV_MODELS:
             row.append(cell(r.mean_grid_pct.get(tag)))
         row += [cell(r.rotation_mean_deg), cell(r.rotation_median_deg), cell(r.failure_rate)]
-        if r.ablation_features is not None:
-            row += [
-                r.ablation_features.total,
-                r.ablation_features.without_specular,
-                fmt(r.ablation_features.percentage),
-            ]
-        else:
-            row += ["", "", ""]
-        if r.ablation_inliers is not None:
-            row += [
-                r.ablation_inliers.total,
-                r.ablation_inliers.without_specular,
-                fmt(r.ablation_inliers.percentage),
-            ]
-        else:
-            row += ["", "", ""]
+        for counts in (r.ablation_features, r.ablation_inliers):
+            row += [counts.total, counts.without_specular, fmt(counts.percentage)]
         lines.append(",".join(str(c) for c in row))
     return "".join(l + "\n" for l in lines)
 
@@ -385,7 +363,7 @@ def histogram_csv(reports) -> str:
 
 
 def _evaluation_dict(e: PairEvaluation) -> dict:
-    d = {
+    return {
         "frame_a": e.frame_a,
         "frame_b": e.frame_b,
         "step": e.step,
@@ -396,14 +374,12 @@ def _evaluation_dict(e: PairEvaluation) -> dict:
         "grid_pct": e.grid_pct,
         "rotation_error_deg": e.rotation_error_deg,
         "pose_failure": e.pose_failure,
-    }
-    if e.ablation is not None:
-        d["ablation"] = {
+        "ablation": {
             "features": [e.ablation.features.total, e.ablation.features.without_specular],
             "matches": [e.ablation.matches.total, e.ablation.matches.without_specular],
             "inliers": [e.ablation.inliers.total, e.ablation.inliers.without_specular],
-        }
-    return d
+        },
+    }
 
 
 def write_report_json(path, method_evaluations: dict, metadata: dict) -> None:

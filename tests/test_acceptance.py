@@ -516,9 +516,12 @@ def test_criterion_7_metric_oracles():
         [0.0, 4.999, 5.0, 9.999, 10.0, 29.9, 30.0, 30.001, 90.0]
     ) == [2, 2, 3, 2]
     # failures are strictly beyond thirty degrees
+    one = metrics.AblationCounts(1, 1)
+    no_highlights = metrics.AblationResult(one, one, one)
     evs = [
         metrics.PairEvaluation(frame_a=0, frame_b=1, step=1, features_a=1, features_b=1,
-                               matches=1, rotation_error_deg=e)
+                               matches=1, inliers={}, grid_pct={}, rotation_error_deg=e,
+                               pose_failure="", ablation=no_highlights)
         for e in (29.9, 30.0, 30.001)
     ]
     failure_ok = abs(metrics.aggregate(evs).failure_rate - 1.0 / 3.0) < 1e-12

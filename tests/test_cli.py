@@ -219,6 +219,26 @@ def test_eval_bad_models_exits_2_before_reading_frames(tmp_path, capsys):
     assert "unknown model tag 'Q'" in err and "pgm" not in err
 
 
+@pytest.mark.parametrize("setting", ["models=E", "models=H,E"])
+def test_eval_essential_without_intrinsics_exits_2_before_reading_frames(tmp_path, capsys, setting):
+    ws = make_workspace(tmp_path, n_frames=2)
+    (ws["frames"] / data.frame_name(0)).write_bytes(b"not a pgm")
+    assert run(ws, "eval", "--set", setting) == 2
+    err = capsys.readouterr().err
+    assert "model E needs intrinsics_path" in err and "pgm" not in err
+    assert not ws["out"].exists()
+
+
+@pytest.mark.parametrize("setting", ["steps=", "steps=-1", "steps=0,1"])
+def test_eval_bad_steps_exits_2_before_reading_frames(tmp_path, capsys, setting):
+    ws = make_workspace(tmp_path, n_frames=2)
+    (ws["frames"] / data.frame_name(0)).write_bytes(b"not a pgm")
+    assert run(ws, "eval", "--set", setting) == 2
+    captured = capsys.readouterr()
+    assert "key 'steps'" in captured.err and "pgm" not in captured.err
+    assert captured.out == "" and not ws["out"].exists()
+
+
 def test_train_label_outside_frame_names_file(tmp_path, capsys):
     ws = make_workspace(tmp_path, n_frames=2)
     assert run(ws, "pseudolabel") == 0

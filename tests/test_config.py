@@ -145,11 +145,25 @@ def test_method_names_and_model_tags():
     assert method_names(RunConfig()) == ("learned",)
     assert method_names(RunConfig(methods=("a", "b"))) == ("a", "b")
     assert model_tags(RunConfig()) == "auto"
-    assert model_tags(RunConfig(models="H, E")) == ("H", "E")
+    assert model_tags(RunConfig(models="H, E", intrinsics_path="k.txt")) == ("H", "E")
     with pytest.raises(ConfigError, match="unknown model tag"):
         model_tags(RunConfig(models="H,Q"))
     with pytest.raises(ConfigError, match="auto"):
         model_tags(RunConfig(models=","))
+    for models in ("E", "H,E"):
+        with pytest.raises(ConfigError, match="model E needs intrinsics_path"):
+            model_tags(RunConfig(models=models))
+
+
+@pytest.mark.parametrize("value", ["", ",", "0", "1,0", "-1", "3,-2"])
+def test_steps_must_be_positive_and_nonempty(value):
+    with pytest.raises(ConfigError, match="key 'steps'"):
+        parse_config_text(f"steps = {value}\n")
+    with pytest.raises(ConfigError, match="key 'steps'"):
+        apply_overrides(RunConfig(), [f"steps={value}"])
+    with pytest.raises(ConfigError, match="key 'steps'"):
+        RunConfig(steps=parse_value("steps", value))
+    assert parse_config_text("steps = 1, 25,40\n").steps == (1, 25, 40)
 
 
 def test_sub_config_conversion_and_errors():

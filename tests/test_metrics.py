@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from endofeat import metrics
+from endofeat import geometry, metrics
 from endofeat.geometry import Intrinsics, RelativePose, rotation_to_quat
 from endofeat.homography import warp_points
 from endofeat.matching import DescriptorSet, KeypointSet, MatchSet
 from endofeat.metrics import (
     AblationCounts,
+    AblationResult,
     PairEvaluation,
     aggregate,
     evaluate_pairs,
@@ -115,9 +116,14 @@ def _planar_features(n=60, seed=100, size=64.0):
     return {0: mk(pts_a, 0), 1: mk(pts_b, 1)}, h
 
 
+def _masks(features, shape=(64, 64)):
+    """No specular pixel in any frame of the given shape."""
+    return {fid: np.zeros(shape, bool) for fid in features}
+
+
 def test_evaluate_pairs_homography_auto():
     features, h = _planar_features()
-    evals, skipped = evaluate_pairs(features, 1, (64, 64), seed=7)
+    evals, skipped = evaluate_pairs(features, 1, _masks(features), seed=7)
     assert skipped == [(1, 2, "missing frame")]  # tail frame has no successor
     assert len(evals) == 1
     ev = evals[0]
@@ -131,15 +137,15 @@ def test_evaluate_pairs_homography_auto():
 def test_evaluate_pairs_skips_missing_frames():
     features, _ = _planar_features()
     features[3] = features[1]
-    evals, skipped = evaluate_pairs(features, 1, (64, 64))
+    evals, skipped = evaluate_pairs(features, 1, _masks(features))
     assert len(evals) == 1
     assert skipped == [(1, 2, "missing frame"), (3, 4, "missing frame")]
 
 
 def test_evaluate_pairs_is_deterministic():
     features, _ = _planar_features()
-    e1, _ = evaluate_pairs(features, 1, (64, 64), seed=3)
-    e2, _ = evaluate_pairs(features, 1, (64, 64), seed=3)
+    e1, _ = evaluate_pairs(features, 1, _masks(features), seed=3)
+    e2, _ = evaluate_pairs(features, 1, _masks(features), seed=3)
     assert e1[0].inliers == e2[0].inliers
     assert e1[0].grid_pct == e2[0].grid_pct
 
@@ -153,7 +159,7 @@ def test_evaluate_pairs_essential_with_pose():
         1: (KeypointSet(pts_b, np.zeros(70), 1), DescriptorSet(desc)),
     }
     evals, _ = evaluate_pairs(
-        features, 1, (480, 640), poses={(0, 1): pose}, intrinsics=k,
+        features, 1, _masks(features, (480, 640)), poses={(0, 1): pose}, intrinsics=k,
         models=("E",), seed=11,
     )
     ev = evals[0]
@@ -165,13 +171,12 @@ def test_evaluate_pairs_essential_with_pose():
 
 def test_evaluate_pairs_ablation_uses_primary_flags():
     features, _ = _planar_features()
-    masks = {0: np.zeros((64, 64), bool), 1: np.zeros((64, 64), bool)}
+    masks = _masks(features)
     kp_a = features[0][0]
     x, y = kp_a.points[0].astype(int)
     masks[0][y, x] = True  # exactly one specular feature in image A
-    evals, _ = evaluate_pairs(features, 1, (64, 64), specular_masks=masks)
+    evals, _ = evaluate_pairs(features, 1, masks)
     ab = evals[0].ablation
-    assert ab is not None
     assert ab.features.total == 120 and ab.features.without_specular == 119
     assert ab.inliers.total == evals[0].inliers["H"]
     assert ab.inliers.without_specular == ab.inliers.total - 1
@@ -190,15 +195,64 @@ def test_evaluate_pairs_rejects_out_of_frame_points(monkeypatch, x, y):
 
     monkeypatch.setattr(metrics, "match_mutual", no_matching)
     with pytest.raises(ValueError, match=rf"frame 1: keypoint \({x!r}, {y!r}\) lies outside"):
-        evaluate_pairs(features, 1, (64, 64))
+        evaluate_pairs(features, 1, _masks(features))
+
+
+def test_evaluate_pairs_frame_size_comes_from_its_own_mask():
+    features, _ = _planar_features()
+    masks = _masks(features)
+    masks[1] = np.zeros((64, 48), bool)
+    far = features[1][0].points[:, 0].max()
+    assert far >= 48
+    with pytest.raises(ValueError, match=r"frame 1: keypoint .* lies outside the 48x64 image"):
+        evaluate_pairs(features, 1, masks)
+    masks[0] = np.zeros((128, 128), bool)  # grid cells of image A are now 8x8 px
+    masks[1] = np.zeros((64, 64), bool)
+    wide, _ = evaluate_pairs(features, 1, masks, seed=7)
+    narrow, _ = evaluate_pairs(features, 1, _masks(features), seed=7)
+    assert wide[0].inliers == narrow[0].inliers
+    kp_a = features[0][0]
+    assert wide[0].grid_pct["H"] == grid_coverage(kp_a.points, 128, 128)
+    assert narrow[0].grid_pct["H"] == grid_coverage(kp_a.points, 64, 64)
+
+
+@pytest.mark.parametrize(
+    "step, with_intrinsics, tags",
+    [(1, False, {"H"}), (1, True, {"H"}), (2, True, {"E", "F"}), (2, False, {"F"})],
+)
+def test_evaluate_pairs_auto_models(step, with_intrinsics, tags):
+    features, _ = _planar_features()
+    features[2] = features[1]
+    k = Intrinsics(60.0, 60.0, 32.0, 32.0) if with_intrinsics else None
+    evals, _ = evaluate_pairs(features, step, _masks(features), intrinsics=k)
+    assert set(evals[0].inliers) == tags
+
+
+def test_evaluate_pairs_calls_the_patched_estimator(monkeypatch):
+    # the benchmark tracer patches geometry's estimators; the model table
+    # must call whatever the module attribute is when evaluate_pairs runs
+    real = geometry.estimate_homography_ransac
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args))
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "estimate_homography_ransac", spy)
+    features, _ = _planar_features()
+    evals, _ = evaluate_pairs(features, 1, _masks(features), models=("H",), seed=7)
+    assert calls == [6]
+    assert evals[0].inliers["H"] == 60
 
 
 # --- aggregation and reports -----------------------------------------------
 
 
 def _toy_evaluations():
-    e1 = PairEvaluation(0, 1, 1, 100, 120, 50, {"H": 30}, {"H": 12.5}, 4.0)
-    e2 = PairEvaluation(1, 2, 1, 110, 90, 40, {"H": 20}, {"H": 25.0}, 40.0)
+    ab1 = AblationResult(AblationCounts(220, 200), AblationCounts(50, 45), AblationCounts(30, 27))
+    ab2 = AblationResult(AblationCounts(200, 190), AblationCounts(40, 40), AblationCounts(20, 18))
+    e1 = PairEvaluation(0, 1, 1, 100, 120, 50, {"H": 30}, {"H": 12.5}, 4.0, "", ab1)
+    e2 = PairEvaluation(1, 2, 1, 110, 90, 40, {"H": 20}, {"H": 25.0}, 40.0, "", ab2)
     return [e1, e2]
 
 
@@ -213,6 +267,8 @@ def test_aggregate_means_and_failures():
     assert rep.rotation_median_deg == 22.0
     assert rep.failure_rate == 0.5  # 40 deg > 30 deg
     assert rep.histogram == [1, 0, 0, 1]
+    assert rep.ablation_features == AblationCounts(420, 390)
+    assert rep.ablation_inliers == AblationCounts(50, 45)
     with pytest.raises(ValueError):
         aggregate([])
 
@@ -228,6 +284,11 @@ def test_report_csv_layout():
     row = lines[1].split(",")
     assert row[0] == "learned" and row[1] == "1" and row[2] == "2"
     assert len(row) == len(header)
+    cells = dict(zip(header, row))
+    assert (cells["feat_all"], cells["feat_without_specular"]) == ("420", "390")
+    assert cells["feat_retention_pct"] == repr(100.0 * 390 / 420)
+    assert (cells["inlier_all"], cells["inlier_without_specular"]) == ("50", "45")
+    assert cells["inlier_retention_pct"] == "90.0"
 
 
 def test_histogram_csv_layout():
@@ -241,8 +302,7 @@ def test_histogram_csv_layout():
 
 def test_report_json_round_trip(tmp_path):
     features, _ = _planar_features()
-    masks = {0: np.zeros((64, 64), bool), 1: np.zeros((64, 64), bool)}
-    evals, _ = evaluate_pairs(features, 1, (64, 64), specular_masks=masks)
+    evals, _ = evaluate_pairs(features, 1, _masks(features))
     path = tmp_path / "report.json"
     write_report_json(path, {"learned": {1: evals}}, {"seed": 0})
     with open(path, encoding="utf-8") as f:
