@@ -78,9 +78,10 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if not self.steps or min(self.steps) < 1:
+        if not self.steps or min(self.steps) < 1 or len(set(self.steps)) < len(self.steps):
             raise ConfigError(
-                f"key 'steps': must list one or more steps, each at least 1, got {self.steps}"
+                "key 'steps': must list one or more distinct steps, each at least 1, "
+                f"got {self.steps}"
             )
         for key in ("detection_nms_window", "label_nms_window"):
             window = getattr(self, key)

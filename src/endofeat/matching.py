@@ -7,7 +7,13 @@ pixel (network.densify), so no full-resolution descriptor map is built.
 Both take plain arrays. Matching keeps a pair only when each descriptor is
 the other's nearest neighbor (ties to the lowest index), with L2 distance for
 real descriptors and Hamming distance for packed binary ones; both go
-through one exact nearest-neighbour kernel, Hamming on the unpacked bits.
+through one exact kernel, Hamming on the unpacked bits. The kernel makes
+one tiled pass over the Gram matrix and serves both directions from each
+tile: rows against the row's Gram minimum, columns against a running
+column minimum. The Gram values only select candidates, in float32 for
+float32 rows and unpacked bits (float64 otherwise), with a tolerance from
+that dtype's rounding bound; every winner is re-scored with the direct
+float64 formula, so the result does not depend on the Gram dtype.
 
 Feature files are a small text + binary-sidecar format shared with
 ingested baseline detectors, so every method flows through one pipeline.
@@ -33,8 +39,8 @@ MAX_FEATURES = 10000
 METRIC_L2 = "L2"
 METRIC_HAMMING = "HAMMING"
 
-# float64 distances per nearest-neighbour tile: 2^16 keeps each tile's
-# scratch near 0.5 MB.
+# Gram values per matching tile: 2^16 keeps a tile's Gram matrix at 0.25 MB
+# in float32 and 0.5 MB in float64.
 _TILE_ELEMENTS = 1 << 16
 
 
@@ -176,20 +182,26 @@ def match_mutual(da: DescriptorSet, db: DescriptorSet) -> MatchSet:
     come out in ascending i order, and an L2 pair's distance is the square
     root of its direct squared distance ``np.sum((a_i - b_j) ** 2)``.
 
-    Each direction is searched in tiles: as many query rows as fit in
-    ``_TILE_ELEMENTS`` (2^16) distances, and at least one, against every
-    reference row, so a tile's scratch memory stays near 0.5 MB. Tiles
-    rank columns by the Gram expansion ``|a|^2 + |b|^2 - 2 a.b`` (one
-    matrix product), which rounds differently from the direct formula, so
-    every column within twice a rounding-error bound of the row's Gram
-    minimum is re-scored with the direct formula and the lowest index
-    among the exact minima wins. The result is bit-for-bit that of a full
-    matrix of direct distances.
+    Both directions come from one pass over the Gram matrix
+    ``|a|^2 + |b|^2 - 2 a.b`` in tiles: as many rows of A as fit in
+    ``_TILE_ELEMENTS`` (2^16) Gram values, and at least one, against every
+    row of B; no candidate list outlives its tile, so memory does not grow
+    with the number of rows of A. The Gram values round differently from the direct
+    formula, so they only pick candidates: in each row, every column within
+    twice a rounding-error bound of the row's Gram minimum; in each column,
+    every entry within twice the bound of the column's running Gram minimum
+    over the tiles so far, which only falls, so the winner's own tile
+    records it. The candidates are re-scored with the direct formula in
+    float64, the lowest index among the exact minima wins, and the result
+    is bit-for-bit that of a full matrix of direct distances
+    (_mutual_l2 derives the bound).
 
-    Hamming rows are unpacked to 0/1 floats, every packed bit including
-    the padding, and searched the same way: the direct squared distance
-    of two bit rows is their exact Hamming distance, an integer, and the
-    re-check bound is far below 1.
+    The Gram matrix is float32 when both sides hold float32 rows, as every
+    feature file loads, and float64 otherwise; the bound takes that
+    dtype's eps and tiny. Hamming rows are unpacked to 0/1 float32 values,
+    every packed bit including the padding, which float32 holds exactly:
+    the direct squared distance of two bit rows is their exact Hamming
+    distance, an integer.
     """
     if da.metric != db.metric:
         raise ValueError(f"metric mismatch: {da.metric} vs {db.metric}")
@@ -200,13 +212,14 @@ def match_mutual(da: DescriptorSet, db: DescriptorSet) -> MatchSet:
         raise ValueError("descriptor widths differ")
 
     if da.metric == METRIC_HAMMING:
-        a_rows = np.unpackbits(da.vectors, axis=1).astype(np.float64)
-        b_rows = np.unpackbits(db.vectors, axis=1).astype(np.float64)
+        # 0/1 bits are exact in float32, so Hamming takes the float32 Gram
+        a_rows = np.unpackbits(da.vectors, axis=1).astype(np.float32)
+        b_rows = np.unpackbits(db.vectors, axis=1).astype(np.float32)
     else:
-        a_rows = da.vectors.astype(np.float64, copy=False)
-        b_rows = db.vectors.astype(np.float64, copy=False)
-    best_b, dist_b = _nearest_l2(a_rows, b_rows)
-    best_a, _ = _nearest_l2(b_rows, a_rows)
+        single = da.vectors.dtype == db.vectors.dtype == np.float32
+        a_rows = da.vectors.astype(np.float32 if single else np.float64, copy=False)
+        b_rows = db.vectors.astype(a_rows.dtype, copy=False)
+    best_b, dist_b, best_a = _mutual_l2(a_rows, b_rows)
 
     rows = np.flatnonzero(best_a[best_b] == np.arange(na))
     pairs = np.stack([rows, best_b[rows]], axis=1)
@@ -214,50 +227,97 @@ def match_mutual(da: DescriptorSet, db: DescriptorSet) -> MatchSet:
     return MatchSet(pairs, dists)
 
 
-def _nearest_l2(q: np.ndarray, ref: np.ndarray):
-    """Lowest-index nearest ref row of each float64 q row, and its direct squared distance.
+def _mutual_l2(a: np.ndarray, b: np.ndarray):
+    """Lowest-index nearest neighbours in both directions from one tiled Gram pass.
 
-    For one (q, r) pair, the Gram value and the direct value each lie
-    within (2D + 4) u s of the exact squared distance, with D the width,
-    u the unit roundoff and s = |q|^2 + |r|^2 (the standard summation and
-    dot-product bounds, which hold for any order and with FMA). So they
-    differ by at most tol = (4D + 16) eps s with eps = 2u, s taken over
-    the largest |r|^2; the slack covers second-order terms and ``tiny``
-    covers underflow. The column with the least direct value therefore
-    has a Gram value within 2 tol of the row's Gram minimum, and re-scoring
-    every such column exactly finds it. A row whose Gram values overflow
-    gets a NaN or inf bound and re-scores every column.
+    a (na, D) and b (nb, D) share a dtype, float32 or float64, in which the
+    Gram values are computed. Returns (best_b, dist_b, best_a): the nearest
+    b row of each a row with its direct squared distance
+    ``np.sum((a_i - b_j) ** 2)`` in float64, and the nearest a row of each
+    b row.
+
+    Bound. A tile's Gram values come from one matrix product of the
+    augmented rows [-2 a_i, |a_i|^2, 1] and [b_j, 1, |b_j|^2]. With u the
+    unit roundoff of the dtype and s = |a_i|^2 + |b_j|^2, the computed
+    norms are within D u of theirs and the (D + 2)-term product within
+    (D + 2) u 2s, so a Gram value lies within (3D + 4) u s of the exact
+    squared distance; the float64 direct value lies within (2D + 4) u s,
+    float64's u being no larger (the standard summation and dot-product
+    bounds, which hold for any order and with FMA). So the two differ by
+    at most tol = (4D + 16) eps s with eps = 2u, s taken over the largest
+    norm of the other side; the slack covers second-order terms and the
+    rounding of the bound, and ``tiny`` covers underflow. The entry with the least direct value of a
+    row (or column) therefore has a Gram value within 2 tol of every Gram
+    value in that row (or column), and re-scoring every such entry with
+    the direct formula finds it.
+
+    Rows: each tile re-scores every column within its row's Gram minimum
+    + 2 tol, and the lowest column among the exact minima wins. Columns: a
+    running per-column Gram minimum takes each tile's column minima, and
+    each tile re-scores every entry within that running minimum + 2 tol.
+    The running minimum only falls, so the winner's entry is re-scored in
+    its own tile. A per-column best (a direct distance and a row) is
+    replaced only by a strictly smaller distance from a later tile, so
+    ties keep the lowest row. The union of both sides' candidates is
+    re-scored once per tile, in chunks, and no candidate outlives its
+    tile, so memory stays bounded even when every entry is a candidate.
+
+    tol is computed as (D + 4) (eps 4s + 4 tiny), which is inf whenever 4s
+    overflows. The product's partial sums stay within about 2s, so a row or
+    column whose Gram values could overflow gets an inf or NaN bound, and
+    ~(gram > bound) re-scores all of its entries.
     """
-    nq, width = q.shape
-    step = max(1, _TILE_ELEMENTS // ref.shape[0])
-    q_sq = np.einsum("ij,ij->i", q, q)
-    r_sq = np.einsum("ij,ij->i", ref, ref)
-    fi = np.finfo(np.float64)
-    tol = (4 * width + 16) * (fi.eps * (q_sq + r_sq.max()) + fi.tiny)
+    na, width = a.shape
+    nb = b.shape[0]
+    fi = np.finfo(a.dtype)
+    step = max(1, _TILE_ELEMENTS // nb)
     recheck = max(1, _TILE_ELEMENTS // max(1, width))
-    best = np.empty(nq, dtype=np.int64)
-    dist = np.empty(nq, dtype=np.float64)
-    for lo in range(0, nq, step):
-        hi = min(lo + step, nq)
-        gram = q[lo:hi] @ ref.T
-        gram *= -2.0
-        gram += q_sq[lo:hi, None]
-        gram += r_sq[None, :]
-        bound = gram.min(axis=1) + 2.0 * tol[lo:hi]
-        # ~(g > bound) keeps every column of a row whose bound is NaN
-        rows, cols = np.nonzero(~(gram > bound[:, None]))
-        direct = np.empty(rows.size)
-        for c in range(0, rows.size, recheck):
-            sel = slice(c, c + recheck)
-            direct[sel] = np.sum((q[lo + rows[sel]] - ref[cols[sel]]) ** 2, axis=1)
-        # candidates come sorted by row, then column, and every row has one
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        row_min = np.minimum.reduceat(direct, starts)
-        hits = np.flatnonzero(direct == row_min[rows])
-        first = hits[np.diff(rows[hits], prepend=-1) != 0]
-        best[lo:hi] = cols[first]
-        dist[lo:hi] = row_min
-    return best, dist
+    best_b = np.empty(na, dtype=np.int64)
+    dist_b = np.empty(na, dtype=np.float64)
+    best_a = np.zeros(nb, dtype=np.int64)
+    dist_a = np.full(nb, np.inf)
+    with np.errstate(all="ignore"):
+        a_sq = np.einsum("ij,ij->i", a, a)
+        b_sq = np.einsum("ij,ij->i", b, b)
+        tol_a = (width + 4) * (fi.eps * (4 * (a_sq + b_sq.max())) + 4 * fi.tiny)
+        tol_b = (width + 4) * (fi.eps * (4 * (b_sq + a_sq.max())) + 4 * fi.tiny)
+        a_aug = np.column_stack([-2 * a, a_sq, np.ones_like(a_sq)])
+        b_aug = np.vstack([b.T, np.ones_like(b_sq), b_sq])  # (D + 2, nb), contiguous
+        col_min = np.full(nb, np.inf, dtype=a.dtype)
+        for lo in range(0, na, step):
+            hi = min(lo + step, na)
+            gram = a_aug[lo:hi] @ b_aug
+            row_bound = gram.min(axis=1) + 2 * tol_a[lo:hi]
+            np.minimum(col_min, gram.min(axis=0), out=col_min)
+            # ~(g > bound) keeps every entry whose bound is NaN
+            far = gram > row_bound[:, None]
+            far &= gram > col_min + 2 * tol_b
+            # one flat scan: a 2-D np.nonzero is many times slower
+            rows, cols = np.divmod(np.flatnonzero(~far), nb)
+            rows += lo
+            direct = np.empty(rows.size)
+            for c in range(0, rows.size, recheck):
+                sel = slice(c, c + recheck)
+                diff = a[rows[sel]].astype(np.float64, copy=False)
+                diff -= b[cols[sel]]
+                diff *= diff
+                direct[sel] = diff.sum(axis=1)
+
+            # candidates come sorted by row, then column; every row has one,
+            # and every column at a row's exact minimum is among them
+            tile_rows = np.arange(lo, hi)
+            row_min = np.minimum.reduceat(direct, np.searchsorted(rows, tile_rows))
+            hits = np.flatnonzero(direct == row_min[rows - lo])
+            best_b[lo:hi] = cols[hits[np.searchsorted(rows[hits], tile_rows)]]
+            dist_b[lo:hi] = row_min
+
+            # each column's least (distance, row) entry of the tile
+            order = np.lexsort((rows, direct, cols))
+            first = order[np.diff(cols[order], prepend=-1) != 0]
+            better = first[direct[first] < dist_a[cols[first]]]
+            best_a[cols[better]] = rows[better]
+            dist_a[cols[better]] = direct[better]
+    return best_b, dist_b, best_a
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ def test_eval_essential_without_intrinsics_exits_2_before_reading_frames(tmp_pat
     assert not ws["out"].exists()
 
 
-@pytest.mark.parametrize("setting", ["steps=", "steps=-1", "steps=0,1"])
+@pytest.mark.parametrize("setting", ["steps=", "steps=-1", "steps=0,1", "steps=1,1"])
 def test_eval_bad_steps_exits_2_before_reading_frames(tmp_path, capsys, setting):
     ws = make_workspace(tmp_path, n_frames=2)
     (ws["frames"] / data.frame_name(0)).write_bytes(b"not a pgm")

@@ -155,7 +155,7 @@ def test_method_names_and_model_tags():
             model_tags(RunConfig(models=models))
 
 
-@pytest.mark.parametrize("value", ["", ",", "0", "1,0", "-1", "3,-2"])
+@pytest.mark.parametrize("value", ["", ",", "0", "1,0", "-1", "3,-2", "1,1", "1, 3,1"])
 def test_steps_must_be_positive_and_nonempty(value):
     with pytest.raises(ConfigError, match="key 'steps'"):
         parse_config_text(f"steps = {value}\n")

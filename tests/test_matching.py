@@ -1,5 +1,7 @@
 """NMS, keypoint extraction, mutual matching, feature files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -122,6 +124,16 @@ def test_extract_keypoints_cap():
 # --- mutual matching -------------------------------------------------------
 
 
+def _direct_sq(a, b):
+    """Every direct squared L2 distance, in float64."""
+    a = a.astype(np.float64)
+    b = b.astype(np.float64)
+    dist = np.empty((len(a), len(b)))
+    for lo in range(0, len(a), 16):  # row blocks bound the (rows, nb, D) temporary
+        dist[lo : lo + 16] = ((a[lo : lo + 16, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    return dist
+
+
 def _mutual_oracle(da, db):
     na, nb = len(da), len(db)
     if da.metric == METRIC_HAMMING:
@@ -132,11 +144,7 @@ def _mutual_oracle(da, db):
             dtype=np.float64,
         )
     else:
-        a = da.vectors.astype(np.float64)
-        b = db.vectors.astype(np.float64)
-        dist = np.empty((na, nb))
-        for lo in range(0, na, 16):  # row blocks bound the (rows, nb, D) temporary
-            dist[lo : lo + 16] = ((a[lo : lo + 16, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        dist = _direct_sq(da.vectors, db.vectors)
     best_b = dist.argmin(axis=1)
     best_a = dist.argmin(axis=0)
     pairs, dists = [], []
@@ -259,6 +267,147 @@ def test_match_mutual_hamming_spans_tiles(na, nb, width, bits):
     db = DescriptorSet(pool[r.integers(0, 4, (nb, width))], METRIC_HAMMING, bits=bits)
     assert na * nb * width > 2 * matching._TILE_ELEMENTS
     _assert_matches_oracle(da, db)
+
+
+def _assert_kernel_matches_direct(a, b):
+    """The one-pass kernel's nearest rows, both ways, are the direct argmins."""
+    dist = _direct_sq(a, b)
+    best_b, dist_b, best_a = matching._mutual_l2(a, b)
+    np.testing.assert_array_equal(best_b, dist.argmin(axis=1))
+    np.testing.assert_array_equal(dist_b, dist.min(axis=1))
+    np.testing.assert_array_equal(best_a, dist.argmin(axis=0))
+
+
+def _gram_dtypes(monkeypatch):
+    """Record the dtype each match_mutual call hands the one-pass kernel."""
+    seen = []
+    kernel = matching._mutual_l2
+
+    def spy(a, b):
+        seen.append((a.dtype, b.dtype))
+        return kernel(a, b)
+
+    monkeypatch.setattr(matching, "_mutual_l2", spy)
+    return seen
+
+
+def _ulp_copies(r, rows, copies):
+    """copies of each float32 row, each with three entries one ulp off."""
+    out = np.repeat(rows, copies, axis=0)
+    for row in out:
+        idx = r.choice(row.size, 3, replace=False)
+        row[idx] = np.nextafter(row[idx], r.choice(np.float32([-np.inf, np.inf]), 3))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mutual_kernel_f32_ulp_neighbours_match_direct(seed):
+    r = rng((65, seed))
+    dim = 256
+    centres = _unit_rows(r.normal(size=(30, dim)))
+    near = _unit_rows(centres + r.normal(0, 0.05, centres.shape))
+    # the copies' direct distances differ far below the float32 Gram error
+    a = np.concatenate([_ulp_copies(r, centres, 4), _unit_rows(r.normal(size=(150, dim)))])
+    b = np.concatenate([_ulp_copies(r, near, 4), _unit_rows(r.normal(size=(250, dim)))])
+    a, b = a[r.permutation(len(a))], b[r.permutation(len(b))]
+    direct = _direct_sq(a, b)
+    gram = (a * a).sum(1)[:, None] + (b * b).sum(1)[None, :] - 2 * a @ b.T
+    assert gram.dtype == np.float32
+    # a float32 Gram argmin misses the exact one, in both directions
+    assert (gram.argmin(axis=1) != direct.argmin(axis=1)).any()
+    assert (gram.argmin(axis=0) != direct.argmin(axis=0)).any()
+    _assert_kernel_matches_direct(a, b)
+    _assert_kernel_matches_direct(b, a)
+    _assert_matches_oracle(DescriptorSet(a), DescriptorSet(b))
+
+
+def test_mutual_kernel_column_ties_across_tiles_go_to_lowest_row(monkeypatch):
+    r = rng(61)
+    nb, dim = 1100, 64
+    step = matching._TILE_ELEMENTS // nb  # 59 query rows per tile
+    centres = _unit_rows(r.normal(size=(40, dim)))
+    b = np.concatenate([centres, _unit_rows(r.normal(size=(nb - 40, dim)))])
+    # four near copies of each centre, one per tile of A: the noisy centre,
+    # its exact duplicate two tiles on, and copies with the noise permuted
+    # or negated (the same true distance, so direct values tie or differ
+    # by rounding)
+    noise = r.normal(0, 0.05, (40, dim)).astype(np.float32)
+    a = np.empty((4 * step, dim), np.float32)
+    for g in range(40):
+        perm = r.permutation(dim)
+        a[g] = a[g + 2 * step] = centres[g] + noise[g]
+        a[g + step] = centres[g] + noise[g][perm]
+        a[g + 3 * step] = centres[g] - noise[g]
+    a[40:step] = a[step + 40 : 2 * step] = _unit_rows(r.normal(size=(step - 40, dim)))
+    a[2 * step + 40 :] = _unit_rows(r.normal(size=(2 * step - 40, dim)))
+    da, db = DescriptorSet(a), DescriptorSet(b)
+    seen = _gram_dtypes(monkeypatch)
+    _assert_matches_oracle(da, db)
+    assert seen == [(np.float32, np.float32)] * 2
+    _assert_kernel_matches_direct(a, b)
+    # the exact duplicate two tiles on never beats its first copy
+    got = match_mutual(da, db)
+    assert not np.isin(got.pairs[:, 0], np.arange(2 * step, 2 * step + 40)).any()
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_match_mutual_f64_takes_f64_gram(monkeypatch, seed):
+    da, db = _near_tie_sets(rng((62, seed)))
+    a64 = DescriptorSet(da.vectors.astype(np.float64) + 1e-9)  # off the float32 grid
+    b64 = DescriptorSet(db.vectors.astype(np.float64))
+    seen = _gram_dtypes(monkeypatch)
+    _assert_matches_oracle(a64, b64)
+    _assert_matches_oracle(da, b64)  # a float32 side meets a float64 one
+    assert seen == [(np.float64, np.float64)] * 4
+
+
+@pytest.mark.parametrize("dtype, scale", [
+    (np.float32, 1e20),  # squared norms of unit rows overflow float32
+    (np.float32, 1e19),  # they fit, but the Gram values may not
+    (np.float32, 1e-25),  # squares underflow to zero
+    (np.float32, 1e-20),  # squares are subnormal
+    (np.float64, 1e150),
+    (np.float64, 1e-150),
+])
+def test_match_mutual_extreme_scales_match_oracle(monkeypatch, dtype, scale):
+    r = rng((63, 400 + round(np.log10(scale))))
+    da, db = _near_tie_sets(r, n_groups=12, copies=3, noise=12, dim=16)
+    a, b = da.vectors.astype(dtype), db.vectors.astype(dtype)
+    seen = _gram_dtypes(monkeypatch)
+    _assert_matches_oracle(DescriptorSet(a * dtype(scale)), DescriptorSet(b * dtype(scale)))
+    # half the rows at the extreme scale, the rest near unit norm
+    a[::2] *= dtype(scale)
+    b[1::2] *= dtype(scale)
+    _assert_matches_oracle(DescriptorSet(a), DescriptorSet(b))
+    assert seen == [(dtype, dtype)] * 4
+
+
+@pytest.mark.parametrize("bits", [8, 61, 256, 1024])
+def test_match_mutual_hamming_takes_f32_gram(monkeypatch, bits):
+    r = rng((64, bits))
+    width = (bits + 7) // 8
+    pool = r.integers(0, 256, 3, dtype=np.uint8)
+    da = DescriptorSet(pool[r.integers(0, 3, (120, width))], METRIC_HAMMING, bits=bits)
+    db = DescriptorSet(pool[r.integers(0, 3, (700, width))], METRIC_HAMMING, bits=bits)
+    seen = _gram_dtypes(monkeypatch)
+    _assert_matches_oracle(da, db)
+    assert seen == [(np.float32, np.float32)] * 2
+
+
+def test_match_mutual_memory_stays_per_tile_when_every_entry_is_a_candidate():
+    n = 2000
+    rows = DescriptorSet(np.ones((n, 8), np.float32))
+    # a list of all n * n candidates (two int64 indices and a float64
+    # distance each) would take 96 MB
+    tracemalloc.start()
+    try:
+        got = match_mutual(rows, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got.pairs, [[0, 0]])
+    np.testing.assert_array_equal(got.distances, [0.0])
+    assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_match_mutual_validation_and_empty():
