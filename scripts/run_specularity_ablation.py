@@ -8,23 +8,26 @@ the other turns it off.  For each arm the script reports what fraction of
 detected keypoints lies outside the highlight mask: the suppression arm
 should keep nearly all detections off the highlights while the control keeps
 firing on them.
+
+Acceptance criterion 5 (tests/test_acceptance.py) runs this script's `run`
+with `--iterations 800` and checks the two arms' off-highlight percentages.
 """
 
 import argparse
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
+from endofeat.data import generate_pseudolabels
 from endofeat.homography import HomographyConfig
 from endofeat.losses import LossConfig
-from endofeat.matching import detect_points
-from endofeat.network import Architecture, forward, heatmap, init_params, save_weights
+from endofeat.network import Architecture, init_params, save_weights
 from endofeat.synthetic import specular_training_set
-from endofeat.tensor import Tensor
 from endofeat.train import TrainConfig, TrainingSample, finetune
 
 
@@ -51,15 +54,24 @@ def off_highlight_fraction(params, images, masks, args):
     """(percent of keypoints outside the mask, total keypoints) over all images."""
     off = total = 0
     for image, mask in zip(images, masks):
-        heat = heatmap(forward(params, Tensor(image, dtype=params.dtype())).detect).data
-        ys, xs, _ = detect_points(heat, None, args.threshold, args.nms, args.max_features)
+        xs, ys = generate_pseudolabels(params, image, None, args.threshold, args.nms,
+                                       args.max_features).points.T
         total += len(ys)
         off += int((~mask[ys, xs]).sum())
     return (100.0 * off / total if total else float("nan")), total
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
+class Arm(NamedTuple):
+    name: str
+    specularity_weight: float
+    off_highlight_pct: float
+    keypoints: int
+    final_loss: float
+    seconds: float
+
+
+def run(args) -> list:
+    """Train the suppression and control arms; one `Arm` each, in that order."""
     triples = specular_training_set(args.images, size=args.size, seed=args.data_seed)
     samples = [TrainingSample(img, label) for img, label, _ in triples]
     images = [img for img, _, _ in triples]
@@ -79,18 +91,25 @@ def main(argv=None) -> int:
     arch = Architecture(encoder_stages=((2, 2), (2, 2), (2, 2), (2, 2)),
                         head_width=3, descriptor_dim=2)
 
+    arms = []
     for name, weight in (("suppressed", args.specularity_weight), ("control", 0.0)):
         start = time.monotonic()
         params = init_params(arch, seed=1)
         tuned, history = finetune(params, samples, cfg,
                                   loss_config=LossConfig(specularity_weight=weight))
         pct, n_kp = off_highlight_fraction(tuned, images, masks, args)
-        print(f"{name:10s} (specularity_weight={weight:g}): "
-              f"{pct:.2f}% of {n_kp} keypoints off-highlight, "
-              f"final loss {history[-1].total:.4f}, {time.monotonic() - start:.0f}s")
+        arms.append(Arm(name, weight, pct, n_kp, history[-1].total, time.monotonic() - start))
         if args.save_weights:
             os.makedirs(args.save_weights, exist_ok=True)
             save_weights(tuned, os.path.join(args.save_weights, f"{name}.weights"))
+    return arms
+
+
+def main(argv=None) -> int:
+    for arm in run(parse_args(argv)):
+        print(f"{arm.name:10s} (specularity_weight={arm.specularity_weight:g}): "
+              f"{arm.off_highlight_pct:.2f}% of {arm.keypoints} keypoints off-highlight, "
+              f"final loss {arm.final_loss:.4f}, {arm.seconds:.0f}s")
     return 0
 
 

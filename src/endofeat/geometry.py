@@ -602,17 +602,17 @@ def decompose_essential(e: np.ndarray):
     return [(r1, t), (r1, -t), (r2, t), (r2, -t)]
 
 
-def recover_pose(e: np.ndarray, matches, kp_a, kp_b, intrinsics: Intrinsics, inlier_flags=None) -> RelativePose:
+def recover_pose(e: np.ndarray, matches, kp_a, kp_b, intrinsics: Intrinsics,
+                 inlier_flags: np.ndarray) -> RelativePose:
     """Pick the essential decomposition placing the most points in front.
 
-    Triangulates the (inlier) correspondences under each of the four
+    Triangulates the inlier correspondences under each of the four
     candidates and keeps the one with the most points at positive depth
     in both cameras; a tie is a failure whose message lists the per-candidate
     counts.
     """
     pts_a, pts_b = _match_points(matches, kp_a, kp_b)
-    if inlier_flags is not None:
-        pts_a, pts_b = pts_a[inlier_flags], pts_b[inlier_flags]
+    pts_a, pts_b = pts_a[inlier_flags], pts_b[inlier_flags]
     if pts_a.shape[0] < 1:
         raise PoseRecoveryError("pose recovery needs at least one inlier")
     norm_a = intrinsics.normalize(pts_a)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import PseudoLabel
+from .data import SPECULAR_THRESHOLD, PseudoLabel, specularity_mask
 from .homography import HomographyConfig, sample_homography, to_pixel_frame, warp_image
 
 
@@ -30,10 +30,10 @@ def band_limited_texture(height: int, width: int, seed: int = 0, cutoff: float =
 
 def add_specular_blobs(image: np.ndarray, seed: int = 0, coverage: float = 0.075,
                        intensity: float = 0.9) -> np.ndarray:
-    """Plant bright gaussian blobs until ~coverage of pixels exceeds 0.7.
+    """Plant bright gaussian blobs until ~coverage of pixels is highlight.
 
     Returns a copy; the blob peaks reach `intensity` so the saturated area
-    is well above the 0.7 highlight threshold.
+    is well above `data.SPECULAR_THRESHOLD`.
     """
     if not 0 < coverage < 0.5:
         raise ValueError("coverage must be a small fraction of the image")
@@ -43,7 +43,7 @@ def add_specular_blobs(image: np.ndarray, seed: int = 0, coverage: float = 0.075
     ys, xs = np.mgrid[0:h, 0:w]
     target = coverage * h * w
     for _ in range(200):
-        if (out > 0.7).sum() >= target:
+        if (out > SPECULAR_THRESHOLD).sum() >= target:
             break
         cy = rng.uniform(0.1 * h, 0.9 * h)
         cx = rng.uniform(0.1 * w, 0.9 * w)
@@ -51,6 +51,15 @@ def add_specular_blobs(image: np.ndarray, seed: int = 0, coverage: float = 0.075
         blob = intensity * np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2) / (2 * sigma**2))
         out = np.maximum(out, blob)
     return np.clip(out, 0.0, 1.0)
+
+
+def stamp_marker(image: np.ndarray, x: int, y: int, size: int, outer: float,
+                 inner: float) -> None:
+    """In place: a nested square centred on (x, y), `size` // 2 pixels each way."""
+    half = size // 2
+    image[y - half : y + half + 1, x - half : x + half + 1] = outer
+    core = max(1, half - 1)
+    image[y - core : y + core + 1, x - core : x + core + 1] = inner
 
 
 def add_corner_markers(image: np.ndarray, seed: int = 0, count: int = 40,
@@ -72,20 +81,15 @@ def add_corner_markers(image: np.ndarray, seed: int = 0, count: int = 40,
         if any(max(abs(x - cx), abs(y - cy)) < min_separation for cx, cy in centers):
             continue
         dark = rng.random() < 0.5
-        lo, hi = (0.02, 0.62) if dark else (0.62, 0.02)
-        half = size // 2
-        out[y - half : y + half + 1, x - half : x + half + 1] = lo
-        inner = max(1, half - 1)
-        out[y - inner : y + inner + 1, x - inner : x + inner + 1] = hi
+        stamp_marker(out, x, y, size, *((0.02, 0.62) if dark else (0.62, 0.02)))
         centers.append((x, y))
     return out, np.asarray(centers, dtype=np.int64).reshape(-1, 2)
 
 
-def planted_label(centers: np.ndarray, scores=None) -> PseudoLabel:
+def planted_label(centers: np.ndarray) -> PseudoLabel:
+    """Label every center, scores falling linearly from 1.0 to 0.5 in order."""
     centers = np.asarray(centers, dtype=np.int64).reshape(-1, 2)
-    if scores is None:
-        scores = np.linspace(1.0, 0.5, centers.shape[0]) if centers.shape[0] else np.empty(0)
-    return PseudoLabel(centers, np.asarray(scores, dtype=np.float64))
+    return PseudoLabel(centers, np.linspace(1.0, 0.5, centers.shape[0]))
 
 
 def specular_training_set(n_images: int, size: int = 64, seed: int = 0,
@@ -101,7 +105,7 @@ def specular_training_set(n_images: int, size: int = 64, seed: int = 0,
     for i in range(n_images):
         base = band_limited_texture(size, size, seed=seed * 1000 + i)
         img = add_specular_blobs(base, seed=seed * 1000 + i, coverage=coverage)
-        mask = img > 0.7
+        mask = specularity_mask(img)
         rng = np.random.default_rng(np.random.SeedSequence((seed, i, 3)))
         spec_idx = np.flatnonzero(mask.ravel())
         clean_idx = np.flatnonzero(~mask.ravel())

@@ -3,6 +3,9 @@ and the oracles and scene generators only tests use."""
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -20,6 +23,15 @@ from endofeat.homography import (
 )
 from endofeat.network import Architecture
 from endofeat.tensor import CELL, DUSTBIN, Tensor
+
+
+def load_script(name: str):
+    """Import scripts/<name>.py as a module, so a test can call its functions."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rng(seed) -> np.random.Generator:

@@ -301,16 +301,21 @@ def test_eval_step_without_pairs_exits_2(tmp_path, capsys):
     assert "no frame pairs" in capsys.readouterr().err
 
 
-def test_jobs_parallel_output_matches_serial(tmp_path, capsys):
+@pytest.mark.parametrize("command, subdir, suffixes", [
+    ("pseudolabel", "labels", (".txt",)),
+    ("detect", "features/learned", (".feat", ".feat.desc")),
+], ids=["pseudolabel", "detect"])
+def test_jobs_parallel_output_matches_serial(tmp_path, capsys, command, subdir, suffixes):
     ws = make_workspace(tmp_path, n_frames=3)
-    assert run(ws, "pseudolabel", "--set", f"output_dir={tmp_path / 'serial'}") == 0
-    assert run(ws, "pseudolabel", "--set", f"output_dir={tmp_path / 'par'}", "--jobs", "3") == 0
+    assert run(ws, command, "--set", f"output_dir={tmp_path / 'serial'}") == 0
+    assert run(ws, command, "--set", f"output_dir={tmp_path / 'par'}", "--jobs", "3") == 0
     capsys.readouterr()
     for fid in range(3):
-        name = f"frame_{fid:06d}.txt"
-        serial = (tmp_path / "serial" / "labels" / name).read_bytes()
-        parallel = (tmp_path / "par" / "labels" / name).read_bytes()
-        assert serial == parallel
+        for suffix in suffixes:
+            name = f"{subdir}/frame_{fid:06d}{suffix}"
+            serial = (tmp_path / "serial" / name).read_bytes()
+            parallel = (tmp_path / "par" / name).read_bytes()
+            assert serial == parallel
 
 
 def test_blank_frames_detect_cleanly(tmp_path, capsys):
