@@ -66,32 +66,46 @@ def _load_weights(config: RunConfig):
     return network.load_weights(_require_file(config.weights_path, "weights file"))
 
 
-def _load_mask(config: RunConfig):
-    if not config.mask_path:
-        return None
-    return data.load_roi_mask(_require_file(config.mask_path, "mask file"))
+def _run_frames(command, config: RunConfig, args, out_dir, out_path, suffixes, step) -> int:
+    """Call `step(params, image, mask, frame_id, out)` on each frame, over
+    `config.jobs` threads, with out = out_path(out_dir, frame_id).
 
+    A frame whose `out + suffix` files all exist is skipped unless --force;
+    a failing frame is logged and the rest go on. Prints one summary line
+    and returns 1 when any frame failed, else 0.
+    """
+    frames = _frame_list(config)
+    params = _load_weights(config)
+    mask = None
+    if config.mask_path:
+        mask = data.load_roi_mask(_require_file(config.mask_path, "mask file"))
+    os.makedirs(out_dir, exist_ok=True)
 
-def _map_jobs(fn, items, jobs: int):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    def work(item):
+        frame_id, path = item
+        out = out_path(out_dir, frame_id)
+        if not args.force and all(os.path.exists(out + s) for s in suffixes):
+            return "skip", ""
+        try:
+            step(params, data.read_frame(path, mask), mask, frame_id, out)
+        except Exception as exc:  # log per-frame failures, keep going
+            return "fail", f"{command}: frame {frame_id} failed: {exc}"
+        return "ok", ""
 
-
-def _summarize(command: str, results, destination: str) -> int:
-    """Count (status, item, message) outcomes; exit 1 when any item failed."""
-    wrote = sum(1 for s, _, _ in results if s == "ok")
-    skipped = sum(1 for s, _, _ in results if s == "skip")
-    failures = [(item, msg) for s, item, msg in results if s == "fail"]
-    for item, msg in failures:
-        _warn(f"{command}: {item} failed: {msg}")
+    if config.jobs > 1 and len(frames) > 1:
+        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+            results = list(pool.map(work, frames))
+    else:
+        results = [work(item) for item in frames]
+    statuses = [status for status, _ in results]
+    for status, message in results:
+        if status == "fail":
+            _warn(message)
     print(
-        f"{command}: wrote {wrote}, skipped {skipped}, failed {len(failures)}"
-        f" -> {destination}"
+        f"{command}: wrote {statuses.count('ok')}, skipped {statuses.count('skip')},"
+        f" failed {statuses.count('fail')} -> {out_dir}"
     )
-    return 1 if failures else 0
+    return 1 if "fail" in statuses else 0
 
 
 # ---------------------------------------------------------------------------
@@ -100,33 +114,19 @@ def _summarize(command: str, results, destination: str) -> int:
 
 
 def cmd_pseudolabel(config: RunConfig, args) -> int:
-    frames = _frame_list(config)
-    teacher = _load_weights(config)
-    mask = _load_mask(config)
+    def step(teacher, image, mask, frame_id, out):
+        label = data.generate_pseudolabels(
+            teacher,
+            image,
+            mask,
+            config.label_threshold,
+            config.label_nms_window,
+            config.label_max_points,
+        )
+        data.save_label(out, label)
+
     out_dir = runcfg.labels_dir(config)
-    os.makedirs(out_dir, exist_ok=True)
-
-    def work(item):
-        frame_id, path = item
-        out = data.label_path(out_dir, frame_id)
-        if os.path.exists(out) and not args.force:
-            return ("skip", f"frame {frame_id}", "")
-        try:
-            image = data.read_frame(path, mask)
-            label = data.generate_pseudolabels(
-                teacher,
-                image,
-                mask,
-                config.label_threshold,
-                config.label_nms_window,
-                config.label_max_points,
-            )
-            data.save_label(out, label)
-            return ("ok", f"frame {frame_id}", "")
-        except Exception as exc:  # log per-frame failures, keep going
-            return ("fail", f"frame {frame_id}", str(exc))
-
-    return _summarize("pseudolabel", _map_jobs(work, frames, config.jobs), out_dir)
+    return _run_frames("pseudolabel", config, args, out_dir, data.label_path, ("",), step)
 
 
 def cmd_train(config: RunConfig, args) -> int:
@@ -183,45 +183,28 @@ def cmd_train(config: RunConfig, args) -> int:
 
 
 def cmd_detect(config: RunConfig, args) -> int:
-    frames = _frame_list(config)
-    params = _load_weights(config)
-    mask = _load_mask(config)
+    def step(params, image, mask, frame_id, out):
+        heads = network.forward(params, Tensor(image, dtype=params.dtype()))
+        keypoints, descriptors = matching.extract_keypoints(
+            network.heatmap(heads.detect).data,
+            heads.describe.data,
+            mask,
+            config.detection_threshold,
+            config.detection_nms_window,
+            config.max_features,
+            frame_id,
+        )
+        matching.save_features(out, keypoints, descriptors)
+
     out_dir = runcfg.features_dir(config, config.method)
-    os.makedirs(out_dir, exist_ok=True)
-
-    def work(item):
-        frame_id, path = item
-        out = matching.feature_path(out_dir, frame_id)
-        if os.path.exists(out) and os.path.exists(out + ".desc") and not args.force:
-            return ("skip", f"frame {frame_id}", "")
-        try:
-            image = data.read_frame(path, mask)
-            heads = network.forward(params, Tensor(image, dtype=params.dtype()))
-            keypoints, descriptors = matching.extract_keypoints(
-                network.heatmap(heads.detect).data,
-                heads.describe.data,
-                mask,
-                config.detection_threshold,
-                config.detection_nms_window,
-                config.max_features,
-                frame_id,
-            )
-            matching.save_features(out, keypoints, descriptors)
-            return ("ok", f"frame {frame_id}", "")
-        except Exception as exc:  # log per-frame failures, keep going
-            return ("fail", f"frame {frame_id}", str(exc))
-
-    return _summarize("detect", _map_jobs(work, frames, config.jobs), out_dir)
+    return _run_frames("detect", config, args, out_dir, matching.feature_path, ("", ".desc"), step)
 
 
 def cmd_eval(config: RunConfig, args) -> int:
     tags = runcfg.model_tags(config)
-    images = {fid: data.read_frame(path) for fid, path in _frame_list(config)}
-    shape = next(iter(images.values())).shape
-    for frame_id, image in images.items():
-        if image.shape != shape:
-            raise ConfigError(f"frame {frame_id} has shape {image.shape}, expected {shape}")
-    specular_masks = {fid: data.specularity_mask(img) for fid, img in images.items()}
+    specular_masks = {
+        fid: data.specularity_mask(data.read_frame(path)) for fid, path in _frame_list(config)
+    }
 
     poses = None
     if config.pose_path:
@@ -239,7 +222,7 @@ def cmd_eval(config: RunConfig, args) -> int:
     for method in methods:
         feat_dir = runcfg.features_dir(config, method)
         features = {}
-        for frame_id in images:
+        for frame_id in specular_masks:
             path = matching.feature_path(feat_dir, frame_id)
             if not (os.path.isfile(path) and os.path.isfile(path + ".desc")):
                 missing.append(f"method {method!r}: frame {frame_id}")
@@ -341,8 +324,6 @@ def _build_config(args) -> RunConfig:
         config = runcfg.apply_overrides(config, args.set)
     if args.jobs is not None:
         config = dataclasses.replace(config, jobs=args.jobs)
-    if config.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
     return config
 
 

@@ -2,13 +2,14 @@
 
 Config files are line-oriented ``key = value`` text with ``#`` comments.
 Keys map one-to-one onto RunConfig fields; unknown or duplicate keys, and
-detection, label and RANSAC settings the pipeline cannot run with, are
-rejected so mistakes fail loudly before any computation starts. Values are
-converted to the field's declared type (comma-separated for tuples).
-Command-line ``--set key=value`` overrides are applied after the file,
-so flags win. Field defaults are read from the module that owns each
-setting: LossConfig, TrainConfig, HomographyConfig and the detection,
-label and RANSAC constants.
+settings the pipeline cannot run with, are rejected so mistakes fail
+loudly before any computation starts. Values are converted to the field's
+declared type (comma-separated for tuples). Command-line ``--set
+key=value`` overrides are applied after the file, so flags win. Field
+defaults are read from the module that owns each setting: LossConfig,
+TrainConfig, HomographyConfig and the detection, label and RANSAC
+constants. Each of those three module configs is built back from the
+RunConfig fields named after its own (``homography_`` + field for the warp).
 """
 
 from __future__ import annotations
@@ -83,11 +84,13 @@ class RunConfig:
                 "key 'steps': must list one or more distinct steps, each at least 1, "
                 f"got {self.steps}"
             )
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"key 'methods': must list distinct methods, got {self.methods}")
         for key in ("detection_nms_window", "label_nms_window"):
             window = getattr(self, key)
             if window < 1 or window % 2 == 0:
                 raise ConfigError(f"key {key!r}: must be odd and positive, got {window}")
-        for key in ("max_features", "label_max_points"):
+        for key in ("max_features", "label_max_points", "jobs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"key {key!r}: must be at least 1, got {getattr(self, key)}")
         if not 0.0 < self.ransac_confidence < 1.0:
@@ -201,46 +204,32 @@ def model_tags(config: RunConfig):
             raise ConfigError(f"unknown model tag {t!r} (expected one of {known})")
     if not tags:
         raise ConfigError(f"models must be 'auto' or a comma list of {known}")
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"key 'models': must list distinct tags, got {config.models!r}")
     if "E" in tags and not config.intrinsics_path:
         raise ConfigError("model E needs intrinsics_path")
     return tags
 
 
-def homography_config(config: RunConfig) -> HomographyConfig:
+def _section(cls, config: RunConfig, prefix: str = "", **given):
+    """Build module config `cls`, each field not in `given` read from the
+    RunConfig field `prefix + name`; the module's ValueError is a ConfigError."""
+    for f in dataclasses.fields(cls):
+        if f.name not in given:
+            given[f.name] = getattr(config, prefix + f.name)
     try:
-        return HomographyConfig(
-            perspective=config.homography_perspective,
-            scale_min=config.homography_scale_min,
-            scale_max=config.homography_scale_max,
-            rotation_deg=config.homography_rotation_deg,
-            translation=config.homography_translation,
-        )
+        return cls(**given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def homography_config(config: RunConfig) -> HomographyConfig:
+    return _section(HomographyConfig, config, "homography_")
 
 
 def loss_config(config: RunConfig) -> LossConfig:
-    try:
-        return LossConfig(
-            descriptor_weight=config.descriptor_weight,
-            correspondence_weight=config.correspondence_weight,
-            margin_positive=config.margin_positive,
-            margin_negative=config.margin_negative,
-            specularity_weight=config.specularity_weight,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _section(LossConfig, config)
 
 
 def train_config(config: RunConfig) -> TrainConfig:
-    try:
-        return TrainConfig(
-            iterations=config.iterations,
-            learning_rate=config.learning_rate,
-            batch_size=config.batch_size,
-            seed=config.seed,
-            checkpoint_every=config.checkpoint_every,
-            homography=homography_config(config),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _section(TrainConfig, config, homography=homography_config(config))

@@ -19,7 +19,7 @@ intrinsics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -363,23 +363,12 @@ def histogram_csv(reports) -> str:
 
 
 def _evaluation_dict(e: PairEvaluation) -> dict:
-    return {
-        "frame_a": e.frame_a,
-        "frame_b": e.frame_b,
-        "step": e.step,
-        "features_a": e.features_a,
-        "features_b": e.features_b,
-        "matches": e.matches,
-        "inliers": e.inliers,
-        "grid_pct": e.grid_pct,
-        "rotation_error_deg": e.rotation_error_deg,
-        "pose_failure": e.pose_failure,
-        "ablation": {
-            "features": [e.ablation.features.total, e.ablation.features.without_specular],
-            "matches": [e.ablation.matches.total, e.ablation.matches.without_specular],
-            "inliers": [e.ablation.inliers.total, e.ablation.inliers.without_specular],
-        },
+    doc = asdict(e)
+    doc["ablation"] = {
+        name: [counts["total"], counts["without_specular"]]
+        for name, counts in doc["ablation"].items()
     }
+    return doc
 
 
 def write_report_json(path, method_evaluations: dict, metadata: dict) -> None:

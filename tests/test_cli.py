@@ -229,13 +229,16 @@ def test_eval_essential_without_intrinsics_exits_2_before_reading_frames(tmp_pat
     assert not ws["out"].exists()
 
 
-@pytest.mark.parametrize("setting", ["steps=", "steps=-1", "steps=0,1", "steps=1,1"])
+@pytest.mark.parametrize(
+    "setting",
+    ["steps=", "steps=-1", "steps=0,1", "steps=1,1", "methods=learned,learned", "models=H,H"],
+)
 def test_eval_bad_steps_exits_2_before_reading_frames(tmp_path, capsys, setting):
     ws = make_workspace(tmp_path, n_frames=2)
     (ws["frames"] / data.frame_name(0)).write_bytes(b"not a pgm")
     assert run(ws, "eval", "--set", setting) == 2
     captured = capsys.readouterr()
-    assert "key 'steps'" in captured.err and "pgm" not in captured.err
+    assert f"key '{setting.split('=')[0]}'" in captured.err and "pgm" not in captured.err
     assert captured.out == "" and not ws["out"].exists()
 
 
@@ -325,3 +328,38 @@ def test_blank_frames_detect_cleanly(tmp_path, capsys):
     feat_dir = ws["out"] / "features" / "learned"
     kp, desc = matching.load_features(matching.feature_path(feat_dir, 0), 0)
     assert len(kp) == 0 and len(desc) == 0
+
+
+@pytest.mark.parametrize("command, subdir, removed", [
+    ("pseudolabel", "labels", "frame_000002.txt"),
+    ("detect", "features/learned", "frame_000002.feat.desc"),
+], ids=["pseudolabel", "detect"])
+def test_rerun_recomputes_only_partial_outputs_and_force_rewrites_all(
+    tmp_path, capsys, command, subdir, removed
+):
+    ws = make_workspace(tmp_path)
+    out_dir = ws["out"] / subdir
+    assert run(ws, command) == 0
+    first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    (out_dir / removed).unlink()
+    capsys.readouterr()
+    assert run(ws, command) == 0
+    assert f"{command}: wrote 1, skipped 3, failed 0" in capsys.readouterr().out
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
+    assert run(ws, command, "--force") == 0
+    assert f"{command}: wrote 4, skipped 0, failed 0" in capsys.readouterr().out
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
+
+
+def test_eval_accepts_frames_of_different_sizes(tmp_path, capsys):
+    ws = make_workspace(tmp_path)
+    wide = band_limited_texture(64, 80, seed=7)
+    data.write_pgm(ws["frames"] / data.frame_name(2), wide, maxval=65535)
+    assert run(ws, "detect") == 0
+    assert run(ws, "eval") == 0
+    capsys.readouterr()
+    kp, _ = matching.load_features(matching.feature_path(ws["out"] / "features" / "learned", 2), 2)
+    assert kp.points[:, 0].max() >= 64  # keypoints reach into the wider frame's extra columns
+    doc = json.loads((ws["out"] / "report.json").read_text())
+    pairs = [(e["frame_a"], e["frame_b"]) for e in doc["methods"]["learned"]["1"]]
+    assert pairs == [(0, 1), (1, 2), (2, 3)]
