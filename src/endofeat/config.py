@@ -133,8 +133,12 @@ def parse_value(key: str, raw: str):
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse `key = value` lines on top of `base` (defaults when omitted)."""
-    values = {}
+    """Parse `key = value` lines on top of `base` (defaults when omitted).
+
+    Keys apply one line at a time, so a value out of range names its line;
+    every RunConfig check looks at one field."""
+    config = base if base is not None else RunConfig()
+    seen = set()
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -144,14 +148,14 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         raw = raw.strip()
         if not sep or not key:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.rstrip()!r}")
-        if key in values:
+        if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
         try:
-            values[key] = parse_value(key, raw)
+            config = dataclasses.replace(config, **{key: parse_value(key, raw)})
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-    base = base if base is not None else RunConfig()
-    return dataclasses.replace(base, **values)
+    return config
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
@@ -164,15 +168,18 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
 
 
 def apply_overrides(config: RunConfig, overrides) -> RunConfig:
-    """Apply `key=value` strings (e.g. from --set flags); later ones win."""
-    values = {}
+    """Apply `key=value` strings (e.g. from --set flags); later ones win.
+    An error names the override it comes from."""
     for item in overrides:
         key, sep, raw = item.partition("=")
         key = key.strip()
         if not sep or not key:
             raise ConfigError(f"override {item!r}: expected key=value")
-        values[key] = parse_value(key, raw.strip())
-    return dataclasses.replace(config, **values)
+        try:
+            config = dataclasses.replace(config, **{key: parse_value(key, raw.strip())})
+        except ConfigError as exc:
+            raise ConfigError(f"override {item!r}: {exc}") from None
+    return config
 
 
 # ---------------------------------------------------------------------------

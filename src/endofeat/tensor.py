@@ -7,7 +7,9 @@ and a handful of elementwise / reduction primitives. Inference-only
 decoding, the descriptors at the detected keypoints, is plain numpy in the
 network module. The convolution's forward copies its im2col matrix one
 block of output rows at a time (at most _IM2COL_ELEMENTS), one GEMM per
-block; its backward reads the whole im2col as a strided view.
+block. Its backward takes the kernel gradient from one GEMM over the whole
+im2col, and the input gradient one block of input rows at a time, each
+from one GEMM over the output rows that touch the block.
 Max pooling sends each output's gradient to the first window position
 (row-major) that holds the maximum, so ties, such as the zeros a relu
 leaves, route to one input.
@@ -57,10 +59,10 @@ DUSTBIN = CELL * CELL  # channel index of the "no interest point" bin
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-# im2col elements per conv2d forward GEMM block: 2^21 is 8 MB in f32. Blocks
-# of a few rows can change output bits, because OpenBLAS uses another kernel
-# for small matrices (the 1x1 detector head differs at 2^14);
-# tests/test_tensor.py checks every network layer against one whole GEMM.
+# im2col elements per conv2d GEMM block, forward and input gradient: 2^21 is
+# 8 MB in f32. Blocks of a few rows can change output bits, because OpenBLAS
+# uses another kernel for small matrices (the 1x1 detector head differs at
+# 2^14); tests/test_tensor.py checks every network layer against one whole GEMM.
 _IM2COL_ELEMENTS = 1 << 21
 
 
@@ -257,6 +259,13 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _row_edges(rows: int, row_elements: int) -> list[int]:
+    """Split rows evenly into the fewest blocks of about _IM2COL_ELEMENTS
+    elements (row_elements per row), at least one row per block."""
+    blocks = min(rows, max(1, -(-rows * row_elements // _IM2COL_ELEMENTS)))
+    return [rows * i // blocks for i in range(blocks + 1)]
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
     """Stride-1 cross-correlation of an H x W x Cin input with a k x k x Cin x Cout kernel.
 
@@ -281,33 +290,51 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
         raise ValueError(f"conv2d: kernel {k} does not fit input {h}x{w} with padding {padding}")
 
     cin, cout = kv.shape[2], kv.shape[3]
-    xp = np.pad(xv, ((padding, padding), (padding, padding), (0, 0)))
+    # The zero-padded input: one interior copy and four zeroed border strips,
+    # cheaper than np.pad and than a zeroed buffer.
+    p = padding
+    xp = np.empty((h + 2 * p, w + 2 * p, cin), dtype=xv.dtype)
+    xp[p : p + h, p : p + w] = xv
+    xp[:p] = 0
+    xp[p + h :] = 0
+    xp[p : p + h, :p] = 0
+    xp[p : p + h, p + w :] = 0
     sy, sx, sc = xp.strides
     patches = np.lib.stride_tricks.as_strided(xp, (ho, wo, k, k, cin), (sy, sx, sy, sx, sc))
     # One GEMM per block of output rows, so only that block's im2col is copied.
-    # The blocks split ho evenly; each output element is the same dot product
-    # as in one whole-image GEMM.
+    # Each output element is the same dot product as in one whole-image GEMM.
     y = np.empty((ho, wo, cout), dtype=np.result_type(xv, kv))
     kmat = kv.reshape(-1, cout)
-    blocks = min(ho, max(1, -(-ho * wo * k * k * cin // _IM2COL_ELEMENTS)))
-    edges = [ho * i // blocks for i in range(blocks + 1)]
+    edges = _row_edges(ho, wo * k * k * cin)
     for r0, r1 in zip(edges, edges[1:]):
         np.matmul(patches[r0:r1].reshape(-1, k * k * cin), kmat, out=y[r0:r1].reshape(-1, cout))
     y += bv
     out = Tensor._wrap(y)
 
     def back(g):
-        # The row-major (ho*wo, k*k*cin) im2col, transposed as a BLAS flag. One
-        # expression, so the im2col copy is freed before gcols is allocated.
+        # The row-major (ho*wo, k*k*cin) im2col, transposed as a BLAS flag; its
+        # copy is freed before the input gradient starts.
         gk = (patches.reshape(ho * wo, -1).T @ g.reshape(ho * wo, -1)).reshape(kv.shape)
         gb = g.sum(axis=(0, 1))
-        gcols = np.tensordot(g, kv, axes=([2], [3]))  # (ho, wo, k, k, cin)
-        gxp = np.zeros_like(xp)
-        for di in range(k):
-            for dj in range(k):
-                gxp[di : di + ho, dj : dj + wo] += gcols[:, :, di, dj, :]
-        gx = gxp[padding : padding + h, padding : padding + w]
-        return (np.ascontiguousarray(gx), gk, gb)
+        # The input gradient one block of input rows at a time: one GEMM over
+        # the output rows that touch the block (its rows plus a k-1 halo), then
+        # its k*k slices added in place, clipped to the frame. Every element
+        # sums the same terms in the same (di, dj) order, from +0.0, as a
+        # scatter of the whole-image column gradient into a padded buffer.
+        gx = np.zeros(xv.shape, dtype=xv.dtype)
+        edges = _row_edges(h, wo * k * k * cin)
+        for r0, r1 in zip(edges, edges[1:]):
+            o0, o1 = max(0, r0 + p - k + 1), min(ho, r1 + p)
+            gcols = (g[o0:o1].reshape(-1, cout) @ kmat.T).reshape(o1 - o0, wo, k, k, cin)
+            # gx[r, c] takes gcols's output row r + p - di and column c + p - dj
+            for di in range(k):
+                a0, a1 = max(r0, o0 + di - p), min(r1, o1 + di - p)
+                for dj in range(k):
+                    c0, c1 = max(0, dj - p), min(w, wo + dj - p)
+                    if a0 < a1 and c0 < c1:
+                        src = gcols[a0 + p - di - o0 : a1 + p - di - o0, c0 + p - dj : c1 + p - dj]
+                        gx[a0:a1, c0:c1] += src[:, :, di, dj]
+        return (gx, gk, gb)
 
     _record(out, (x, kernel, bias), back)
     return out

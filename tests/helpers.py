@@ -266,6 +266,27 @@ def conv2d_tensordot(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, paddin
     return np.tensordot(patches, kernel, axes=([2, 3, 4], [0, 1, 2])) + bias
 
 
+def conv2d_grads_whole(x: np.ndarray, kernel: np.ndarray, g: np.ndarray, padding: int):
+    """(gx, gk, gb) of conv2d for upstream gradient g, from whole-image arrays:
+    np.pad, one tensordot over the whole (ho, wo, k, k, cin) column gradient
+    scattered in k*k slices into a padded buffer, and one row-major im2col
+    GEMM for gk. The row-blocked backward must give the same bytes."""
+    k = kernel.shape[0]
+    h, w, cin = x.shape
+    ho, wo = g.shape[:2]
+    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
+    sy, sx, sc = xp.strides
+    patches = np.lib.stride_tricks.as_strided(xp, (ho, wo, k, k, cin), (sy, sx, sy, sx, sc))
+    gk = (patches.reshape(ho * wo, -1).T @ g.reshape(ho * wo, -1)).reshape(kernel.shape)
+    gb = g.sum(axis=(0, 1))
+    gcols = np.tensordot(g, kernel, axes=([2], [3]))  # (ho, wo, k, k, cin)
+    gxp = np.zeros_like(xp)
+    for di in range(k):
+        for dj in range(k):
+            gxp[di : di + ho, dj : dj + wo] += gcols[:, :, di, dj, :]
+    return np.ascontiguousarray(gxp[padding : padding + h, padding : padding + w]), gk, gb
+
+
 def conv2d_layers(arch: Architecture, h: int, w: int):
     """(name, h, w, k, cin, cout, padding) of every conv of arch on an h x w image."""
     out = []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endofeat import data, geometry, matching
+from endofeat import cli, data, geometry, matching
 from endofeat.config import (
     ConfigError,
     RunConfig,
@@ -73,6 +73,21 @@ def test_parse_config_text_rejects_bad_lines():
     # match files are no longer written, so their directory is no longer a key
     with pytest.raises(ConfigError, match="unknown key 'matches_dir'"):
         parse_config_text("matches_dir = out/matches\n")
+
+
+def test_range_errors_name_their_line_or_override(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"^line 3: key 'jobs': must be at least 1, got 0$"):
+        parse_config_text("seed = 1\n\njobs = 0\n")
+    with pytest.raises(ConfigError, match=r"^override 'steps=0': key 'steps': "):
+        apply_overrides(RunConfig(), ["seed=2", "steps=0"])
+    # through the CLI: both still exit 2, and stderr names the line or the override
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\n\njobs = 0\n")
+    assert cli.main(["detect", "--config", str(cfg)]) == 2
+    assert "error: line 3: key 'jobs': must be at least 1, got 0" in capsys.readouterr().err
+    cfg.write_text("seed = 1\n")
+    assert cli.main(["detect", "--config", str(cfg), "--set", "steps=0"]) == 2
+    assert "error: override 'steps=0': key 'steps'" in capsys.readouterr().err
 
 
 def test_convert_rejects_unsupported_type():

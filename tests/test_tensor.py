@@ -14,6 +14,7 @@ from endofeat.tensor import GradTape, Tensor, backward
 
 from helpers import (
     check_gradients,
+    conv2d_grads_whole,
     conv2d_layers,
     conv2d_tensordot,
     op_cases,
@@ -140,24 +141,6 @@ def test_conv2d_forward_shapes_cover_uneven_blocks():
     assert 1 < blocks < h and h % blocks != 0
 
 
-def _old_conv2d_grads(x, k, g, padding):
-    # The tensordot formulas conv2d's backward used before its row-major im2col GEMM.
-    kk = k.shape[0]
-    h, w, cin = x.shape
-    ho, wo = g.shape[:2]
-    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
-    sy, sx, sc = xp.strides
-    patches = np.lib.stride_tricks.as_strided(xp, (ho, wo, kk, kk, cin), (sy, sx, sy, sx, sc))
-    gk = np.tensordot(patches, g, axes=([0, 1], [0, 1]))
-    gb = g.sum(axis=(0, 1))
-    gcols = np.tensordot(g, k, axes=([2], [3]))
-    gxp = np.zeros_like(xp)
-    for di in range(kk):
-        for dj in range(kk):
-            gxp[di : di + ho, dj : dj + wo] += gcols[:, :, di, dj, :]
-    return gxp[padding : padding + h, padding : padding + w], gk, gb
-
-
 def _conv2d_grads(x, k, b, g, padding):
     tx, tk, tb = Tensor(x), Tensor(k), Tensor(b)
     with GradTape() as tape:
@@ -166,20 +149,44 @@ def _conv2d_grads(x, k, b, g, padding):
     return grads.get(tx), grads.get(tk), grads.get(tb)
 
 
-@pytest.mark.parametrize(
-    "h, w, cin, cout, k, padding",
-    [(120, 160, 1, 64, 3, 1), (120, 160, 64, 64, 3, 1), (15, 20, 256, 65, 1, 0)],
-    ids=["first_layer", "largest_layer", "head_1x1"],
-)
-def test_conv2d_gradients_equal_tensordot_formulas(h, w, cin, cout, k, padding):
+# The forward shapes and the benchmark's toy net at 64x64 and 80x80; two
+# shapes whose input rows split into uneven backward blocks (two blocks with a
+# halo between them; blocks of one and two rows); a 5x5 kernel in one-row
+# blocks, where a block's first row takes no term from the last kernel rows;
+# and frames smaller than the kernel or its padding.
+_BENCH_TOY = Architecture(((8,), (8,), (16,), (16,)), head_width=32, descriptor_dim=32)
+_BACKWARD_SHAPES = sorted(
+    set(_FORWARD_SHAPES)
+    | {
+        (h, w, k, cin, cout, padding)
+        for size in (64, 80)
+        for _, h, w, k, cin, cout, padding in conv2d_layers(_BENCH_TOY, size, size)
+    }
+) + [(23, 160, 3, 64, 64, 1), (5, 96, 3, 1024, 32, 1), (3, 64, 5, 1024, 4, 2),
+      (1, 1, 5, 2, 3, 2), (3, 1, 3, 2, 2, 3)]
+
+
+def test_conv2d_backward_shapes_cover_uneven_blocks():
+    edges = [T._row_edges(h, w * k * k * cin) for h, w, k, cin, _, _ in _BACKWARD_SHAPES[-5:-2]]
+    assert edges == [[0, 11, 23], [0, 1, 3, 5], [0, 1, 2, 3]]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h, w, k, cin, cout, padding", _BACKWARD_SHAPES)
+def test_conv2d_backward_equals_whole_image_oracle(h, w, k, cin, cout, padding, dtype):
+    # The input gradient runs one GEMM per block of input rows and adds its
+    # k*k slices in place; gx, gk and gb must be the oracle's bytes.
     r = rng(21)
-    x = np.maximum(r.standard_normal((h, w, cin)), 0.0)  # relu zeros, as between layers
-    kernel = r.standard_normal((k, k, cin, cout)) * 0.1
-    bias = r.standard_normal(cout)
-    g = r.standard_normal((h + 2 * padding - k + 1, w + 2 * padding - k + 1, cout))
+    x = np.maximum(r.standard_normal((h, w, cin)), 0.0).astype(dtype)  # relu zeros, as between layers
+    kernel = (r.standard_normal((k, k, cin, cout)) * 0.1).astype(dtype)
+    bias = r.standard_normal(cout).astype(dtype)
+    g = r.standard_normal((h + 2 * padding - k + 1, w + 2 * padding - k + 1, cout)).astype(dtype)
+    g[r.random(g.shape) < 0.2] = -0.0  # what a relu backward leaves where g < 0
     got = _conv2d_grads(x, kernel, bias, g, padding)
-    for name, a, b in zip(("gx", "gk", "gb"), got, _old_conv2d_grads(x, kernel, g, padding)):
-        np.testing.assert_array_equal(a, b, err_msg=name)
+    want = conv2d_grads_whole(x, kernel, g, padding)
+    for name, a, b in zip(("gx", "gk", "gb"), got, want):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape, name
+        np.testing.assert_array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"), err_msg=name)
 
 
 @pytest.mark.parametrize("padding", [0, 1])
