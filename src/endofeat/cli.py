@@ -323,7 +323,10 @@ def _build_config(args) -> RunConfig:
     if args.set:
         config = runcfg.apply_overrides(config, args.set)
     if args.jobs is not None:
-        config = dataclasses.replace(config, jobs=args.jobs)
+        try:
+            config = dataclasses.replace(config, jobs=args.jobs)
+        except ConfigError as exc:
+            raise ConfigError(f"flag '--jobs {args.jobs}': {exc}") from None
     return config
 
 

@@ -5,11 +5,10 @@ losses differentiate: stride-1 2-D convolution, 2x2 max pooling, the
 per-cell channel softmax, depth-to-space reshaping of cell probabilities,
 and a handful of elementwise / reduction primitives. Inference-only
 decoding, the descriptors at the detected keypoints, is plain numpy in the
-network module. The convolution's forward copies its im2col matrix one
-block of output rows at a time (at most _IM2COL_ELEMENTS), one GEMM per
-block. Its backward takes the kernel gradient from one GEMM over the whole
-im2col, and the input gradient one block of input rows at a time, each
-from one GEMM over the output rows that touch the block.
+network module. The convolution is a same-size correlation that copies its
+im2col one block of output rows at a time (at most _IM2COL_ELEMENTS), one
+GEMM per block. Its input gradient is that correlation of the output
+gradient with the flipped kernel; its kernel gradient sums the blocks.
 Max pooling sends each output's gradient to the first window position
 (row-major) that holds the maximum, so ties, such as the zeros a relu
 leaves, route to one input.
@@ -59,7 +58,7 @@ DUSTBIN = CELL * CELL  # channel index of the "no interest point" bin
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-# im2col elements per conv2d GEMM block, forward and input gradient: 2^21 is
+# im2col elements per GEMM block of conv2d and both its gradients: 2^21 is
 # 8 MB in f32. Blocks of a few rows can change output bits, because OpenBLAS
 # uses another kernel for small matrices (the 1x1 detector head differs at
 # 2^14); tests/test_tensor.py checks every network layer against one whole GEMM.
@@ -266,10 +265,36 @@ def _row_edges(rows: int, row_elements: int) -> list[int]:
     return [rows * i // blocks for i in range(blocks + 1)]
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
+def _correlate(xv: np.ndarray, kmat: np.ndarray, k: int):
+    """Same-size correlation of H x W x Cin xv with kmat, a k x k x Cin x Cout
+    kernel reshaped to (k*k*Cin, Cout): the H x W x Cout output, the padded
+    input's (H, W, k, k, Cin) patch view and the GEMM blocks' row edges."""
+    h, w, cin = xv.shape
+    cout = kmat.shape[1]
+    # The zero-padded input: one interior copy and four zeroed border strips,
+    # cheaper than np.pad and than a zeroed buffer.
+    p = k // 2
+    xp = np.empty((h + 2 * p, w + 2 * p, cin), dtype=xv.dtype)
+    xp[p : p + h, p : p + w] = xv
+    xp[:p] = 0
+    xp[p + h :] = 0
+    xp[p : p + h, :p] = 0
+    xp[p : p + h, p + w :] = 0
+    sy, sx, sc = xp.strides
+    patches = np.lib.stride_tricks.as_strided(xp, (h, w, k, k, cin), (sy, sx, sy, sx, sc))
+    # One GEMM per block of output rows, so only that block's im2col is copied.
+    # Each output element is the same dot product as in one whole-image GEMM.
+    y = np.empty((h, w, cout), dtype=np.result_type(xv, kmat))
+    edges = _row_edges(h, w * k * k * cin)
+    for r0, r1 in zip(edges, edges[1:]):
+        np.matmul(patches[r0:r1].reshape(-1, k * k * cin), kmat, out=y[r0:r1].reshape(-1, cout))
+    return y, patches, edges
+
+
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Stride-1 cross-correlation of an H x W x Cin input with a k x k x Cin x Cout kernel.
 
-    Zero padding; output spatial size (H + 2p - k + 1) x (W + 2p - k + 1).
+    Zero padding of k // 2; the output is H x W x Cout.
     """
     xv, kv, bv = x.data, kernel.data, bias.data
     if xv.ndim != 3:
@@ -283,58 +308,28 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
         raise ValueError(f"conv2d: input has {xv.shape[2]} channels, kernel expects {kv.shape[2]}")
     if bv.shape != (kv.shape[3],):
         raise ValueError(f"conv2d: bias shape {bv.shape} does not match Cout {kv.shape[3]}")
-    h, w, _ = xv.shape
-    ho = h + 2 * padding - k + 1
-    wo = w + 2 * padding - k + 1
-    if ho < 1 or wo < 1:
-        raise ValueError(f"conv2d: kernel {k} does not fit input {h}x{w} with padding {padding}")
+    if xv.shape[0] < 1 or xv.shape[1] < 1:
+        raise ValueError(f"conv2d: input is empty, got shape {xv.shape}")
 
     cin, cout = kv.shape[2], kv.shape[3]
-    # The zero-padded input: one interior copy and four zeroed border strips,
-    # cheaper than np.pad and than a zeroed buffer.
-    p = padding
-    xp = np.empty((h + 2 * p, w + 2 * p, cin), dtype=xv.dtype)
-    xp[p : p + h, p : p + w] = xv
-    xp[:p] = 0
-    xp[p + h :] = 0
-    xp[p : p + h, :p] = 0
-    xp[p : p + h, p + w :] = 0
-    sy, sx, sc = xp.strides
-    patches = np.lib.stride_tricks.as_strided(xp, (ho, wo, k, k, cin), (sy, sx, sy, sx, sc))
-    # One GEMM per block of output rows, so only that block's im2col is copied.
-    # Each output element is the same dot product as in one whole-image GEMM.
-    y = np.empty((ho, wo, cout), dtype=np.result_type(xv, kv))
-    kmat = kv.reshape(-1, cout)
-    edges = _row_edges(ho, wo * k * k * cin)
-    for r0, r1 in zip(edges, edges[1:]):
-        np.matmul(patches[r0:r1].reshape(-1, k * k * cin), kmat, out=y[r0:r1].reshape(-1, cout))
+    y, patches, edges = _correlate(xv, kv.reshape(-1, cout), k)
     y += bv
     out = Tensor._wrap(y)
 
     def back(g):
-        # The row-major (ho*wo, k*k*cin) im2col, transposed as a BLAS flag; its
-        # copy is freed before the input gradient starts.
-        gk = (patches.reshape(ho * wo, -1).T @ g.reshape(ho * wo, -1)).reshape(kv.shape)
+        # gx correlates g with the kernel flipped in both spatial axes and cin,
+        # cout swapped, zero-padded by k - 1 - k // 2, which is k // 2 again.
+        gx = _correlate(g, kv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, cin), k)[0]
+        # gk over the forward's row blocks, each block's im2col copied once and
+        # transposed as a BLAS flag. The sum starts from the first block's
+        # product, so a one-block layer gives one whole-image GEMM's bytes.
+        parts = (patches[r0:r1].reshape(-1, k * k * cin).T @ g[r0:r1].reshape(-1, cout)
+                 for r0, r1 in zip(edges, edges[1:]))
+        gk = next(parts)
+        for part in parts:
+            gk += part
         gb = g.sum(axis=(0, 1))
-        # The input gradient one block of input rows at a time: one GEMM over
-        # the output rows that touch the block (its rows plus a k-1 halo), then
-        # its k*k slices added in place, clipped to the frame. Every element
-        # sums the same terms in the same (di, dj) order, from +0.0, as a
-        # scatter of the whole-image column gradient into a padded buffer.
-        gx = np.zeros(xv.shape, dtype=xv.dtype)
-        edges = _row_edges(h, wo * k * k * cin)
-        for r0, r1 in zip(edges, edges[1:]):
-            o0, o1 = max(0, r0 + p - k + 1), min(ho, r1 + p)
-            gcols = (g[o0:o1].reshape(-1, cout) @ kmat.T).reshape(o1 - o0, wo, k, k, cin)
-            # gx[r, c] takes gcols's output row r + p - di and column c + p - dj
-            for di in range(k):
-                a0, a1 = max(r0, o0 + di - p), min(r1, o1 + di - p)
-                for dj in range(k):
-                    c0, c1 = max(0, dj - p), min(w, wo + dj - p)
-                    if a0 < a1 and c0 < c1:
-                        src = gcols[a0 + p - di - o0 : a1 + p - di - o0, c0 + p - dj : c1 + p - dj]
-                        gx[a0:a1, c0:c1] += src[:, :, di, dj]
-        return (gx, gk, gb)
+        return (gx, gk.reshape(kv.shape), gb)
 
     _record(out, (x, kernel, bias), back)
     return out

@@ -120,7 +120,7 @@ def test_unknown_override_exits_2(tmp_path, capsys):
 def test_bad_jobs_exits_2(tmp_path, capsys):
     ws = make_workspace(tmp_path, n_frames=2)
     assert run(ws, "detect", "--jobs", "0") == 2
-    assert "jobs" in capsys.readouterr().err
+    assert "flag '--jobs 0': key 'jobs': must be at least 1" in capsys.readouterr().err
 
 
 def test_missing_weights_exits_2(tmp_path, capsys):
