@@ -27,7 +27,6 @@ from . import config as runcfg
 from . import data, geometry, homography, matching, metrics, network, train
 from .config import ConfigError, RunConfig
 from .ioutil import atomic_write_text, fmt
-from .tensor import Tensor
 
 _INPUT_ERRORS = (
     ConfigError,
@@ -184,9 +183,9 @@ def cmd_train(config: RunConfig, args) -> int:
 
 def cmd_detect(config: RunConfig, args) -> int:
     def step(params, image, mask, frame_id, out):
-        heads = network.forward(params, Tensor(image, dtype=params.dtype()))
+        heads = network.forward(params, image)
         keypoints, descriptors = matching.extract_keypoints(
-            network.heatmap(heads.detect).data,
+            network.heatmap(heads.detect),
             heads.describe.data,
             mask,
             config.detection_threshold,

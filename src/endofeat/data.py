@@ -27,7 +27,6 @@ from . import network
 from .homography import warp_points
 from .ioutil import atomic_write_bytes, atomic_write_text, fmt, read_records
 from .matching import detect_points
-from .tensor import Tensor
 
 SPECULAR_THRESHOLD = 0.7
 LABEL_THRESHOLD = 0.015
@@ -191,9 +190,8 @@ def generate_pseudolabels(
     max_points: int = LABEL_MAX_POINTS,
 ) -> PseudoLabel:
     """Run the teacher and keep its strongest well-separated detections."""
-    heads = network.forward(teacher, Tensor(image, dtype=teacher.dtype()))
-    heat = network.heatmap(heads.detect).data
-    ys, xs, vals = detect_points(heat, mask, threshold, nms_window, max_points)
+    heads = network.forward(teacher, image)
+    ys, xs, vals = detect_points(network.heatmap(heads.detect), mask, threshold, nms_window, max_points)
     return PseudoLabel(np.stack([xs, ys], axis=1), vals)
 
 

@@ -6,14 +6,18 @@ Three building blocks and two compositions:
   pseudo-labels, with a dustbin channel for cells holding no keypoint.
 * descriptor_loss — dense hinge contrastive loss over all pairs of cells
   of the two views, driven by the homography-induced cell correspondences.
-* specularity_loss — mean network.heatmap probability over saturated
-  pixels, penalizing keypoints that sit on highlights.
+* specularity_loss — mean heatmap probability over saturated pixels,
+  penalizing keypoints that sit on highlights. It works on cells: the
+  pixel mask is laid out like the detect head's channels, with a zero
+  dustbin, and multiplied into the per-cell softmax.
 * pair_loss — the two detection losses plus a weighted descriptor loss.
 * specular_pair_loss — pair_loss plus the weighted specularity losses of
   both views; with specularity_weight 0 it returns pair_loss unchanged.
 
 All functions return scalar Tensors and record onto the active GradTape.
-The cell layout (CELL, DUSTBIN) comes from the tensor module.
+Frames, masks and loss coefficients are plain arrays: constants the tape
+does not differentiate. The cell layout (CELL, DUSTBIN) comes from the
+tensor module.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import numpy as np
 
 from . import tensor as T
 from .data import PseudoLabel, specularity_mask
-from .network import heatmap
 from .tensor import CELL, DUSTBIN, Tensor
 
 _GUARD_EPS = 1e-10  # keeps the specularity mean finite on a frame without highlights
@@ -73,9 +76,7 @@ def detection_loss(detect: Tensor, label: PseudoLabel) -> Tensor:
     hc, wc, ch = detect.shape
     if ch != DUSTBIN + 1:
         raise ValueError(f"detect tensor must have {DUSTBIN + 1} channels, got {ch}")
-    targets = _cell_targets(label, hc, wc)
-    logits = T.reshape(detect, (hc * wc, DUSTBIN + 1))
-    return T.softmax_cross_entropy(logits, targets)
+    return T.softmax_cross_entropy(detect, _cell_targets(label, hc, wc).reshape(hc, wc))
 
 
 def descriptor_loss(
@@ -90,40 +91,32 @@ def descriptor_loss(
     margin, all others pushed below the negative margin; the result is the
     mean over all Hc*Wc x Hc*Wc pairs.
     """
-    if desc_a.shape != desc_b.shape or len(desc_a.shape) != 3:
-        raise ValueError(
-            f"descriptor grids must share an Hc x Wc x D shape, got {desc_a.shape} vs {desc_b.shape}"
-        )
-    hc, wc, d = desc_a.shape
-    n = hc * wc
+    gram = T.gram(desc_a, desc_b)
+    n = gram.shape[0]
     s = np.asarray(correspondence, dtype=desc_a.dtype).reshape(n, n)
-
-    pos_coef = config.correspondence_weight * s
-    neg_coef = 1.0 - s
-    denom = float(n) * float(n)
-
-    a = T.reshape(desc_a, (n, d))
-    b = T.reshape(desc_b, (n, d))
-    gram = T.matmul(a, T.transpose2d(b))
     pos = T.relu(T.affine(gram, -1.0, config.margin_positive))
     neg = T.relu(T.affine(gram, 1.0, -config.margin_negative))
-    total = T.reduce_sum(
-        T.add(T.mul(pos, Tensor(pos_coef)), T.mul(neg, Tensor(neg_coef)))
-    )
-    return T.affine(total, 1.0 / denom, 0.0)
+    total = T.reduce_sum(T.add(T.mul(pos, config.correspondence_weight * s), T.mul(neg, 1.0 - s)))
+    return T.affine(total, 1.0 / (float(n) * float(n)), 0.0)
 
 
-def specularity_loss(detect: Tensor, image) -> Tensor:
-    """Mean heatmap probability over the specular pixels of one view."""
+def specularity_loss(detect: Tensor, image: np.ndarray) -> Tensor:
+    """Mean heatmap probability over the specular pixels of one view.
+
+    The frame is cast to the detect head's dtype before masking. Pixel
+    (CELL*i + c // CELL, CELL*j + c % CELL) of the mask is channel c of cell
+    (i, j), as in network.heatmap; the dustbin channel is zero.
+    """
     hc, wc, _ = detect.shape
-    image = np.asarray(image if not isinstance(image, Tensor) else image.data)
+    image = np.asarray(image).astype(detect.dtype, copy=False)
     if image.shape != (hc * CELL, wc * CELL):
         raise ValueError(
             f"image shape {image.shape} does not match detect grid {(hc * CELL, wc * CELL)}"
         )
-    heat = heatmap(detect)
     mask = specularity_mask(image)
-    masked = T.mul(heat, Tensor(mask.astype(detect.dtype)))
+    cells = np.zeros((hc, wc, DUSTBIN + 1), dtype=detect.dtype)
+    cells[..., :DUSTBIN] = mask.reshape(hc, CELL, wc, CELL).transpose(0, 2, 1, 3).reshape(hc, wc, DUSTBIN)
+    masked = T.mul(T.channel_softmax(detect), cells)
     return T.affine(T.reduce_sum(masked), 1.0 / (_GUARD_EPS + float(mask.sum())), 0.0)
 
 

@@ -7,8 +7,9 @@ tensor.CELL (8x). The detection head ends in tensor.DUSTBIN + 1 channels
 heatmap() decodes; the description head ends in the descriptor dimension
 (256 by default), which densify() decodes to unit-norm descriptors at
 given pixels: the bicubic upsample of the cells, read and normalised only
-at those pixels. densify works on plain arrays, off the gradient tape: the
-descriptor loss is applied to the coarse cells, not to the upsampled map.
+at those pixels. forward() takes the frame as a plain array and returns the
+heads as Tensors; both decoders return plain arrays, off the gradient tape:
+the losses are applied to the coarse cells, not to the decoded maps.
 
 A weights file is an np.savez archive (ioutil.write_archive) of float32
 arrays named by the param_tensors() labels; load_weights raises
@@ -119,19 +120,23 @@ def init_params(arch: Architecture, seed: int = 0, dtype=np.float64) -> NetworkP
     return NetworkParams(arch, weights)
 
 
-def forward(params: NetworkParams, image: Tensor) -> RawHeads:
-    """Run the network on a grayscale image with values in [0, 1]."""
-    iv = image.data
+def forward(params: NetworkParams, image: np.ndarray) -> RawHeads:
+    """Run the network on an H x W grayscale array with values in [0, 1],
+    cast to the params' dtype."""
+    iv = np.asarray(image)
     if iv.ndim != 2:
-        raise ValueError(f"forward expects an H x W grayscale tensor, got shape {iv.shape}")
+        raise ValueError(f"forward expects an H x W grayscale array, got shape {iv.shape}")
     h, w = iv.shape
     if h % CELL or w % CELL:
         raise ValueError(f"image dims must be divisible by {CELL}, got {h}x{w}")
-    if iv.size and (iv.min() < 0.0 or iv.max() > 1.0):
-        raise ValueError("image values must lie in [0, 1]")
     params.validate()
+    # conv2d would take the frame as a plain array, a constant, and skip its
+    # gradient, which nothing reads; it enters as a Tensor because the conv2d
+    # counter in benchmark/tracer.py reads x.data.size, which an ndarray lacks.
+    x = Tensor(iv[:, :, None], dtype=params.dtype())
+    if x.size and (x.data.min() < 0.0 or x.data.max() > 1.0):
+        raise ValueError("image values must lie in [0, 1]")
 
-    x = T.reshape(image, (h, w, 1))
     n_stages = len(params.architecture.encoder_stages)
     for si, stage in enumerate(params.architecture.encoder_stages):
         for ci in range(len(stage)):
@@ -150,13 +155,16 @@ def forward(params: NetworkParams, image: Tensor) -> RawHeads:
     return RawHeads(detect=detect, describe=describe)
 
 
-def heatmap(detect: Tensor) -> Tensor:
-    """Detection logits to the H x W keypoint probability map.
+def heatmap(detect: Tensor) -> np.ndarray:
+    """Detection logits to the H x W keypoint probability map, a plain array.
 
     Softmax over each cell's channels, drop the dustbin, and tile the
-    remaining per-pixel probabilities back into the cell.
+    remaining per-pixel probabilities back into the cell: channel c of cell
+    (i, j) lands on pixel (CELL*i + c // CELL, CELL*j + c % CELL).
     """
-    return T.depth_to_space(T.slice_channels(T.channel_softmax(detect), 0, DUSTBIN))
+    prob = T.channel_softmax(detect).data[..., :DUSTBIN]
+    hc, wc, _ = prob.shape
+    return prob.reshape(hc, wc, CELL, CELL).transpose(0, 2, 1, 3).reshape(hc * CELL, wc * CELL)
 
 
 def densify(describe: np.ndarray, ys, xs) -> np.ndarray:

@@ -2,10 +2,15 @@
 
 Implements exactly the operations the keypoint network and its training
 losses differentiate: stride-1 2-D convolution, 2x2 max pooling, the
-per-cell channel softmax, depth-to-space reshaping of cell probabilities,
-and a handful of elementwise / reduction primitives. Inference-only
-decoding, the descriptors at the detected keypoints, is plain numpy in the
-network module. The convolution is a same-size correlation that copies its
+per-cell channel softmax, the cell-grid Gram matrix of the descriptor loss,
+the softmax cross-entropy of the detection loss, and add, mul, affine,
+reduce_sum and relu. Decoding (the heatmap, the descriptors at the detected
+keypoints) is plain numpy in the network module.
+
+A Tensor is a value the training graph differentiates; a plain numpy array
+is a constant, and no gradient is computed for it. mul's second operand (a
+mask or a loss coefficient grid) is always a plain array; conv2d's input
+may be one. The convolution is a same-size correlation that copies its
 im2col one block of output rows at a time (at most _IM2COL_ELEMENTS), one
 GEMM per block. Its input gradient is that correlation of the output
 gradient with the flipped kernel; its kernel gradient sums the blocks.
@@ -45,11 +50,7 @@ __all__ = [
     "conv2d",
     "max_pool2x2",
     "channel_softmax",
-    "depth_to_space",
-    "matmul",
-    "transpose2d",
-    "reshape",
-    "slice_channels",
+    "gram",
     "softmax_cross_entropy",
 ]
 
@@ -177,22 +178,20 @@ def backward(tape: GradTape, loss: Tensor) -> Gradients:
 # ---------------------------------------------------------------------------
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
     out = Tensor._wrap(a.data + b.data)
     _record(out, (a, b), lambda g: (g, g))
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-    out = Tensor._wrap(a.data * b.data)
-    _record(out, (a, b), lambda g: (g * b.data, g * a.data))
+def mul(x: Tensor, c: np.ndarray) -> Tensor:
+    """Elementwise x * c with c a constant array of x's shape."""
+    if x.data.shape != c.shape:
+        raise ValueError(f"mul: shape mismatch {x.data.shape} vs {c.shape}")
+    out = Tensor._wrap(x.data * c)
+    _record(out, (x,), lambda g: (g * c,))
     return out
 
 
@@ -213,43 +212,6 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor._wrap(np.maximum(x.data, 0))
     # subgradient at 0 is 0
     _record(out, (x,), lambda g: (g * (x.data > 0),))
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul: inner dims {a.data.shape} @ {b.data.shape}")
-    out = Tensor._wrap(a.data @ b.data)
-    _record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-    return out
-
-
-def transpose2d(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ValueError("transpose2d expects a 2-D tensor")
-    out = Tensor._wrap(np.ascontiguousarray(x.data.T))
-    _record(out, (x,), lambda g: (np.ascontiguousarray(g.T),))
-    return out
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    out = Tensor._wrap(x.data.reshape(shape).copy())
-    _record(out, (x,), lambda g: (g.reshape(x.data.shape),))
-    return out
-
-
-def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
-    """Slice along the last axis; backward zero-pads the removed channels."""
-    out = Tensor._wrap(np.ascontiguousarray(x.data[..., start:stop]))
-
-    def back(g):
-        gx = np.zeros_like(x.data)
-        gx[..., start:stop] = g
-        return (gx,)
-
-    _record(out, (x,), back)
     return out
 
 
@@ -291,12 +253,15 @@ def _correlate(xv: np.ndarray, kmat: np.ndarray, k: int):
     return y, patches, edges
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+def conv2d(x, kernel: Tensor, bias: Tensor) -> Tensor:
     """Stride-1 cross-correlation of an H x W x Cin input with a k x k x Cin x Cout kernel.
 
-    Zero padding of k // 2; the output is H x W x Cout.
+    Zero padding of k // 2; the output is H x W x Cout. x is a Tensor, or a
+    plain array (a constant) whose gradient is not computed.
     """
-    xv, kv, bv = x.data, kernel.data, bias.data
+    constant = not isinstance(x, Tensor)
+    xv = np.asarray(x) if constant else x.data
+    kv, bv = kernel.data, bias.data
     if xv.ndim != 3:
         raise ValueError(f"conv2d input must be H x W x Cin, got shape {xv.shape}")
     if kv.ndim != 4 or kv.shape[0] != kv.shape[1]:
@@ -319,7 +284,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     def back(g):
         # gx correlates g with the kernel flipped in both spatial axes and cin,
         # cout swapped, zero-padded by k - 1 - k // 2, which is k // 2 again.
-        gx = _correlate(g, kv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, cin), k)[0]
+        gx = None
+        if not constant:
+            gx = _correlate(g, kv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, cin), k)[0]
         # gk over the forward's row blocks, each block's im2col copied once and
         # transposed as a BLAS flag. The sum starts from the first block's
         # product, so a one-block layer gives one whole-image GEMM's bytes.
@@ -384,24 +351,20 @@ def channel_softmax(x: Tensor) -> Tensor:
     return out
 
 
-def depth_to_space(x: Tensor) -> Tensor:
-    """Hc x Wc x DUSTBIN cell tensor to the CELL*Hc x CELL*Wc pixel map.
+def gram(a: Tensor, b: Tensor) -> Tensor:
+    """Dot products of every cell vector of a with every cell vector of b.
 
-    Channel c of cell (i, j) lands on pixel (8i + c // 8, 8j + c % 8), so the
-    64 channels tile each cell row-major. Total mass is preserved exactly.
+    a and b are Hc x Wc x D cell grids; entry (p, q) of the (Hc*Wc) x (Hc*Wc)
+    result is a's cell p (row-major) dotted with b's cell q.
     """
-    xv = x.data
-    if xv.ndim != 3 or xv.shape[2] != DUSTBIN:
-        raise ValueError(f"depth_to_space expects Hc x Wc x {DUSTBIN}, got shape {xv.shape}")
-    hc, wc, _ = xv.shape
-    y = xv.reshape(hc, wc, CELL, CELL).transpose(0, 2, 1, 3).reshape(hc * CELL, wc * CELL)
-    out = Tensor._wrap(np.ascontiguousarray(y))
-
-    def back(g):
-        gx = g.reshape(hc, CELL, wc, CELL).transpose(0, 2, 1, 3).reshape(hc, wc, DUSTBIN)
-        return (np.ascontiguousarray(gx),)
-
-    _record(out, (x,), back)
+    av, bv = a.data, b.data
+    if av.ndim != 3 or av.shape != bv.shape:
+        raise ValueError(f"gram needs two Hc x Wc x D grids of one shape, got {av.shape} vs {bv.shape}")
+    a2 = av.reshape(-1, av.shape[2])
+    bt = np.ascontiguousarray(bv.reshape(-1, bv.shape[2]).T)
+    out = Tensor._wrap(a2 @ bt)
+    _record(out, (a, b), lambda g: ((g @ bt.T).reshape(av.shape),
+                                    np.ascontiguousarray((a2.T @ g).T).reshape(bv.shape)))
     return out
 
 

@@ -149,15 +149,12 @@ def finetune(
             warped_label = warp_label(sample.label, h_px, h_img, w_img)
             corr = correspondence_tensor(h_px, h_img, w_img)
 
-            dtype = params.dtype()
-            img_a = Tensor(sample.image, dtype=dtype)
-            img_b = Tensor(warped, dtype=dtype)
             terms: dict = {}
             with GradTape() as tape:
-                heads_a = network.forward(params, img_a)
-                heads_b = network.forward(params, img_b)
+                heads_a = network.forward(params, sample.image)
+                heads_b = network.forward(params, warped)
                 loss = losses.specular_pair_loss(
-                    img_a, heads_a, sample.label, img_b, heads_b, warped_label,
+                    sample.image, heads_a, sample.label, warped, heads_b, warped_label,
                     corr, loss_config, terms,
                 )
                 scaled = T.affine(loss, 1.0 / train_config.batch_size, 0.0)

@@ -138,16 +138,16 @@ def test_criterion_2_specularity_loss_oracle():
         corr = correspondence_tensor(h_px, 16, 16)
 
         with T.GradTape() as tape_a:
-            ha = forward(params, Tensor(img_a))
-            hb = forward(params, Tensor(img_b))
+            ha = forward(params, img_a)
+            hb = forward(params, img_b)
             full = losses.specular_pair_loss(img_a, ha, label_a, img_b, hb, label_b, corr, cfg0)
         grads_a = T.backward(tape_a, full)
         ga = {n: (np.array(grads_a.get(k)), np.array(grads_a.get(b)))
               for n, (k, b) in params.weights.items()}
 
         with T.GradTape() as tape_b:
-            ha = forward(params, Tensor(img_a))
-            hb = forward(params, Tensor(img_b))
+            ha = forward(params, img_a)
+            hb = forward(params, img_b)
             plain = losses.pair_loss(ha, label_a, hb, label_b, corr, cfg0)
         grads_b = T.backward(tape_b, plain)
         if full.item() != plain.item():

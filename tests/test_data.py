@@ -25,7 +25,6 @@ from endofeat.data import (
 )
 from endofeat.matching import extract_keypoints
 from endofeat.network import init_params
-from endofeat.tensor import Tensor
 
 from helpers import rng, text_file_bytes, toy_architecture
 
@@ -155,9 +154,9 @@ def test_generate_pseudolabels_equals_densify_path(dtype):
     mask[:4] = False
     label = generate_pseudolabels(params, img, mask, threshold=1e-4, nms_window=5, max_points=30)
 
-    heads = network.forward(params, Tensor(img, dtype=dtype))
+    heads = network.forward(params, img)
     kp, _ = extract_keypoints(
-        network.heatmap(heads.detect).data, heads.describe.data, mask, 1e-4, 5, 30
+        network.heatmap(heads.detect), heads.describe.data, mask, 1e-4, 5, 30
     )
     assert len(label) > 0
     np.testing.assert_array_equal(label.points, kp.points)

@@ -161,8 +161,8 @@ def _toy_pair(seed=31):
     params = init_params(toy_architecture(), seed=7)
     img_a = r.uniform(0, 1, (16, 16))
     img_b = r.uniform(0, 1, (16, 16))
-    heads_a = forward(params, Tensor(img_a))
-    heads_b = forward(params, Tensor(img_b))
+    heads_a = forward(params, img_a)
+    heads_b = forward(params, img_b)
     label = PseudoLabel(np.array([[3, 4]]), np.array([0.9]))
     corr = correspondence_tensor(np.eye(3), 16, 16)
     return img_a, heads_a, img_b, heads_b, label, corr

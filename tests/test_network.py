@@ -89,26 +89,26 @@ def test_forward_shapes_and_validation():
     arch = toy_architecture()
     params = init_params(arch, seed=0)
     img = rng(0).uniform(0, 1, (16, 24))
-    heads = forward(params, Tensor(img))
+    heads = forward(params, img)
     assert heads.detect.shape == (2, 3, 65)
     assert heads.describe.shape == (2, 3, arch.descriptor_dim)
 
     with pytest.raises(ValueError):
-        forward(params, Tensor(img[:15]))  # not divisible by 8
+        forward(params, img[:15])  # not divisible by 8
     with pytest.raises(ValueError):
-        forward(params, Tensor(img[None]))  # not 2-D
+        forward(params, img[None])  # not 2-D
     with pytest.raises(ValueError):
-        forward(params, Tensor(img + 1.0))  # out of [0, 1]
+        forward(params, img + 1.0)  # out of [0, 1]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_heatmap_is_cellwise_probability(dtype):
     params = init_params(toy_architecture(), seed=1, dtype=dtype)
     img = rng(1).uniform(0, 1, (16, 24)).astype(dtype)
-    heat = heatmap(forward(params, Tensor(img)).detect)
+    heat = heatmap(forward(params, img).detect)
     assert heat.dtype == dtype and heat.shape == (16, 24)
-    assert heat.data.min() >= 0.0
-    cell_sums = heat.data.astype(np.float64).reshape(2, 8, 3, 8).sum(axis=(1, 3))
+    assert heat.min() >= 0.0
+    cell_sums = heat.astype(np.float64).reshape(2, 8, 3, 8).sum(axis=(1, 3))
     tol = 1e-12 if dtype == np.float64 else 1e-6
     assert np.all(cell_sums <= 1.0 + tol)  # dustbin holds the remainder
     with pytest.raises(ValueError, match="65"):
@@ -119,8 +119,8 @@ def test_densify_heatmap_is_cellwise_probability():
     # both decoders on one forward pass: the detect head to the heatmap, the
     # describe head (as a plain array) to the dense unit-norm descriptors
     params = init_params(toy_architecture(), seed=1)
-    heads = forward(params, Tensor(rng(1).uniform(0, 1, (16, 16))))
-    heat = heatmap(heads.detect).data
+    heads = forward(params, rng(1).uniform(0, 1, (16, 16)))
+    heat = heatmap(heads.detect)
     assert heat.shape == (16, 16)
     assert heat.min() >= 0.0
     cell_sums = heat.reshape(2, 8, 2, 8).sum(axis=(1, 3))
@@ -135,7 +135,7 @@ def test_heatmap_equals_densify_heatmap(dtype):
     # heatmap against a per-pixel oracle of the dense decoding: pixel
     # (8i + r, 8j + c) holds the softmax mass of channel 8r + c of cell (i, j)
     params = init_params(toy_architecture(), seed=4, dtype=dtype)
-    heads = forward(params, Tensor(rng(4).uniform(0, 1, (16, 24)).astype(dtype)))
+    heads = forward(params, rng(4).uniform(0, 1, (16, 24)).astype(dtype))
     heat = heatmap(heads.detect)
     assert heat.dtype == dtype and heat.shape == (16, 24)
     logits = heads.detect.data.astype(np.float64)
@@ -146,7 +146,7 @@ def test_heatmap_equals_densify_heatmap(dtype):
             p = np.exp(cell - cell.max())
             want[y, x] = p[(y % 8) * 8 + x % 8] / p.sum()
     tol = 1e-12 if dtype == np.float64 else 1e-6
-    np.testing.assert_allclose(heat.data, want, rtol=tol, atol=tol)
+    np.testing.assert_allclose(heat, want, rtol=tol, atol=tol)
 
 
 def _cubic(d):
@@ -435,6 +435,6 @@ def test_inferred_architecture_runs_forward(tmp_path):
     save_weights(init_params(arch, seed=2), path)
     loaded = load_weights(path)
     assert loaded.architecture == arch
-    heads = forward(loaded, Tensor(rng(2).uniform(0, 1, (16, 16)).astype(np.float32)))
+    heads = forward(loaded, rng(2).uniform(0, 1, (16, 16)).astype(np.float32))
     assert heads.detect.shape == (2, 2, 65)
     assert heads.describe.shape == (2, 2, 4)

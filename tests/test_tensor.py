@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endofeat import tensor as T
-from endofeat.network import Architecture
+from endofeat.network import Architecture, heatmap
 from endofeat.tensor import GradTape, Tensor, backward
 
 from helpers import (
@@ -56,6 +56,8 @@ def test_tensor_copies_and_is_read_only():
 def test_elementwise_shape_mismatch_raises():
     with pytest.raises(ValueError):
         T.add(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))))
+    with pytest.raises(ValueError):
+        T.mul(Tensor(np.ones((2, 2))), np.ones((2, 3)))
 
 
 def test_backward_requires_scalar_loss():
@@ -144,7 +146,7 @@ def test_conv2d_forward_shapes_cover_uneven_blocks():
 def _conv2d_grads(x, k, b, g):
     tx, tk, tb = Tensor(x), Tensor(k), Tensor(b)
     with GradTape() as tape:
-        loss = T.reduce_sum(T.mul(T.conv2d(tx, tk, tb), Tensor(g)))
+        loss = T.reduce_sum(T.mul(T.conv2d(tx, tk, tb), g))
     grads = backward(tape, loss)
     return grads.get(tx), grads.get(tk), grads.get(tb)
 
@@ -232,11 +234,41 @@ def test_conv2d_gradients_match_naive_loops():
     np.testing.assert_allclose(gx, want_gxp[1 : 1 + h, 1 : 1 + w], atol=1e-12)
 
 
+def test_conv2d_plain_array_input_has_no_gradient(monkeypatch):
+    # A plain-array input is a constant: the backward runs no _correlate for
+    # its gradient, and gk and gb keep the bytes of the Tensor-input case.
+    r = rng(24)
+    x = r.uniform(0.0, 1.0, (16, 24, 1)).astype(np.float32)
+    kernel = (r.standard_normal((3, 3, 1, 8)) * 0.1).astype(np.float32)
+    bias = r.standard_normal(8).astype(np.float32)
+    g = r.standard_normal((16, 24, 8)).astype(np.float32)
+    correlate = T._correlate
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return correlate(*args)
+
+    got = {}
+    for kind, xin in (("tensor", Tensor(x)), ("array", x)):
+        tk, tb = Tensor(kernel), Tensor(bias)
+        with GradTape() as tape:
+            loss = T.reduce_sum(T.mul(T.conv2d(xin, tk, tb), g))
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(T, "_correlate", spy)
+            grads = backward(tape, loss)
+        got[kind] = (len(calls), grads.get(tk), grads.get(tb))
+    assert got["tensor"][0] == 1 and got["array"][0] == 0
+    for want, have in zip(got["tensor"][1:], got["array"][1:]):
+        assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
+
+
 def _pool_grad(x, g):
     tx = Tensor(x)
     with GradTape() as tape:
         y = T.max_pool2x2(tx)
-        loss = T.reduce_sum(T.mul(y, Tensor(g)))
+        loss = T.reduce_sum(T.mul(y, g))
     return y.data, backward(tape, loss).get(tx)
 
 
@@ -297,23 +329,24 @@ def test_channel_softmax_rows_sum_to_one_and_shift_invariant():
 
 
 def test_depth_to_space_layout():
-    # channel c of cell (i, j) lands on pixel (8i + c // 8, 8j + c % 8)
-    for (ci, cj, ch) in [(0, 0, 0), (0, 1, 9), (1, 2, 63), (1, 0, 8)]:
-        x = np.zeros((2, 3, 64))
-        x[ci, cj, ch] = 1.0
-        y = T.depth_to_space(Tensor(x)).data
-        assert y[8 * ci + ch // 8, 8 * cj + ch % 8] == 1.0
-        assert y.sum() == 1.0
+    # network.heatmap puts channel c of cell (i, j) on pixel (8i + c // 8, 8j + c % 8)
+    logits = rng(13).uniform(-3.0, 3.0, (2, 3, 65))
+    prob = T.channel_softmax(Tensor(logits)).data
+    heat = heatmap(Tensor(logits))
+    assert isinstance(heat, np.ndarray) and heat.shape == (16, 24)
+    for i, j, c in np.ndindex(2, 3, 64):
+        assert heat[8 * i + c // 8, 8 * j + c % 8] == prob[i, j, c]
 
 
 @given(st.integers(0, 1_000_000))
 @settings(max_examples=25, deadline=None)
 def test_depth_to_space_round_trip_and_mass(seed):
-    x = rng(seed).uniform(0, 1, (2, 3, 64))
-    y = T.depth_to_space(Tensor(x)).data
-    assert y.shape == (16, 24)
-    np.testing.assert_array_equal(space_to_depth(y), x)
-    assert math.isclose(y.sum(), x.sum(), rel_tol=1e-12)
+    logits = rng(seed).uniform(-3.0, 3.0, (2, 3, 65))
+    cells = T.channel_softmax(Tensor(logits)).data[..., :64]
+    heat = heatmap(Tensor(logits))
+    assert heat.shape == (16, 24)
+    np.testing.assert_array_equal(space_to_depth(heat), cells)
+    assert math.isclose(heat.sum(), cells.sum(), rel_tol=1e-12)
 
 
 def test_softmax_cross_entropy_uniform_is_log_n():
@@ -323,11 +356,14 @@ def test_softmax_cross_entropy_uniform_is_log_n():
     assert abs(loss.item() - math.log(65)) < 1e-12
 
 
-def test_matmul_matches_numpy():
+def test_gram_matches_numpy():
     r = rng(15)
-    a = r.uniform(-1, 1, (3, 5))
-    b = r.uniform(-1, 1, (5, 2))
-    np.testing.assert_allclose(T.matmul(Tensor(a), Tensor(b)).data, a @ b, atol=1e-12)
+    a = r.uniform(-1, 1, (2, 3, 5))
+    b = r.uniform(-1, 1, (2, 3, 5))
+    got = T.gram(Tensor(a), Tensor(b)).data
+    np.testing.assert_allclose(got, a.reshape(6, 5) @ b.reshape(6, 5).T, atol=1e-12)
+    with pytest.raises(ValueError):
+        T.gram(Tensor(a), Tensor(b[:1]))
 
 
 @given(st.integers(0, 1_000_000))
@@ -337,4 +373,4 @@ def test_add_mul_agree_with_numpy(seed):
     a = r.uniform(-10, 10, (3, 4))
     b = r.uniform(-10, 10, (3, 4))
     np.testing.assert_array_equal(T.add(Tensor(a), Tensor(b)).data, a + b)
-    np.testing.assert_array_equal(T.mul(Tensor(a), Tensor(b)).data, a * b)
+    np.testing.assert_array_equal(T.mul(Tensor(a), b).data, a * b)
