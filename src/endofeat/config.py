@@ -93,6 +93,8 @@ class RunConfig:
         for key in ("max_features", "label_max_points", "jobs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"key {key!r}: must be at least 1, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"key 'seed': must be at least 0, got {self.seed}")
         if not 0.0 < self.ransac_confidence < 1.0:
             raise ConfigError(
                 f"key 'ransac_confidence': must lie in (0, 1), got {self.ransac_confidence}"

@@ -23,6 +23,13 @@ leading hypothesis axis, and the refit and pgt_inliers are B=1 calls of
 it. A stacked numpy.linalg or matmul call runs the same LAPACK
 or BLAS routine on each member that a single call would, so a block
 walked in iteration order gives the serial loop's result bit for bit.
+
+Samples are drawn in chunks of up to _CHUNK hypotheses by _draw_samples,
+a lane-vectorised copy of numpy's (seed, iteration) -> sample mapping
+that equals _hypothesis_rng(seed, it).choice bit for bit. numpy's own call
+draws a lane that may take a Lemire rejection and any input outside the
+lane model, and every draw once a first-use self-check finds this numpy
+drawing differently.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ from .ioutil import atomic_write_text, fmt, read_records
 RANSAC_CONFIDENCE = 0.9999
 RANSAC_THRESHOLD_PX = 3.0
 RANSAC_MAX_ITERATIONS = 10000
-_BLOCK = 32  # RANSAC hypotheses drawn, fit and scored together
+_BLOCK = 32  # RANSAC hypotheses fit and scored together
+_CHUNK = 256  # RANSAC hypotheses drawn together, a multiple of _BLOCK
 
 _EPS = 1e-12
 
@@ -403,6 +411,141 @@ def _hypothesis_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, iteration))))
 
 
+# numpy's draw of _hypothesis_rng(seed, it).choice(n, s, replace=False), one
+# lane per iteration: the SeedSequence pool hash, Philox4x64-10 (Salmon et al.,
+# SC'11) from counter 1, and Floyd's sampling plus a Fisher-Yates shuffle, both
+# on Lemire's bounded integers (arXiv:1805.10941) over the next_uint32 stream.
+_M32 = 0xFFFFFFFF
+_MAX_LANE_SAMPLE = 8  # RANSAC draws 4 or 8; numpy's choice runs Floyd for these at any n
+
+
+# SeedSequence's running hash constants, one per hashmix call: A for the 4
+# pool words and then the 12 mixes, B for the 4 uint32 words of generate_state
+_HASH_A = np.array([0x43B0D7E5 * 0x931E8875**k & _M32 for k in range(17)], np.uint32)[:, None]
+_HASH_B = np.array([0x8B51F9DD * 0x58F38DED**k & _M32 for k in range(5)], np.uint32)[:, None]
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _M32, _PHILOX_M >> 32
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], np.uint64)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray, k: int, count: int) -> np.ndarray:
+    """SeedSequence's hashmix, calls k .. k+count-1 of one hash-constant chain."""
+    value = value ^ consts[k : k + count]
+    value *= consts[k + 1 : k + count + 1]
+    return value ^ (value >> 16)
+
+
+def _philox_keys(seed: int, its: np.ndarray) -> np.ndarray:
+    """SeedSequence((seed, it)).generate_state(2, np.uint64) per lane, (2, L)."""
+    pool = np.zeros((4, len(its)), np.uint32)
+    pool[0], pool[1] = seed, its
+    pool = _hashmix(pool, _HASH_A, 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        mixed = _hashmix(pool[src], _HASH_A, 4 + 3 * src, 3)
+        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * mixed  # mix(dst, hashmix(src))
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = _hashmix(pool, _HASH_B, 0, 4).astype(np.uint64)
+    return words[0::2] | (words[1::2] << 32)
+
+
+def _philox_blocks(keys: np.ndarray, blocks: int) -> np.ndarray:
+    """Philox4x64-10 outputs at counters 1 .. blocks per lane, (4 * blocks, L)."""
+    lanes = keys.shape[1]
+    keys = np.tile(keys, blocks)
+    even = np.zeros((2, blocks * lanes), np.uint64)  # counter words 0 and 2
+    odd = np.zeros_like(even)  # words 1 and 3
+    even[0] = np.repeat(np.arange(1, blocks + 1, dtype=np.uint64), lanes)
+    for r in range(10):
+        if r:
+            keys += _PHILOX_W
+        x0, x1 = even & _M32, even >> 32  # mulhi64 from 32-bit limbs
+        low = _PHILOX_M_LO * x0
+        mid = _PHILOX_M_HI * x0 + (low >> 32)
+        cross = _PHILOX_M_LO * x1 + (mid & _M32)
+        high = _PHILOX_M_HI * x1 + (mid >> 32) + (cross >> 32)
+        even, odd = high[::-1] ^ odd ^ keys, (_PHILOX_M * even)[::-1]
+    out = np.stack([even[0], odd[0], even[1], odd[1]]).reshape(4, blocks, lanes)
+    return out.transpose(1, 0, 2).reshape(4 * blocks, lanes)
+
+
+def _lane_draws(seed: int, first: int, count: int, n: int, s: int):
+    """(samples (count, s), unsure (count,)) for iterations first .. first+count-1.
+
+    A lane is unsure when one of its Lemire draws may be rejected, which
+    would shift its stream; its sample may then differ from numpy's."""
+    its = np.arange(first, first + count).astype(np.uint32)
+    words = _philox_blocks(_philox_keys(seed, its), (s + 3) // 4)  # 2s-1 uint32 draws
+    halves = np.stack([words & _M32, words >> 32], axis=1).reshape(-1, count)
+    ranges = np.array([*range(n - s + 1, n + 1), *range(s, 1, -1)], np.uint64)[:, None]
+    m = halves[: 2 * s - 1] * ranges
+    draws = (m >> 32).astype(np.int64)
+    unsure = ((m & _M32) < ranges).any(axis=0)
+    picks = np.empty((s, count), np.int64)
+    for k in range(s):  # Floyd: a value already taken gives way to j
+        taken = (picks[:k] == draws[k]).any(axis=0)
+        picks[k] = np.where(taken, n - s + k, draws[k])
+    lanes = np.arange(count)
+    for k, i in enumerate(range(s - 1, 0, -1)):
+        j = draws[s + k]
+        swap = picks[j, lanes]
+        picks[j, lanes] = picks[i]
+        picks[i] = swap
+    return picks.T, unsure
+
+
+def _numpy_draws(seed, iterations, n: int, s: int) -> np.ndarray:
+    return np.array(
+        [_hypothesis_rng(seed, it).choice(n, size=s, replace=False) for it in iterations],
+        np.int64,
+    ).reshape(len(iterations), s)
+
+
+_SELF_CHECK = (  # (seed, first, count, n, s); small n makes Floyd collide
+    (0, 0, 8, 5, 4),
+    (3, 250, 8, 1000, 4),
+    (12345, 7, 8, 9, 8),
+    (2**32 - 1, 2**32 - 8, 8, 200000, 5),
+    (99, 4096, 8, 37, 8),
+)
+_lane_draws_ok: bool | None = None  # set by the first self-check
+
+
+def _lane_draws_checked() -> bool:
+    """Whether _lane_draws matches this numpy; checked once, at first use."""
+    global _lane_draws_ok
+    if _lane_draws_ok is None:
+        ok = True
+        for seed, first, count, n, s in _SELF_CHECK:
+            picks, unsure = _lane_draws(seed, first, count, n, s)
+            want = _numpy_draws(seed, range(first, first + count), n, s)
+            ok = ok and np.array_equal(picks[~unsure], want[~unsure])
+        _lane_draws_ok = ok
+    return _lane_draws_ok
+
+
+def _draw_samples(seed: int, first: int, count: int, n: int, s: int) -> np.ndarray:
+    """The (count, s) int64 samples _hypothesis_rng(seed, it).choice(n, s,
+    replace=False) for it in [first, first + count), bit for bit.
+
+    Lanes are drawn together by _lane_draws. numpy's own call draws an unsure
+    lane, and the whole chunk when the inputs lie outside the lane model
+    (so numpy's errors surface unchanged) or when the first-use self-check
+    found this numpy to draw differently."""
+    lane_model = (
+        isinstance(seed, (int, np.integer))
+        and 0 <= seed <= _M32
+        and 0 <= first < first + count <= _M32 + 1
+        and 1 <= s <= _MAX_LANE_SAMPLE
+        and s < n < 2**31
+    )
+    if not (lane_model and _lane_draws_checked()):
+        return _numpy_draws(seed, range(first, first + count), n, s)
+    picks, unsure = _lane_draws(seed, first, count, n, s)
+    picks[unsure] = _numpy_draws(seed, (first + np.flatnonzero(unsure)).tolist(), n, s)
+    return picks
+
+
 def _adaptive_bound(inlier_ratio: float, sample_size: int, confidence: float) -> int:
     if inlier_ratio <= 0:
         return RANSAC_MAX_ITERATIONS
@@ -437,11 +580,12 @@ def _ransac(
     are drawn from the matches sorted by index pair, so the seed-to-sample
     mapping ignores the caller's match ordering.
 
-    Hypotheses are drawn, fit and scored in blocks of up to _BLOCK, then
+    Samples are drawn in chunks of up to _CHUNK hypotheses. Hypotheses are
+    fit and scored in blocks of up to _BLOCK taken from the chunk, then
     walked in iteration order with the serial best/bound update; those
     past the bound are discarded and not counted. The result equals the
-    one-hypothesis-at-a-time loop bit for bit: iteration it still draws
-    from _hypothesis_rng(seed, it), each LAPACK and BLAS call of a
+    one-hypothesis-at-a-time loop bit for bit: iteration it still gets the
+    sample of _hypothesis_rng(seed, it), each LAPACK and BLAS call of a
     stacked fit or residual pass works on one model exactly as a single
     fit does, the winner's flags are its row of the block's residual
     pass, and the refit is a B=1 call of the same kernels.
@@ -460,14 +604,12 @@ def _ransac(
     best_count = -1
     best_model = flags = None
     bound = RANSAC_MAX_ITERATIONS
-    it = 0
+    it = first = 0
+    chunk = np.empty((0, sample_size), np.int64)
     while it < bound:
-        picks = np.stack(
-            [
-                _hypothesis_rng(seed, it + j).choice(n, size=sample_size, replace=False)
-                for j in range(min(_BLOCK, bound - it))
-            ]
-        )
+        if it == first + len(chunk):
+            first, chunk = it, _draw_samples(seed, it, min(_CHUNK, bound - it), n, sample_size)
+        picks = chunk[it - first : it - first + min(_BLOCK, bound - it)]
         models, ok = _fit_block(fit, ca[picks], cb[picks])
         inside = residuals(models, pts_a, pts_b) <= threshold
         for j in range(len(picks)):

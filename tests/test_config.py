@@ -90,6 +90,13 @@ def test_range_errors_name_their_line_or_override(tmp_path, capsys):
     assert "error: override 'steps=0': key 'steps'" in capsys.readouterr().err
 
 
+def test_negative_seed_fails_before_inputs_are_read(tmp_path, capsys):
+    assert cli.main(["eval", "--set", f"frames_dir={tmp_path / 'absent'}", "--set", "seed=-1"]) == 2
+    err = capsys.readouterr().err
+    assert "error: override 'seed=-1': key 'seed': must be at least 0, got -1" in err
+    assert "absent" not in err
+
+
 def test_convert_rejects_unsupported_type():
     with pytest.raises(ConfigError, match="unsupported type"):
         _convert(bool, "flag", "true")
@@ -138,6 +145,7 @@ def test_apply_overrides_win_and_validate():
         ("ransac_threshold_px", "0"),
         ("ransac_threshold_px", "inf"),
         ("ransac_threshold_px", "nan"),
+        ("seed", "-1"),
     ],
 )
 def test_detection_label_and_ransac_settings_validated(key, value):

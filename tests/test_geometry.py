@@ -1,5 +1,6 @@
 """Quaternions, model fitting, RANSAC, pose recovery, pose files."""
 
+import re
 import warnings
 from functools import partial
 
@@ -416,6 +417,87 @@ def test_block_ransac_linalg_fallbacks_match_serial_oracle():
     ]
     assert skipped  # the poisoned path was taken
     _assert_same_result(got, want)
+
+
+@pytest.mark.parametrize("tag", ["H", "F", "E"])
+def test_ransac_across_draw_chunks_matches_serial_oracle(tag):
+    # 40 inliers among 100 (H) or 65 (F, E) matches need 299-444 hypotheses,
+    # so the run draws a second chunk of samples after the first _CHUNK.
+    pts_a, pts_b, _, k = random_two_view_scene(40, seed=(105, 1))
+    if tag == "H":
+        pts_b = warp_points(pts_a, _random_pixel_homography((106, 1), size=640))
+    outliers = 60 if tag == "H" else 25
+    kp_a, kp_b, matches, _ = _identity_matches(pts_a, pts_b, outliers, seed=1, size=640.0)
+    want = oracle_estimate(tag, matches, kp_a, kp_b, k, seed=1)
+    assert want.success and want.iterations > geometry._CHUNK
+    _assert_same_result(_estimate(tag, matches, kp_a, kp_b, k, geometry.RANSAC_CONFIDENCE, 1), want)
+
+
+def _numpy_samples(seed, first, count, n, s):
+    return [geometry._hypothesis_rng(seed, it).choice(n, size=s, replace=False)
+            for it in range(first, first + count)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    first=st.integers(0, 10**4),
+    count=st.integers(1, 40),
+    s=st.sampled_from([4, 5, 8]),
+    extra=st.integers(1, 2 * 10**5 - 8),
+)
+@example(seed=0, first=0, count=40, s=8, extra=1)  # n == s + 1: Floyd often takes j
+def test_draw_samples_equal_numpy_choice(seed, first, count, s, extra):
+    n = s + extra
+    got = geometry._draw_samples(seed, first, count, n, s)
+    assert got.dtype == np.int64 and got.shape == (count, s)
+    assert got.tolist() == [p.tolist() for p in _numpy_samples(seed, first, count, n, s)]
+
+
+@pytest.mark.parametrize(
+    "seed, first, n, s",
+    [
+        (7, 0, 2**31 - 1, 8),  # lane model; about half the lanes redraw through numpy
+        (7, 0, 2**31, 4),  # n past the lane model
+        (2**32, 5, 1000, 4),  # seed of two uint32 words
+        (3, 2**32 - 2, 1000, 4),  # iterations cross 2**32
+        (3, 0, 4, 4),  # n == s: a permutation
+        (3, 0, 20, 9),  # s past the lane model
+        (3, 0, 10, 0),  # empty samples
+    ],
+)
+def test_draw_samples_fallbacks_equal_numpy_choice(seed, first, n, s):
+    got = geometry._draw_samples(seed, first, 6, n, s)
+    want = np.array(_numpy_samples(seed, first, 6, n, s), np.int64).reshape(6, s)
+    assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+    if n == 2**31 - 1:
+        assert geometry._lane_draws(seed, first, 6, n, s)[1].any()
+
+
+def test_draw_samples_pass_numpy_errors_through():
+    for seed in (-1, 2.5):
+        with pytest.raises((ValueError, TypeError)) as want:
+            geometry._hypothesis_rng(seed, 0)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            geometry._draw_samples(seed, 0, 3, 100, 4)
+    with pytest.raises(ValueError, match="larger sample than population"):
+        geometry._draw_samples(0, 0, 3, 3, 4)
+
+
+def test_draw_samples_self_check_failure_falls_back_to_numpy(monkeypatch):
+    monkeypatch.setattr(geometry, "_lane_draws_ok", None)
+    assert geometry._lane_draws_checked()
+    lane_draws = geometry._lane_draws
+
+    def off_by_one(seed, first, count, n, s):
+        picks, unsure = lane_draws(seed, first, count, n, s)
+        return (picks + 1) % n, unsure
+
+    monkeypatch.setattr(geometry, "_lane_draws", off_by_one)
+    monkeypatch.setattr(geometry, "_lane_draws_ok", None)
+    got = geometry._draw_samples(11, 40, 32, 500, 8)
+    assert geometry._lane_draws_ok is False
+    assert got.tolist() == [p.tolist() for p in _numpy_samples(11, 40, 32, 500, 8)]
 
 
 @pytest.mark.parametrize("seed", range(4))
