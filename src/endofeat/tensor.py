@@ -19,9 +19,15 @@ Max pooling sends each output's gradient to the first window position
 leaves, route to one input.
 
 Forward functions are pure. While a GradTape is active on the calling
-thread, every op appends a backward closure to it; ``backward(tape,
-loss)`` replays the tape in reverse and accumulates gradients for every
-tensor that participated.
+thread, every op appends a record to it: its output's key, its inputs'
+keys and a backward closure. Every Tensor gets a serial key, never
+reused, so no record holds a Tensor, and each closure holds only what its
+gradient reads (relu a bool mask, max pooling a uint8 window code,
+reduce_sum a shape); the masks are built only while a tape records, so
+inference pays nothing for them. ``backward(tape, loss)`` replays the
+tape once, in reverse, popping each record as it goes, and accumulates
+gradients for every tensor that participated. A replayed tape is empty
+and holds nothing; replaying it again raises.
 
 The module owns the detector's cell layout, which the other modules
 import: CELL x CELL pixel cells, each with CELL * CELL pixel channels and
@@ -33,6 +39,7 @@ Use float64 for gradient checking; float32 is fine for inference.
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import numpy as np
@@ -66,10 +73,15 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 _IM2COL_ELEMENTS = 1 << 21
 
 
+# Tensor.key: serial, so a key is never reused (an id() can be, once its
+# Tensor dies). next() on a count is one C call, atomic under the GIL.
+_keys = itertools.count()
+
+
 class Tensor:
     """Immutable dense array of finite reals (row-major semantics)."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "key")
 
     def __init__(self, data, dtype=None):
         arr = np.array(data, dtype=dtype, copy=True)
@@ -77,6 +89,7 @@ class Tensor:
             arr = arr.astype(np.float64)
         arr.flags.writeable = False
         self.data = arr
+        self.key = next(_keys)
 
     @classmethod
     def _wrap(cls, arr) -> "Tensor":
@@ -85,6 +98,7 @@ class Tensor:
         arr = np.asarray(arr)  # 0-d results arrive as numpy scalars
         arr.flags.writeable = False
         t.data = arr
+        t.key = next(_keys)
         return t
 
     @property
@@ -106,71 +120,84 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
-_tls = threading.local()
+class _TapeStack(threading.local):
+    def __init__(self):
+        self.stack = []  # this thread's active GradTapes, innermost last
 
 
-def _tape_stack() -> list:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
+_tls = _TapeStack()
 
 
 class GradTape:
-    """Wengert list of executed ops, confined to one thread."""
+    """Wengert list of executed ops, confined to one thread; replays once."""
 
     def __init__(self):
-        self._records = []
+        self._records = []  # (output key, input keys, backward closure)
+        self._replayed = False
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _tls.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _tape_stack().pop()
+        _tls.stack.pop()
         return False
 
 
+def _recording() -> bool:
+    """Whether a GradTape is active on this thread. An op whose backward
+    closure needs work of its own (a mask) checks this before doing it."""
+    return bool(_tls.stack)
+
+
 def _record(out: Tensor, inputs: tuple, backward_fn) -> None:
-    stack = _tape_stack()
+    stack = _tls.stack
     if stack:
-        stack[-1]._records.append((out, inputs, backward_fn))
+        # A plain-array input (a constant) has no key; backward_fn returns None for it.
+        keys = tuple(t.key if isinstance(t, Tensor) else None for t in inputs)
+        stack[-1]._records.append((out.key, keys, backward_fn))
 
 
 class Gradients:
     """Gradient lookup per tensor; zeros for tensors the loss never used."""
 
-    def __init__(self, by_id: dict, keepalive):
-        self._by_id = by_id
-        self._keepalive = keepalive  # pins tensor ids for the lookup lifetime
+    def __init__(self, by_key: dict):
+        self._by_key = by_key
 
     def get(self, t: Tensor) -> np.ndarray:
-        g = self._by_id.get(id(t))
+        g = self._by_key.get(t.key)
         if g is None:
             return np.zeros_like(t.data)
         return g
 
 
 def backward(tape: GradTape, loss: Tensor) -> Gradients:
-    """Reverse-replay the tape from a scalar loss.
+    """Reverse-replay the tape from a scalar loss, emptying it.
 
     Each recorded op is visited exactly once, in reverse execution order
-    (which is a reverse topological order of the recorded graph).
+    (which is a reverse topological order of the recorded graph), and its
+    record is dropped as it is visited, so an intermediate gradient and
+    what its closure held die with their last use. Only the gradients of
+    leaves (tensors no record produced) are kept.
     """
     if loss.data.shape != ():
         raise ValueError(f"loss must be a scalar tensor, got shape {loss.data.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
-    for out, inputs, backward_fn in reversed(tape._records):
-        g = grads.pop(id(out), None)
+    if tape._replayed:
+        raise RuntimeError("this GradTape was already replayed; a tape replays once")
+    tape._replayed = True
+    records = tape._records
+    grads: dict[int, np.ndarray] = {loss.key: np.ones((), dtype=loss.data.dtype)}
+    while records:
+        out_key, in_keys, backward_fn = records.pop()
+        g = grads.pop(out_key, None)
         if g is None:
             continue  # not on any path to the loss
-        for t, gi in zip(inputs, backward_fn(g)):
+        for key, gi in zip(in_keys, backward_fn(g)):
             if gi is None:
                 continue
-            acc = grads.get(id(t))
-            grads[id(t)] = gi if acc is None else acc + gi
-    return Gradients(grads, tape)
+            acc = grads.get(key)
+            grads[key] = gi if acc is None else acc + gi
+    return Gradients(grads)
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +231,16 @@ def affine(x: Tensor, scale: float, shift: float) -> Tensor:
 
 def reduce_sum(x: Tensor) -> Tensor:
     out = Tensor._wrap(np.asarray(x.data.sum()))
-    _record(out, (x,), lambda g: (np.broadcast_to(g, x.data.shape).copy(),))
+    shape = x.data.shape
+    _record(out, (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
     return out
 
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor._wrap(np.maximum(x.data, 0))
-    # subgradient at 0 is 0
-    _record(out, (x,), lambda g: (g * (x.data > 0),))
+    if _recording():
+        mask = x.data > 0  # subgradient at 0 is 0
+        _record(out, (x,), lambda g: (g * mask,))
     return out
 
 
@@ -317,21 +346,27 @@ def max_pool2x2(x: Tensor) -> Tensor:
     views = (xv[0::2, 0::2], xv[0::2, 1::2], xv[1::2, 0::2], xv[1::2, 1::2])  # window order
     y = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
     out = Tensor._wrap(y)
+    if not _recording():
+        return out
+
+    # Per output, the window position (0-3) of the first maximum: the count of
+    # leading positions that do not hold it. With finite inputs the last
+    # position holds the max wherever no earlier one does.
+    free = views[0] != y
+    code = free.astype(np.uint8)
+    for view in views[1:3]:
+        free &= view != y
+        code += free
 
     def back(g):
-        gx = np.empty(xv.shape, dtype=g.dtype)  # the four strided writes cover it
+        gx = np.empty((h, w, c), dtype=g.dtype)  # the four strided writes cover it
         # Multiplying g's bit patterns by a 0/1 mask gives g where the mask is
         # set and +0.0 elsewhere, bit for bit; a float multiply would give -0.0
         # for negative g. It is several times faster than np.where.
         bits = np.dtype(f"u{g.itemsize}")
         g_bits, gx_bits = g.view(bits), gx.view(bits)
-        free = np.ones(y.shape, dtype=bool)  # no earlier window position holds the max
-        for (di, dj), view in zip(((0, 0), (0, 1), (1, 0)), views[:3]):
-            hit = view == y
-            hit &= free
-            np.multiply(g_bits, hit, out=gx_bits[di::2, dj::2])
-            free ^= hit
-        np.multiply(g_bits, free, out=gx_bits[1::2, 1::2])  # finite inputs: the last holds the max
+        for i, (di, dj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            np.multiply(g_bits, code == i, out=gx_bits[di::2, dj::2])
         return (gx,)
 
     _record(out, (x,), back)

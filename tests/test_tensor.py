@@ -1,14 +1,18 @@
 """Autodiff core: gradient checks against central differences, plus the
 layout/semantics contracts the network relies on."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endofeat import losses, network
 from endofeat import tensor as T
+from endofeat.data import PseudoLabel
 from endofeat.network import Architecture, heatmap
 from endofeat.tensor import GradTape, Tensor, backward
 
@@ -84,6 +88,92 @@ def test_ops_outside_tape_do_not_record():
         loss = T.affine(a, 3.0, 0.0)
     grads = backward(tape, loss)
     assert grads.get(a) == 3.0
+
+
+def test_a_tape_replays_once():
+    a = Tensor(np.ones((2, 2)))
+    with GradTape() as tape:
+        loss = T.reduce_sum(T.relu(a))
+    assert np.array_equal(backward(tape, loss).get(a), np.ones((2, 2)))
+    assert tape._records == []
+    with pytest.raises(RuntimeError, match="replays once"):
+        backward(tape, loss)
+
+
+def _tensors_in(obj, seen):
+    """Tensors reachable from obj through containers and closure cells."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        items = obj
+    elif callable(obj) and getattr(obj, "__closure__", None):
+        items = [cell.cell_contents for cell in obj.__closure__]
+    else:
+        return []
+    return [t for item in items for t in _tensors_in(item, seen)]
+
+
+def test_records_hold_keys_and_closures_without_tensors():
+    # Every op's gradient case (which together cover tensor.__all__) and a
+    # conv2d with a plain-array input, recorded on one tape: each record is
+    # (output key, input keys, closure), and no closure reaches a Tensor.
+    x = rng(25).uniform(-1.0, 1.0, (4, 6, 2))
+    with GradTape() as tape:
+        for _, build, arrays in _CASES:
+            build(*[Tensor(a) for a in arrays])
+        T.conv2d(x, Tensor(np.ones((3, 3, 2, 1))), Tensor(np.zeros(1)))
+    assert len(tape._records) >= len(_CASES)
+    for out_key, in_keys, backward_fn in tape._records:
+        assert isinstance(out_key, int)
+        assert all(k is None or isinstance(k, int) for k in in_keys)
+        assert _tensors_in(backward_fn, set()) == []
+
+
+def test_gradients_never_answer_for_a_later_tensor():
+    # The leaf below dies once the graph is built; its gradient stays. A
+    # Tensor made afterwards, which may reuse its memory and id(), reads zeros.
+    w = rng(26).uniform(-1.0, 1.0, (3, 4))
+    with GradTape() as tape:
+        loss = T.reduce_sum(T.mul(Tensor(np.ones((3, 4))), w))
+    grads = backward(tape, loss)
+    gc.collect()
+    for _ in range(100):
+        assert np.array_equal(grads.get(Tensor(np.ones((3, 4)))), np.zeros((3, 4)))
+
+
+def test_a_replayed_slot_retains_only_its_gradients():
+    # One training slot of the default net at 32x32 in f32: two forwards and
+    # the specular pair loss. After backward, with the tape and the Gradients
+    # alive, what is left is the leaves' gradients: the params' and the two
+    # frames'. A tape holding its graph retains about 1.9x the param bytes.
+    params = network.init_params(Architecture(), seed=5, dtype=np.float32)
+    param_bytes = sum(t.data.nbytes for _, t in params.param_tensors())
+    r = rng(27)
+    img_a = r.uniform(0.0, 1.0, (32, 32))
+    img_b = img_a[::-1].copy()
+    label = PseudoLabel(np.array([[3, 4], [27, 30]]), np.array([0.9, 0.8]))
+    corr = np.zeros((4, 4, 4, 4))
+
+    def slot():
+        with GradTape() as tape:
+            heads_a = network.forward(params, img_a)
+            heads_b = network.forward(params, img_b)
+            loss = losses.specular_pair_loss(img_a, heads_a, label, img_b, heads_b, label, corr)
+        return tape, backward(tape, loss)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape, grads = slot()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert tape._records == []
+    assert grads.get(params.weights["enc0_c0"][0]).any()
+    assert retained <= 1.1 * param_bytes, f"{retained / param_bytes:.2f}x the param bytes"
 
 
 def test_conv2d_matches_naive_oracle():
