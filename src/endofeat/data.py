@@ -72,12 +72,15 @@ def read_pgm(path) -> np.ndarray:
             raise FrameError(f"{path}: truncated PGM header")
         return blob[start:pos]
 
+    def number():
+        field = token()
+        if not field.isdigit():  # ASCII digits only: int() would take "+16" and "1_6"
+            raise FrameError(f"{path}: bad PGM header")
+        return int(field)
+
     if token() != b"P5":
         raise FrameError(f"{path}: not a binary PGM (P5) file")
-    try:
-        width, height, maxval = int(token()), int(token()), int(token())
-    except ValueError as e:
-        raise FrameError(f"{path}: bad PGM header") from e
+    width, height, maxval = number(), number(), number()
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise FrameError(f"{path}: bad PGM dimensions or maxval")
     pos += 1  # single whitespace after maxval

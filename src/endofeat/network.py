@@ -11,9 +11,12 @@ at those pixels. forward() takes the frame as a plain array and returns the
 heads as Tensors; both decoders return plain arrays, off the gradient tape:
 the losses are applied to the coarse cells, not to the decoded maps.
 
-A weights file is an np.savez archive (ioutil.write_archive) of float32
-arrays named by the param_tensors() labels; load_weights raises
-WeightsError, naming the file or the layer, for anything else.
+NetworkParams.tensors is keyed by the weights file's own labels,
+"<layer>.kernel" and "<layer>.bias" in layer_plan() order, and checked
+against the architecture when the params are built. A weights file is an
+np.savez archive (ioutil.write_archive) of those tensors as float32
+arrays; load_weights raises WeightsError, naming the file or the layer,
+for anything else.
 """
 
 from __future__ import annotations
@@ -71,36 +74,33 @@ class Architecture:
         return plan
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkParams:
-    """Named conv weights (kernel, bias) in layer order, plus the architecture."""
+    """The architecture and its conv tensors, label -> Tensor, labelled
+    "<layer>.kernel" (k x k x Cin x Cout) and "<layer>.bias" (Cout) and
+    kept in layer_plan() order. A missing, misshapen or extra tensor raises
+    WeightsError naming it."""
 
     architecture: Architecture
-    weights: dict  # name -> (kernel Tensor, bias Tensor), insertion ordered
+    tensors: dict
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        tensors = {}
         for name, k, cin, cout in self.architecture.layer_plan():
-            if name not in self.weights:
-                raise WeightsError(f"missing layer {name}")
-            kernel, bias = self.weights[name]
-            if kernel.shape != (k, k, cin, cout):
-                raise WeightsError(
-                    f"layer {name}: kernel shape {kernel.shape}, expected {(k, k, cin, cout)}"
-                )
-            if bias.shape != (cout,):
-                raise WeightsError(f"layer {name}: bias shape {bias.shape}, expected {(cout,)}")
+            for kind, shape in (("kernel", (k, k, cin, cout)), ("bias", (cout,))):
+                t = self.tensors.get(f"{name}.{kind}")
+                if t is None:
+                    raise WeightsError(f"layer {name}: missing {kind}")
+                if t.shape != shape:
+                    raise WeightsError(f"layer {name}: {kind} shape {t.shape}, expected {shape}")
+                tensors[f"{name}.{kind}"] = t
+        extra = sorted(self.tensors.keys() - tensors.keys())
+        if extra:
+            raise WeightsError(f"tensors {extra} are not in the architecture")
+        object.__setattr__(self, "tensors", tensors)
 
     def dtype(self):
-        kernel, _ = next(iter(self.weights.values()))
-        return kernel.dtype
-
-    def param_tensors(self):
-        """Flat (label, Tensor) list over kernels and biases, in layer order."""
-        out = []
-        for name, (kernel, bias) in self.weights.items():
-            out.append((f"{name}.kernel", kernel))
-            out.append((f"{name}.bias", bias))
-        return out
+        return next(iter(self.tensors.values())).dtype
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,13 @@ class RawHeads:
 def init_params(arch: Architecture, seed: int = 0, dtype=np.float64) -> NetworkParams:
     """He-uniform kernels, zero biases."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    weights = {}
+    tensors = {}
     for name, k, cin, cout in arch.layer_plan():
         limit = np.sqrt(6.0 / (k * k * cin))
         kernel = rng.uniform(-limit, limit, size=(k, k, cin, cout)).astype(dtype)
-        weights[name] = (Tensor(kernel), Tensor(np.zeros(cout, dtype=dtype)))
-    return NetworkParams(arch, weights)
+        tensors[f"{name}.kernel"] = Tensor(kernel)
+        tensors[f"{name}.bias"] = Tensor(np.zeros(cout, dtype=dtype))
+    return NetworkParams(arch, tensors)
 
 
 def forward(params: NetworkParams, image: np.ndarray) -> RawHeads:
@@ -129,7 +130,6 @@ def forward(params: NetworkParams, image: np.ndarray) -> RawHeads:
     h, w = iv.shape
     if h % CELL or w % CELL:
         raise ValueError(f"image dims must be divisible by {CELL}, got {h}x{w}")
-    params.validate()
     # conv2d would take the frame as a plain array, a constant, and skip its
     # gradient, which nothing reads; it enters as a Tensor because the conv2d
     # counter in benchmark/tracer.py reads x.data.size, which an ndarray lacks.
@@ -137,21 +137,17 @@ def forward(params: NetworkParams, image: np.ndarray) -> RawHeads:
     if x.size and (x.data.min() < 0.0 or x.data.max() > 1.0):
         raise ValueError("image values must lie in [0, 1]")
 
+    def conv(x, name):
+        return T.conv2d(x, params.tensors[f"{name}.kernel"], params.tensors[f"{name}.bias"])
+
     n_stages = len(params.architecture.encoder_stages)
     for si, stage in enumerate(params.architecture.encoder_stages):
         for ci in range(len(stage)):
-            kernel, bias = params.weights[f"enc{si}_c{ci}"]
-            x = T.relu(T.conv2d(x, kernel, bias))
+            x = T.relu(conv(x, f"enc{si}_c{ci}"))
         if si < n_stages - 1:
             x = T.max_pool2x2(x)
-
-    ka, ba = params.weights["det_a"]
-    kb, bb = params.weights["det_b"]
-    detect = T.conv2d(T.relu(T.conv2d(x, ka, ba)), kb, bb)
-
-    ka, ba = params.weights["desc_a"]
-    kb, bb = params.weights["desc_b"]
-    describe = T.conv2d(T.relu(T.conv2d(x, ka, ba)), kb, bb)
+    detect = conv(T.relu(conv(x, "det_a")), "det_b")
+    describe = conv(T.relu(conv(x, "desc_a")), "desc_b")
     return RawHeads(detect=detect, describe=describe)
 
 
@@ -221,27 +217,27 @@ def _upsample_matrix(n_in: int, dtype) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # weights file: an np.savez archive of float32 arrays keyed by the
-# param_tensors() labels, "<layer>.kernel" (k x k x Cin x Cout) and
+# NetworkParams.tensors labels, "<layer>.kernel" (k x k x Cin x Cout) and
 # "<layer>.bias" (Cout)
 # ---------------------------------------------------------------------------
 
 
 def save_weights(params: NetworkParams, path) -> None:
     """Write the params as float32 (f64 params are quantised)."""
-    write_archive(path, {label: t.data.astype(np.float32) for label, t in params.param_tensors()})
+    write_archive(path, {label: t.data.astype(np.float32) for label, t in params.tensors.items()})
 
 
 def load_weights(path) -> NetworkParams:
     """Load float32 params; validates layer chaining against the format.
 
     The architecture is inferred from the layer names and kernel shapes,
-    then the parameter set is structurally validated and ordered as its
-    layer_plan(). Raises WeightsError naming the file or the layer for any
-    other archive.
+    and the params are checked against it and ordered as its layer_plan().
+    Raises WeightsError naming the file or the layer for any other archive.
     """
+    arrays = read_archive(path, WeightsError)
     kernels: dict[str, np.ndarray] = {}
     biases: dict[str, np.ndarray] = {}
-    for key, arr in read_archive(path, WeightsError).items():
+    for key, arr in arrays.items():
         name, _, kind = key.rpartition(".")
         if kind not in ("kernel", "bias") or not name:
             raise WeightsError(f"{path}: unknown entry {key!r}")
@@ -266,12 +262,7 @@ def load_weights(path) -> NetworkParams:
     unknown = sorted((kernels.keys() | biases.keys()) - set(plan))
     if unknown:
         raise WeightsError(f"{path}: layers {unknown} are not in the architecture")
-    params = NetworkParams(
-        architecture,
-        {n: (Tensor(kernels[n]), Tensor(biases[n])) for n in plan if n in kernels},
-    )
-    params.validate()
-    return params
+    return NetworkParams(architecture, {label: Tensor(arr) for label, arr in arrays.items()})
 
 
 def _infer_architecture(kernels) -> Architecture:

@@ -12,10 +12,14 @@ import numpy as np
 from .data import SPECULAR_THRESHOLD, PseudoLabel, specularity_mask
 from .homography import HomographyConfig, sample_homography, to_pixel_frame, warp_image
 
+_TEXTURE_LO, _TEXTURE_HI = 0.1, 0.55  # texture value range, below the highlight cut
+_BLOB_INTENSITY = 0.9  # specular blob peak
+_MARKER_SIZE, _MARKER_SEPARATION = 4, 10  # corner marker width; least centre distance on an axis
+_LABELS_PER_IMAGE, _LABELS_ON_BLOBS = 40, 12  # specular training labels per image, and on highlights
 
-def band_limited_texture(height: int, width: int, seed: int = 0, cutoff: float = 0.12,
-                         lo: float = 0.1, hi: float = 0.55) -> np.ndarray:
-    """Smooth random texture with values in [lo, hi] (below the highlight cut)."""
+
+def band_limited_texture(height: int, width: int, seed: int = 0, cutoff: float = 0.12) -> np.ndarray:
+    """Smooth random texture with values in [0.1, 0.55] (below the highlight cut)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     noise = rng.standard_normal((height, width))
     fy = np.fft.fftfreq(height)[:, None]
@@ -24,15 +28,14 @@ def band_limited_texture(height: int, width: int, seed: int = 0, cutoff: float =
     img = np.fft.ifft2(np.fft.fft2(noise) * keep).real
     rng_min, rng_max = img.min(), img.max()
     if rng_max - rng_min < 1e-12:
-        return np.full((height, width), (lo + hi) / 2.0)
-    return lo + (hi - lo) * (img - rng_min) / (rng_max - rng_min)
+        return np.full((height, width), (_TEXTURE_LO + _TEXTURE_HI) / 2.0)
+    return _TEXTURE_LO + (_TEXTURE_HI - _TEXTURE_LO) * (img - rng_min) / (rng_max - rng_min)
 
 
-def add_specular_blobs(image: np.ndarray, seed: int = 0, coverage: float = 0.075,
-                       intensity: float = 0.9) -> np.ndarray:
+def add_specular_blobs(image: np.ndarray, seed: int = 0, coverage: float = 0.075) -> np.ndarray:
     """Plant bright gaussian blobs until ~coverage of pixels is highlight.
 
-    Returns a copy; the blob peaks reach `intensity` so the saturated area
+    Returns a copy; the blob peaks reach 0.9 so the saturated area
     is well above `data.SPECULAR_THRESHOLD`.
     """
     if not 0 < coverage < 0.5:
@@ -48,7 +51,7 @@ def add_specular_blobs(image: np.ndarray, seed: int = 0, coverage: float = 0.075
         cy = rng.uniform(0.1 * h, 0.9 * h)
         cx = rng.uniform(0.1 * w, 0.9 * w)
         sigma = rng.uniform(0.02, 0.04) * min(h, w)
-        blob = intensity * np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2) / (2 * sigma**2))
+        blob = _BLOB_INTENSITY * np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2) / (2 * sigma**2))
         out = np.maximum(out, blob)
     return np.clip(out, 0.0, 1.0)
 
@@ -62,12 +65,11 @@ def stamp_marker(image: np.ndarray, x: int, y: int, size: int, outer: float,
     image[y - core : y + core + 1, x - core : x + core + 1] = inner
 
 
-def add_corner_markers(image: np.ndarray, seed: int = 0, count: int = 40,
-                       size: int = 4, margin: int = 12, min_separation: int = 10):
+def add_corner_markers(image: np.ndarray, seed: int = 0, count: int = 40, margin: int = 12):
     """Stamp small dark/bright squares; returns (image copy, (x, y) centers).
 
-    The marker centers are distinctive, well-separated keypoint locations
-    with known ground-truth coordinates.
+    The marker centers are distinctive keypoint locations, any two at
+    least 10 pixels apart in x or y, with known ground-truth coordinates.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     h, w = image.shape
@@ -78,10 +80,10 @@ def add_corner_markers(image: np.ndarray, seed: int = 0, count: int = 40,
         attempts += 1
         x = int(rng.integers(margin, w - margin))
         y = int(rng.integers(margin, h - margin))
-        if any(max(abs(x - cx), abs(y - cy)) < min_separation for cx, cy in centers):
+        if any(max(abs(x - cx), abs(y - cy)) < _MARKER_SEPARATION for cx, cy in centers):
             continue
         dark = rng.random() < 0.5
-        stamp_marker(out, x, y, size, *((0.02, 0.62) if dark else (0.62, 0.02)))
+        stamp_marker(out, x, y, _MARKER_SIZE, *((0.02, 0.62) if dark else (0.62, 0.02)))
         centers.append((x, y))
     return out, np.asarray(centers, dtype=np.int64).reshape(-1, 2)
 
@@ -92,25 +94,23 @@ def planted_label(centers: np.ndarray) -> PseudoLabel:
     return PseudoLabel(centers, np.linspace(1.0, 0.5, centers.shape[0]))
 
 
-def specular_training_set(n_images: int, size: int = 64, seed: int = 0,
-                          labels_per_image: int = 40, on_blob_fraction: float = 0.3,
-                          coverage: float = 0.075):
-    """Textured images with specular blobs and planted labels.
+def specular_training_set(n_images: int, size: int = 64, seed: int = 0):
+    """Textured images with specular blobs (default coverage) and planted labels.
 
-    A fraction of each image's label points is placed inside the blobs,
+    40 label points per image, 12 of them placed inside the blobs,
     imitating a teacher that fires on highlights. Returns a list of
     (image, PseudoLabel, specular mask) triples.
     """
     out = []
     for i in range(n_images):
         base = band_limited_texture(size, size, seed=seed * 1000 + i)
-        img = add_specular_blobs(base, seed=seed * 1000 + i, coverage=coverage)
+        img = add_specular_blobs(base, seed=seed * 1000 + i)
         mask = specularity_mask(img)
         rng = np.random.default_rng(np.random.SeedSequence((seed, i, 3)))
         spec_idx = np.flatnonzero(mask.ravel())
         clean_idx = np.flatnonzero(~mask.ravel())
-        n_on = min(int(round(labels_per_image * on_blob_fraction)), spec_idx.size)
-        n_off = min(labels_per_image - n_on, clean_idx.size)
+        n_on = min(_LABELS_ON_BLOBS, spec_idx.size)
+        n_off = min(_LABELS_PER_IMAGE - n_on, clean_idx.size)
         chosen = np.concatenate(
             [
                 rng.choice(spec_idx, size=n_on, replace=False) if n_on else np.empty(0, np.int64),

@@ -89,28 +89,24 @@ def adam_step(params: NetworkParams, grads: dict, state: AdamState, config: Trai
     """One Adam update; returns fresh params, mutates state."""
     state.step += 1
     t = state.step
-    new_weights = {}
-    for name, (kernel, bias) in params.weights.items():
-        updated = []
-        for suffix, tensor in (("kernel", kernel), ("bias", bias)):
-            label = f"{name}.{suffix}"
-            g = grads[label]
-            m = state.m.get(label)
-            if m is None:
-                m = np.zeros_like(tensor.data)
-                v = np.zeros_like(tensor.data)
-            else:
-                v = state.v[label]
-            m = _BETA1 * m + (1 - _BETA1) * g
-            v = _BETA2 * v + (1 - _BETA2) * g * g
-            state.m[label] = m
-            state.v[label] = v
-            mhat = m / (1 - _BETA1**t)
-            vhat = v / (1 - _BETA2**t)
-            step = config.learning_rate * mhat / (np.sqrt(vhat) + _ADAM_EPS)
-            updated.append(Tensor(tensor.data - step.astype(tensor.data.dtype)))
-        new_weights[name] = (updated[0], updated[1])
-    return NetworkParams(params.architecture, new_weights)
+    tensors = {}
+    for label, tensor in params.tensors.items():
+        g = grads[label]
+        m = state.m.get(label)
+        if m is None:
+            m = np.zeros_like(tensor.data)
+            v = np.zeros_like(tensor.data)
+        else:
+            v = state.v[label]
+        m = _BETA1 * m + (1 - _BETA1) * g
+        v = _BETA2 * v + (1 - _BETA2) * g * g
+        state.m[label] = m
+        state.v[label] = v
+        mhat = m / (1 - _BETA1**t)
+        vhat = v / (1 - _BETA2**t)
+        step = config.learning_rate * mhat / (np.sqrt(vhat) + _ADAM_EPS)
+        tensors[label] = Tensor(tensor.data - step.astype(tensor.data.dtype))
+    return NetworkParams(params.architecture, tensors)
 
 
 def _iteration_rng(seed: int, iteration: int, slot: int) -> np.random.Generator:
@@ -166,7 +162,7 @@ def finetune(
             det += terms["detection"] / train_config.batch_size
             desc += terms["descriptor"] / train_config.batch_size
             spec += terms["specularity"] / train_config.batch_size
-            for label, tensor in params.param_tensors():
+            for label, tensor in params.tensors.items():
                 g = grads.get(tensor)
                 acc = grads_acc.get(label)
                 grads_acc[label] = g if acc is None else acc + g

@@ -142,16 +142,16 @@ def toy_pair_loss_case(size: int = 16, seed: int = 3):
     """
     arch = toy_architecture()
     params = network.init_params(arch, seed=seed, dtype=np.float64)
-    names = [name for name, *_ in arch.layer_plan()]
+    labels = list(params.tensors)
     r = rng((seed, 1))
     arrays = []
-    for name in names:
-        kernel, bias = params.weights[name]
-        arrays.append(np.array(kernel.data))
-        # Random nonzero biases keep every unit clear of the relu kink,
-        # where a one-sided subgradient cannot match central differences.
-        shape = bias.data.shape
-        arrays.append(r.uniform(0.02, 0.2, shape) * r.choice([-1.0, 1.0], shape))
+    for label, t in params.tensors.items():
+        if label.endswith(".kernel"):
+            arrays.append(np.array(t.data))
+        else:
+            # Random nonzero biases keep every unit clear of the relu kink,
+            # where a one-sided subgradient cannot match central differences.
+            arrays.append(r.uniform(0.02, 0.2, t.shape) * r.choice([-1.0, 1.0], t.shape))
     img_a = r.uniform(0.05, 0.65, (size, size))
     img_a[3:6, 4:7] = 0.92  # saturated patch keeps the highlight term active
     h_unit = sample_homography(
@@ -171,8 +171,7 @@ def toy_pair_loss_case(size: int = 16, seed: int = 3):
     loss_config = losses.LossConfig()
 
     def build(*tensors):
-        weights = {name: (tensors[2 * i], tensors[2 * i + 1]) for i, name in enumerate(names)}
-        p = network.NetworkParams(arch, weights)
+        p = network.NetworkParams(arch, dict(zip(labels, tensors)))
         heads_a = network.forward(p, img_a)
         heads_b = network.forward(p, img_b)
         return losses.specular_pair_loss(

@@ -142,8 +142,7 @@ def test_criterion_2_specularity_loss_oracle():
             hb = forward(params, img_b)
             full = losses.specular_pair_loss(img_a, ha, label_a, img_b, hb, label_b, corr, cfg0)
         grads_a = T.backward(tape_a, full)
-        ga = {n: (np.array(grads_a.get(k)), np.array(grads_a.get(b)))
-              for n, (k, b) in params.weights.items()}
+        ga = {label: np.array(grads_a.get(t)) for label, t in params.tensors.items()}
 
         with T.GradTape() as tape_b:
             ha = forward(params, img_a)
@@ -152,10 +151,8 @@ def test_criterion_2_specularity_loss_oracle():
         grads_b = T.backward(tape_b, plain)
         if full.item() != plain.item():
             bitwise = False
-        for n, (k, b) in params.weights.items():
-            if not np.array_equal(ga[n][0], np.array(grads_b.get(k))):
-                bitwise = False
-            if not np.array_equal(ga[n][1], np.array(grads_b.get(b))):
+        for label, t in params.tensors.items():
+            if not np.array_equal(ga[label], np.array(grads_b.get(t))):
                 bitwise = False
 
     empty = PseudoLabel(np.empty((0, 2), np.int64), np.empty(0))

@@ -68,6 +68,18 @@ def test_pgm_rejects_bad_files(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("header", [b"P5\n1_6 2\n255\n", b"P5\n+16 2\n255\n", b"P5\n16 2\n0_255\n",
+                                    b"P5\n16 -2\n255\n", b"P5\n16 \xd9\xa2\n255\n"])
+def test_pgm_header_numbers_are_ascii_digits(tmp_path, header):
+    # int() alone reads "1_6" and "+16" as 16; a header field is plain digits
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + bytes(32))
+    with pytest.raises(FrameError, match="bad PGM header"):
+        read_pgm(path)
+    path.write_bytes(b"P5\n016 2\n0255\n" + bytes(range(32)))  # leading zeros are digits
+    np.testing.assert_array_equal(read_pgm(path), np.arange(32).reshape(2, 16) / 255)
+
+
 _PGM_HEADER = st.builds(
     lambda magic, w, h, maxval, sep: magic + sep + f"{w} {h}{sep.decode()}{maxval}".encode() + b"\n",
     st.sampled_from([b"P5", b"P5", b"P5", b"P6", b""]),

@@ -71,15 +71,15 @@ def test_init_params_deterministic_and_bounded():
     a = init_params(arch, seed=5)
     b = init_params(arch, seed=5)
     c = init_params(arch, seed=6)
-    for (la, ta), (lb, tb) in zip(a.param_tensors(), b.param_tensors()):
+    for (la, ta), (lb, tb) in zip(a.tensors.items(), b.tensors.items()):
         assert la == lb
         np.testing.assert_array_equal(ta.data, tb.data)
     assert any(
         not np.array_equal(ta.data, tc.data)
-        for (_, ta), (_, tc) in zip(a.param_tensors(), c.param_tensors())
+        for ta, tc in zip(a.tensors.values(), c.tensors.values())
     )
     for name, k, cin, cout in arch.layer_plan():
-        kernel, bias = a.weights[name]
+        kernel, bias = a.tensors[f"{name}.kernel"], a.tensors[f"{name}.bias"]
         limit = np.sqrt(6.0 / (k * k * cin))
         assert np.abs(kernel.data).max() <= limit
         assert np.all(bias.data == 0.0)
@@ -237,12 +237,34 @@ def test_densify_equals_dense_map_oracle(hc, wc, d, dtype):
     np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
 
 
-def test_validate_names_bad_layer():
+_BAD_TENSORS = {
+    "kernel shape": (lambda t: {**t, "enc1_c0.kernel": Tensor(np.zeros((3, 3, 2, 9)))},
+                     r"layer enc1_c0: kernel shape \(3, 3, 2, 9\), expected \(3, 3, 2, 2\)"),
+    "bias shape": (lambda t: {**t, "det_b.bias": Tensor(np.zeros(3))},
+                   r"layer det_b: bias shape \(3,\), expected \(65,\)"),
+    "missing bias": (lambda t: {k: v for k, v in t.items() if k != "desc_a.bias"},
+                     "layer desc_a: missing bias"),
+    "missing layer": (lambda t: {k: v for k, v in t.items() if not k.startswith("enc3_c1.")},
+                      "layer enc3_c1: missing kernel"),
+    "extra tensor": (lambda t: {**t, "enc3_c2.kernel": t["enc3_c1.kernel"]}, r"\['enc3_c2.kernel'\]"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_TENSORS))
+def test_params_are_checked_when_built(case):
     params = init_params(toy_architecture(), seed=0)
-    kernel, bias = params.weights["enc1_c0"]
-    params.weights["enc1_c0"] = (Tensor(np.zeros((3, 3, 2, 9))), bias)
-    with pytest.raises(WeightsError, match="enc1_c0"):
-        params.validate()
+    edit, message = _BAD_TENSORS[case]
+    with pytest.raises(WeightsError, match=message):
+        NetworkParams(params.architecture, edit(params.tensors))
+
+
+def test_params_keep_layer_plan_order():
+    params = init_params(toy_architecture(), seed=0)
+    labels = [f"{name}.{kind}" for name, *_ in toy_architecture().layer_plan() for kind in ("kernel", "bias")]
+    assert list(params.tensors) == labels
+    shuffled = NetworkParams(params.architecture, dict(reversed(list(params.tensors.items()))))
+    assert list(shuffled.tensors) == labels
+    assert all(shuffled.tensors[label] is params.tensors[label] for label in labels)
 
 
 def test_init_params_float32_is_cast_of_float64():
@@ -250,7 +272,7 @@ def test_init_params_float32_is_cast_of_float64():
     assert params.dtype() == np.float64
     p32 = init_params(toy_architecture(), seed=0, dtype=np.float32)
     assert p32.dtype() == np.float32
-    for (_, t64), (_, t32) in zip(params.param_tensors(), p32.param_tensors()):
+    for t64, t32 in zip(params.tensors.values(), p32.tensors.values()):
         np.testing.assert_array_equal(t32.data, t64.data.astype(np.float32))
 
 
@@ -265,11 +287,11 @@ def test_weights_round_trip_bit_exact(tmp_path):
     save_weights(params, path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["net.weights"]  # no temp file left
     with np.load(path) as archive:  # the documented layout: one f32 array per param label
-        assert archive.files == [label for label, _ in params.param_tensors()]
+        assert archive.files == list(params.tensors)
         assert all(archive[k].dtype == np.float32 for k in archive.files)
     loaded = load_weights(path)
     assert loaded.architecture == params.architecture
-    for (la, ta), (lb, tb) in zip(params.param_tensors(), loaded.param_tensors()):
+    for (la, ta), (lb, tb) in zip(params.tensors.items(), loaded.tensors.items()):
         assert la == lb
         assert tb.dtype == np.float32
         np.testing.assert_array_equal(ta.data, tb.data)
@@ -280,13 +302,13 @@ def test_weights_round_trip_quantizes_doubles(tmp_path):
     path = tmp_path / "net.weights"
     save_weights(params, path)
     loaded = load_weights(path)
-    for (_, t64), (_, t32) in zip(params.param_tensors(), loaded.param_tensors()):
+    for t64, t32 in zip(params.tensors.values(), loaded.tensors.values()):
         np.testing.assert_array_equal(t32.data, t64.data.astype(np.float32))
 
 
 def _toy_entries(seed=0):
     params = init_params(toy_architecture(), seed=seed)
-    return {label: t.data.astype(np.float32) for label, t in params.param_tensors()}
+    return {label: t.data.astype(np.float32) for label, t in params.tensors.items()}
 
 
 def _write(path, entries):
@@ -298,8 +320,8 @@ def test_entries_load_in_layer_plan_order(tmp_path):
     path = tmp_path / "net.weights"
     _write(path, dict(reversed(list(entries.items()))))
     loaded = load_weights(path)
-    assert list(loaded.weights) == [name for name, *_ in toy_architecture().layer_plan()]
-    for label, t in loaded.param_tensors():
+    assert list(loaded.tensors) == list(entries)
+    for label, t in loaded.tensors.items():
         np.testing.assert_array_equal(t.data, entries[label])
 
 
@@ -423,8 +445,8 @@ def test_load_weights_fuzz_raises_only_typed_errors(toy_weights_blob, tmp_path_f
     except WeightsError:
         return
     want = _toy_entries()
-    assert [label for label, _ in loaded.param_tensors()] == list(want)
-    for label, t in loaded.param_tensors():
+    assert list(loaded.tensors) == list(want)
+    for label, t in loaded.tensors.items():
         assert t.dtype == np.float32
         np.testing.assert_array_equal(t.data, want[label])
 

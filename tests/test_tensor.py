@@ -150,7 +150,7 @@ def test_a_replayed_slot_retains_only_its_gradients():
     # alive, what is left is the leaves' gradients: the params' and the two
     # frames'. A tape holding its graph retains about 1.9x the param bytes.
     params = network.init_params(Architecture(), seed=5, dtype=np.float32)
-    param_bytes = sum(t.data.nbytes for _, t in params.param_tensors())
+    param_bytes = sum(t.data.nbytes for t in params.tensors.values())
     r = rng(27)
     img_a = r.uniform(0.0, 1.0, (32, 32))
     img_b = img_a[::-1].copy()
@@ -172,7 +172,7 @@ def test_a_replayed_slot_retains_only_its_gradients():
     finally:
         tracemalloc.stop()
     assert tape._records == []
-    assert grads.get(params.weights["enc0_c0"][0]).any()
+    assert grads.get(params.tensors["enc0_c0.kernel"]).any()
     assert retained <= 1.1 * param_bytes, f"{retained / param_bytes:.2f}x the param bytes"
 
 

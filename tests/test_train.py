@@ -63,25 +63,36 @@ def test_adam_first_step_matches_closed_form():
     cfg = TrainConfig(learning_rate=1e-2)
     grads = {
         label: rng((41, i)).normal(size=t.shape)
-        for i, (label, t) in enumerate(params.param_tensors())
+        for i, (label, t) in enumerate(params.tensors.items())
     }
     state = AdamState()
     updated = adam_step(params, grads, state, cfg)
     assert state.step == 1
-    for name, (kernel, bias) in params.weights.items():
-        for suffix, old in (("kernel", kernel), ("bias", bias)):
-            g = grads[f"{name}.{suffix}"]
-            # after one step mhat == g and vhat == g*g exactly; Adam's eps is 1e-8
-            want = old.data - cfg.learning_rate * g / (np.abs(g) + 1e-8)
-            new = dict(updated.weights.items())[name][0 if suffix == "kernel" else 1]
-            np.testing.assert_allclose(new.data, want, rtol=1e-12, atol=1e-15)
+    for label, old in params.tensors.items():
+        g = grads[label]
+        # after one step mhat == g and vhat == g*g exactly; Adam's eps is 1e-8
+        want = old.data - cfg.learning_rate * g / (np.abs(g) + 1e-8)
+        np.testing.assert_allclose(updated.tensors[label].data, want, rtol=1e-12, atol=1e-15)
+
+
+def test_adam_step_keeps_labels_and_checkpoint_names_them(tmp_path):
+    params = init_params(toy_architecture(), seed=1, dtype=np.float32)
+    labels = list(params.tensors)
+    grads = {label: rng((44, i)).normal(size=t.shape) for i, (label, t) in enumerate(params.tensors.items())}
+    state = AdamState()
+    updated = adam_step(adam_step(params, grads, state, TrainConfig()), grads, state, TrainConfig())
+    assert list(updated.tensors) == labels
+    assert list(state.m) == list(state.v) == labels
+    save_checkpoint(tmp_path, 2, updated, state)
+    entries = _read_checkpoint(tmp_path, 2)[1]
+    assert entries.keys() == {"iteration", "step"} | {f"{k}/{label}" for k in "mv" for label in labels}
 
 
 def test_zero_learning_rate_keeps_params():
     params = init_params(toy_architecture(), seed=2)
     out, history = finetune(params, toy_samples(), mild_config(iterations=2, learning_rate=0.0))
     assert len(history) == 2
-    for (la, ta), (lb, tb) in zip(params.param_tensors(), out.param_tensors()):
+    for (la, ta), (lb, tb) in zip(params.tensors.items(), out.tensors.items()):
         assert la == lb
         np.testing.assert_array_equal(ta.data, tb.data)
 
@@ -92,7 +103,7 @@ def test_finetune_is_deterministic():
     out1, hist1 = finetune(params, toy_samples(), cfg)
     out2, hist2 = finetune(params, toy_samples(), cfg)
     assert [h.total for h in hist1] == [h.total for h in hist2]
-    for (_, ta), (_, tb) in zip(out1.param_tensors(), out2.param_tensors()):
+    for ta, tb in zip(out1.tensors.values(), out2.tensors.values()):
         np.testing.assert_array_equal(ta.data, tb.data)
 
     hist3 = finetune(params, toy_samples(), mild_config(iterations=3, learning_rate=1e-3, seed=18))[1]
@@ -115,10 +126,8 @@ def test_finetune_rejects_empty_dataset():
 
 def test_divergence_raises_with_iteration():
     params = init_params(toy_architecture(), seed=6)
-    weights = dict(params.weights.items())
-    kernel, bias = weights["det_b"]
-    weights["det_b"] = (Tensor(np.full(kernel.shape, np.nan)), bias)
-    bad = type(params)(params.architecture, weights)
+    nan_kernel = Tensor(np.full(params.tensors["det_b.kernel"].shape, np.nan))
+    bad = type(params)(params.architecture, {**params.tensors, "det_b.kernel": nan_kernel})
     with pytest.raises(TrainingDivergedError) as err:
         finetune(bad, toy_samples(), mild_config(iterations=2))
     assert err.value.iteration == 0
@@ -134,13 +143,13 @@ def test_checkpoint_round_trip(tmp_path):
     params = init_params(toy_architecture(), seed=7, dtype=np.float32)
     state = AdamState()
     state.step = 9
-    for i, (label, tensor) in enumerate(params.param_tensors()):
+    for i, (label, tensor) in enumerate(params.tensors.items()):
         state.m[label] = rng((42, i, 0)).normal(size=tensor.shape)
         state.v[label] = rng((42, i, 1)).uniform(0, 1, size=tensor.shape)
     save_checkpoint(tmp_path, 12, params, state)
 
     back, entries = _read_checkpoint(tmp_path, 12)
-    for (la, ta), (lb, tb) in zip(params.param_tensors(), back.param_tensors()):
+    for (la, ta), (lb, tb) in zip(params.tensors.items(), back.tensors.items()):
         assert la == lb
         np.testing.assert_array_equal(ta.data, tb.data)
     # the documented .opt layout: integer scalars plus m/<label> and v/<label> moments
@@ -168,7 +177,7 @@ def test_float32_finetune_checkpoint_loads_back(tmp_path):
     tuned, _ = finetune(params, toy_samples(), cfg, checkpoint_dir=tmp_path)
     back, entries = _read_checkpoint(tmp_path, 2)
     assert int(entries["iteration"]) == 2 and int(entries["step"]) == 2
-    for (label, want), (back_label, got) in zip(tuned.param_tensors(), back.param_tensors()):
+    for (label, want), (back_label, got) in zip(tuned.tensors.items(), back.tensors.items()):
         assert back_label == label
         np.testing.assert_array_equal(got.data, want.data)
         for kind in "mv":
@@ -185,7 +194,7 @@ class _OptError(Exception):
 
 def _moment_entries(params):
     entries = {"iteration": np.int64(5), "step": np.int64(5)}
-    for i, (label, tensor) in enumerate(params.param_tensors()):
+    for i, (label, tensor) in enumerate(params.tensors.items()):
         entries[f"m/{label}"] = rng((43, i, 0)).normal(size=tensor.shape).astype(np.float32)
         entries[f"v/{label}"] = rng((43, i, 1)).uniform(0, 1, size=tensor.shape).astype(np.float32)
     return entries
