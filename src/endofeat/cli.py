@@ -191,7 +191,6 @@ def cmd_detect(config: RunConfig, args) -> int:
             config.detection_threshold,
             config.detection_nms_window,
             config.max_features,
-            frame_id,
         )
         matching.save_features(out, keypoints, descriptors)
 

@@ -281,6 +281,29 @@ def dense_densify(describe: np.ndarray, ys, xs) -> np.ndarray:
     return np.ascontiguousarray(dense[ys, xs])
 
 
+def nms_oracle(scores, threshold, window, max_points):
+    """Greedy NMS one candidate at a time: every pair checked in Python."""
+    radius = (window - 1) // 2
+    cands = [
+        (y, x, scores[y, x])
+        for y in range(scores.shape[0])
+        for x in range(scores.shape[1])
+        if scores[y, x] >= threshold
+    ]
+    cands.sort(key=lambda c: (-c[2], c[0], c[1]))
+    kept = []
+    for y, x, v in cands:
+        if any(max(abs(y - ky), abs(x - kx)) <= radius for ky, kx, _ in kept):
+            continue
+        kept.append((y, x, v))
+        if len(kept) >= max_points:
+            break
+    ys = np.asarray([k[0] for k in kept], np.int64)
+    xs = np.asarray([k[1] for k in kept], np.int64)
+    vs = np.asarray([k[2] for k in kept], np.float64)
+    return ys, xs, vs
+
+
 def random_rotation(rng: np.random.Generator, max_angle_deg: float) -> np.ndarray:
     axis = rng.standard_normal(3)
     axis = axis / np.linalg.norm(axis)

@@ -1,11 +1,13 @@
 """NMS, keypoint extraction, mutual matching, feature files."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from endofeat import matching
 from endofeat.matching import (
@@ -22,32 +24,10 @@ from endofeat.matching import (
     match_mutual,
     save_features,
 )
-from helpers import BYTE_EDITS, dense_densify, overwrite, rng
+from helpers import BYTE_EDITS, dense_densify, nms_oracle, overwrite, rng
 
 
 # --- greedy NMS ------------------------------------------------------------
-
-
-def _nms_oracle(scores, threshold, window, max_points):
-    radius = (window - 1) // 2
-    cands = [
-        (y, x, scores[y, x])
-        for y in range(scores.shape[0])
-        for x in range(scores.shape[1])
-        if scores[y, x] >= threshold
-    ]
-    cands.sort(key=lambda c: (-c[2], c[0], c[1]))
-    kept = []
-    for y, x, v in cands:
-        if any(max(abs(y - ky), abs(x - kx)) <= radius for ky, kx, _ in kept):
-            continue
-        kept.append((y, x, v))
-        if len(kept) >= max_points:
-            break
-    ys = np.asarray([k[0] for k in kept], np.int64)
-    xs = np.asarray([k[1] for k in kept], np.int64)
-    vs = np.asarray([k[2] for k in kept], np.float64)
-    return ys, xs, vs
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -57,7 +37,7 @@ def test_greedy_nms_matches_oracle(seed):
     scores[scores < 0.2] = 0.0
     for window, cap in ((3, scores.size), (9, 10), (5, 3)):
         got = greedy_nms(scores, 0.3, window, cap)
-        want = _nms_oracle(scores, 0.3, window, cap)
+        want = nms_oracle(scores, 0.3, window, cap)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
@@ -81,6 +61,120 @@ def test_greedy_nms_validation_and_empty():
     assert ys.size == xs.size == vs.size == 0
 
 
+def _assert_nms_equal(got, want):
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+        assert g.dtype == w.dtype
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    # 1/8 levels: many tied scores, so the row-major tie order decides
+    scores=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24),
+        elements=st.integers(0, 8).map(lambda k: k / 8),
+        fill=st.nothing(),  # draw every pixel, not one fill value and a few others
+    ),
+    threshold=st.sampled_from([-1.0, 0.0, 0.125, 0.5, 0.875, 1.0, 1.5]),
+    window=st.sampled_from([1, 3, 5, 7, 9]),
+    cap=st.one_of(st.integers(1, 50), st.just(24 * 24 + 1)),
+)
+def test_greedy_nms_quantised_maps_match_oracle(scores, threshold, window, cap):
+    _assert_nms_equal(greedy_nms(scores, threshold, window, cap),
+                      nms_oracle(scores, threshold, window, cap))
+
+
+def _record_paths(monkeypatch):
+    """Whether the rounds ran, and how many candidates the serial loop got."""
+    seen = {"rounds": False, "serial": 0}
+    rounds, serial = matching._rounds, matching._greedy_serial
+
+    def counted_rounds(*args):
+        seen["rounds"] = True
+        return rounds(*args)
+
+    def counted_serial(flat, *args):
+        seen["serial"] = len(flat)
+        return serial(flat, *args)
+
+    monkeypatch.setattr(matching, "_rounds", counted_rounds)
+    monkeypatch.setattr(matching, "_greedy_serial", counted_serial)
+    return seen
+
+
+def _fixed_nms_maps():
+    yy, xx = np.mgrid[0:30, 0:40]
+    sparse = np.zeros((30, 40))
+    r = rng(54)
+    sparse[r.integers(0, 30, 12), r.integers(0, 40, 12)] = r.uniform(0.1, 1.0, 12)
+    return {
+        "ramp": (yy * 40 + xx) / 1200.0,
+        "blob": np.exp(-((yy - 14.5) ** 2 + (xx - 21) ** 2) / (2 * 8.0**2)),
+        # like the seeded net's heatmap: every pixel near 1/65, most above the 0.015 threshold
+        "flat": rng(53).uniform(0.0148, 0.0160, (30, 40)),
+        "sparse": sparse,
+    }
+
+
+# "rounds": the rounds settle every candidate; "both": the serial loop
+# finishes after a round keeps too few points (a smooth map's first round
+# keeps about one); "serial": a small cap or a sparse map skips the rounds
+@pytest.mark.parametrize("name, window, cap, path", [
+    ("ramp", 3, 2000, "both"), ("ramp", 3, 40, "both"), ("ramp", 9, 2000, "both"),
+    ("ramp", 9, 10, "serial"),
+    ("blob", 3, 2000, "both"), ("blob", 3, 40, "both"), ("blob", 9, 2000, "both"),
+    ("blob", 9, 10, "serial"),
+    ("flat", 3, 2000, "both"), ("flat", 3, 40, "rounds"), ("flat", 1, 2000, "rounds"),
+    ("flat", 9, 2000, "both"), ("flat", 9, 10, "serial"),
+    ("sparse", 3, 2000, "serial"), ("sparse", 9, 10, "serial"),
+])
+def test_greedy_nms_round_and_serial_paths_match_oracle(monkeypatch, name, window, cap, path):
+    scores = _fixed_nms_maps()[name]
+    seen = _record_paths(monkeypatch)
+    _assert_nms_equal(greedy_nms(scores, 0.015, window, cap), nms_oracle(scores, 0.015, window, cap))
+    candidates = np.count_nonzero(scores >= 0.015)
+    if path == "rounds":
+        assert seen == {"rounds": True, "serial": 0}
+    elif path == "serial":
+        assert seen == {"rounds": False, "serial": candidates}
+    else:
+        assert seen["rounds"] and 0 < seen["serial"] < candidates
+
+
+def test_greedy_nms_cap_waits_for_better_undecided_ranks():
+    # Round 1 keeps ranks 0 and 3 (columns 0 and 5): two points, the cap.
+    # Column 2 (rank 2, just below the cap-th kept rank) is undecided until
+    # column 1 falls to column 0, then kept in round 2, so the capped list
+    # is columns 0 and 2, not 0 and 5.
+    scores = np.array([[1.0, 0.9, 0.8, 0, 0, 0.7, 0]])
+    ys, xs, vs = greedy_nms(scores, 0.1, 3, 2)
+    np.testing.assert_array_equal(xs, [0, 2])
+    np.testing.assert_array_equal(vs, [1.0, 0.8])
+    _assert_nms_equal((ys, xs, vs), nms_oracle(scores, 0.1, 3, 2))
+
+
+def test_greedy_nms_serial_finish_counts_only_better_kept_ranks(monkeypatch):
+    # Round 1 keeps the ramp's top corner and the isolated, last-ranked
+    # island at (0, 0), then hands the ramp to the serial loop. The island
+    # ranks below the cap, so the serial loop must keep cap - 1 ramp points.
+    yy, xx = np.mgrid[0:30, 0:40]
+    scores = (yy * 40 + xx) / 1200.0
+    scores[:4, :4] = 0.0
+    scores[0, 0] = 0.02
+    seen = _record_paths(monkeypatch)
+    got = greedy_nms(scores, 0.015, 3, 20)
+    assert seen["rounds"] and seen["serial"] > 0
+    assert (0, 0) not in zip(got[0].tolist(), got[1].tolist())
+    _assert_nms_equal(got, nms_oracle(scores, 0.015, 3, 20))
+
+
+def test_greedy_nms_rejects_non_2d_scores():
+    for shape in ((), (16,), (2, 4, 4)):
+        with pytest.raises(ValueError, match=re.escape(f"2-D array, got shape {shape}")):
+            greedy_nms(np.ones(shape), 0.5, 3, 4)
+
+
 # --- extraction ------------------------------------------------------------
 
 
@@ -98,6 +192,14 @@ def test_detect_points_masks_then_suppresses(dtype):
     unmasked = detect_points(heat, None, 0.2, 3, 25)
     for g, w in zip(unmasked, greedy_nms(heat.astype(np.float64), 0.2, 3, 25)):
         np.testing.assert_array_equal(g, w)
+
+
+def test_detect_points_rejects_mask_of_another_shape():
+    heat = rng(50).uniform(0, 1, (16, 16))
+    for shape in ((1, 16), (16, 1), (16, 17), (256,)):
+        msg = f"mask shape {shape} differs from heatmap shape (16, 16)"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            detect_points(heat, np.ones(shape, bool), 0.2, 3, 25)
 
 
 def test_extract_keypoints_reads_descriptors_and_mask():
