@@ -95,14 +95,16 @@ class RunConfig:
                 raise ConfigError(f"key {key!r}: must be at least 1, got {getattr(self, key)}")
         if self.seed < 0:
             raise ConfigError(f"key 'seed': must be at least 0, got {self.seed}")
+        for key, hint in _HINTS.items():
+            if hint is float and not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"key {key!r}: must be finite, got {getattr(self, key)}")
         if not 0.0 < self.ransac_confidence < 1.0:
             raise ConfigError(
                 f"key 'ransac_confidence': must lie in (0, 1), got {self.ransac_confidence}"
             )
-        if not (math.isfinite(self.ransac_threshold_px) and self.ransac_threshold_px > 0):
+        if self.ransac_threshold_px <= 0:
             raise ConfigError(
-                f"key 'ransac_threshold_px': must be finite and positive,"
-                f" got {self.ransac_threshold_px}"
+                f"key 'ransac_threshold_px': must be positive, got {self.ransac_threshold_px}"
             )
 
 

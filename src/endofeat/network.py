@@ -12,11 +12,14 @@ heads as Tensors; both decoders return plain arrays, off the gradient tape:
 the losses are applied to the coarse cells, not to the decoded maps.
 
 NetworkParams.tensors is keyed by the weights file's own labels,
-"<layer>.kernel" and "<layer>.bias" in layer_plan() order, and checked
-against the architecture when the params are built. A weights file is an
-np.savez archive (ioutil.write_archive) of those tensors as float32
-arrays; load_weights raises WeightsError, naming the file or the layer,
-for anything else.
+"<layer>.kernel" and "<layer>.bias" in layer_plan() order. A weights file
+is an np.savez archive (ioutil.write_archive) of those tensors as float32
+arrays, checked in three places: load_weights owns the entry names, the
+float32 dtype and the kernel rank, and reads the architecture from the
+layer names; Architecture owns the stage count and positive widths;
+NetworkParams owns each tensor's presence and shape, and rejects extras.
+load_weights reports every rejection as a WeightsError naming the file or
+the layer.
 """
 
 from __future__ import annotations
@@ -228,62 +231,38 @@ def save_weights(params: NetworkParams, path) -> None:
 
 
 def load_weights(path) -> NetworkParams:
-    """Load float32 params; validates layer chaining against the format.
+    """Load float32 params, reading the architecture from the layer names.
 
-    The architecture is inferred from the layer names and kernel shapes,
-    and the params are checked against it and ordered as its layer_plan().
-    Raises WeightsError naming the file or the layer for any other archive.
+    Checks only what no type can: each entry is a float32 "<layer>.kernel"
+    or "<layer>.bias", and each kernel has rank 4, its last axis being the
+    layer's width. Encoder stage s is enc<s>_c0, enc<s>_c1, ... up to the
+    first missing name; the head width is det_a's, the descriptor dim
+    desc_b's. Architecture and NetworkParams check the rest; every
+    rejection is a WeightsError naming the file or the layer.
     """
     arrays = read_archive(path, WeightsError)
-    kernels: dict[str, np.ndarray] = {}
-    biases: dict[str, np.ndarray] = {}
+    widths = {}  # layer -> kernel Cout
     for key, arr in arrays.items():
         name, _, kind = key.rpartition(".")
         if kind not in ("kernel", "bias") or not name:
             raise WeightsError(f"{path}: unknown entry {key!r}")
         if arr.dtype != np.float32:
             raise WeightsError(f"layer {name}: {kind} dtype {arr.dtype}, expected float32")
-        rank = 4 if kind == "kernel" else 1
-        if arr.ndim != rank:
-            raise WeightsError(f"layer {name}: {kind} rank {arr.ndim}, expected {rank}")
-        (kernels if kind == "kernel" else biases)[name] = arr
-    for name in kernels:
-        if kernels[name].shape[3] == 0:
-            raise WeightsError(f"layer {name}: kernel has no output channels")
-        if name not in biases:
-            raise WeightsError(f"layer {name}: kernel without bias")
-        if biases[name].shape[0] != kernels[name].shape[3]:
-            raise WeightsError(
-                f"layer {name}: bias length {biases[name].shape[0]} vs kernel Cout {kernels[name].shape[3]}"
-            )
-
-    architecture = _infer_architecture(kernels)
-    plan = [name for name, *_ in architecture.layer_plan()]
-    unknown = sorted((kernels.keys() | biases.keys()) - set(plan))
-    if unknown:
-        raise WeightsError(f"{path}: layers {unknown} are not in the architecture")
-    return NetworkParams(architecture, {label: Tensor(arr) for label, arr in arrays.items()})
-
-
-def _infer_architecture(kernels) -> Architecture:
-    stages: list[dict[int, int]] = [{}, {}, {}, {}]  # conv index -> width, per stage
-    for name, kernel in kernels.items():
-        if name.startswith("enc"):
-            stage, _, conv = name[3:].partition("_c")
-            try:
-                si, ci = int(stage), int(conv)
-            except ValueError as e:
-                raise WeightsError(f"layer {name}: unrecognized encoder layer name") from e
-            if not 0 <= si < 4:
-                raise WeightsError(f"layer {name}: encoder stage index out of range")
-            stages[si][ci] = kernel.shape[3]
-    for need in ("det_a", "det_b", "desc_a", "desc_b"):
-        if need not in kernels:
+        if kind == "kernel":
+            if arr.ndim != 4:
+                raise WeightsError(f"layer {name}: kernel rank {arr.ndim}, expected 4")
+            widths[name] = arr.shape[3]
+    for need in ("det_a", "desc_b"):
+        if need not in widths:
             raise WeightsError(f"missing layer {need}")
-    if any(not s for s in stages):
-        raise WeightsError("missing encoder stage layers")
-    return Architecture(
-        encoder_stages=tuple(tuple(s[ci] for ci in sorted(s)) for s in stages),
-        head_width=kernels["det_a"].shape[3],
-        descriptor_dim=kernels["desc_b"].shape[3],
-    )
+    stages = []
+    for si in range(4):
+        stage = []
+        while f"enc{si}_c{len(stage)}" in widths:
+            stage.append(widths[f"enc{si}_c{len(stage)}"])
+        stages.append(stage)
+    try:
+        architecture = Architecture(stages, widths["det_a"], widths["desc_b"])
+    except ValueError as e:
+        raise WeightsError(f"{path}: {e}") from e
+    return NetworkParams(architecture, {label: Tensor(arr) for label, arr in arrays.items()})

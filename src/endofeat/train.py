@@ -59,6 +59,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
 
 
 @dataclass(frozen=True)

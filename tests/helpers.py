@@ -282,26 +282,25 @@ def dense_densify(describe: np.ndarray, ys, xs) -> np.ndarray:
 
 
 def nms_oracle(scores, threshold, window, max_points):
-    """Greedy NMS one candidate at a time: every pair checked in Python."""
+    """Greedy NMS one candidate at a time: candidates visited in rank order
+    (score descending, then row, then column), each kept unless a kept point
+    within r blocked it; a kept point blocks its (2r+1)^2 window."""
     radius = (window - 1) // 2
-    cands = [
-        (y, x, scores[y, x])
-        for y in range(scores.shape[0])
-        for x in range(scores.shape[1])
-        if scores[y, x] >= threshold
-    ]
-    cands.sort(key=lambda c: (-c[2], c[0], c[1]))
+    h, w = scores.shape
+    cands = [(y, x) for y in range(h) for x in range(w) if scores[y, x] >= threshold]
+    cands.sort(key=lambda c: (-scores[c], c[0], c[1]))
+    blocked = np.zeros((h, w), bool)
     kept = []
-    for y, x, v in cands:
-        if any(max(abs(y - ky), abs(x - kx)) <= radius for ky, kx, _ in kept):
+    for y, x in cands:
+        if blocked[y, x]:
             continue
-        kept.append((y, x, v))
+        kept.append((y, x))
         if len(kept) >= max_points:
             break
+        blocked[max(y - radius, 0) : y + radius + 1, max(x - radius, 0) : x + radius + 1] = True
     ys = np.asarray([k[0] for k in kept], np.int64)
     xs = np.asarray([k[1] for k in kept], np.int64)
-    vs = np.asarray([k[2] for k in kept], np.float64)
-    return ys, xs, vs
+    return ys, xs, scores[ys, xs].astype(np.float64)
 
 
 def random_rotation(rng: np.random.Generator, max_angle_deg: float) -> np.ndarray:

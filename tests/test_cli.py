@@ -179,6 +179,7 @@ def test_train_without_labels_exits_2(tmp_path, capsys):
         ("pseudolabel", "label_max_points=0"),
         ("eval", "ransac_confidence=1"),
         ("eval", "ransac_threshold_px=nan"),
+        ("detect", "detection_threshold=nan"),
     ],
 )
 def test_invalid_setting_exits_2_before_any_frame(tmp_path, capsys, command, setting):
@@ -197,6 +198,8 @@ def test_invalid_setting_exits_2_before_any_frame(tmp_path, capsys, command, set
         ("learning_rate=-1", "learning_rate must be >= 0"),
         ("homography_scale_min=5", "need 0 < scale_min <= scale_max"),
         ("specularity_weight=-1", "specularity_weight must be >= 0"),
+        ("checkpoint_every=-3", "checkpoint_every must be >= 0"),
+        ("learning_rate=nan", "key 'learning_rate': must be finite, got nan"),
     ],
 )
 def test_invalid_train_setting_exits_2_even_when_outputs_exist(tmp_path, capsys, setting, message):

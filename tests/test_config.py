@@ -155,6 +155,19 @@ def test_detection_label_and_ransac_settings_validated(key, value):
         apply_overrides(RunConfig(), [f"{key}={value}"])
 
 
+_FLOAT_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_float_settings_must_be_finite(key, value):
+    message = f"key '{key}': must be finite, got {value}"
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=message):
+        apply_overrides(RunConfig(), [f"{key}={value}"])
+
+
 def test_derived_paths():
     cfg = RunConfig(output_dir="run")
     assert labels_dir(cfg) == os.path.join("run", "labels")
@@ -204,6 +217,8 @@ def test_sub_config_conversion_and_errors():
         loss_config(RunConfig(specularity_weight=-1.0))
     with pytest.raises(ConfigError):
         train_config(RunConfig(batch_size=0))
+    with pytest.raises(ConfigError, match="checkpoint_every must be >= 0"):
+        train_config(RunConfig(checkpoint_every=-3))
 
 
 def test_defaults_come_from_their_owners():

@@ -335,30 +335,6 @@ def test_truncated_file(tmp_path):
             load_weights(path)
 
 
-def test_kernel_without_bias_rejected(tmp_path):
-    path = tmp_path / "net.weights"
-    _write(path, {**_toy_entries(), "enc0_c0.bias": None})
-    with pytest.raises(WeightsError, match="enc0_c0: kernel without bias"):
-        load_weights(path)
-
-
-def test_bias_length_mismatch_rejected(tmp_path):
-    path = tmp_path / "net.weights"
-    _write(path, {**_toy_entries(), "enc0_c0.bias": np.zeros(5, dtype=np.float32)})
-    with pytest.raises(WeightsError, match="enc0_c0: bias length"):
-        load_weights(path)
-
-
-def test_zero_width_layer_is_typed(tmp_path):
-    # Architecture rejects a zero channel width with a bare ValueError; the
-    # loader must report the layer with its own error before that.
-    path = tmp_path / "net.weights"
-    zero = {"enc0_c0.kernel": np.zeros((3, 3, 1, 0), np.float32), "enc0_c0.bias": np.zeros(0, np.float32)}
-    _write(path, {**_toy_entries(), **zero})
-    with pytest.raises(WeightsError, match="enc0_c0"):
-        load_weights(path)
-
-
 def _npy_bytes(array) -> bytes:
     buffer = io.BytesIO()
     np.save(buffer, array)
@@ -410,6 +386,25 @@ _BAD_WEIGHTS = {
     "float64 entry": (lambda e: {**e, _KERNEL: e[_KERNEL].astype(np.float64)}, "enc1_c0: kernel dtype float64"),
     "int entry": (lambda e: {**e, "enc1_c0.bias": e["enc1_c0.bias"].astype(np.int32)}, "enc1_c0: bias dtype int32"),
     "missing head": (lambda e: {**e, "desc_b.kernel": None, "desc_b.bias": None}, "missing layer desc_b"),
+    "missing det_b": (lambda e: {**e, "det_b.kernel": None, "det_b.bias": None}, "layer det_b: missing kernel"),
+    "kernel without bias": (lambda e: {**e, "enc0_c0.bias": None}, "layer enc0_c0: missing bias"),
+    "bias length": (lambda e: {**e, "enc0_c0.bias": np.zeros(5, np.float32)},
+                    r"layer enc0_c0: bias shape \(5,\), expected \(2,\)"),
+    "rank-2 bias": (lambda e: {**e, "enc1_c0.bias": e["enc1_c0.bias"][None]},
+                    r"layer enc1_c0: bias shape \(1, 2\), expected \(2,\)"),
+    # Architecture's ValueError, re-raised naming the file
+    "zero width": (lambda e: {**e, "enc0_c0.kernel": np.zeros((3, 3, 1, 0), np.float32),
+                              "enc0_c0.bias": np.zeros(0, np.float32)}, "net.weights: channel widths must be positive"),
+    "empty stage": (lambda e: {**e, "enc2_c0.kernel": None, "enc2_c0.bias": None, "enc2_c1.kernel": None,
+                               "enc2_c1.bias": None}, "net.weights: encoder needs exactly 4 non-empty stages"),
+    # a stage is read up to its first missing index, so the rest is extra
+    "encoder gap": (lambda e: {**e, "enc0_c1.kernel": None, "enc0_c1.bias": None,
+                               "enc0_c2.kernel": e["enc0_c1.kernel"], "enc0_c2.bias": e["enc0_c1.bias"]},
+                    r"\['enc0_c2.bias', 'enc0_c2.kernel'\] are not in the architecture"),
+    "stage index 4": (lambda e: {**e, "enc4_c0.kernel": e["enc3_c0.kernel"], "enc4_c0.bias": e["enc3_c0.bias"]},
+                      r"\['enc4_c0.bias', 'enc4_c0.kernel'\] are not in the architecture"),
+    "non-numeric encoder": (lambda e: {**e, "enc0_cx.kernel": e["enc0_c1.kernel"], "enc0_cx.bias": e["enc0_c1.bias"]},
+                            r"\['enc0_cx.bias', 'enc0_cx.kernel'\] are not in the architecture"),
 }
 
 
