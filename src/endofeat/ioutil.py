@@ -32,8 +32,9 @@ _ARCHIVE_ERRORS = (zipfile.BadZipFile, EOFError, ValueError, OSError, NotImpleme
 _ZIP_UNREADABLE_FLAGS = 0x01 | 0x20 | 0x40
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write a file via temp-and-rename so readers never see partial output."""
+def atomic_write_bytes(path, data) -> None:
+    """Write data, any bytes-like object (bytes, a memoryview, a C-contiguous
+    array's buffer), via temp-and-rename so readers never see partial output."""
     path = os.fspath(path)
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
@@ -49,7 +50,7 @@ def write_archive(path, entries: dict) -> None:
     """np.savez the {name: array} entries to path, atomically."""
     buffer = io.BytesIO()
     np.savez(buffer, **entries)
-    atomic_write_bytes(path, buffer.getvalue())
+    atomic_write_bytes(path, buffer.getbuffer())
 
 
 def read_archive(path, error) -> dict:

@@ -90,8 +90,15 @@ def greedy_nms(scores: np.ndarray, threshold: float, window: int, max_points: in
     flat = np.flatnonzero(scores >= threshold)
     if flat.size == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64)
-    # flatnonzero is row-major, so a stable sort on the score breaks ties by row, then column
-    flat = flat[np.argsort(-scores.ravel()[flat], kind="stable")]
+    # flatnonzero is row-major, so ties go by row, then column, when each run
+    # of equal scores after an unstable sort is ordered by position: one int64
+    # sort of run * n + position, cheaper than a stable argsort of the scores
+    negated = -scores.ravel()[flat]
+    order = np.argsort(negated)
+    negated = negated[order]
+    run = np.zeros(flat.size, np.int64)
+    np.cumsum(negated[1:] != negated[:-1], out=run[1:])
+    flat = flat[np.sort(run * flat.size + order) % flat.size]
     flat = flat[_peel(flat, scores.shape, (window - 1) // 2, max_points)]
     ys, xs = np.divmod(flat, scores.shape[1])
     return ys, xs, scores[ys, xs].astype(np.float64)
@@ -440,10 +447,11 @@ def save_features(path, keypoints: KeypointSet, descriptors: DescriptorSet) -> N
         f"{x!r} {y!r} {s!r}\n" for x, y, s in rows
     )
     atomic_write_bytes(os.fspath(path), text.encode("ascii"))
+    # the contiguous array's own buffer is the payload, written without a bytes copy
     if descriptors.metric == METRIC_HAMMING:
-        payload = np.ascontiguousarray(descriptors.vectors).tobytes()
+        payload = np.ascontiguousarray(descriptors.vectors)
     else:
-        payload = np.ascontiguousarray(descriptors.vectors, dtype="<f4").tobytes()
+        payload = np.ascontiguousarray(descriptors.vectors, dtype="<f4")
     atomic_write_bytes(os.fspath(path) + ".desc", payload)
 
 

@@ -11,6 +11,16 @@ at those pixels. forward() takes the frame as a plain array and returns the
 heads as Tensors; both decoders return plain arrays, off the gradient tape:
 the losses are applied to the coarse cells, not to the decoded maps.
 
+densify never holds the whole H x W x D upsample. It runs the two GEMMs of
+np.einsum("oi,pj,ijc->opc", wh, ww, cells, optimize=True), the second one
+block of channels at a time (at most _UPSAMPLE_ELEMENTS values), and reads
+each block at the pixels before computing the next. The contraction order
+(the longer cell axis first, the height on a tie: einsum's choice) and the
+operands are pinned because they fix the bytes: a block is a row range of
+einsum's second GEMM, so every dot product is the same, while the other
+axis first, or einsum without optimize, sums in another order and changes
+the last bits. tests/test_network.py checks the bytes against the einsum.
+
 NetworkParams.tensors is keyed by the weights file's own labels,
 "<layer>.kernel" and "<layer>.bias" in layer_plan() order. A weights file
 is an np.savez archive (ioutil.write_archive) of those tensors as float32
@@ -33,6 +43,9 @@ from .ioutil import read_archive, write_archive
 from .tensor import CELL, DUSTBIN, Tensor
 
 _NORM_GUARD = 1e-12  # densify's norm floor, so a zero descriptor stays zero
+# Upsampled values densify computes per block of channels: 2^21 is 8 MB in
+# f32, 27 channels at 240x320, against 79 MB for the whole 256-channel map.
+_UPSAMPLE_ELEMENTS = 1 << 21
 
 
 class WeightsError(Exception):
@@ -175,6 +188,10 @@ def densify(describe: np.ndarray, ys, xs) -> np.ndarray:
     the norm is at most 1e-12, so a zero vector stays zero. Only the K
     gathered vectors are normalised. Plain arrays: inference only, nothing
     differentiates it.
+
+    The upsample is computed one block of channels at a time and never held
+    whole; the bytes are those of the dense einsum upsample (see the module
+    docstring for why the contraction order and layouts are pinned).
     """
     if describe.ndim != 3:
         raise ValueError(f"densify expects Hc x Wc x D, got shape {describe.shape}")
@@ -184,14 +201,31 @@ def densify(describe: np.ndarray, ys, xs) -> np.ndarray:
         raise ValueError(f"densify needs equal-length 1-D ys and xs, got {ys.shape} and {xs.shape}")
     if ys.size and (ys.min() < 0 or ys.max() >= h or xs.min() < 0 or xs.max() >= w):
         raise ValueError(f"densify: a pixel lies outside the {h}x{w} map")
-    wh = _upsample_matrix(describe.shape[0], describe.dtype)
-    ww = _upsample_matrix(describe.shape[1], describe.dtype)
-    up = np.einsum("oi,pj,ijc->opc", wh, ww, describe, optimize=True)
-    # Gather the K pixels from each channel plane into a D x K array. The norm
-    # is then an axis-0 sum, sequential over channels like the strided-channel
-    # sum over the dense map, so the feature bytes are the same as those of
-    # the dense map read at the keypoints.
-    cols = np.take(up.transpose(2, 1, 0).reshape(describe.shape[2], -1), xs * h + ys, axis=1)
+    # Grid axis 1 (size m) is contracted first: the width, or the height
+    # when it is at least as long, by the same code on the transposed grid.
+    grid = describe
+    if h >= w:
+        grid, ys, xs = describe.transpose(1, 0, 2), xs, ys
+    n, m, d = grid.shape
+    up_n = _upsample_matrix(n, describe.dtype)
+    up_m = _upsample_matrix(m, describe.dtype)
+    span = m * CELL
+    # the first GEMM's (n, d, span) product, viewed without a copy as the
+    # (d * span, n) operand of the second, as einsum passes it (on a square
+    # grid einsum copies it, rows in (span, d) order: the same dot products)
+    rows = (grid.transpose(0, 2, 1).reshape(n * d, m) @ up_m.T).reshape(n, -1).T
+    # A block is the upsample of its channels, (channel, x, y) on the grid;
+    # gather its K pixels into a D x K array. The norm is then an axis-0 sum,
+    # sequential over channels like the strided-channel sum over the dense
+    # map, so the feature bytes are the same as those of the dense map read
+    # at the keypoints.
+    cols = np.empty((d, ys.size), describe.dtype)
+    flat = xs * (n * CELL) + ys
+    step = max(1, _UPSAMPLE_ELEMENTS // (h * w))
+    for c0 in range(0, d, step):
+        c1 = min(d, c0 + step)
+        block = rows[c0 * span : c1 * span] @ up_n.T
+        np.take(block.reshape(c1 - c0, -1), flat, axis=1, out=cols[c0:c1])
     norm = np.sqrt((cols * cols).sum(axis=0))
     cols /= np.where(norm > _NORM_GUARD, norm, _NORM_GUARD)
     return np.ascontiguousarray(cols.T)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -235,6 +236,38 @@ def test_densify_equals_dense_map_oracle(hc, wc, d, dtype):
     assert 0.0 < np.linalg.norm(want[-1].astype(np.float64)) < 1.0  # divided by the floor
     assert got.dtype == want.dtype == dtype and got.shape == (idx.size, d)
     np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels", [1, 4])  # one channel per block; 4 leaves a 1-channel block of 33
+# the width pass first; the height pass first; a square grid, where einsum copies the second operand
+@pytest.mark.parametrize("hc, wc", [(10, 12), (12, 10), (11, 11)])
+def test_densify_channel_block_seams_keep_the_bytes(monkeypatch, hc, wc, channels, dtype):
+    r = rng(16)
+    x = r.standard_normal((hc, wc, 33)).astype(dtype)
+    h, w = hc * 8, wc * 8
+    monkeypatch.setattr(network, "_UPSAMPLE_ELEMENTS", channels * h * w)
+    idx = r.choice(h * w, 2000, replace=False)
+    ys, xs = idx // w, idx % w
+    got = densify(x, ys, xs)
+    want = dense_densify(x, ys, xs)
+    assert got.dtype == want.dtype == dtype
+    np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
+
+
+def test_densify_never_holds_the_dense_map():
+    # the whole 240 x 320 x 256 f32 upsample is 79 MB (the dense path peaks at 99 MB)
+    r = rng(17)
+    x = r.standard_normal((30, 40, 256)).astype(np.float32)
+    idx = r.choice(240 * 320, 10000, replace=False)
+    tracemalloc.start()
+    try:
+        got = densify(x, idx // 320, idx % 320)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (10000, 256)
+    assert peak < 60e6, f"peak {peak / 1e6:.1f} MB"
 
 
 _BAD_TENSORS = {
