@@ -146,9 +146,9 @@ def forward(params: NetworkParams, image: np.ndarray) -> RawHeads:
     h, w = iv.shape
     if h % CELL or w % CELL:
         raise ValueError(f"image dims must be divisible by {CELL}, got {h}x{w}")
-    # conv2d would take the frame as a plain array, a constant, and skip its
-    # gradient, which nothing reads; it enters as a Tensor because the conv2d
-    # counter in benchmark/tracer.py reads x.data.size, which an ndarray lacks.
+    # The frame enters as a Tensor because the conv2d counter in benchmark/tracer.py
+    # reads x.data.size, which an ndarray lacks. Its gradient is never computed:
+    # training differentiates toward the params, and no path leads from them to it.
     x = Tensor(iv[:, :, None], dtype=params.dtype())
     if x.size and (x.data.min() < 0.0 or x.data.max() > 1.0):
         raise ValueError("image values must lie in [0, 1]")

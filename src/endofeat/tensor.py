@@ -19,15 +19,20 @@ Max pooling sends each output's gradient to the first window position
 leaves, route to one input.
 
 Forward functions are pure. While a GradTape is active on the calling
-thread, every op appends a record to it: its output's key, its inputs'
-keys and a backward closure. Every Tensor gets a serial key, never
-reused, so no record holds a Tensor, and each closure holds only what its
-gradient reads (relu a bool mask, max pooling a uint8 window code,
-reduce_sum a shape); the masks are built only while a tape records, so
-inference pays nothing for them. ``backward(tape, loss)`` replays the
-tape once, in reverse, popping each record as it goes, and accumulates
-gradients for every tensor that participated. A replayed tape is empty
-and holds nothing; replaying it again raises.
+thread, every op appends a record to it: its output's key and one
+(input key, grad_fn) pair per Tensor input, where grad_fn maps the
+output's gradient to that input's (conv2d has three: gx, gk and gb). Every
+Tensor gets a serial key, never reused, so no record holds a Tensor, and
+each closure holds only what its gradient reads (relu a bool mask, max
+pooling a uint8 window code, reduce_sum a shape); the masks are built only
+while a tape records, so inference pays nothing for them.
+``backward(tape, loss, wrt)`` returns the loss's gradient with respect to
+each Tensor of wrt. It first marks the keys that depend on wrt, then
+replays the tape once, in reverse, popping each record as it goes, and
+calls a grad_fn only for a marked input: no gradient is computed off the
+paths from wrt to the loss. Training passes the parameters, so the frame
+the network's first conv reads is never differentiated. A replayed tape
+is empty and holds nothing; replaying it again raises.
 
 The module owns the detector's cell layout, which the other modules
 import: CELL x CELL pixel cells, each with CELL * CELL pixel channels and
@@ -47,7 +52,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "GradTape",
-    "Gradients",
     "backward",
     "add",
     "mul",
@@ -132,7 +136,7 @@ class GradTape:
     """Wengert list of executed ops, confined to one thread; replays once."""
 
     def __init__(self):
-        self._records = []  # (output key, input keys, backward closure)
+        self._records = []  # (output key, ((input key, grad_fn), ...))
         self._replayed = False
 
     def __enter__(self):
@@ -150,54 +154,52 @@ def _recording() -> bool:
     return bool(_tls.stack)
 
 
-def _record(out: Tensor, inputs: tuple, backward_fn) -> None:
+def _record(out: Tensor, *inputs) -> None:
+    # inputs are (input, grad_fn) pairs; a plain-array input (a constant) gets no entry.
     stack = _tls.stack
     if stack:
-        # A plain-array input (a constant) has no key; backward_fn returns None for it.
-        keys = tuple(t.key if isinstance(t, Tensor) else None for t in inputs)
-        stack[-1]._records.append((out.key, keys, backward_fn))
+        pairs = tuple((t.key, fn) for t, fn in inputs if isinstance(t, Tensor))
+        stack[-1]._records.append((out.key, pairs))
 
 
-class Gradients:
-    """Gradient lookup per tensor; zeros for tensors the loss never used."""
+def backward(tape: GradTape, loss: Tensor, wrt) -> list:
+    """Reverse-replay the tape from a scalar loss, emptying it; returns the
+    gradient of the loss with respect to each Tensor of wrt, in order, with
+    zeros for a Tensor the loss does not use.
 
-    def __init__(self, by_key: dict):
-        self._by_key = by_key
-
-    def get(self, t: Tensor) -> np.ndarray:
-        g = self._by_key.get(t.key)
-        if g is None:
-            return np.zeros_like(t.data)
-        return g
-
-
-def backward(tape: GradTape, loss: Tensor) -> Gradients:
-    """Reverse-replay the tape from a scalar loss, emptying it.
-
-    Each recorded op is visited exactly once, in reverse execution order
-    (which is a reverse topological order of the recorded graph), and its
-    record is dropped as it is visited, so an intermediate gradient and
-    what its closure held die with their last use. Only the gradients of
-    leaves (tensors no record produced) are kept.
+    A forward sweep over the records first finds the live keys: wrt's, and
+    the output of every record with a live input. The replay then visits
+    each record once, in reverse execution order (a reverse topological
+    order of the recorded graph), drops it, and calls a grad_fn only for a
+    live input, so nothing is differentiated off the paths from wrt to the
+    loss, and an intermediate gradient and what its closure held die with
+    their last use. Inputs are visited in op order, so each gradient is
+    summed in one fixed order.
     """
     if loss.data.shape != ():
         raise ValueError(f"loss must be a scalar tensor, got shape {loss.data.shape}")
     if tape._replayed:
         raise RuntimeError("this GradTape was already replayed; a tape replays once")
     tape._replayed = True
+    wrt = tuple(wrt)
+    wanted = {t.key for t in wrt}
+    live = set(wanted)
     records = tape._records
+    for out_key, inputs in records:
+        if any(key in live for key, _ in inputs):
+            live.add(out_key)
     grads: dict[int, np.ndarray] = {loss.key: np.ones((), dtype=loss.data.dtype)}
     while records:
-        out_key, in_keys, backward_fn = records.pop()
-        g = grads.pop(out_key, None)
+        out_key, inputs = records.pop()
+        g = grads.get(out_key) if out_key in wanted else grads.pop(out_key, None)
         if g is None:
             continue  # not on any path to the loss
-        for key, gi in zip(in_keys, backward_fn(g)):
-            if gi is None:
-                continue
-            acc = grads.get(key)
-            grads[key] = gi if acc is None else acc + gi
-    return Gradients(grads)
+        for key, grad_fn in inputs:
+            if key in live:
+                gi = grad_fn(g)
+                acc = grads.get(key)
+                grads[key] = gi if acc is None else acc + gi
+    return [grads[t.key] if t.key in grads else np.zeros_like(t.data) for t in wrt]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +211,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
     out = Tensor._wrap(a.data + b.data)
-    _record(out, (a, b), lambda g: (g, g))
+    _record(out, (a, lambda g: g), (b, lambda g: g))
     return out
 
 
@@ -218,21 +220,21 @@ def mul(x: Tensor, c: np.ndarray) -> Tensor:
     if x.data.shape != c.shape:
         raise ValueError(f"mul: shape mismatch {x.data.shape} vs {c.shape}")
     out = Tensor._wrap(x.data * c)
-    _record(out, (x,), lambda g: (g * c,))
+    _record(out, (x, lambda g: g * c))
     return out
 
 
 def affine(x: Tensor, scale: float, shift: float) -> Tensor:
     """Elementwise scale * x + shift with python-float coefficients."""
     out = Tensor._wrap(x.data * scale + shift)
-    _record(out, (x,), lambda g: (g * scale,))
+    _record(out, (x, lambda g: g * scale))
     return out
 
 
 def reduce_sum(x: Tensor) -> Tensor:
     out = Tensor._wrap(np.asarray(x.data.sum()))
     shape = x.data.shape
-    _record(out, (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
+    _record(out, (x, lambda g: np.broadcast_to(g, shape).copy()))
     return out
 
 
@@ -240,7 +242,7 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor._wrap(np.maximum(x.data, 0))
     if _recording():
         mask = x.data > 0  # subgradient at 0 is 0
-        _record(out, (x,), lambda g: (g * mask,))
+        _record(out, (x, lambda g: g * mask))
     return out
 
 
@@ -288,8 +290,7 @@ def conv2d(x, kernel: Tensor, bias: Tensor) -> Tensor:
     Zero padding of k // 2; the output is H x W x Cout. x is a Tensor, or a
     plain array (a constant) whose gradient is not computed.
     """
-    constant = not isinstance(x, Tensor)
-    xv = np.asarray(x) if constant else x.data
+    xv = x.data if isinstance(x, Tensor) else np.asarray(x)
     kv, bv = kernel.data, bias.data
     if xv.ndim != 3:
         raise ValueError(f"conv2d input must be H x W x Cin, got shape {xv.shape}")
@@ -310,24 +311,23 @@ def conv2d(x, kernel: Tensor, bias: Tensor) -> Tensor:
     y += bv
     out = Tensor._wrap(y)
 
-    def back(g):
-        # gx correlates g with the kernel flipped in both spatial axes and cin,
-        # cout swapped, zero-padded by k - 1 - k // 2, which is k // 2 again.
-        gx = None
-        if not constant:
-            gx = _correlate(g, kv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, cin), k)[0]
-        # gk over the forward's row blocks, each block's im2col copied once and
+    def gx(g):
+        # The correlation of g with the kernel flipped in both spatial axes and
+        # cin, cout swapped, zero-padded by k - 1 - k // 2, which is k // 2 again.
+        return _correlate(g, kv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, cin), k)[0]
+
+    def gk(g):
+        # Over the forward's row blocks, each block's im2col copied once and
         # transposed as a BLAS flag. The sum starts from the first block's
         # product, so a one-block layer gives one whole-image GEMM's bytes.
         parts = (patches[r0:r1].reshape(-1, k * k * cin).T @ g[r0:r1].reshape(-1, cout)
                  for r0, r1 in zip(edges, edges[1:]))
-        gk = next(parts)
+        total = next(parts)
         for part in parts:
-            gk += part
-        gb = g.sum(axis=(0, 1))
-        return (gx, gk.reshape(kv.shape), gb)
+            total += part
+        return total.reshape(kv.shape)
 
-    _record(out, (x, kernel, bias), back)
+    _record(out, (x, gx), (kernel, gk), (bias, lambda g: g.sum(axis=(0, 1))))
     return out
 
 
@@ -367,9 +367,9 @@ def max_pool2x2(x: Tensor) -> Tensor:
         g_bits, gx_bits = g.view(bits), gx.view(bits)
         for i, (di, dj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
             np.multiply(g_bits, code == i, out=gx_bits[di::2, dj::2])
-        return (gx,)
+        return gx
 
-    _record(out, (x,), back)
+    _record(out, (x, back))
     return out
 
 
@@ -382,7 +382,7 @@ def channel_softmax(x: Tensor) -> Tensor:
     e = np.exp(z)
     y = e / e.sum(axis=2, keepdims=True)
     out = Tensor._wrap(y)
-    _record(out, (x,), lambda g: (y * (g - (g * y).sum(axis=2, keepdims=True)),))
+    _record(out, (x, lambda g: y * (g - (g * y).sum(axis=2, keepdims=True))))
     return out
 
 
@@ -398,8 +398,8 @@ def gram(a: Tensor, b: Tensor) -> Tensor:
     a2 = av.reshape(-1, av.shape[2])
     bt = np.ascontiguousarray(bv.reshape(-1, bv.shape[2]).T)
     out = Tensor._wrap(a2 @ bt)
-    _record(out, (a, b), lambda g: ((g @ bt.T).reshape(av.shape),
-                                    np.ascontiguousarray((a2.T @ g).T).reshape(bv.shape)))
+    _record(out, (a, lambda g: (g @ bt.T).reshape(av.shape)),
+            (b, lambda g: np.ascontiguousarray((a2.T @ g).T).reshape(bv.shape)))
     return out
 
 
@@ -425,7 +425,7 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         p = e / se[..., None]
         onehot = np.zeros_like(p)
         np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
-        return ((p - onehot) * (g / n),)
+        return (p - onehot) * (g / n)
 
-    _record(out, (logits,), back)
+    _record(out, (logits, back))
     return out

@@ -135,7 +135,7 @@ def finetune(
     for it in range(train_config.iterations):
         batch_rng = _iteration_rng(train_config.seed, it, 0)
         picks = batch_rng.integers(0, len(samples), size=train_config.batch_size)
-        grads_acc: dict[str, np.ndarray] = {}
+        grads_acc = None  # the slots' summed gradients, one per params.tensors label
         tot = det = desc = spec = 0.0
         for slot, sample_idx in enumerate(picks):
             sample = samples[int(sample_idx)]
@@ -156,7 +156,7 @@ def finetune(
                     corr, loss_config, terms,
                 )
                 scaled = T.affine(loss, 1.0 / train_config.batch_size, 0.0)
-                grads = backward(tape, scaled)
+                grads = backward(tape, scaled, params.tensors.values())
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingDivergedError(it, value)
@@ -164,14 +164,11 @@ def finetune(
             det += terms["detection"] / train_config.batch_size
             desc += terms["descriptor"] / train_config.batch_size
             spec += terms["specularity"] / train_config.batch_size
-            for label, tensor in params.tensors.items():
-                g = grads.get(tensor)
-                acc = grads_acc.get(label)
-                grads_acc[label] = g if acc is None else acc + g
+            grads_acc = grads if grads_acc is None else [acc + g for acc, g in zip(grads_acc, grads)]
 
         if not np.isfinite(tot):
             raise TrainingDivergedError(it, tot)
-        params = adam_step(params, grads_acc, state, train_config)
+        params = adam_step(params, dict(zip(params.tensors, grads_acc)), state, train_config)
         history.append(IterationStats(it, tot, det, desc, spec))
         if (
             checkpoint_dir is not None

@@ -50,8 +50,7 @@ def check_gradients(build, arrays, eps: float = 1e-6, tol: float = 1e-4) -> floa
     tensors = [Tensor(a) for a in arrays]
     with T.GradTape() as tape:
         loss = build(*tensors)
-    grads = T.backward(tape, loss)
-    analytic = [np.array(grads.get(t)) for t in tensors]
+    analytic = [np.array(g) for g in T.backward(tape, loss, tensors)]
 
     worst = 0.0
     for ai, arr in enumerate(arrays):
@@ -272,6 +271,11 @@ def dense_densify(describe: np.ndarray, ys, xs) -> np.ndarray:
     The dense decode network.densify replaced: the same bicubic einsum, then
     the norm summed over the einsum output's strided channel axis for every
     pixel, the 1e-12 floor, and the division, before the gather.
+
+    Not a byte oracle on a 1 x 1 cell grid (an 8 x 8 frame) with D >= 16:
+    there einsum multiplies instead of running a GEMM, its output is
+    channel-contiguous, and this norm is numpy's pairwise sum, while densify
+    sums the channels sequentially; the two can differ in the last bit.
     """
     wh = network._upsample_matrix(describe.shape[0], describe.dtype)
     ww = network._upsample_matrix(describe.shape[1], describe.dtype)

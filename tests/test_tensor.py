@@ -39,7 +39,7 @@ def test_gradients_match_finite_differences(case):
 def test_every_exported_op_has_a_gradient_case():
     # No op is exported without a finite-difference check, and no check is
     # left for an op the module no longer exports.
-    ops = set(T.__all__) - {"Tensor", "GradTape", "Gradients", "backward"}
+    ops = set(T.__all__) - {"Tensor", "GradTape", "backward"}
     assert ops == {name for name, _, _ in _CASES}
 
 
@@ -65,10 +65,11 @@ def test_elementwise_shape_mismatch_raises():
 
 
 def test_backward_requires_scalar_loss():
+    x = Tensor(np.ones(3))
     with GradTape() as tape:
-        y = T.relu(Tensor(np.ones(3)))
+        y = T.relu(x)
     with pytest.raises(ValueError):
-        backward(tape, y)
+        backward(tape, y, [x])
 
 
 def test_unused_tensor_gets_zero_gradient():
@@ -76,9 +77,21 @@ def test_unused_tensor_gets_zero_gradient():
     b = Tensor(np.ones((2, 2)))
     with GradTape() as tape:
         loss = T.reduce_sum(a)
-    grads = backward(tape, loss)
-    assert np.array_equal(grads.get(b), np.zeros((2, 2)))
-    assert np.array_equal(grads.get(a), np.ones((2, 2)))
+    ga, gb = backward(tape, loss, [a, b])
+    assert np.array_equal(gb, np.zeros((2, 2)))
+    assert np.array_equal(ga, np.ones((2, 2)))
+
+
+def test_an_intermediate_in_wrt_keeps_its_gradient():
+    # h is a record's output: the replay passes its gradient on to a and
+    # still returns it for h.
+    a = Tensor(np.ones((2, 2)))
+    with GradTape() as tape:
+        h = T.affine(a, 2.0, 0.0)
+        loss = T.reduce_sum(T.relu(h))
+    gh, ga = backward(tape, loss, [h, a])
+    assert np.array_equal(gh, np.ones((2, 2)))
+    assert np.array_equal(ga, np.full((2, 2), 2.0))
 
 
 def test_ops_outside_tape_do_not_record():
@@ -86,18 +99,18 @@ def test_ops_outside_tape_do_not_record():
     _ = T.affine(a, 2.0, 0.0)  # no active tape: must not blow up later
     with GradTape() as tape:
         loss = T.affine(a, 3.0, 0.0)
-    grads = backward(tape, loss)
-    assert grads.get(a) == 3.0
+    (ga,) = backward(tape, loss, [a])
+    assert ga == 3.0
 
 
 def test_a_tape_replays_once():
     a = Tensor(np.ones((2, 2)))
     with GradTape() as tape:
         loss = T.reduce_sum(T.relu(a))
-    assert np.array_equal(backward(tape, loss).get(a), np.ones((2, 2)))
+    assert np.array_equal(backward(tape, loss, [a])[0], np.ones((2, 2)))
     assert tape._records == []
     with pytest.raises(RuntimeError, match="replays once"):
-        backward(tape, loss)
+        backward(tape, loss, [a])
 
 
 def _tensors_in(obj, seen):
@@ -119,36 +132,38 @@ def _tensors_in(obj, seen):
 def test_records_hold_keys_and_closures_without_tensors():
     # Every op's gradient case (which together cover tensor.__all__) and a
     # conv2d with a plain-array input, recorded on one tape: each record is
-    # (output key, input keys, closure), and no closure reaches a Tensor.
+    # (output key, ((input key, grad_fn), ...)), and no grad_fn reaches a Tensor.
     x = rng(25).uniform(-1.0, 1.0, (4, 6, 2))
     with GradTape() as tape:
         for _, build, arrays in _CASES:
             build(*[Tensor(a) for a in arrays])
         T.conv2d(x, Tensor(np.ones((3, 3, 2, 1))), Tensor(np.zeros(1)))
     assert len(tape._records) >= len(_CASES)
-    for out_key, in_keys, backward_fn in tape._records:
+    for out_key, inputs in tape._records:
         assert isinstance(out_key, int)
-        assert all(k is None or isinstance(k, int) for k in in_keys)
-        assert _tensors_in(backward_fn, set()) == []
+        for key, grad_fn in inputs:
+            assert isinstance(key, int) and callable(grad_fn)
+            assert _tensors_in(grad_fn, set()) == []
 
 
 def test_gradients_never_answer_for_a_later_tensor():
-    # The leaf below dies once the graph is built; its gradient stays. A
+    # The leaf below dies once the graph is built; its record stays. A
     # Tensor made afterwards, which may reuse its memory and id(), reads zeros.
     w = rng(26).uniform(-1.0, 1.0, (3, 4))
     with GradTape() as tape:
         loss = T.reduce_sum(T.mul(Tensor(np.ones((3, 4))), w))
-    grads = backward(tape, loss)
     gc.collect()
-    for _ in range(100):
-        assert np.array_equal(grads.get(Tensor(np.ones((3, 4)))), np.zeros((3, 4)))
+    later = [Tensor(np.ones((3, 4))) for _ in range(100)]
+    for g in backward(tape, loss, later):
+        assert np.array_equal(g, np.zeros((3, 4)))
 
 
 def test_a_replayed_slot_retains_only_its_gradients():
     # One training slot of the default net at 32x32 in f32: two forwards and
-    # the specular pair loss. After backward, with the tape and the Gradients
-    # alive, what is left is the leaves' gradients: the params' and the two
-    # frames'. A tape holding its graph retains about 1.9x the param bytes.
+    # the specular pair loss. After backward, with the tape and the gradient
+    # list alive, what is left is the params' gradients only: the frames'
+    # are never computed. A tape holding its graph retains about 1.9x the
+    # param bytes.
     params = network.init_params(Architecture(), seed=5, dtype=np.float32)
     param_bytes = sum(t.data.nbytes for t in params.tensors.values())
     r = rng(27)
@@ -162,7 +177,7 @@ def test_a_replayed_slot_retains_only_its_gradients():
             heads_a = network.forward(params, img_a)
             heads_b = network.forward(params, img_b)
             loss = losses.specular_pair_loss(img_a, heads_a, label, img_b, heads_b, label, corr)
-        return tape, backward(tape, loss)
+        return tape, backward(tape, loss, params.tensors.values())
 
     tracemalloc.start()
     try:
@@ -172,7 +187,7 @@ def test_a_replayed_slot_retains_only_its_gradients():
     finally:
         tracemalloc.stop()
     assert tape._records == []
-    assert grads.get(params.tensors["enc0_c0.kernel"]).any()
+    assert grads[list(params.tensors).index("enc0_c0.kernel")].any()
     assert retained <= 1.1 * param_bytes, f"{retained / param_bytes:.2f}x the param bytes"
 
 
@@ -237,8 +252,7 @@ def _conv2d_grads(x, k, b, g):
     tx, tk, tb = Tensor(x), Tensor(k), Tensor(b)
     with GradTape() as tape:
         loss = T.reduce_sum(T.mul(T.conv2d(tx, tk, tb), g))
-    grads = backward(tape, loss)
-    return grads.get(tx), grads.get(tk), grads.get(tb)
+    return tuple(backward(tape, loss, [tx, tk, tb]))
 
 
 # The forward shapes and the benchmark's toy net at 64x64 and 80x80; three
@@ -325,8 +339,10 @@ def test_conv2d_gradients_match_naive_loops():
 
 
 def test_conv2d_plain_array_input_has_no_gradient(monkeypatch):
-    # A plain-array input is a constant: the backward runs no _correlate for
-    # its gradient, and gk and gb keep the bytes of the Tensor-input case.
+    # A plain-array input is a constant, and a Tensor input outside wrt is
+    # off every path to the loss: for neither does the backward run a
+    # _correlate for its gradient, and gk and gb keep the bytes of the case
+    # whose Tensor input is in wrt.
     r = rng(24)
     x = r.uniform(0.0, 1.0, (16, 24, 1)).astype(np.float32)
     kernel = (r.standard_normal((3, 3, 1, 8)) * 0.1).astype(np.float32)
@@ -340,18 +356,49 @@ def test_conv2d_plain_array_input_has_no_gradient(monkeypatch):
         return correlate(*args)
 
     got = {}
-    for kind, xin in (("tensor", Tensor(x)), ("array", x)):
+    for kind, xin in (("tensor", Tensor(x)), ("tensor outside wrt", Tensor(x)), ("array", x)):
         tk, tb = Tensor(kernel), Tensor(bias)
         with GradTape() as tape:
             loss = T.reduce_sum(T.mul(T.conv2d(xin, tk, tb), g))
+        wrt = [xin, tk, tb] if kind == "tensor" else [tk, tb]
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(T, "_correlate", spy)
-            grads = backward(tape, loss)
-        got[kind] = (len(calls), grads.get(tk), grads.get(tb))
-    assert got["tensor"][0] == 1 and got["array"][0] == 0
-    for want, have in zip(got["tensor"][1:], got["array"][1:]):
-        assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
+            grads = backward(tape, loss, wrt)
+        got[kind] = (len(calls), *grads[-2:])
+    assert got["tensor"][0] == 1
+    assert got["tensor outside wrt"][0] == got["array"][0] == 0
+    for kind in ("tensor outside wrt", "array"):
+        for want, have in zip(got["tensor"][1:], got[kind][1:]):
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), kind
+
+
+def test_a_training_slot_never_differentiates_the_frames(monkeypatch):
+    # One toy-net training slot, two views, differentiated toward the params:
+    # every conv but the first correlates for its input gradient, once per
+    # view; the first conv reads the frame, which nothing differentiates.
+    arch = toy_architecture()
+    params = network.init_params(arch, seed=3)
+    r = rng(28)
+    img_a = r.uniform(0.0, 1.0, (32, 32))
+    img_b = img_a[:, ::-1].copy()
+    label = PseudoLabel(np.array([[3, 4], [27, 30]]), np.array([0.9, 0.8]))
+    corr = np.zeros((4, 4, 4, 4))
+    with GradTape() as tape:
+        heads_a = network.forward(params, img_a)
+        heads_b = network.forward(params, img_b)
+        loss = losses.specular_pair_loss(img_a, heads_a, label, img_b, heads_b, label, corr)
+    correlate = T._correlate
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return correlate(*args)
+
+    monkeypatch.setattr(T, "_correlate", spy)
+    backward(tape, loss, params.tensors.values())
+    conv_layers = len(params.tensors) // 2
+    assert len(calls) == (conv_layers - 1) * 2
 
 
 def _pool_grad(x, g):
@@ -359,7 +406,7 @@ def _pool_grad(x, g):
     with GradTape() as tape:
         y = T.max_pool2x2(tx)
         loss = T.reduce_sum(T.mul(y, g))
-    return y.data, backward(tape, loss).get(tx)
+    return y.data, backward(tape, loss, [tx])[0]
 
 
 def test_max_pool_tie_prefers_first_window_position():
