@@ -9,13 +9,16 @@ caller's error class.
 Label, pose, intrinsics and feature files are UTF-8 text read by
 read_records: one record per line, blank and '#' lines skipped, fields of
 plain ASCII without '_', and every error names the file (and the line, for
-a bad record) as a ValueError.
+a bad record) as a ValueError. read_float_records reads a plainly
+well-formed file of finite float records in one pass, and hands any other
+file back to read_records.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import re
 import zipfile
 
 import numpy as np
@@ -91,6 +94,10 @@ def read_records(path, usage: str, parse, header=None):
     With header, the first record is yielded as header(text) instead, where
     text is its line without the newline; header checks its own fields, and
     its ValueError is re-raised as f"{path}: {msg}".
+
+    This is the per-line path, and the one that words every error:
+    read_float_records parses a plainly well-formed file of float records
+    in one pass, and its caller comes here for any other file.
     """
     n_fields = len(usage.split())
     try:
@@ -119,6 +126,42 @@ def read_records(path, usage: str, parse, header=None):
                 yield record
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+# A plain line: fields of printable ASCII apart by spaces or tabs, ended by
+# "\n"; %s repeats the fields after the first.
+_PLAIN_LINE = rb"[ \t]*[!-~]+(?:[ \t]+[!-~]+)%s[ \t]*\n"
+
+
+def read_float_records(path, usage: str, header):
+    """(header(text), (n, k) float64 array) of a header line and finite float
+    records, read in one pass; None when the file is not plainly well formed.
+
+    Plainly well formed: every line, the last included, ends in "\n" and
+    holds only printable ASCII fields apart by spaces or tabs, with no '#'
+    or '_'; the first line is a header that header(text) accepts, and each
+    later line holds one record of usage's k fields, each a float() token
+    whose value is finite. The whole text is tokenised once and converted
+    by one float() map, so each value is the one read_records' parse reads
+    from the same token. A None asks the caller to read the file with
+    read_records, so every error keeps the message that names its line.
+    """
+    k = len(usage.split())
+    with open(path, "rb") as f:
+        raw = f.read()
+    header_line, record_line = _PLAIN_LINE % b"*", _PLAIN_LINE % (b"{%d}" % (k - 1))
+    if b"#" in raw or b"_" in raw or re.fullmatch(b"%s(?:%s)*" % (header_line, record_line), raw) is None:
+        return None
+    head, _, body = raw.decode("ascii").partition("\n")
+    tokens = body.split()
+    try:
+        record = header(head)
+        values = np.fromiter(map(float, tokens), np.float64, count=len(tokens))
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return record, values.reshape(-1, k)
 
 
 def fmt(x: float) -> str:

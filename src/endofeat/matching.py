@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .ioutil import atomic_write_bytes, read_records
+from .ioutil import atomic_write_bytes, read_float_records, read_records
 
 DETECTION_THRESHOLD = 0.015
 DETECTION_NMS_WINDOW = 3
@@ -44,9 +44,12 @@ MAX_FEATURES = 10000
 METRIC_L2 = "L2"
 METRIC_HAMMING = "HAMMING"
 
-# Gram values per matching tile: 2^16 keeps a tile's Gram matrix at 0.25 MB
-# in float32 and 0.5 MB in float64.
-_TILE_ELEMENTS = 1 << 16
+# Gram values per matching tile: 2^18 keeps a tile's Gram matrix at 1 MB in
+# float32 and 2 MB in float64.
+_TILE_ELEMENTS = 1 << 18
+# Candidates re-scored and folded per chunk, and float64 values per re-score
+# temporary: 2^16 keeps each at 0.5 MB.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 def greedy_nms(scores: np.ndarray, threshold: float, window: int, max_points: int):
@@ -292,17 +295,19 @@ def match_mutual(da: DescriptorSet, db: DescriptorSet) -> MatchSet:
 
     Both directions come from one pass over the Gram matrix
     ``|a|^2 + |b|^2 - 2 a.b`` in tiles: as many rows of A as fit in
-    ``_TILE_ELEMENTS`` (2^16) Gram values, and at least one, against every
-    row of B; no candidate list outlives its tile, so memory does not grow
-    with the number of rows of A. The Gram values round differently from the direct
-    formula, so they only pick candidates: in each row, every column within
-    twice a rounding-error bound of the row's Gram minimum; in each column,
-    every entry within twice the bound of the column's running Gram minimum
-    over the tiles so far, which only falls, so the winner's own tile
-    records it. The candidates are re-scored with the direct formula in
-    float64, the lowest index among the exact minima wins, and the result
-    is bit-for-bit that of a full matrix of direct distances
-    (_mutual_l2 derives the bound).
+    ``_TILE_ELEMENTS`` (2^18) Gram values, and at least one, against every
+    row of B. The Gram values round differently from the direct formula,
+    so they only pick candidates: in each row, every column within twice a
+    rounding-error bound of the row's Gram minimum; in each column, every
+    entry within twice the bound of the column's running Gram minimum over
+    the tiles so far, which only falls, so the winner's own tile records
+    it. The candidates are re-scored with the direct formula in float64
+    and folded into both directions' running bests in chunks of at most
+    ``_CHUNK_ELEMENTS`` (2^16) entries, the lowest index among the exact
+    minima wins, and the result is bit-for-bit that of a full matrix of
+    direct distances (_mutual_l2 derives the bound). No candidate outlives
+    its chunk, so memory grows with neither the number of rows of A nor
+    the number of candidates.
 
     The Gram matrix is float32 when both sides hold float32 rows, as every
     feature file loads, and float64 otherwise; the bound takes that
@@ -359,16 +364,24 @@ def _mutual_l2(a: np.ndarray, b: np.ndarray):
     value in that row (or column), and re-scoring every such entry with
     the direct formula finds it.
 
-    Rows: each tile re-scores every column within its row's Gram minimum
-    + 2 tol, and the lowest column among the exact minima wins. Columns: a
-    running per-column Gram minimum takes each tile's column minima, and
-    each tile re-scores every entry within that running minimum + 2 tol.
-    The running minimum only falls, so the winner's entry is re-scored in
-    its own tile. A per-column best (a direct distance and a row) is
-    replaced only by a strictly smaller distance from a later tile, so
-    ties keep the lowest row. The union of both sides' candidates is
-    re-scored once per tile, in chunks, and no candidate outlives its
-    tile, so memory stays bounded even when every entry is a candidate.
+    Tiles: as many rows of A as fit in _TILE_ELEMENTS Gram values, at
+    least one; A's augmented rows are built one tile at a time. Rows: each
+    tile takes every column within its row's Gram minimum + 2 tol.
+    Columns: a running per-column Gram minimum takes each tile's column
+    minima, and each tile takes every entry within that running minimum
+    + 2 tol; it only falls, so the winner's entry is taken in its own tile.
+    Both bounds are rounded down to the Gram dtype, which keeps exactly the
+    same entries and compares within one dtype.
+
+    Candidates: the union of both sides' entries, in row-major order, is
+    re-scored with the direct formula and folded in chunks of at most
+    _CHUNK_ELEMENTS entries (a tile with fewer is one chunk), each
+    re-scored _CHUNK_ELEMENTS float64 values at a time. Both directions
+    keep one rule (_fold): per index, the chunk's least (direct distance,
+    other index) entry replaces the running best only when strictly
+    smaller; chunks come in row-major order, so ties keep the lowest index.
+    No candidate outlives its chunk, so memory stays bounded by the tile
+    and the chunk even when every entry is a candidate.
 
     tol is computed as (D + 4) (eps 4s + 4 tiny), which is inf whenever 4s
     overflows. The product's partial sums stay within about 2s, so a row or
@@ -378,10 +391,9 @@ def _mutual_l2(a: np.ndarray, b: np.ndarray):
     na, width = a.shape
     nb = b.shape[0]
     fi = np.finfo(a.dtype)
-    step = max(1, _TILE_ELEMENTS // nb)
-    recheck = max(1, _TILE_ELEMENTS // max(1, width))
-    best_b = np.empty(na, dtype=np.int64)
-    dist_b = np.empty(na, dtype=np.float64)
+    step = max(1, min(na, _TILE_ELEMENTS // nb))
+    best_b = np.zeros(na, dtype=np.int64)
+    dist_b = np.full(na, np.inf)
     best_a = np.zeros(nb, dtype=np.int64)
     dist_a = np.full(nb, np.inf)
     with np.errstate(all="ignore"):
@@ -389,43 +401,72 @@ def _mutual_l2(a: np.ndarray, b: np.ndarray):
         b_sq = np.einsum("ij,ij->i", b, b)
         tol_a = (width + 4) * (fi.eps * (4 * (a_sq + b_sq.max())) + 4 * fi.tiny)
         tol_b = (width + 4) * (fi.eps * (4 * (b_sq + a_sq.max())) + 4 * fi.tiny)
-        a_aug = np.column_stack([-2 * a, a_sq, np.ones_like(a_sq)])
         b_aug = np.vstack([b.T, np.ones_like(b_sq), b_sq])  # (D + 2, nb), contiguous
         col_min = np.full(nb, np.inf, dtype=a.dtype)
+        # one tile's worth of A's augmented rows, Gram values and masks, reused
+        a_aug = np.empty((step, width + 2), dtype=a.dtype)
+        a_aug[:, width + 1] = 1
+        gram_buf = np.empty((step, nb), dtype=a.dtype)
+        far_buf = np.empty((2, step, nb), dtype=bool)
         for lo in range(0, na, step):
             hi = min(lo + step, na)
-            gram = a_aug[lo:hi] @ b_aug
-            row_bound = gram.min(axis=1) + 2 * tol_a[lo:hi]
+            aug = a_aug[: hi - lo]
+            np.multiply(a[lo:hi], -2, out=aug[:, :width])
+            aug[:, width] = a_sq[lo:hi]
+            gram = np.matmul(aug, b_aug, out=gram_buf[: hi - lo])
+            row_bound = _floor_to(gram.min(axis=1) + 2 * tol_a[lo:hi], a.dtype)
             np.minimum(col_min, gram.min(axis=0), out=col_min)
+            col_bound = _floor_to(col_min + 2 * tol_b, a.dtype)
             # ~(g > bound) keeps every entry whose bound is NaN
-            far = gram > row_bound[:, None]
-            far &= gram > col_min + 2 * tol_b
-            # one flat scan: a 2-D np.nonzero is many times slower
-            rows, cols = np.divmod(np.flatnonzero(~far), nb)
-            rows += lo
-            direct = np.empty(rows.size)
-            for c in range(0, rows.size, recheck):
-                sel = slice(c, c + recheck)
-                diff = a[rows[sel]].astype(np.float64, copy=False)
-                diff -= b[cols[sel]]
-                diff *= diff
-                direct[sel] = diff.sum(axis=1)
-
-            # candidates come sorted by row, then column; every row has one,
-            # and every column at a row's exact minimum is among them
-            tile_rows = np.arange(lo, hi)
-            row_min = np.minimum.reduceat(direct, np.searchsorted(rows, tile_rows))
-            hits = np.flatnonzero(direct == row_min[rows - lo])
-            best_b[lo:hi] = cols[hits[np.searchsorted(rows[hits], tile_rows)]]
-            dist_b[lo:hi] = row_min
-
-            # each column's least (distance, row) entry of the tile
-            order = np.lexsort((rows, direct, cols))
-            first = order[np.diff(cols[order], prepend=-1) != 0]
-            better = first[direct[first] < dist_a[cols[first]]]
-            best_a[cols[better]] = rows[better]
-            dist_a[cols[better]] = direct[better]
+            far = np.greater(gram, row_bound[:, None], out=far_buf[0, : hi - lo])
+            far &= np.greater(gram, col_bound, out=far_buf[1, : hi - lo])
+            near = np.logical_not(far, out=far).ravel()
+            span = near.size if np.count_nonzero(near) <= _CHUNK_ELEMENTS else _CHUNK_ELEMENTS
+            for c0 in range(0, near.size, span):
+                # one flat scan: a 2-D np.nonzero is many times slower
+                rows, cols = np.divmod(np.flatnonzero(near[c0 : c0 + span]) + c0, nb)
+                rows += lo
+                direct = _rescore(a, b, rows, cols)
+                _fold(rows, cols, direct, best_b, dist_b)
+                _fold(cols, rows, direct, best_a, dist_a)
     return best_b, dist_b, best_a
+
+
+def _floor_to(x, dtype):
+    """x rounded down to dtype: for every value g of that dtype, g > result iff g > x."""
+    y = x.astype(dtype)
+    return np.nextafter(y, -np.inf, out=y, where=y > x)
+
+
+def _rescore(a, b, rows, cols):
+    """Direct squared distances ``np.sum((a_i - b_j) ** 2)`` of the (rows, cols) entries, in float64."""
+    direct = np.empty(rows.size)
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, a.shape[1]))
+    buf = np.empty((min(chunk, rows.size), a.shape[1]))
+    for c in range(0, rows.size, chunk):
+        r, k = rows[c : c + chunk], cols[c : c + chunk]
+        diff = buf[: r.size]
+        diff[...] = a[r]
+        diff -= b[k]
+        diff *= diff
+        direct[c : c + chunk] = diff.sum(axis=1)
+    return direct
+
+
+def _fold(key, other, direct, best, dist):
+    """Fold one chunk of candidates into the running nearest (best, dist) per key.
+
+    The candidates come in row-major order, so a key's entries of equal
+    direct value come lowest ``other`` first, and the stable sort keeps
+    that: each key's first entry is its least (direct, other) one. It
+    replaces the running best only when strictly smaller, and chunks come
+    in row-major order too, so ties keep the lowest index.
+    """
+    order = np.lexsort((direct, key))
+    first = order[np.diff(key[order], prepend=-1) != 0]
+    better = first[direct[first] < dist[key[first]]]
+    best[key[better]] = other[better]
+    dist[key[better]] = direct[better]
 
 
 # ---------------------------------------------------------------------------
@@ -479,27 +520,40 @@ def _keypoint_record(fields):
 
 
 def load_features(path, frame_id: int = -1):
-    records = read_records(path, "x y score", _keypoint_record, header=_feature_header)
-    metric, dim = next(records, (None, None))
-    if metric is None:
-        raise ValueError(f"{path}: empty feature file")
-    rows = np.array(list(records), np.float64).reshape(-1, 3)
+    """(KeypointSet, DescriptorSet) of a feature file and its .desc sidecar.
+
+    A file save_features wrote is parsed in one pass (read_float_records);
+    any other goes through read_records line by line, so every error names
+    its line. The sidecar's size is checked before it is read straight into
+    the descriptor array.
+    """
+    fast = read_float_records(path, "x y score", _feature_header)
+    if fast is None:
+        records = read_records(path, "x y score", _keypoint_record, header=_feature_header)
+        metric, dim = next(records, (None, None))
+        if metric is None:
+            raise ValueError(f"{path}: empty feature file")
+        rows = np.array(list(records), np.float64).reshape(-1, 3)
+    else:
+        (metric, dim), rows = fast
     n = len(rows)
     kp = KeypointSet(np.ascontiguousarray(rows[:, :2]), rows[:, 2].copy(), frame_id)
-    with open(os.fspath(path) + ".desc", "rb") as f:
-        blob = f.read()
     if metric == METRIC_HAMMING:
-        row = (dim + 7) // 8
-        if len(blob) != n * row:
-            raise ValueError(f"{path}.desc: expected {n * row} bytes, got {len(blob)}")
-        vec = np.frombuffer(blob, dtype=np.uint8).reshape(n, row) if n else np.empty((0, row), np.uint8)
-        desc = DescriptorSet(np.ascontiguousarray(vec), METRIC_HAMMING, bits=dim)
+        shape, dtype = (n, (dim + 7) // 8), np.dtype(np.uint8)
     else:
-        if len(blob) != n * dim * 4:
-            raise ValueError(f"{path}.desc: expected {n * dim * 4} bytes, got {len(blob)}")
-        vec = np.frombuffer(blob, dtype="<f4").reshape(n, dim) if n else np.empty((0, dim), np.float32)
-        try:
-            desc = DescriptorSet(np.ascontiguousarray(vec.astype(np.float32)), METRIC_L2)
-        except ValueError as exc:
-            raise ValueError(f"{path}.desc: {exc}") from exc
-    return kp, desc
+        shape, dtype = (n, dim), np.dtype("<f4")
+    expected = shape[0] * shape[1] * dtype.itemsize
+    with open(os.fspath(path) + ".desc", "rb") as f:
+        # sized before the array is made, so a bad header allocates nothing
+        size = os.fstat(f.fileno()).st_size
+        if size == expected:
+            vec = np.empty(shape, dtype)
+            size = f.readinto(vec)
+    if size != expected:
+        raise ValueError(f"{path}.desc: expected {expected} bytes, got {size}")
+    if metric == METRIC_HAMMING:
+        return kp, DescriptorSet(vec, METRIC_HAMMING, bits=dim)
+    try:
+        return kp, DescriptorSet(vec.astype(np.float32, copy=False), METRIC_L2)
+    except ValueError as exc:
+        raise ValueError(f"{path}.desc: {exc}") from exc

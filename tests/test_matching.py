@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -347,11 +348,16 @@ def test_match_mutual_l2_duplicate_rows_tie_to_lowest_index():
         assert j == np.flatnonzero((db.vectors == db.vectors[j]).all(axis=1))[0]
 
 
+# the tile the multi-tile cases below are sized for, a quarter of the default
+_SMALL_TILE = 1 << 16
+
+
 @pytest.mark.parametrize("na, nb, dim", [
     (300, 450, 256),  # three tiles in each direction
-    (3, matching._TILE_ELEMENTS + 3, 8),  # one query row per tile
+    (3, _SMALL_TILE + 3, 8),  # one query row per tile
 ])
-def test_match_mutual_l2_spans_tiles(na, nb, dim):
+def test_match_mutual_l2_spans_tiles(monkeypatch, na, nb, dim):
+    monkeypatch.setattr(matching, "_TILE_ELEMENTS", _SMALL_TILE)
     r = rng((59, na))
     assert na * nb > 2 * matching._TILE_ELEMENTS
     db = DescriptorSet(_unit_rows(r.normal(size=(nb, dim))))
@@ -362,7 +368,8 @@ def test_match_mutual_l2_spans_tiles(na, nb, dim):
 
 
 @pytest.mark.parametrize("na, nb, width, bits", [(9, 700, 32, 256), (70, 600, 8, 60)])
-def test_match_mutual_hamming_spans_tiles(na, nb, width, bits):
+def test_match_mutual_hamming_spans_tiles(monkeypatch, na, nb, width, bits):
+    monkeypatch.setattr(matching, "_TILE_ELEMENTS", _SMALL_TILE)
     r = rng((60, na))
     # few distinct bytes give many exact distance ties
     pool = r.integers(0, 256, 4, dtype=np.uint8)
@@ -427,7 +434,7 @@ def test_mutual_kernel_f32_ulp_neighbours_match_direct(seed):
 def test_mutual_kernel_column_ties_across_tiles_go_to_lowest_row(monkeypatch):
     r = rng(61)
     nb, dim = 1100, 64
-    step = matching._TILE_ELEMENTS // nb  # 59 query rows per tile
+    step = matching._TILE_ELEMENTS // nb  # 238 query rows per tile
     centres = _unit_rows(r.normal(size=(40, dim)))
     b = np.concatenate([centres, _unit_rows(r.normal(size=(nb - 40, dim)))])
     # four near copies of each centre, one per tile of A: the noisy centre,
@@ -451,6 +458,41 @@ def test_mutual_kernel_column_ties_across_tiles_go_to_lowest_row(monkeypatch):
     # the exact duplicate two tiles on never beats its first copy
     got = match_mutual(da, db)
     assert not np.isin(got.pairs[:, 0], np.arange(2 * step, 2 * step + 40)).any()
+
+
+@pytest.mark.parametrize("tile_rows", [1, 9])
+@pytest.mark.parametrize("chunk", [2, 5])
+def test_mutual_kernel_candidates_straddle_chunks_and_tiles(monkeypatch, tile_rows, chunk):
+    r = rng((66, tile_rows, chunk))
+    dim = 16
+    centres = _unit_rows(r.normal(size=(8, dim)))
+    near = _unit_rows(centres + r.normal(0, 0.05, centres.shape))
+    # ulp-neighbour copies and exact duplicate rows on both sides: each row
+    # and column has several candidates, which a chunk of a few entries and
+    # tiles of one or a few rows split apart
+    a = np.concatenate([_ulp_copies(r, centres, 3), np.repeat(centres, 2, axis=0),
+                        _unit_rows(r.normal(size=(10, dim)))])
+    b = np.concatenate([_ulp_copies(r, near, 3), np.repeat(near, 2, axis=0),
+                        _unit_rows(r.normal(size=(14, dim)))])
+    a, b = a[r.permutation(len(a))], b[r.permutation(len(b))]
+    monkeypatch.setattr(matching, "_TILE_ELEMENTS", tile_rows * max(len(a), len(b)))
+    monkeypatch.setattr(matching, "_CHUNK_ELEMENTS", chunk)
+    _assert_kernel_matches_direct(a, b)
+    _assert_kernel_matches_direct(b, a)
+    _assert_kernel_matches_direct(a.astype(np.float64), b.astype(np.float64))
+
+
+def test_floor_to_float32_keeps_every_comparison():
+    f32 = np.finfo(np.float32)
+    x = np.array([0.1, -0.1, 1.0, 1e-50, -1e-50, 1e-40, 3.5e38, 1e300, -1e300,
+                  float(f32.max), np.inf, -np.inf, np.nan, 0.0, -0.0])
+    x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+    with np.errstate(over="ignore"):  # as in the kernel: 1e300 and f32.max's successor are inf
+        y = matching._floor_to(x, np.float32)
+        g = np.concatenate([y, np.nextafter(y, np.float32(np.inf)), np.nextafter(y, np.float32(-np.inf)),
+                            np.float32([np.inf, -np.inf, np.nan, 0.0, -0.0])])
+    assert y.dtype == np.float32
+    np.testing.assert_array_equal(g[:, None] > y[None, :], g[:, None] > x[None, :])
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -511,6 +553,23 @@ def test_match_mutual_memory_stays_per_tile_when_every_entry_is_a_candidate():
     np.testing.assert_array_equal(got.pairs, [[0, 0]])
     np.testing.assert_array_equal(got.distances, [0.0])
     assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_match_mutual_memory_of_an_eval_sized_pair():
+    r = rng(67)
+    db = DescriptorSet(_unit_rows(r.normal(size=(1000, 256))))
+    near = db.vectors[:600] + r.normal(0, 0.04, (600, 256))
+    da = DescriptorSet(np.concatenate([_unit_rows(near), _unit_rows(r.normal(size=(400, 256)))]))
+    # B's augmented rows (1 MB), one tile's Gram values (1 MB), A's augmented
+    # rows and masks, and one re-score chunk (0.5 MB)
+    tracemalloc.start()
+    try:
+        got = match_mutual(da, db)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) >= 590
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_match_mutual_validation_and_empty():
@@ -671,3 +730,101 @@ def test_load_features_fuzz_finite_or_value_error(
         return
     assert np.isfinite(kp.points).all() and np.isfinite(kp.scores).all()
     assert len(kp) == len(desc) and desc.dim >= 1
+
+
+def _load_or_error(path):
+    try:
+        kp, desc = load_features(path)
+    except ValueError as exc:
+        return str(exc)
+    return kp.points, kp.scores, desc.vectors, desc.metric, desc.dim
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_TOKEN = st.one_of(
+    _FINITE,
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["nan", "-inf", "1e999", "1e-320", "-0", "+.5", "1_0", "\u0663", "x", "0x1", "1e"]),
+)
+_LINE = st.one_of(
+    st.tuples(_FINITE, _FINITE, _FINITE).map(" ".join),  # well formed, drawn twice as often
+    st.tuples(_FINITE, _FINITE, _FINITE).map(" ".join),
+    st.lists(_TOKEN, min_size=3, max_size=3).map(" ".join),  # bad tokens
+    st.lists(_TOKEN, min_size=1, max_size=5).map(" ".join),  # wrong counts
+    st.tuples(st.sampled_from([" ", "\t", "\x0b", "\x0c", "  "]), _TOKEN, _TOKEN, _TOKEN).map(
+        lambda t: t[0] + t[0].join(t[1:]) + t[0]),  # other whitespace
+    st.sampled_from(["", "  ", "# a comment", "  # x y score", "1 2 #"]),
+)
+
+
+def _lines(*lines, end="\n"):
+    return [(line, end) for line in lines]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    header=st.sampled_from(["metric L2 dim 2", "metric HAMMING dim 9", "metric L2  dim\t3", "metric L2"]),
+    body=st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])), max_size=6),
+    last_newline=st.booleans(),
+)
+@example(header="metric L2 dim 2", body=_lines("1 2 0.5", "1_0 2 0.5"), last_newline=True)
+@example(header="metric L2 dim 2", body=_lines("1 2 0.5", "nan 2 0.5"), last_newline=True)
+@example(header="metric L2 dim 2", body=_lines("1 2 1e999"), last_newline=True)
+@example(header="metric L2 dim 2", body=_lines("1 2", "3 4 5 6"), last_newline=True)
+@example(header="metric L2 dim 2", body=_lines("1 2 0.5 3 4 0.5"), last_newline=True)
+@example(header="metric L2 dim 2", body=_lines("1\x0b2 0.5 3"), last_newline=True)
+@example(header="metric L2 dim 2", body=_lines("1 2 0.5", "", "3 4 0.5"), last_newline=True)
+@example(header="metric L2 dim 2", body=_lines("1 2 0.5", "3 4 0.5", end="\r\n"), last_newline=True)
+@example(header="metric L2 dim 2", body=_lines("1\x0b2\x0c0.5"), last_newline=True)
+@example(header="metric L2 dim 2", body=_lines("1 2 0.5"), last_newline=False)
+def test_one_pass_parse_equals_per_line_path(tmp_path_factory, header, body, last_newline):
+    path = tmp_path_factory.getbasetemp() / "one_pass.feat"
+    text = header + "\n" + "".join(line + end for line, end in body)
+    if not last_newline:
+        text = text.rstrip("\r\n")
+    path.write_bytes(text.encode("utf-8"))
+    # a sidecar sized for the lines that look like records, right or not
+    n = sum(1 for line, _ in body if line.split() and not line.split()[0].startswith("#"))
+    path.with_name("one_pass.feat.desc").write_bytes(b"\x00" * 8 * n)
+    got = _load_or_error(path)
+    with mock.patch.object(matching, "read_float_records", return_value=None):
+        want = _load_or_error(path)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_saved_feature_files_never_take_the_per_line_path(tmp_path, monkeypatch):
+    def per_line(*args, **kwargs):
+        raise AssertionError("a saved feature file fell back to the per-line parse")
+
+    monkeypatch.setattr(matching, "read_records", per_line)
+    r = rng(68)
+    points = r.uniform(0, 640, (40, 2))
+    points[:4] = [[0.0, -0.0], [1e-320, 5e-324], [1e300, 0.1], [2.0**-1074, 3.0]]
+    scores = r.uniform(0, 1, 40)
+    cases = [
+        (KeypointSet(points, scores), DescriptorSet(r.normal(size=(40, 5)).astype(np.float32))),
+        (KeypointSet(points[:7], scores[:7]),
+         DescriptorSet(r.integers(0, 256, (7, 2), dtype=np.uint8), METRIC_HAMMING, bits=13)),
+        (KeypointSet(np.empty((0, 2)), np.empty(0)), DescriptorSet(np.empty((0, 3), np.float32))),
+    ]
+    for fid, (kp, ds) in enumerate(cases):
+        path = feature_path(tmp_path, fid)
+        save_features(path, kp, ds)
+        kp2, ds2 = load_features(path)
+        np.testing.assert_array_equal(kp2.points, kp.points)
+        np.testing.assert_array_equal(kp2.scores, kp.scores)
+        np.testing.assert_array_equal(ds2.vectors, ds.vectors)
+        assert (ds2.metric, ds2.dim) == (ds.metric, ds.dim)
+
+
+def test_load_features_checks_the_sidecar_size_before_allocating(tmp_path):
+    path = feature_path(tmp_path, 9)
+    with open(path, "w", encoding="ascii") as f:
+        f.write("metric L2 dim 1000000000000\n1 2 0.5\n")
+    (tmp_path / "frame_000009.feat.desc").write_bytes(b"\x00" * 7)
+    with pytest.raises(ValueError, match=re.escape(f"{path}.desc: expected 4000000000000 bytes, got 7")):
+        load_features(path)
