@@ -141,6 +141,13 @@ def cmd_train(config: RunConfig, args) -> int:
             + ", ".join(str(m) for m in missing)
             + " (run the pseudolabel command first)"
         )
+    os.makedirs(config.output_dir, exist_ok=True)
+    out_weights = os.path.join(config.output_dir, "trained.weights")
+    out_history = os.path.join(config.output_dir, "train_history.csv")
+    if os.path.exists(out_weights) and os.path.exists(out_history) and not args.force:
+        print(f"train: outputs exist, skipping (use --force to retrain) -> {out_weights}")
+        return 0
+
     samples = []
     for fid, frame_path in frames:
         image = data.read_frame(frame_path)
@@ -153,13 +160,6 @@ def cmd_train(config: RunConfig, args) -> int:
             x, y = label.points[outside][0]
             raise ValueError(f"{path}: point ({x}, {y}) outside the {h}x{w} frame")
         samples.append(train.TrainingSample(image, label))
-
-    os.makedirs(config.output_dir, exist_ok=True)
-    out_weights = os.path.join(config.output_dir, "trained.weights")
-    out_history = os.path.join(config.output_dir, "train_history.csv")
-    if os.path.exists(out_weights) and os.path.exists(out_history) and not args.force:
-        print(f"train: outputs exist, skipping (use --force to retrain) -> {out_weights}")
-        return 0
 
     checkpoint_dir = None
     if train_config.checkpoint_every > 0:

@@ -33,8 +33,6 @@ LABEL_THRESHOLD = 0.015
 LABEL_NMS_WINDOW = 9
 LABEL_MAX_POINTS = 600
 
-_FRAME_RE = re.compile(r"^frame_(\d{6})\.pgm$")
-
 
 class FrameError(Exception):
     """A frame or mask file could not be used; message names the file."""
@@ -121,7 +119,7 @@ def list_frames(directory):
     """Sorted (frame_id, path) pairs for every frame file in the directory."""
     out = []
     for name in os.listdir(directory):
-        m = _FRAME_RE.match(name)
+        m = re.fullmatch(r"frame_([0-9]{6})\.pgm", name)  # ASCII digits, whole name
         if m:
             out.append((int(m.group(1)), os.path.join(directory, name)))
     out.sort()

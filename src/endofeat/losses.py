@@ -14,7 +14,10 @@ Three building blocks and two compositions:
 * specular_pair_loss — pair_loss plus the weighted specularity losses of
   both views; with specularity_weight 0 it returns pair_loss unchanged.
 
-All functions return scalar Tensors and record onto the active GradTape.
+The building blocks return scalar Tensors; the two compositions return
+(loss, terms), the scalar loss Tensor and a tuple of its unweighted terms
+as floats (detection, descriptor[, specularity]), which training reports
+per iteration. Everything records onto the active GradTape.
 Frames, masks and loss coefficients are plain arrays: constants the tape
 does not differentiate. The cell layout (CELL, DUSTBIN) comes from the
 tensor module.
@@ -127,15 +130,16 @@ def pair_loss(
     label_b: PseudoLabel,
     correspondence: np.ndarray,
     config: LossConfig = LossConfig(),
-    terms_out: dict | None = None,
-) -> Tensor:
-    """Joint detection + description loss of a warped image pair."""
+) -> tuple[Tensor, tuple[float, float]]:
+    """Joint detection + description loss of a warped image pair.
+
+    Returns (loss, (detection, descriptor)): the loss Tensor and the values
+    of its two unweighted terms, the summed detection losses of both views
+    and the descriptor loss.
+    """
     det = T.add(detection_loss(heads_a.detect, label_a), detection_loss(heads_b.detect, label_b))
     desc = descriptor_loss(heads_a.describe, heads_b.describe, correspondence, config)
-    if terms_out is not None:
-        terms_out["detection"] = det.item()
-        terms_out["descriptor"] = desc.item()
-    return T.add(det, T.affine(desc, config.descriptor_weight, 0.0))
+    return T.add(det, T.affine(desc, config.descriptor_weight, 0.0)), (det.item(), desc.item())
 
 
 def specular_pair_loss(
@@ -147,22 +151,19 @@ def specular_pair_loss(
     label_b: PseudoLabel,
     correspondence: np.ndarray,
     config: LossConfig = LossConfig(),
-    terms_out: dict | None = None,
-) -> Tensor:
+) -> tuple[Tensor, tuple[float, float, float]]:
     """Pair loss plus highlight suppression on both views.
 
-    With specularity_weight == 0 this is exactly pair_loss: same graph,
-    same value, bit for bit.
+    Returns (loss, (detection, descriptor, specularity)): pair_loss's
+    terms and the summed unweighted specularity losses of both views. With
+    specularity_weight == 0 the loss is exactly pair_loss's (same graph,
+    same value, bit for bit) and the specularity term is 0.0.
     """
-    sp = pair_loss(heads_a, label_a, heads_b, label_b, correspondence, config, terms_out)
+    loss, terms = pair_loss(heads_a, label_a, heads_b, label_b, correspondence, config)
     if config.specularity_weight == 0:
-        if terms_out is not None:
-            terms_out["specularity"] = 0.0
-        return sp
+        return loss, (*terms, 0.0)
     spec = T.add(
         specularity_loss(heads_a.detect, image_a),
         specularity_loss(heads_b.detect, image_b),
     )
-    if terms_out is not None:
-        terms_out["specularity"] = spec.item()
-    return T.add(sp, T.affine(spec, config.specularity_weight, 0.0))
+    return T.add(loss, T.affine(spec, config.specularity_weight, 0.0)), (*terms, spec.item())

@@ -55,8 +55,8 @@ _CHUNK_ELEMENTS = 1 << 16
 def greedy_nms(scores: np.ndarray, threshold: float, window: int, max_points: int):
     """Greedy descending-score non-maximum suppression.
 
-    Candidates are pixels with score >= threshold, visited from highest
-    score down (ties by row then column ascending). A candidate is kept
+    Candidates are pixels with score >= threshold (finite), visited from
+    highest score down (ties by row then column ascending). A candidate is kept
     unless a previously kept point lies within r = (window-1)//2 pixels in
     Chebyshev distance. At most max_points (>= 1) points are kept.
     Returns (ys, xs, scores) in kept order.
@@ -87,6 +87,8 @@ def greedy_nms(scores: np.ndarray, threshold: float, window: int, max_points: in
         raise ValueError(f"window must be odd and positive, got {window}")
     if max_points < 1:
         raise ValueError(f"max_points must be at least 1, got {max_points}")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     scores = np.asarray(scores)
     if scores.ndim != 2:
         raise ValueError(f"scores must be a 2-D array, got shape {scores.shape}")
@@ -222,7 +224,7 @@ class DescriptorSet:
         if self.metric == METRIC_HAMMING:
             if v.dtype != np.uint8:
                 raise ValueError("Hamming descriptors must be packed uint8 rows")
-            if not 0 < self.bits <= v.shape[1] * 8:
+            if self.bits < 1 or (self.bits + 7) // 8 != v.shape[1]:
                 raise ValueError("bits must match the packed row width")
         elif v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):
             # min and max propagate NaN and reach +-inf, with no (N, D) temporary
@@ -254,16 +256,17 @@ class MatchSet:
 def detect_points(heat, mask, threshold: float, window: int, max_points: int):
     """Keypoint pixels of an H x W heatmap: (ys, xs, scores) from greedy_nms.
 
-    The heatmap is cast to float64 and zeroed outside the ROI mask (None
-    keeps every pixel) before thresholding, so no keypoint lands on an
-    excluded pixel. A mask must have the heatmap's shape.
+    The heatmap is cast to float64 and set to -inf outside the ROI mask
+    (None keeps every pixel) before thresholding, so no keypoint lands on
+    an excluded pixel at any threshold greedy_nms takes (a finite one),
+    zero and negative ones included. A mask must have the heatmap's shape.
     """
     heat = np.asarray(heat, dtype=np.float64)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != heat.shape:
             raise ValueError(f"mask shape {mask.shape} differs from heatmap shape {heat.shape}")
-        heat = heat * mask
+        heat = np.where(mask, heat, -np.inf)
     return greedy_nms(heat, threshold, window, max_points)
 
 
@@ -311,23 +314,23 @@ def match_mutual(da: DescriptorSet, db: DescriptorSet) -> MatchSet:
 
     The Gram matrix is float32 when both sides hold float32 rows, as every
     feature file loads, and float64 otherwise; the bound takes that
-    dtype's eps and tiny. Hamming rows are unpacked to 0/1 float32 values,
-    every packed bit including the padding, which float32 holds exactly:
-    the direct squared distance of two bit rows is their exact Hamming
-    distance, an integer.
+    dtype's eps and tiny. Hamming rows are unpacked to their first ``bits``
+    bits as 0/1 float32 values, which float32 holds exactly: the direct
+    squared distance of two bit rows is their exact Hamming distance, an
+    integer, and the padding bits of the last byte never count.
     """
     if da.metric != db.metric:
         raise ValueError(f"metric mismatch: {da.metric} vs {db.metric}")
     na, nb = len(da), len(db)
     if na == 0 or nb == 0:
         return MatchSet(np.empty((0, 2), np.int64), np.empty(0))
-    if da.vectors.shape[1] != db.vectors.shape[1]:
-        raise ValueError("descriptor widths differ")
+    if da.dim != db.dim:
+        raise ValueError(f"descriptor dims differ: {da.dim} vs {db.dim}")
 
     if da.metric == METRIC_HAMMING:
         # 0/1 bits are exact in float32, so Hamming takes the float32 Gram
-        a_rows = np.unpackbits(da.vectors, axis=1).astype(np.float32)
-        b_rows = np.unpackbits(db.vectors, axis=1).astype(np.float32)
+        a_rows = np.unpackbits(da.vectors, axis=1, count=da.bits).astype(np.float32)
+        b_rows = np.unpackbits(db.vectors, axis=1, count=db.bits).astype(np.float32)
     else:
         single = da.vectors.dtype == db.vectors.dtype == np.float32
         a_rows = da.vectors.astype(np.float32 if single else np.float64, copy=False)

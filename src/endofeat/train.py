@@ -136,7 +136,7 @@ def finetune(
         batch_rng = _iteration_rng(train_config.seed, it, 0)
         picks = batch_rng.integers(0, len(samples), size=train_config.batch_size)
         grads_acc = None  # the slots' summed gradients, one per params.tensors label
-        tot = det = desc = spec = 0.0
+        sums = (0.0, 0.0, 0.0, 0.0)  # total and the three terms, in IterationStats order
         for slot, sample_idx in enumerate(picks):
             sample = samples[int(sample_idx)]
             h_img, w_img = sample.image.shape
@@ -147,29 +147,25 @@ def finetune(
             warped_label = warp_label(sample.label, h_px, h_img, w_img)
             corr = correspondence_tensor(h_px, h_img, w_img)
 
-            terms: dict = {}
             with GradTape() as tape:
                 heads_a = network.forward(params, sample.image)
                 heads_b = network.forward(params, warped)
-                loss = losses.specular_pair_loss(
+                loss, terms = losses.specular_pair_loss(
                     sample.image, heads_a, sample.label, warped, heads_b, warped_label,
-                    corr, loss_config, terms,
+                    corr, loss_config,
                 )
                 scaled = T.affine(loss, 1.0 / train_config.batch_size, 0.0)
                 grads = backward(tape, scaled, params.tensors.values())
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingDivergedError(it, value)
-            tot += value / train_config.batch_size
-            det += terms["detection"] / train_config.batch_size
-            desc += terms["descriptor"] / train_config.batch_size
-            spec += terms["specularity"] / train_config.batch_size
+            sums = tuple(s + v / train_config.batch_size for s, v in zip(sums, (value, *terms)))
             grads_acc = grads if grads_acc is None else [acc + g for acc, g in zip(grads_acc, grads)]
 
-        if not np.isfinite(tot):
-            raise TrainingDivergedError(it, tot)
+        if not np.isfinite(sums[0]):
+            raise TrainingDivergedError(it, sums[0])
         params = adam_step(params, dict(zip(params.tensors, grads_acc)), state, train_config)
-        history.append(IterationStats(it, tot, det, desc, spec))
+        history.append(IterationStats(it, *sums))
         if (
             checkpoint_dir is not None
             and train_config.checkpoint_every > 0

@@ -175,7 +175,7 @@ def toy_pair_loss_case(size: int = 16, seed: int = 3):
         heads_b = network.forward(p, img_b)
         return losses.specular_pair_loss(
             img_a, heads_a, label_a, img_b, heads_b, label_b, corr, loss_config
-        )
+        )[0]
 
     return build, arrays
 

@@ -245,6 +245,26 @@ def test_eval_bad_steps_exits_2_before_reading_frames(tmp_path, capsys, setting)
     assert captured.out == "" and not ws["out"].exists()
 
 
+def test_train_rerun_skips_before_reading_frames(tmp_path, capsys, monkeypatch):
+    ws = make_workspace(tmp_path, n_frames=3)
+    assert run(ws, "pseudolabel") == 0
+    assert run(ws, "train") == 0
+    read_frame = data.read_frame
+    reads = []
+
+    def counting(*args, **kwargs):
+        reads.append(args[0])
+        return read_frame(*args, **kwargs)
+
+    monkeypatch.setattr(data, "read_frame", counting)
+    capsys.readouterr()
+    assert run(ws, "train") == 0
+    assert "train: outputs exist, skipping" in capsys.readouterr().out
+    assert reads == []
+    assert run(ws, "train", "--force") == 0
+    assert len(reads) == 3
+
+
 def test_train_label_outside_frame_names_file(tmp_path, capsys):
     ws = make_workspace(tmp_path, n_frames=2)
     assert run(ws, "pseudolabel") == 0

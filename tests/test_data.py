@@ -1,5 +1,6 @@
 """Frame IO, specular masks, pseudo-label generation and caching."""
 
+import os
 import re
 
 import numpy as np
@@ -115,6 +116,15 @@ def test_list_and_ingest_frames(tmp_path):
     # train and eval ingest a directory as read_frame over this list
     for _, path in frames:
         np.testing.assert_array_equal(read_frame(path), read_pgm(tmp_path / frame_name(0)))
+
+
+def test_list_frames_takes_only_ascii_digit_names(tmp_path):
+    img = rng(3).uniform(0, 1, (8, 8))
+    # neither Arabic-Indic digits nor a trailing newline may give a second frame 1
+    for name in (frame_name(1), "frame_\u0660\u0660\u0660\u0660\u0660\u0661.pgm", frame_name(1) + "\n"):
+        write_pgm(tmp_path / name, img)
+    assert len(os.listdir(tmp_path)) == 3
+    assert list_frames(tmp_path) == [(1, os.path.join(tmp_path, frame_name(1)))]
 
 
 def test_read_frame_errors_name_the_file(tmp_path):

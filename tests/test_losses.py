@@ -171,26 +171,22 @@ def _toy_pair(seed=31):
 def test_specular_weight_zero_collapses_to_pair_loss():
     img_a, heads_a, img_b, heads_b, label, corr = _toy_pair()
     cfg = LossConfig(specularity_weight=0.0)
-    plain = pair_loss(heads_a, label, heads_b, label, corr, cfg)
-    combined = specular_pair_loss(img_a, heads_a, label, img_b, heads_b, label, corr, cfg)
+    plain, plain_terms = pair_loss(heads_a, label, heads_b, label, corr, cfg)
+    combined, terms = specular_pair_loss(img_a, heads_a, label, img_b, heads_b, label, corr, cfg)
     assert combined.item() == plain.item()  # bit for bit
+    assert terms == (*plain_terms, 0.0)
 
 
 def test_specular_pair_loss_reports_terms():
     img_a, heads_a, img_b, heads_b, label, corr = _toy_pair()
     img_a = img_a.copy()
     img_a[0:2, 0:2] = 0.95  # guarantee some highlight pixels
-    terms = {}
     cfg = LossConfig()
-    total = specular_pair_loss(
-        img_a, heads_a, label, img_b, heads_b, label, corr, cfg, terms_out=terms
+    total, (det, desc, spec) = specular_pair_loss(
+        img_a, heads_a, label, img_b, heads_b, label, corr, cfg
     )
-    assert set(terms) == {"detection", "descriptor", "specularity"}
-    recombined = (
-        terms["detection"]
-        + cfg.descriptor_weight * terms["descriptor"]
-        + cfg.specularity_weight * terms["specularity"]
-    )
+    assert spec > 0
+    recombined = det + cfg.descriptor_weight * desc + cfg.specularity_weight * spec
     assert abs(total.item() - recombined) < 1e-12
 
 

@@ -57,6 +57,9 @@ def test_greedy_nms_validation_and_empty():
     for cap in (0, -3):
         with pytest.raises(ValueError, match="max_points"):
             greedy_nms(np.ones((4, 4)), 0.5, 3, max_points=cap)
+    for threshold in (-np.inf, np.inf, np.nan):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            greedy_nms(np.ones((4, 4)), threshold, 3, 1)
     ys, xs, vs = greedy_nms(np.zeros((4, 4)), 0.1, 3, 1)
     assert ys.size == xs.size == vs.size == 0
 
@@ -196,6 +199,22 @@ def test_detect_points_masks_then_suppresses(dtype):
         np.testing.assert_array_equal(g, w)
 
 
+def test_detect_points_mask_holds_at_zero_and_negative_thresholds():
+    heat = rng(69).uniform(0, 1, (16, 16))
+    heat[::3] = 0.0
+    mask = np.zeros((16, 16), bool)
+    mask[4:12, 4:12] = True
+    for threshold in (0.0, -0.1):
+        ys, xs, _ = detect_points(heat, mask, threshold, 3, 256)
+        assert len(ys) and mask[ys, xs].all()
+        ys, xs, _ = detect_points(heat, mask, threshold, 1, 256)
+        assert len(ys) == 64 and mask[ys, xs].all()
+    # a positive threshold keeps what the zeroed map gave
+    got = detect_points(heat, mask, 0.015, 3, 256)
+    for g, w in zip(got, greedy_nms(heat * mask, 0.015, 3, 256)):
+        np.testing.assert_array_equal(g, w)
+
+
 def test_detect_points_rejects_mask_of_another_shape():
     heat = rng(50).uniform(0, 1, (16, 16))
     for shape in ((1, 16), (16, 1), (16, 17), (256,)):
@@ -241,12 +260,11 @@ def _direct_sq(a, b):
 def _mutual_oracle(da, db):
     na, nb = len(da), len(db)
     if da.metric == METRIC_HAMMING:
-        bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
-        dist = np.array(
-            [[bits[np.bitwise_xor(da.vectors[i], db.vectors[j])].sum() for j in range(nb)]
-             for i in range(na)],
-            dtype=np.float64,
-        )
+        # only the first `bits` bits of a row count, not the last byte's padding
+        a = np.unpackbits(da.vectors, axis=1, count=da.bits)
+        b = np.unpackbits(db.vectors, axis=1, count=db.bits)
+        dist = np.array([np.count_nonzero(a[i] != b, axis=1) for i in range(na)], np.float64)
+        dist = dist.reshape(na, nb)
     else:
         dist = _direct_sq(da.vectors, db.vectors)
     best_b = dist.argmin(axis=1)
@@ -283,6 +301,15 @@ def test_match_mutual_hamming_matches_oracle(seed):
     pairs, dists = _mutual_oracle(da, db)
     np.testing.assert_array_equal(got.pairs, pairs)
     np.testing.assert_array_equal(got.distances, dists)
+
+
+def test_match_mutual_hamming_ignores_padding_bits():
+    # 4-bit descriptors fill the high nibble of their byte; the low nibble is padding
+    query = DescriptorSet(np.array([[0b1010_0000]], np.uint8), METRIC_HAMMING, bits=4)
+    rows = np.array([[0b1011_0000], [0b1010_1111]], np.uint8)  # 1 bit away; equal, padding set
+    got = match_mutual(query, DescriptorSet(rows, METRIC_HAMMING, bits=4))
+    np.testing.assert_array_equal(got.pairs, [[0, 1]])
+    np.testing.assert_array_equal(got.distances, [0.0])
 
 
 def _assert_matches_oracle(da, db):
@@ -577,8 +604,10 @@ def test_match_mutual_validation_and_empty():
     ham = DescriptorSet(np.zeros((2, 1), np.uint8), METRIC_HAMMING, bits=8)
     with pytest.raises(ValueError, match="metric"):
         match_mutual(l2, ham)
-    with pytest.raises(ValueError, match="width"):
+    with pytest.raises(ValueError, match="dims differ: 4 vs 3"):
         match_mutual(l2, DescriptorSet(np.zeros((2, 3), np.float32)))
+    with pytest.raises(ValueError, match="dims differ: 8 vs 5"):
+        match_mutual(ham, DescriptorSet(np.zeros((2, 1), np.uint8), METRIC_HAMMING, bits=5))
     out = match_mutual(l2, DescriptorSet(np.empty((0, 4), np.float32)))
     assert len(out) == 0
 
@@ -588,8 +617,9 @@ def test_descriptor_set_validation():
         DescriptorSet(np.zeros((1, 2)), "COSINE")
     with pytest.raises(ValueError, match="uint8"):
         DescriptorSet(np.zeros((1, 2)), METRIC_HAMMING, bits=16)
-    with pytest.raises(ValueError, match="bits"):
-        DescriptorSet(np.zeros((1, 2), np.uint8), METRIC_HAMMING, bits=17)
+    for width, bits in ((2, 17), (5, 1), (2, 8), (1, 0)):
+        with pytest.raises(ValueError, match="bits must match the packed row width"):
+            DescriptorSet(np.zeros((1, width), np.uint8), METRIC_HAMMING, bits=bits)
     with pytest.raises(ValueError, match="equal length"):
         KeypointSet(np.zeros((2, 2)), np.zeros(3))
     with pytest.raises(ValueError, match="row 1 holds NaN or inf"):

@@ -176,7 +176,7 @@ def test_a_replayed_slot_retains_only_its_gradients():
         with GradTape() as tape:
             heads_a = network.forward(params, img_a)
             heads_b = network.forward(params, img_b)
-            loss = losses.specular_pair_loss(img_a, heads_a, label, img_b, heads_b, label, corr)
+            loss, _ = losses.specular_pair_loss(img_a, heads_a, label, img_b, heads_b, label, corr)
         return tape, backward(tape, loss, params.tensors.values())
 
     tracemalloc.start()
@@ -387,7 +387,7 @@ def test_a_training_slot_never_differentiates_the_frames(monkeypatch):
     with GradTape() as tape:
         heads_a = network.forward(params, img_a)
         heads_b = network.forward(params, img_b)
-        loss = losses.specular_pair_loss(img_a, heads_a, label, img_b, heads_b, label, corr)
+        loss, _ = losses.specular_pair_loss(img_a, heads_a, label, img_b, heads_b, label, corr)
     correlate = T._correlate
     calls = []
 
