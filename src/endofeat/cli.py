@@ -70,41 +70,45 @@ def _run_frames(command, config: RunConfig, args, out_dir, out_path, suffixes, s
     `config.jobs` threads, with out = out_path(out_dir, frame_id).
 
     A frame whose `out + suffix` files all exist is skipped unless --force;
-    a failing frame is logged and the rest go on. Prints one summary line
-    and returns 1 when any frame failed, else 0.
+    the weights and ROI mask are loaded only when a frame is left to
+    compute. A failing frame is logged and the rest go on. Prints one
+    summary line and returns 1 when any frame failed, else 0.
     """
     frames = _frame_list(config)
-    params = _load_weights(config)
-    mask = None
-    if config.mask_path:
-        mask = data.load_roi_mask(_require_file(config.mask_path, "mask file"))
+    todo = [
+        (frame_id, path)
+        for frame_id, path in frames
+        if args.force
+        or not all(os.path.exists(out_path(out_dir, frame_id) + s) for s in suffixes)
+    ]
+    params = mask = None
+    if todo:
+        params = _load_weights(config)
+        if config.mask_path:
+            mask = data.load_roi_mask(_require_file(config.mask_path, "mask file"))
     os.makedirs(out_dir, exist_ok=True)
 
     def work(item):
         frame_id, path = item
-        out = out_path(out_dir, frame_id)
-        if not args.force and all(os.path.exists(out + s) for s in suffixes):
-            return "skip", ""
         try:
-            step(params, data.read_frame(path, mask), mask, frame_id, out)
+            step(params, data.read_frame(path, mask), mask, frame_id, out_path(out_dir, frame_id))
         except Exception as exc:  # log per-frame failures, keep going
-            return "fail", f"{command}: frame {frame_id} failed: {exc}"
-        return "ok", ""
+            return f"{command}: frame {frame_id} failed: {exc}"
+        return None
 
-    if config.jobs > 1 and len(frames) > 1:
+    if config.jobs > 1 and len(todo) > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(work, frames))
+            results = list(pool.map(work, todo))
     else:
-        results = [work(item) for item in frames]
-    statuses = [status for status, _ in results]
-    for status, message in results:
-        if status == "fail":
-            _warn(message)
+        results = [work(item) for item in todo]
+    failures = [message for message in results if message is not None]
+    for message in failures:
+        _warn(message)
     print(
-        f"{command}: wrote {statuses.count('ok')}, skipped {statuses.count('skip')},"
-        f" failed {statuses.count('fail')} -> {out_dir}"
+        f"{command}: wrote {len(todo) - len(failures)}, skipped {len(frames) - len(todo)},"
+        f" failed {len(failures)} -> {out_dir}"
     )
-    return 1 if "fail" in statuses else 0
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +136,6 @@ def cmd_train(config: RunConfig, args) -> int:
     train_config = runcfg.train_config(config)
     loss_config = runcfg.loss_config(config)
     frames = _frame_list(config)
-    params = _load_weights(config)
     label_dir = runcfg.labels_dir(config)
     missing = [fid for fid, _ in frames if not os.path.isfile(data.label_path(label_dir, fid))]
     if missing:
@@ -148,6 +151,7 @@ def cmd_train(config: RunConfig, args) -> int:
         print(f"train: outputs exist, skipping (use --force to retrain) -> {out_weights}")
         return 0
 
+    params = _load_weights(config)
     samples = []
     for fid, frame_path in frames:
         image = data.read_frame(frame_path)

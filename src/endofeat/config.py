@@ -112,16 +112,16 @@ _HINTS = typing.get_type_hints(RunConfig)
 
 
 def _convert(kind, key: str, raw: str):
+    if kind is str:
+        return raw
+    if kind not in (int, float):
+        raise ConfigError(f"key {key!r} has unsupported type {kind!r}")
+    if not raw.isascii() or "_" in raw:  # int() and float() read '1_0' and '١٠' as 10
+        raise ConfigError(f"key {key!r}: {raw!r} is not a number in ASCII without '_'")
     try:
-        if kind is str:
-            return raw
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: {exc}") from None
-    raise ConfigError(f"key {key!r} has unsupported type {kind!r}")
 
 
 def parse_value(key: str, raw: str):

@@ -25,11 +25,11 @@ or BLAS routine on each member that a single call would, so a block
 walked in iteration order gives the serial loop's result bit for bit.
 
 Samples are drawn in chunks of up to _CHUNK hypotheses by _draw_samples,
-a lane-vectorised copy of numpy's (seed, iteration) -> sample mapping
-that equals _hypothesis_rng(seed, it).choice bit for bit. numpy's own call
-draws a lane that may take a Lemire rejection and any input outside the
-lane model, and every draw once a first-use self-check finds this numpy
-drawing differently.
+one array lane per hypothesis. The (seed, iteration) -> sample mapping is
+this module's own arithmetic: numpy 2.4's
+Generator(Philox(SeedSequence((seed, it)))).choice(n, s, replace=False)
+spelled out, Lemire rejections included, so it calls no numpy generator
+and a numpy release that changes that stream moves no sample.
 """
 
 from __future__ import annotations
@@ -407,16 +407,11 @@ def _canonical_order(matches) -> np.ndarray:
     return np.lexsort((pairs[:, 1], pairs[:, 0]))
 
 
-def _hypothesis_rng(seed: int, iteration: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, iteration))))
-
-
-# numpy's draw of _hypothesis_rng(seed, it).choice(n, s, replace=False), one
-# lane per iteration: the SeedSequence pool hash, Philox4x64-10 (Salmon et al.,
+# numpy's Generator(Philox(SeedSequence((seed, it)))).choice(n, s, replace=False),
+# one lane per iteration: the SeedSequence pool hash, Philox4x64-10 (Salmon et al.,
 # SC'11) from counter 1, and Floyd's sampling plus a Fisher-Yates shuffle, both
 # on Lemire's bounded integers (arXiv:1805.10941) over the next_uint32 stream.
 _M32 = 0xFFFFFFFF
-_MAX_LANE_SAMPLE = 8  # RANSAC draws 4 or 8; numpy's choice runs Floyd for these at any n
 
 
 # SeedSequence's running hash constants, one per hashmix call: A for the 4
@@ -469,81 +464,57 @@ def _philox_blocks(keys: np.ndarray, blocks: int) -> np.ndarray:
     return out.transpose(1, 0, 2).reshape(4 * blocks, lanes)
 
 
-def _lane_draws(seed: int, first: int, count: int, n: int, s: int):
-    """(samples (count, s), unsure (count,)) for iterations first .. first+count-1.
+def _lane_draws(seed: int, first: int, count: int, n: int, s: int) -> np.ndarray:
+    """The (count, s) samples of iterations first .. first+count-1, one lane each.
 
-    A lane is unsure when one of its Lemire draws may be rejected, which
-    would shift its stream; its sample may then differ from numpy's."""
-    its = np.arange(first, first + count).astype(np.uint32)
-    words = _philox_blocks(_philox_keys(seed, its), (s + 3) // 4)  # 2s-1 uint32 draws
-    halves = np.stack([words & _M32, words >> 32], axis=1).reshape(-1, count)
+    Draw k of a lane has range r_k: n-s+1 .. n for Floyd, then s .. 2 for
+    the shuffle. Lemire's method maps the lane's next uint32 word w to
+    (w * r_k) >> 32, and rejects w when the low word of w * r_k is below
+    (2^32 - r_k) % r_k; the draw then takes the following word, and so does
+    every later draw of that lane. A range of 1 (Floyd's j = 0 when n == s)
+    takes no word."""
+    keys = _philox_keys(seed, np.arange(first, first + count).astype(np.uint32))
     ranges = np.array([*range(n - s + 1, n + 1), *range(s, 1, -1)], np.uint64)[:, None]
-    m = halves[: 2 * s - 1] * ranges
+    limits = (2**32 - ranges) % ranges
+    # each draw's word index, shared by every lane until one rejects
+    rows = np.maximum(np.cumsum(ranges > 1) - 1, 0)[:, None]
+    lanes = np.arange(count)
+    blocks = 0
+    while True:  # until no draw is rejected, shift each lane past its first rejection
+        if rows[-1].max() >= 8 * blocks:  # a lane past its words: one more Philox block
+            blocks = int(rows[-1].max()) // 8 + 1
+            words = _philox_blocks(keys, blocks)
+            halves = np.stack([words & _M32, words >> 32], axis=1).reshape(-1, count)
+        m = halves[rows, lanes] * ranges
+        rejected = (m & _M32) < limits
+        if not rejected.any():
+            break
+        rows = rows + np.logical_or.accumulate(rejected, axis=0)
     draws = (m >> 32).astype(np.int64)
-    unsure = ((m & _M32) < ranges).any(axis=0)
     picks = np.empty((s, count), np.int64)
     for k in range(s):  # Floyd: a value already taken gives way to j
         taken = (picks[:k] == draws[k]).any(axis=0)
         picks[k] = np.where(taken, n - s + k, draws[k])
-    lanes = np.arange(count)
     for k, i in enumerate(range(s - 1, 0, -1)):
         j = draws[s + k]
         swap = picks[j, lanes]
         picks[j, lanes] = picks[i]
         picks[i] = swap
-    return picks.T, unsure
-
-
-def _numpy_draws(seed, iterations, n: int, s: int) -> np.ndarray:
-    return np.array(
-        [_hypothesis_rng(seed, it).choice(n, size=s, replace=False) for it in iterations],
-        np.int64,
-    ).reshape(len(iterations), s)
-
-
-_SELF_CHECK = (  # (seed, first, count, n, s); small n makes Floyd collide
-    (0, 0, 8, 5, 4),
-    (3, 250, 8, 1000, 4),
-    (12345, 7, 8, 9, 8),
-    (2**32 - 1, 2**32 - 8, 8, 200000, 5),
-    (99, 4096, 8, 37, 8),
-)
-_lane_draws_ok: bool | None = None  # set by the first self-check
-
-
-def _lane_draws_checked() -> bool:
-    """Whether _lane_draws matches this numpy; checked once, at first use."""
-    global _lane_draws_ok
-    if _lane_draws_ok is None:
-        ok = True
-        for seed, first, count, n, s in _SELF_CHECK:
-            picks, unsure = _lane_draws(seed, first, count, n, s)
-            want = _numpy_draws(seed, range(first, first + count), n, s)
-            ok = ok and np.array_equal(picks[~unsure], want[~unsure])
-        _lane_draws_ok = ok
-    return _lane_draws_ok
+    return picks.T
 
 
 def _draw_samples(seed: int, first: int, count: int, n: int, s: int) -> np.ndarray:
-    """The (count, s) int64 samples _hypothesis_rng(seed, it).choice(n, s,
-    replace=False) for it in [first, first + count), bit for bit.
+    """The (count, s) int64 samples of iterations first .. first+count-1.
 
-    Lanes are drawn together by _lane_draws. numpy's own call draws an unsure
-    lane, and the whole chunk when the inputs lie outside the lane model
-    (so numpy's errors surface unchanged) or when the first-use self-check
-    found this numpy to draw differently."""
-    lane_model = (
-        isinstance(seed, (int, np.integer))
-        and 0 <= seed <= _M32
-        and 0 <= first < first + count <= _M32 + 1
-        and 1 <= s <= _MAX_LANE_SAMPLE
-        and s < n < 2**31
-    )
-    if not (lane_model and _lane_draws_checked()):
-        return _numpy_draws(seed, range(first, first + count), n, s)
-    picks, unsure = _lane_draws(seed, first, count, n, s)
-    picks[unsure] = _numpy_draws(seed, (first + np.flatnonzero(unsure)).tolist(), n, s)
-    return picks
+    Iteration it draws numpy 2.4's
+    Generator(Philox(SeedSequence((seed, it)))).choice(n, s, replace=False),
+    bit for bit, computed by _lane_draws. That holds for iterations below
+    2^32 and 1 <= s <= n <= 2^32 where numpy samples by Floyd's method (any
+    s at n <= 10000, s <= n // 50 above; RANSAC draws 4 or 8). Only the
+    seed is checked: evaluate_pairs derives it as one uint32 word."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _M32:
+        raise ValueError(f"RANSAC seed must be an integer in [0, 2**32), got {seed!r}")
+    return _lane_draws(seed, first, count, n, s)
 
 
 def _adaptive_bound(inlier_ratio: float, sample_size: int, confidence: float) -> int:
@@ -585,7 +556,7 @@ def _ransac(
     walked in iteration order with the serial best/bound update; those
     past the bound are discarded and not counted. The result equals the
     one-hypothesis-at-a-time loop bit for bit: iteration it still gets the
-    sample of _hypothesis_rng(seed, it), each LAPACK and BLAS call of a
+    sample _draw_samples gives it, each LAPACK and BLAS call of a
     stacked fit or residual pass works on one model exactly as a single
     fit does, the winner's flags are its row of the block's residual
     pass, and the refit is a B=1 call of the same kernels.

@@ -37,9 +37,11 @@ def grid_coverage(points, height: int, width: int) -> float:
     """Percent of the 16x16 grid cells holding at least one point.
 
     Cells are height//16 by width//16 pixels; the last row/column of
-    cells absorbs any remainder.
+    cells absorbs any remainder. Raises ValueError for a point outside
+    [0, width) x [0, height).
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    _require_in_frame(points, height, width, "point")
     if points.shape[0] == 0:
         return 0.0
     cell_h = max(1, height // GRID)
@@ -157,7 +159,8 @@ def evaluate_pairs(
     """
     frame_ids = sorted(features)
     for fid in frame_ids:
-        _check_in_frame(fid, features[fid][0], *specular_masks[fid].shape)
+        points = features[fid][0].points
+        _require_in_frame(points, *specular_masks[fid].shape, f"frame {fid}: keypoint")
     if models == "auto":
         models = ("H",) if step <= 1 else ("E", "F") if intrinsics is not None else ("F",)
     evaluations = []
@@ -216,15 +219,13 @@ def _inlier_coverage(kp_a: KeypointSet, matches: MatchSet, flags, height: int, w
     return grid_coverage(kp_a.points[matches.pairs[flags, 0]], height, width)
 
 
-def _check_in_frame(frame_id: int, kp: KeypointSet, height: int, width: int) -> None:
-    x, y = kp.points[:, 0], kp.points[:, 1]
+def _require_in_frame(points: np.ndarray, height: int, width: int, what: str) -> None:
+    """ValueError naming the first of the (N, 2) points outside [0, width) x [0, height)."""
+    x, y = points[:, 0], points[:, 1]
     inside = (x >= 0) & (x < width) & (y >= 0) & (y < height)
     if not inside.all():
-        bx, by = kp.points[int(np.argmin(inside))]
-        raise ValueError(
-            f"frame {frame_id}: keypoint ({fmt(bx)}, {fmt(by)}) lies outside the "
-            f"{width}x{height} image"
-        )
+        bx, by = points[int(np.argmin(inside))]
+        raise ValueError(f"{what} ({fmt(bx)}, {fmt(by)}) lies outside the {width}x{height} image")
 
 
 @dataclass

@@ -496,6 +496,18 @@ def oracle_epipolar_distances(f, pts_a, pts_b):
     return np.maximum(dist(val, lines_b), dist(val, lines_a))
 
 
+def hypothesis_rng(seed: int, iteration: int) -> np.random.Generator:
+    """numpy's own generator for RANSAC hypothesis `iteration` under `seed`."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, iteration))))
+
+
+def numpy_samples(seed, first, count, n, s):
+    """numpy's choice(n, s, replace=False) for iterations first .. first+count-1:
+    the samples geometry._draw_samples must give, bit for bit."""
+    return [hypothesis_rng(seed, it).choice(n, size=s, replace=False)
+            for it in range(first, first + count)]
+
+
 def oracle_ransac(matches, kp_a, kp_b, sample_size, fit, residuals, threshold, confidence, seed):
     n = len(matches)
 
@@ -514,8 +526,7 @@ def oracle_ransac(matches, kp_a, kp_b, sample_size, fit, residuals, threshold, c
     bound = geometry.RANSAC_MAX_ITERATIONS
     it = 0
     while it < bound:
-        rng = geometry._hypothesis_rng(seed, it)
-        pick = rng.choice(n, size=sample_size, replace=False)
+        pick = hypothesis_rng(seed, it).choice(n, size=sample_size, replace=False)
         model = fit(ca[pick], cb[pick])
         it += 1
         if model is None:

@@ -265,6 +265,26 @@ def test_train_rerun_skips_before_reading_frames(tmp_path, capsys, monkeypatch):
     assert len(reads) == 3
 
 
+@pytest.mark.parametrize(
+    "command, skip_line",
+    [("train", "train: outputs exist, skipping"), ("detect", "detect: wrote 0, skipped 2, failed 0")],
+)
+def test_rerun_skips_before_loading_weights(tmp_path, capsys, monkeypatch, command, skip_line):
+    ws = make_workspace(tmp_path, n_frames=2)
+    assert run(ws, "pseudolabel") == 0
+    assert run(ws, command) == 0
+    os.remove(ws["weights"])
+    loads = []
+    monkeypatch.setattr(network, "load_weights", loads.append)
+    capsys.readouterr()
+    assert run(ws, command) == 0
+    assert skip_line in capsys.readouterr().out
+    assert loads == []
+    assert run(ws, command, "--force") == 2
+    assert "weights file not found" in capsys.readouterr().err
+    assert loads == []
+
+
 def test_train_label_outside_frame_names_file(tmp_path, capsys):
     ws = make_workspace(tmp_path, n_frames=2)
     assert run(ws, "pseudolabel") == 0

@@ -110,6 +110,24 @@ def test_parse_value_tuple_and_scalar():
         parse_value("steps", "1,x")
 
 
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("seed", "1_0"),  # int() reads it as 10
+        ("max_features", "\u0661\u0660"),  # Arabic-Indic digits: 10
+        ("steps", "1_0, \u0662"),  # tuple elements: (10, 2)
+        ("learning_rate", "1_0.5"),
+        ("ransac_threshold_px", "\uff13"),  # fullwidth 3
+    ],
+)
+def test_numbers_are_ascii_without_underscores(key, raw):
+    with pytest.raises(ConfigError, match=f"key '{key}': .* is not a number in ASCII without '_'"):
+        parse_value(key, raw)
+    with pytest.raises(ConfigError, match=f"override '{key}="):
+        apply_overrides(RunConfig(), [f"{key}={raw}"])
+    assert parse_value("output_dir", raw) == raw  # paths keep any text
+
+
 def test_load_config_and_missing_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 5\n")

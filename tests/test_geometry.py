@@ -36,6 +36,8 @@ from endofeat.geometry import (
 from endofeat.homography import HomographyConfig, sample_homography, to_pixel_frame, warp_points
 from endofeat.matching import KeypointSet, MatchSet
 from helpers import (
+    hypothesis_rng,
+    numpy_samples,
     oracle_epipolar_distances,
     oracle_estimate,
     oracle_fit_fundamental,
@@ -291,7 +293,7 @@ def test_ransac_refit_collapse_keeps_sampled_model():
     res = estimate_homography_ransac(matches, kp_a, kp_b, threshold_px=20.0, seed=3)
     assert res.success and res.reason == "" and res.iterations == 220
     # the winner is hypothesis 123, returned as sampled with its own flags
-    pick = geometry._hypothesis_rng(3, 123).choice(20, size=4, replace=False)
+    pick = hypothesis_rng(3, 123).choice(20, size=4, replace=False)
     sampled = geometry._fit_one(geometry._fit_homography_stack, pts_a[pick], pts_b[pick])
     assert res.model.tobytes() == sampled.tobytes()
     flags = geometry._homography_distances_stack(sampled[None], pts_a, pts_b)[0] <= 20.0
@@ -413,7 +415,7 @@ def test_block_ransac_linalg_fallbacks_match_serial_oracle():
     assert want.success and want.iterations > 32
     skipped = [
         it for it in range(want.iterations)
-        if 0 in geometry._hypothesis_rng(7, it).choice(50, size=4, replace=False)
+        if 0 in hypothesis_rng(7, it).choice(50, size=4, replace=False)
     ]
     assert skipped  # the poisoned path was taken
     _assert_same_result(got, want)
@@ -433,71 +435,57 @@ def test_ransac_across_draw_chunks_matches_serial_oracle(tag):
     _assert_same_result(_estimate(tag, matches, kp_a, kp_b, k, geometry.RANSAC_CONFIDENCE, 1), want)
 
 
-def _numpy_samples(seed, first, count, n, s):
-    return [geometry._hypothesis_rng(seed, it).choice(n, size=s, replace=False)
-            for it in range(first, first + count)]
-
-
 @settings(deadline=None, max_examples=300)
 @given(
     seed=st.integers(0, 2**32 - 1),
     first=st.integers(0, 10**4),
     count=st.integers(1, 40),
     s=st.sampled_from([4, 5, 8]),
-    extra=st.integers(1, 2 * 10**5 - 8),
+    extra=st.one_of(st.integers(0, 2 * 10**5), st.integers(2**30, 2**32 - 9)),
 )
+@example(seed=0, first=0, count=40, s=8, extra=0)  # n == s: Floyd's first range is 1
 @example(seed=0, first=0, count=40, s=8, extra=1)  # n == s + 1: Floyd often takes j
+@example(seed=5, first=0, count=40, s=4, extra=3 * 2**30)  # most lanes reject a draw
 def test_draw_samples_equal_numpy_choice(seed, first, count, s, extra):
+    # at n in [2**30, 2**32) over half the lanes reject a draw; below 2**17 almost none do
     n = s + extra
     got = geometry._draw_samples(seed, first, count, n, s)
     assert got.dtype == np.int64 and got.shape == (count, s)
-    assert got.tolist() == [p.tolist() for p in _numpy_samples(seed, first, count, n, s)]
+    assert got.tolist() == [p.tolist() for p in numpy_samples(seed, first, count, n, s)]
+
+
+def test_draw_samples_two_rejections_take_a_second_philox_block():
+    # Iteration 2 of seed 0 rejects two of its seven draws at this n, so numpy
+    # reads 9 uint32 words: the first of them from a second Philox block.
+    n = 3 * 2**30 + 7
+    rng2 = hypothesis_rng(0, 2)
+    rng2.choice(n, size=4, replace=False)
+    state = rng2.bit_generator.state
+    assert (state["state"]["counter"][0], state["buffer_pos"], state["has_uint32"]) == (2, 1, 1)
+    got = geometry._draw_samples(0, 0, 8, n, 4)
+    assert got.tolist() == [p.tolist() for p in numpy_samples(0, 0, 8, n, 4)]
 
 
 @pytest.mark.parametrize(
     "seed, first, n, s",
     [
-        (7, 0, 2**31 - 1, 8),  # lane model; about half the lanes redraw through numpy
-        (7, 0, 2**31, 4),  # n past the lane model
-        (2**32, 5, 1000, 4),  # seed of two uint32 words
-        (3, 2**32 - 2, 1000, 4),  # iterations cross 2**32
+        (7, 0, 2**31 - 1, 8),
+        (7, 0, 2**31, 4),
         (3, 0, 4, 4),  # n == s: a permutation
-        (3, 0, 20, 9),  # s past the lane model
-        (3, 0, 10, 0),  # empty samples
+        (3, 0, 20, 9),  # s past 8, still Floyd's method
     ],
 )
 def test_draw_samples_fallbacks_equal_numpy_choice(seed, first, n, s):
+    # inputs that numpy's own call once drew in place of the lanes
     got = geometry._draw_samples(seed, first, 6, n, s)
-    want = np.array(_numpy_samples(seed, first, 6, n, s), np.int64).reshape(6, s)
+    want = np.array(numpy_samples(seed, first, 6, n, s), np.int64)
     assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
-    if n == 2**31 - 1:
-        assert geometry._lane_draws(seed, first, 6, n, s)[1].any()
 
 
-def test_draw_samples_pass_numpy_errors_through():
-    for seed in (-1, 2.5):
-        with pytest.raises((ValueError, TypeError)) as want:
-            geometry._hypothesis_rng(seed, 0)
-        with pytest.raises(want.type, match=re.escape(str(want.value))):
-            geometry._draw_samples(seed, 0, 3, 100, 4)
-    with pytest.raises(ValueError, match="larger sample than population"):
-        geometry._draw_samples(0, 0, 3, 3, 4)
-
-
-def test_draw_samples_self_check_failure_falls_back_to_numpy(monkeypatch):
-    monkeypatch.setattr(geometry, "_lane_draws_ok", None)
-    assert geometry._lane_draws_checked()
-    lane_draws = geometry._lane_draws
-
-    def off_by_one(seed, first, count, n, s):
-        picks, unsure = lane_draws(seed, first, count, n, s)
-        return (picks + 1) % n, unsure
-
-    monkeypatch.setattr(geometry, "_lane_draws", off_by_one)
-    monkeypatch.setattr(geometry, "_lane_draws_ok", None)
-    got = geometry._draw_samples(11, 40, 32, 500, 8)
-    assert geometry._lane_draws_ok is False
-    assert got.tolist() == [p.tolist() for p in _numpy_samples(11, 40, 32, 500, 8)]
+@pytest.mark.parametrize("seed", [-1, 2.5, 2**32])
+def test_draw_samples_reject_seeds_outside_uint32(seed):
+    with pytest.raises(ValueError, match=re.escape("RANSAC seed must be an integer in [0, 2**32)")):
+        geometry._draw_samples(seed, 0, 3, 100, 4)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -48,6 +48,17 @@ def test_grid_coverage_absorbs_remainder():
     assert grid_coverage([[69.0, 69.0]], 70, 70) == grid_coverage([[63.0, 63.0]], 70, 70)
 
 
+@pytest.mark.parametrize(
+    "point", [[-1.0, 16.0], [0.0, -20.0], [256.0, 0.0], [3.0, 256.0], [np.nan, 5.0]]
+)
+def test_grid_coverage_rejects_points_outside_the_frame(point):
+    # [-1, 16] would share cell (0, 15) with [255, 0]; [0, -20] would count a
+    # cell that does not exist
+    with pytest.raises(ValueError, match=r"point \(.*\) lies outside the 256x256 image"):
+        grid_coverage([[10.0, 10.0], point], 256, 256)
+    assert grid_coverage([[255.0, 0.0]], 256, 256) == 100.0 / 256
+
+
 # --- rotation error --------------------------------------------------------
 
 
@@ -167,6 +178,26 @@ def test_evaluate_pairs_essential_with_pose():
     assert "pGT" in ev.inliers and ev.inliers["pGT"] == 70
     assert ev.rotation_error_deg is not None and ev.rotation_error_deg < 1e-4
     assert ev.pose_failure == ""
+
+
+def test_evaluate_pairs_builds_no_numpy_generator(monkeypatch):
+    # RANSAC samples are geometry's own arithmetic, so a numpy release that
+    # changes Generator.choice's stream cannot move them
+    pts_a, pts_b, pose, k = random_two_view_scene(n_points=70, seed=101, rotation_deg=12.0)
+    desc = rng(102).normal(size=(70, 16)).astype(np.float32)
+    features = {
+        0: (KeypointSet(pts_a, np.zeros(70), 0), DescriptorSet(desc)),
+        1: (KeypointSet(pts_b, np.zeros(70), 1), DescriptorSet(desc)),
+    }
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("built a numpy Generator")
+
+    monkeypatch.setattr(np.random, "Generator", no_generator)
+    evals, _ = evaluate_pairs(
+        features, 1, _masks(features, (480, 640)), intrinsics=k, models=("H", "F", "E"), seed=5
+    )
+    assert set(evals[0].inliers) == {"H", "F", "E"} and evals[0].inliers["E"] == 70
 
 
 def test_evaluate_pairs_ablation_uses_primary_flags():
