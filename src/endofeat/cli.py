@@ -241,17 +241,20 @@ def cmd_eval(config: RunConfig, args) -> int:
     for method in methods:
         by_step = {}
         for step in config.steps:
-            evaluations, _ = metrics.evaluate_pairs(
-                features_by_method[method],
-                step,
-                specular_masks,
-                poses,
-                intrinsics,
-                tags,
-                config.ransac_confidence,
-                config.ransac_threshold_px,
-                config.seed,
-            )
+            try:
+                evaluations, _ = metrics.evaluate_pairs(
+                    features_by_method[method],
+                    step,
+                    specular_masks,
+                    poses,
+                    intrinsics,
+                    tags,
+                    config.ransac_confidence,
+                    config.ransac_threshold_px,
+                    config.seed,
+                )
+            except ValueError as exc:
+                raise ValueError(f"method {method!r}: {exc}") from exc
             if not evaluations:
                 raise ConfigError(f"step {step} leaves no frame pairs to evaluate")
             by_step[step] = evaluations

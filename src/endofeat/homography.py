@@ -150,12 +150,13 @@ def warp_image(image: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def correspondence_tensor(h: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Binary cell-correspondence tensor for a pixel-frame homography.
+    """Target cell of every source cell under a pixel-frame homography.
 
-    Shape (Hc, Wc, Hc, Wc) with Hc = height/8, Wc = width/8. Entry
-    [i, j, k, l] is 1 when the center of source cell (i, j), mapped through
-    h, lies within 8 pixels of the center of target cell (k, l). Each
-    source cell keeps only its nearest target (row-major on exact ties).
+    Returns an (Hc*Wc,) int64 array, Hc = height/8 and Wc = width/8, over the
+    source cells in row-major order. Entry i*Wc + j is the row-major index
+    k*Wc + l of the target cell (k, l) nearest to the center of source cell
+    (i, j) mapped through h (row-major on exact ties), or -1 when that
+    nearest center lies more than 8 pixels away.
     """
     if height % CELL or width % CELL:
         raise ValueError(f"image dims must be divisible by {CELL}, got {height}x{width}")
@@ -175,9 +176,4 @@ def correspondence_tensor(h: np.ndarray, height: int, width: int) -> np.ndarray:
     dx = mapped[:, 0] - (lx * CELL + _CELL_CENTER)
     dy = mapped[:, 1] - (ky * CELL + _CELL_CENTER)
     hit = dx * dx + dy * dy <= _CORRESPONDENCE_RADIUS**2
-
-    s = np.zeros((hc, wc, hc, wc), dtype=np.uint8)
-    src_i = ii.ravel()[hit]
-    src_j = jj.ravel()[hit]
-    s[src_i, src_j, ky[hit], lx[hit]] = 1
-    return s
+    return np.where(hit, ky * wc + lx, -1)

@@ -5,7 +5,8 @@ Three building blocks and two compositions:
 * detection_loss — per-cell (DUSTBIN + 1)-way cross-entropy against
   pseudo-labels, with a dustbin channel for cells holding no keypoint.
 * descriptor_loss — dense hinge contrastive loss over all pairs of cells
-  of the two views, driven by the homography-induced cell correspondences.
+  of the two views, driven by the homography-induced cell correspondences:
+  one target cell (or none, -1) per source cell.
 * specularity_loss — mean heatmap probability over saturated pixels,
   penalizing keypoints that sit on highlights. It works on cells: the
   pixel mask is laid out like the detect head's channels, with a zero
@@ -90,16 +91,37 @@ def descriptor_loss(
 ) -> Tensor:
     """Hinge contrastive loss over all cell pairs of the two views.
 
-    Corresponding pairs (correspondence 1) are pulled above the positive
-    margin, all others pushed below the negative margin; the result is the
-    mean over all Hc*Wc x Hc*Wc pairs.
+    correspondence is the (Hc*Wc,) int array of homography.correspondence_tensor:
+    the row-major target cell of each source cell of view a in view b, or
+    -1 for none. Each corresponding pair is pulled above the positive margin
+    with weight correspondence_weight, every other pair pushed below the
+    negative margin; the result is the mean over all Hc*Wc x Hc*Wc pairs.
+    Raises ValueError for a target array of another length or with a value
+    outside [-1, Hc*Wc).
     """
     gram = T.gram(desc_a, desc_b)
     n = gram.shape[0]
-    s = np.asarray(correspondence, dtype=desc_a.dtype).reshape(n, n)
+    target = np.asarray(correspondence)
+    if target.shape != (n,) or target.dtype.kind not in "iu":
+        raise ValueError(
+            f"correspondence must be {n} integer target cells, got {target.dtype} {target.shape}"
+        )
+    if np.any((target < -1) | (target >= n)):
+        raise ValueError(f"correspondence target outside [-1, {n})")
+    src = np.flatnonzero(target >= 0)
+    hits = (src, target[src])
+    w_pos = np.zeros((n, n), dtype=desc_a.dtype)
+    w_pos[hits] = config.correspondence_weight
+    w_neg = np.ones((n, n), dtype=desc_a.dtype)
+    w_neg[hits] = 0
     pos = T.relu(T.affine(gram, -1.0, config.margin_positive))
     neg = T.relu(T.affine(gram, 1.0, -config.margin_negative))
-    total = T.reduce_sum(T.add(T.mul(pos, config.correspondence_weight * s), T.mul(neg, 1.0 - s)))
+    # Rebinding frees each n x n relu output once its product exists (the
+    # tape keeps only the relu masks and the weights); at 240x320 that is
+    # about a fifth of the loss's peak memory.
+    pos = T.mul(pos, w_pos)
+    neg = T.mul(neg, w_neg)
+    total = T.reduce_sum(T.add(pos, neg))
     return T.affine(total, 1.0 / (float(n) * float(n)), 0.0)
 
 
@@ -133,6 +155,8 @@ def pair_loss(
 ) -> tuple[Tensor, tuple[float, float]]:
     """Joint detection + description loss of a warped image pair.
 
+    correspondence is the (Hc*Wc,) target-cell array of
+    homography.correspondence_tensor for the warp from view a to view b.
     Returns (loss, (detection, descriptor)): the loss Tensor and the values
     of its two unweighted terms, the summed detection losses of both views
     and the descriptor loss.
@@ -154,10 +178,11 @@ def specular_pair_loss(
 ) -> tuple[Tensor, tuple[float, float, float]]:
     """Pair loss plus highlight suppression on both views.
 
-    Returns (loss, (detection, descriptor, specularity)): pair_loss's
-    terms and the summed unweighted specularity losses of both views. With
-    specularity_weight == 0 the loss is exactly pair_loss's (same graph,
-    same value, bit for bit) and the specularity term is 0.0.
+    correspondence is pair_loss's target-cell array. Returns (loss,
+    (detection, descriptor, specularity)): pair_loss's terms and the summed
+    unweighted specularity losses of both views. With specularity_weight
+    == 0 the loss is exactly pair_loss's (same graph, same value, bit for
+    bit) and the specularity term is 0.0.
     """
     loss, terms = pair_loss(heads_a, label_a, heads_b, label_b, correspondence, config)
     if config.specularity_weight == 0:

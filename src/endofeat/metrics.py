@@ -155,12 +155,19 @@ def evaluate_pairs(
     tuple of MODELS tags, or "auto": H for step 1, else E (with
     intrinsics only) and F. pGT is added whenever the pose of a pair and
     the intrinsics are known. Raises ValueError, before any matching,
-    when a keypoint of any frame lies outside [0, width) x [0, height).
+    when a keypoint of any frame lies outside [0, width) x [0, height), or
+    when a frame's descriptor metric or dim differs from the first frame's.
     """
     frame_ids = sorted(features)
     for fid in frame_ids:
-        points = features[fid][0].points
-        _require_in_frame(points, *specular_masks[fid].shape, f"frame {fid}: keypoint")
+        kp, desc = features[fid]
+        _require_in_frame(kp.points, *specular_masks[fid].shape, f"frame {fid}: keypoint")
+        first = features[frame_ids[0]][1]
+        if (desc.metric, desc.dim) != (first.metric, first.dim):
+            raise ValueError(
+                f"frame {fid}: {desc.metric} descriptors of dim {desc.dim}, but frame "
+                f"{frame_ids[0]} has {first.metric} descriptors of dim {first.dim}"
+            )
     if models == "auto":
         models = ("H",) if step <= 1 else ("E", "F") if intrinsics is not None else ("F",)
     evaluations = []

@@ -180,6 +180,25 @@ def toy_pair_loss_case(size: int = 16, seed: int = 3):
     return build, arrays
 
 
+def dense_descriptor_loss(desc_a, desc_b, targets, config=losses.LossConfig()):
+    """descriptor_loss from the dense (Hc, Wc, Hc, Wc) 0/1 correspondence
+    tensor its targets scatter into, as the loss ran on it before: the
+    tensor cast to a float s, then the weights w * s and 1.0 - s. The ops
+    and their order are descriptor_loss's, so the loss and its gradients
+    must agree bit for bit."""
+    gram = T.gram(desc_a, desc_b)
+    n = gram.shape[0]
+    hc, wc = desc_a.shape[:2]
+    dense = np.zeros((hc, wc, hc, wc), dtype=np.uint8)
+    src = np.flatnonzero(targets >= 0)
+    dense.reshape(n, n)[src, targets[src]] = 1
+    s = np.asarray(dense, dtype=desc_a.dtype).reshape(n, n)
+    pos = T.relu(T.affine(gram, -1.0, config.margin_positive))
+    neg = T.relu(T.affine(gram, 1.0, -config.margin_negative))
+    total = T.reduce_sum(T.add(T.mul(pos, config.correspondence_weight * s), T.mul(neg, 1.0 - s)))
+    return T.affine(total, 1.0 / (float(n) * float(n)), 0.0)
+
+
 def damaged(blob: bytes):
     """Hypothesis strategy: blob with up to four bytes overwritten, then cut at any length."""
     edits = st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)), max_size=4)

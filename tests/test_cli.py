@@ -347,6 +347,24 @@ def test_eval_step_without_pairs_exits_2(tmp_path, capsys):
     assert "no frame pairs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("resave, detail", [
+    (lambda kp: matching.DescriptorSet(np.zeros((len(kp), 3), np.float32)),
+     "L2 descriptors of dim 3, but frame 0 has L2 descriptors of dim 2"),
+    (lambda kp: matching.DescriptorSet(np.zeros((len(kp), 1), np.uint8), "HAMMING", bits=2),
+     "HAMMING descriptors of dim 2, but frame 0 has L2 descriptors of dim 2"),
+], ids=["dim", "metric"])
+def test_eval_names_method_and_frame_of_mixed_descriptors(tmp_path, capsys, resave, detail):
+    ws = make_workspace(tmp_path)
+    assert run(ws, "detect") == 0
+    path = matching.feature_path(ws["out"] / "features" / "learned", 3)
+    kp, _ = matching.load_features(path, 3)
+    matching.save_features(path, kp, resave(kp))
+    capsys.readouterr()
+    assert run(ws, "eval") == 2
+    assert f"error: method 'learned': frame 3: {detail}" in capsys.readouterr().err
+    assert not (ws["out"] / "report.json").exists()
+
+
 @pytest.mark.parametrize("command, subdir, suffixes", [
     ("pseudolabel", "labels", (".txt",)),
     ("detect", "features/learned", (".feat", ".feat.desc")),

@@ -1,4 +1,4 @@
-"""Warp sampling, image warping, and the cell-correspondence tensor."""
+"""Warp sampling, image warping, and the cell correspondences."""
 
 import numpy as np
 import pytest
@@ -96,7 +96,7 @@ def test_warp_image_rejects_singular():
 
 def _correspondence_oracle(h, height, width):
     hc, wc = height // 8, width // 8
-    s = np.zeros((hc, wc, hc, wc), dtype=np.uint8)
+    targets = np.full(hc * wc, -1, dtype=np.int64)
     for i in range(hc):
         for j in range(wc):
             m = warp_points(np.array([[j * 8 + 3.5, i * 8 + 3.5]]), h)[0]
@@ -105,27 +105,30 @@ def _correspondence_oracle(h, height, width):
                 for l in range(wc):
                     d = (m[0] - (l * 8 + 3.5)) ** 2 + (m[1] - (k * 8 + 3.5)) ** 2
                     if best_d is None or d < best_d:
-                        best, best_d = (k, l), d
+                        best, best_d = k * wc + l, d
             if best_d <= 64.0:
-                s[i, j, best[0], best[1]] = 1
-    return s
+                targets[i * wc + j] = best
+    return targets
 
 
 def test_identity_correspondence_is_diagonal():
-    s = correspondence_tensor(np.eye(3), 32, 24)
-    for i in range(4):
-        for j in range(3):
-            want = np.zeros((4, 3))
-            want[i, j] = 1
-            np.testing.assert_array_equal(s[i, j], want)
+    targets = correspondence_tensor(np.eye(3), 32, 24)
+    assert targets.dtype == np.int64
+    np.testing.assert_array_equal(targets, np.arange(4 * 3))
 
 
 def test_half_cell_shift_breaks_ties_row_major():
     h = np.array([[1.0, 0, 4.0], [0, 1, 0], [0, 0, 1]])  # exactly between two cells
-    s = correspondence_tensor(h, 16, 32)
-    oracle = _correspondence_oracle(h, 16, 32)
-    np.testing.assert_array_equal(s, oracle)
-    assert s[0, 0, 0, 0] == 1  # the lower-index cell wins the tie
+    targets = correspondence_tensor(h, 16, 32)
+    np.testing.assert_array_equal(targets, _correspondence_oracle(h, 16, 32))
+    assert targets[0] == 0  # the lower-index cell wins the tie
+
+
+def test_far_shift_leaves_cells_without_target():
+    h = np.array([[1.0, 0, 20.0], [0, 1, 0], [0, 0, 1]])  # 20 px: the right column leaves the frame
+    targets = correspondence_tensor(h, 16, 32)
+    np.testing.assert_array_equal(targets, _correspondence_oracle(h, 16, 32))
+    np.testing.assert_array_equal(targets.reshape(2, 4)[:, 2:], -1)
 
 
 @given(st.integers(0, 10_000))

@@ -1,10 +1,12 @@
 """Detection, descriptor, and specularity losses against brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from endofeat.data import PseudoLabel
-from endofeat.homography import correspondence_tensor
+from endofeat.homography import correspondence_tensor, sample_homography, to_pixel_frame
 from endofeat.losses import (
     CELL,
     DUSTBIN,
@@ -17,9 +19,9 @@ from endofeat.losses import (
     specularity_loss,
 )
 from endofeat.network import forward, init_params
-from endofeat.tensor import Tensor
+from endofeat.tensor import GradTape, Tensor, backward
 
-from helpers import rng, toy_architecture
+from helpers import dense_descriptor_loss, rng, toy_architecture
 
 
 def empty_label():
@@ -80,18 +82,19 @@ def test_detection_loss_rejects_wrong_channel_count():
 # --- descriptor ------------------------------------------------------------
 
 
-def _descriptor_oracle(da, db, s, cfg):
+def _descriptor_oracle(da, db, targets, cfg):
     hc, wc, d = da.shape
     n = hc * wc
     a = da.reshape(n, d)
     b = db.reshape(n, d)
-    s = s.reshape(n, n)
     total = 0.0
     for i in range(n):
         for j in range(n):
             g = float(a[i] @ b[j])
-            total += cfg.correspondence_weight * s[i, j] * max(0.0, cfg.margin_positive - g)
-            total += (1.0 - s[i, j]) * max(0.0, g - cfg.margin_negative)
+            if targets[i] == j:
+                total += cfg.correspondence_weight * max(0.0, cfg.margin_positive - g)
+            else:
+                total += max(0.0, g - cfg.margin_negative)
     return total / (n * n)
 
 
@@ -102,17 +105,76 @@ def test_descriptor_loss_matches_pair_oracle(seed):
     da = r.normal(size=(hc, wc, d))
     db = r.normal(size=(hc, wc, d))
     n = hc * wc
-    s = np.zeros((n, n))
-    s[np.arange(n), r.integers(0, n, size=n)] = 1.0
+    targets = r.integers(-1, n, size=n)
     cfg = LossConfig()
-    got = descriptor_loss(Tensor(da), Tensor(db), s, cfg).item()
-    want = _descriptor_oracle(da, db, s, cfg)
+    got = descriptor_loss(Tensor(da), Tensor(db), targets, cfg).item()
+    want = _descriptor_oracle(da, db, targets, cfg)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def _loss_and_grads(loss_fn, da, db, targets, cfg):
+    a, b = Tensor(da), Tensor(db)
+    with GradTape() as tape:
+        loss = loss_fn(a, b, targets, cfg)
+    ga, gb = backward(tape, loss, [a, b])
+    return loss.data.tobytes(), ga.tobytes(), gb.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("height, width", [(16, 16), (64, 64), (120, 160)])
+def test_descriptor_loss_equals_dense_oracle_bit_for_bit(dtype, height, width):
+    # The targets against the dense 0/1 tensor they scatter into: the loss
+    # and both gradients keep every byte, at the default weights and at a
+    # correspondence weight float32 does not hold exactly.
+    for seed in range(4):
+        r = rng((24, seed))
+        h_px = to_pixel_frame(sample_homography(r), height, width)
+        targets = correspondence_tensor(h_px, height, width)
+        shape = (height // CELL, width // CELL, 32)
+        da = (r.normal(size=shape) * 0.3).astype(dtype)
+        db = (r.normal(size=shape) * 0.3).astype(dtype)
+        for cfg in (LossConfig(), LossConfig(correspondence_weight=0.1)):
+            assert _loss_and_grads(descriptor_loss, da, db, targets, cfg) == _loss_and_grads(
+                dense_descriptor_loss, da, db, targets, cfg
+            )
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [np.zeros(5, np.int64), np.zeros(7, np.int64), np.full((2, 3), -1), np.zeros(6),
+     np.array([0, 1, 2, 3, 4, 6]), np.array([0, 1, -2, 3, 4, 5])],
+    ids=["short", "long", "grid", "float", "past_n", "below_minus_one"],
+)
+def test_descriptor_loss_rejects_bad_targets(targets):
+    grid = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="correspondence"):
+        descriptor_loss(grid, grid, targets)
+
+
+def test_descriptor_loss_memory_at_240x320():
+    # correspondence_tensor plus the loss's forward and backward, f32, D = 256:
+    # no n x n correspondence tensor or float copy of it, and no n x n Tensor
+    # held past its last use (57.4 MB with the dense tensor).
+    r = rng(25)
+    h_px = to_pixel_frame(sample_homography(r), 240, 320)
+    da = Tensor(r.normal(size=(30, 40, 256)).astype(np.float32))
+    db = Tensor(r.normal(size=(30, 40, 256)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        targets = correspondence_tensor(h_px, 240, 320)
+        with GradTape() as tape:
+            loss = descriptor_loss(da, db, targets)
+        grads = backward(tape, loss, [da, db])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grads[0].any() and grads[1].any()
+    assert peak < 48e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_descriptor_loss_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        descriptor_loss(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((2, 1, 3))), np.zeros((2, 2)))
+        descriptor_loss(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((2, 1, 3))), np.full(2, -1))
 
 
 # --- specularity -----------------------------------------------------------

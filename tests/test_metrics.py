@@ -229,6 +229,25 @@ def test_evaluate_pairs_rejects_out_of_frame_points(monkeypatch, x, y):
         evaluate_pairs(features, 1, _masks(features))
 
 
+@pytest.mark.parametrize("desc, want", [
+    (DescriptorSet(np.zeros((60, 8), np.float32)),
+     "frame 2: L2 descriptors of dim 8, but frame 0 has L2 descriptors of dim 16"),
+    (DescriptorSet(np.zeros((60, 2), np.uint8), "HAMMING", bits=16),
+     "frame 2: HAMMING descriptors of dim 16, but frame 0 has L2 descriptors of dim 16"),
+], ids=["dim", "metric"])
+def test_evaluate_pairs_rejects_mixed_descriptors_before_matching(monkeypatch, desc, want):
+    features, _ = _planar_features()
+    features[2] = (features[1][0], desc)
+
+    def no_matching(*args):
+        raise AssertionError("matched before checking descriptor formats")
+
+    monkeypatch.setattr(metrics, "match_mutual", no_matching)
+    with pytest.raises(ValueError) as exc:
+        evaluate_pairs(features, 1, _masks(features))
+    assert str(exc.value) == want
+
+
 def test_evaluate_pairs_frame_size_comes_from_its_own_mask():
     features, _ = _planar_features()
     masks = _masks(features)

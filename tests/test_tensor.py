@@ -170,7 +170,7 @@ def test_a_replayed_slot_retains_only_its_gradients():
     img_a = r.uniform(0.0, 1.0, (32, 32))
     img_b = img_a[::-1].copy()
     label = PseudoLabel(np.array([[3, 4], [27, 30]]), np.array([0.9, 0.8]))
-    corr = np.zeros((4, 4, 4, 4))
+    corr = np.full(16, -1)
 
     def slot():
         with GradTape() as tape:
@@ -383,7 +383,7 @@ def test_a_training_slot_never_differentiates_the_frames(monkeypatch):
     img_a = r.uniform(0.0, 1.0, (32, 32))
     img_b = img_a[:, ::-1].copy()
     label = PseudoLabel(np.array([[3, 4], [27, 30]]), np.array([0.9, 0.8]))
-    corr = np.zeros((4, 4, 4, 4))
+    corr = np.full(16, -1)
     with GradTape() as tape:
         heads_a = network.forward(params, img_a)
         heads_b = network.forward(params, img_b)
