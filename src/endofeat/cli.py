@@ -27,6 +27,7 @@ from . import config as runcfg
 from . import data, geometry, homography, matching, metrics, network, train
 from .config import ConfigError, RunConfig
 from .ioutil import atomic_write_text, fmt
+from .tensor import CELL
 
 _INPUT_ERRORS = (
     ConfigError,
@@ -155,9 +156,11 @@ def cmd_train(config: RunConfig, args) -> int:
     samples = []
     for fid, frame_path in frames:
         image = data.read_frame(frame_path)
+        h, w = image.shape
+        if h % CELL or w % CELL:
+            raise ValueError(f"{frame_path}: frame size {h}x{w} is not a multiple of {CELL}")
         path = data.label_path(label_dir, fid)
         label = data.load_label(path)
-        h, w = image.shape
         xs, ys = label.points[:, 0], label.points[:, 1]
         outside = (xs < 0) | (xs >= w) | (ys < 0) | (ys >= h)
         if outside.any():

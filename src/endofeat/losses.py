@@ -4,9 +4,9 @@ Three building blocks and two compositions:
 
 * detection_loss — per-cell (DUSTBIN + 1)-way cross-entropy against
   pseudo-labels, with a dustbin channel for cells holding no keypoint.
-* descriptor_loss — dense hinge contrastive loss over all pairs of cells
-  of the two views, driven by the homography-induced cell correspondences:
-  one target cell (or none, -1) per source cell.
+* descriptor_loss — tensor.hinge_gram's hinge contrastive loss over all
+  pairs of cells of the two views, driven by the homography-induced cell
+  correspondences: one target cell (or none, -1) per source cell.
 * specularity_loss — mean heatmap probability over saturated pixels,
   penalizing keypoints that sit on highlights. It works on cells: the
   pixel mask is laid out like the detect head's channels, with a zero
@@ -95,12 +95,11 @@ def descriptor_loss(
     the row-major target cell of each source cell of view a in view b, or
     -1 for none. Each corresponding pair is pulled above the positive margin
     with weight correspondence_weight, every other pair pushed below the
-    negative margin; the result is the mean over all Hc*Wc x Hc*Wc pairs.
-    Raises ValueError for a target array of another length or with a value
-    outside [-1, Hc*Wc).
+    negative margin; the result is the mean over all Hc*Wc x Hc*Wc pairs
+    (tensor.hinge_gram's sum, scaled). Raises ValueError for a target array
+    of another length or with a value outside [-1, Hc*Wc).
     """
-    gram = T.gram(desc_a, desc_b)
-    n = gram.shape[0]
+    n = int(np.prod(desc_a.shape[:-1]))
     target = np.asarray(correspondence)
     if target.shape != (n,) or target.dtype.kind not in "iu":
         raise ValueError(
@@ -108,20 +107,8 @@ def descriptor_loss(
         )
     if np.any((target < -1) | (target >= n)):
         raise ValueError(f"correspondence target outside [-1, {n})")
-    src = np.flatnonzero(target >= 0)
-    hits = (src, target[src])
-    w_pos = np.zeros((n, n), dtype=desc_a.dtype)
-    w_pos[hits] = config.correspondence_weight
-    w_neg = np.ones((n, n), dtype=desc_a.dtype)
-    w_neg[hits] = 0
-    pos = T.relu(T.affine(gram, -1.0, config.margin_positive))
-    neg = T.relu(T.affine(gram, 1.0, -config.margin_negative))
-    # Rebinding frees each n x n relu output once its product exists (the
-    # tape keeps only the relu masks and the weights); at 240x320 that is
-    # about a fifth of the loss's peak memory.
-    pos = T.mul(pos, w_pos)
-    neg = T.mul(neg, w_neg)
-    total = T.reduce_sum(T.add(pos, neg))
+    total = T.hinge_gram(desc_a, desc_b, target, config.margin_positive,
+                         config.margin_negative, config.correspondence_weight)
     return T.affine(total, 1.0 / (float(n) * float(n)), 0.0)
 
 

@@ -2,14 +2,14 @@
 
 Implements exactly the operations the keypoint network and its training
 losses differentiate: stride-1 2-D convolution, 2x2 max pooling, the
-per-cell channel softmax, the cell-grid Gram matrix of the descriptor loss,
-the softmax cross-entropy of the detection loss, and add, mul, affine,
-reduce_sum and relu. Decoding (the heatmap, the descriptors at the detected
-keypoints) is plain numpy in the network module.
+per-cell channel softmax, the descriptor loss's hinge summed over the cell
+Gram matrix, the detection loss's softmax cross-entropy, and add, mul,
+affine, reduce_sum and relu. Decoding (the heatmap, the descriptors at the
+detected keypoints) is plain numpy in the network module.
 
 A Tensor is a value the training graph differentiates; a plain numpy array
 is a constant, and no gradient is computed for it. mul's second operand (a
-mask or a loss coefficient grid) is always a plain array; conv2d's input
+specularity mask) is always a plain array; conv2d's input
 may be one. The convolution is a same-size correlation that copies its
 im2col one block of output rows at a time (at most _IM2COL_ELEMENTS), one
 GEMM per block. Its input gradient is that correlation of the output
@@ -24,7 +24,8 @@ thread, every op appends a record to it: its output's key and one
 output's gradient to that input's (conv2d has three: gx, gk and gb). Every
 Tensor gets a serial key, never reused, so no record holds a Tensor, and
 each closure holds only what its gradient reads (relu a bool mask, max
-pooling a uint8 window code, reduce_sum a shape); the masks are built only
+pooling a uint8 window code, reduce_sum a shape, hinge_gram the cells, its
+active positive pairs and an n x n bool mask); the masks are built only
 while a tape records, so inference pays nothing for them.
 ``backward(tape, loss, wrt)`` returns the loss's gradient with respect to
 each Tensor of wrt. It first marks the keys that depend on wrt, then
@@ -61,7 +62,7 @@ __all__ = [
     "conv2d",
     "max_pool2x2",
     "channel_softmax",
-    "gram",
+    "hinge_gram",
     "softmax_cross_entropy",
 ]
 
@@ -386,20 +387,36 @@ def channel_softmax(x: Tensor) -> Tensor:
     return out
 
 
-def gram(a: Tensor, b: Tensor) -> Tensor:
-    """Dot products of every cell vector of a with every cell vector of b.
-
-    a and b are Hc x Wc x D cell grids; entry (p, q) of the (Hc*Wc) x (Hc*Wc)
-    result is a's cell p (row-major) dotted with b's cell q.
+def hinge_gram(a: Tensor, b: Tensor, target: np.ndarray, m_p: float, m_n: float, w: float) -> Tensor:
+    """Sum over every cell pair (p, q) of two Hc x Wc x D grids of w * relu(m_p - g)
+    where q == target[p] and relu(g - m_n) elsewhere, g the dot product of a's cell
+    p and b's cell q (row-major); target holds a cell of b per cell of a, or -1.
     """
     av, bv = a.data, b.data
     if av.ndim != 3 or av.shape != bv.shape:
-        raise ValueError(f"gram needs two Hc x Wc x D grids of one shape, got {av.shape} vs {bv.shape}")
+        raise ValueError(f"hinge_gram needs two Hc x Wc x D grids of one shape, got {av.shape} vs {bv.shape}")
     a2 = av.reshape(-1, av.shape[2])
     bt = np.ascontiguousarray(bv.reshape(-1, bv.shape[2]).T)
-    out = Tensor._wrap(a2 @ bt)
-    _record(out, (a, lambda g: (g @ bt.T).reshape(av.shape)),
-            (b, lambda g: np.ascontiguousarray((a2.T @ g).T).reshape(bv.shape)))
+    hits = (np.flatnonzero(target >= 0), target[target >= 0])
+    hinge = a2 @ bt  # the n x n Gram, then its hinges in place
+    pos = np.maximum(m_p - hinge[hits], 0)
+    hinge -= m_n
+    np.maximum(hinge, 0, out=hinge)
+    hinge[hits] = pos * w
+    out = Tensor._wrap(np.asarray(hinge.sum()))
+    if _recording():
+        neg = hinge > 0  # the active negative hinges; subgradient at 0 is 0, as in relu
+        neg[hits] = False
+        active = tuple(i[pos > 0] for i in hits)
+
+        def coefficients(g):  # d out / d Gram; g's bits times neg: +0.0, not neg * g's -0.0 for g < 0
+            bits = np.dtype(f"u{g.itemsize}")
+            c = np.multiply(neg, g.view(bits), dtype=bits).view(g.dtype)
+            c[active] = -(g * w)
+            return c
+
+        _record(out, (a, lambda g: (coefficients(g) @ bt.T).reshape(av.shape)),
+                (b, lambda g: np.ascontiguousarray((a2.T @ coefficients(g)).T).reshape(bv.shape)))
     return out
 
 

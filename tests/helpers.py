@@ -88,8 +88,13 @@ def op_cases():
 
     a233 = r.uniform(-1.0, 1.0, (2, 3, 3))
     b233 = r.uniform(-1.0, 1.0, (2, 3, 3))
-    w66 = r.uniform(-1.0, 1.0, (6, 6))
-    cases.append(("gram", lambda a, b: T.reduce_sum(T.mul(T.gram(a, b), w66)), [a233, b233]))
+    target6 = np.array([2, 1, 1, -1, 0, 5])  # four positive hinges active, one not
+    m_p, m_n = 0.75, 0.2
+    products = a233.reshape(6, 3) @ b233.reshape(6, 3).T
+    assert np.abs(products - m_p).min() >= 0.05 and np.abs(products - m_n).min() >= 0.05  # off both kinks
+    cases.append(
+        ("hinge_gram", lambda a, b: T.hinge_gram(a, b, target6, m_p, m_n, 2.5), [a233, b233])
+    )
 
     x562 = r.uniform(-1.0, 1.0, (5, 6, 2))
     k3323 = r.uniform(-1.0, 1.0, (3, 3, 2, 3))
@@ -180,13 +185,26 @@ def toy_pair_loss_case(size: int = 16, seed: int = 3):
     return build, arrays
 
 
+def _gram(a, b):
+    """The Gram op descriptor_loss recorded before hinge_gram: entry (p, q)
+    of the (Hc*Wc) x (Hc*Wc) Tensor is a's cell p dotted with b's cell q."""
+    av, bv = a.data, b.data
+    a2 = av.reshape(-1, av.shape[2])
+    bt = np.ascontiguousarray(bv.reshape(-1, bv.shape[2]).T)
+    out = Tensor._wrap(a2 @ bt)
+    T._record(out, (a, lambda g: (g @ bt.T).reshape(av.shape)),
+              (b, lambda g: np.ascontiguousarray((a2.T @ g).T).reshape(bv.shape)))
+    return out
+
+
 def dense_descriptor_loss(desc_a, desc_b, targets, config=losses.LossConfig()):
-    """descriptor_loss from the dense (Hc, Wc, Hc, Wc) 0/1 correspondence
-    tensor its targets scatter into, as the loss ran on it before: the
-    tensor cast to a float s, then the weights w * s and 1.0 - s. The ops
-    and their order are descriptor_loss's, so the loss and its gradients
-    must agree bit for bit."""
-    gram = T.gram(desc_a, desc_b)
+    """descriptor_loss as the ten-op chain it ran before hinge_gram: the Gram
+    Tensor, both hinges through affine and relu, the dense (Hc, Wc, Hc, Wc)
+    0/1 correspondence tensor the targets scatter into as the weight grids
+    w * s and 1.0 - s, their products, sum and mean. hinge_gram does the
+    same arithmetic on the same layouts, so the loss and its gradients must
+    agree bit for bit."""
+    gram = _gram(desc_a, desc_b)
     n = gram.shape[0]
     hc, wc = desc_a.shape[:2]
     dense = np.zeros((hc, wc, hc, wc), dtype=np.uint8)

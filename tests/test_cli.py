@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from endofeat import cli, data, matching, network
+from endofeat import cli, data, matching, network, train
 from endofeat.synthetic import band_limited_texture, warped_sequence
 
 from helpers import toy_architecture
@@ -295,6 +295,20 @@ def test_train_label_outside_frame_names_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{label}: point (1000, 3) outside the 64x64 frame" in err
     assert not (ws["out"] / "trained.weights").exists()
+
+
+def test_train_frame_size_not_multiple_of_cell_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    ws = make_workspace(tmp_path, n_frames=3)
+    assert run(ws, "pseudolabel") == 0
+    frame = ws["frames"] / data.frame_name(2)
+    data.write_pgm(frame, np.full((60, 60), 0.5), maxval=65535)
+    (ws["out"] / "labels" / "frame_000002.txt").write_text("3 3 0.5\n")  # inside the frame
+    calls = []
+    monkeypatch.setattr(train, "finetune", lambda *args, **kwargs: calls.append(args))
+    capsys.readouterr()
+    assert run(ws, "train") == 2
+    assert f"{frame}: frame size 60x60 is not a multiple of 8" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_train_label_not_utf8_names_file(tmp_path, capsys):

@@ -19,7 +19,7 @@ from endofeat.losses import (
     specularity_loss,
 )
 from endofeat.network import forward, init_params
-from endofeat.tensor import GradTape, Tensor, backward
+from endofeat.tensor import GradTape, Tensor, affine, backward
 
 from helpers import dense_descriptor_loss, rng, toy_architecture
 
@@ -121,7 +121,7 @@ def _loss_and_grads(loss_fn, da, db, targets, cfg):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("height, width", [(16, 16), (64, 64), (120, 160)])
+@pytest.mark.parametrize("height, width", [(16, 16), (64, 64), (120, 160), (240, 320)])
 def test_descriptor_loss_equals_dense_oracle_bit_for_bit(dtype, height, width):
     # The targets against the dense 0/1 tensor they scatter into: the loss
     # and both gradients keep every byte, at the default weights and at a
@@ -139,6 +139,24 @@ def test_descriptor_loss_equals_dense_oracle_bit_for_bit(dtype, height, width):
             )
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_descriptor_loss_equals_dense_oracle_under_negative_upstream_gradient(dtype):
+    # A negative gradient into the loss flips the sign of hinge_gram's
+    # coefficients: the loss and both gradients still keep every byte.
+    r = rng(26)
+    targets = correspondence_tensor(to_pixel_frame(sample_homography(r), 64, 64), 64, 64)
+    da = (r.normal(size=(8, 8, 32)) * 0.3).astype(dtype)
+    db = (r.normal(size=(8, 8, 32)) * 0.3).astype(dtype)
+
+    def negated(loss_fn):
+        return lambda a, b, t, cfg: affine(loss_fn(a, b, t, cfg), -3.0, 0.0)
+
+    cfg = LossConfig()
+    assert _loss_and_grads(negated(descriptor_loss), da, db, targets, cfg) == _loss_and_grads(
+        negated(dense_descriptor_loss), da, db, targets, cfg
+    )
+
+
 @pytest.mark.parametrize(
     "targets",
     [np.zeros(5, np.int64), np.zeros(7, np.int64), np.full((2, 3), -1), np.zeros(6),
@@ -151,17 +169,24 @@ def test_descriptor_loss_rejects_bad_targets(targets):
         descriptor_loss(grid, grid, targets)
 
 
-def test_descriptor_loss_memory_at_240x320():
-    # correspondence_tensor plus the loss's forward and backward, f32, D = 256:
-    # no n x n correspondence tensor or float copy of it, and no n x n Tensor
-    # held past its last use (57.4 MB with the dense tensor).
+def test_descriptor_loss_records_two_ops():
+    grid = Tensor(np.zeros((2, 3, 4)))
+    with GradTape() as tape:
+        descriptor_loss(grid, grid, np.full(6, -1))
+    assert len(tape._records) == 2  # hinge_gram and the mean's affine
+
+
+def _descriptor_loss_peak(height, width):
+    """tracemalloc peak of correspondence_tensor plus the loss's forward and
+    backward, f32, D = 256."""
     r = rng(25)
-    h_px = to_pixel_frame(sample_homography(r), 240, 320)
-    da = Tensor(r.normal(size=(30, 40, 256)).astype(np.float32))
-    db = Tensor(r.normal(size=(30, 40, 256)).astype(np.float32))
+    h_px = to_pixel_frame(sample_homography(r), height, width)
+    shape = (height // CELL, width // CELL, 256)
+    da = Tensor(r.normal(size=shape).astype(np.float32))
+    db = Tensor(r.normal(size=shape).astype(np.float32))
     tracemalloc.start()
     try:
-        targets = correspondence_tensor(h_px, 240, 320)
+        targets = correspondence_tensor(h_px, height, width)
         with GradTape() as tape:
             loss = descriptor_loss(da, db, targets)
         grads = backward(tape, loss, [da, db])
@@ -169,7 +194,22 @@ def test_descriptor_loss_memory_at_240x320():
     finally:
         tracemalloc.stop()
     assert grads[0].any() and grads[1].any()
-    assert peak < 48e6, f"peak {peak / 1e6:.1f} MB"
+    return peak
+
+
+# One n x n float array and one n x n bool mask at a time, and only the mask
+# held by the tape past the call: 38.7 and 604 MB with the Gram Tensor and
+# its two n x n hinge-weight grids.
+
+
+def test_descriptor_loss_memory_at_240x320():
+    peak = _descriptor_loss_peak(240, 320)
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_descriptor_loss_memory_at_480x640():
+    peak = _descriptor_loss_peak(480, 640)
+    assert peak < 160e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_descriptor_loss_shape_mismatch():

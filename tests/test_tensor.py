@@ -493,14 +493,19 @@ def test_softmax_cross_entropy_uniform_is_log_n():
     assert abs(loss.item() - math.log(65)) < 1e-12
 
 
-def test_gram_matches_numpy():
+def test_hinge_gram_matches_numpy():
     r = rng(15)
     a = r.uniform(-1, 1, (2, 3, 5))
     b = r.uniform(-1, 1, (2, 3, 5))
-    got = T.gram(Tensor(a), Tensor(b)).data
-    np.testing.assert_allclose(got, a.reshape(6, 5) @ b.reshape(6, 5).T, atol=1e-12)
-    with pytest.raises(ValueError):
-        T.gram(Tensor(a), Tensor(b[:1]))
+    target = np.array([4, -1, 0, 0, 5, -1])
+    got = T.hinge_gram(Tensor(a), Tensor(b), target, 0.9, 0.1, 3.0).item()
+    g = a.reshape(6, 5) @ b.reshape(6, 5).T
+    hit = np.zeros((6, 6), bool)
+    hit[[0, 2, 3, 4], [4, 0, 0, 5]] = True
+    want = np.where(hit, 3.0 * np.maximum(0.9 - g, 0), np.maximum(g - 0.1, 0)).sum()
+    assert abs(got - want) <= 1e-12
+    with pytest.raises(ValueError, match="shape"):
+        T.hinge_gram(Tensor(a), Tensor(b[:1]), target, 0.9, 0.1, 3.0)
 
 
 @given(st.integers(0, 1_000_000))
