@@ -1,15 +1,17 @@
 """Run configuration for the command-line harness.
 
-Config files are line-oriented ``key = value`` text with ``#`` comments.
-Keys map one-to-one onto RunConfig fields; unknown or duplicate keys, and
-settings the pipeline cannot run with, are rejected so mistakes fail
-loudly before any computation starts. Values are converted to the field's
-declared type (comma-separated for tuples). Command-line ``--set
-key=value`` overrides are applied after the file, so flags win. Field
-defaults are read from the module that owns each setting: LossConfig,
-TrainConfig, HomographyConfig and the detection, label and RANSAC
-constants. Each of those three module configs is built back from the
-RunConfig fields named after its own (``homography_`` + field for the warp).
+Config files are line-oriented ``key = value`` UTF-8 text (a leading BOM is
+skipped) with ``#`` comments: a ``#`` starts one at the start of a line or
+after whitespace, and is text elsewhere. Keys map one-to-one onto RunConfig
+fields; unknown or duplicate keys, and settings the pipeline cannot run
+with, are rejected so mistakes fail loudly before any computation starts.
+Values are converted to the field's declared type (comma-separated for
+tuples). Command-line ``--set key=value`` overrides are applied after the
+file, so flags win. Field defaults are read from the module that owns each
+setting: LossConfig, TrainConfig, HomographyConfig and the detection, label
+and RANSAC constants. Each of those three module configs is built back from
+the RunConfig fields named after its own (``homography_`` + field for the
+warp).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import re
 import typing
 from dataclasses import dataclass
 
@@ -59,9 +62,6 @@ class RunConfig:
     methods: tuple[str, ...] = ()  # evaluated methods; default: (method,)
     # --- loss weights ---
     descriptor_weight: float = LossConfig.descriptor_weight
-    correspondence_weight: float = LossConfig.correspondence_weight
-    margin_positive: float = LossConfig.margin_positive
-    margin_negative: float = LossConfig.margin_negative
     specularity_weight: float = LossConfig.specularity_weight
     # --- training ---
     iterations: int = TrainConfig.iterations
@@ -86,6 +86,10 @@ class RunConfig:
             )
         if len(set(self.methods)) < len(self.methods):
             raise ConfigError(f"key 'methods': must list distinct methods, got {self.methods}")
+        for key, names in (("method", (self.method,)), ("methods", self.methods)):
+            for name in names:  # each names a directory under features_dir
+                if name in ("", ".", "..") or "/" in name or os.sep in name:
+                    raise ConfigError(f"key {key!r}: {name!r} is not one directory name")
         for key in ("detection_nms_window", "label_nms_window"):
             window = getattr(self, key)
             if window < 1 or window % 2 == 0:
@@ -144,7 +148,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     config = base if base is not None else RunConfig()
     seen = set()
     for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()  # '#' after a word is text
         if not stripped:
             continue
         key, sep, raw = stripped.partition("=")
@@ -164,7 +168,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None

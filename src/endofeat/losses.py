@@ -6,11 +6,12 @@ Three building blocks and two compositions:
   pseudo-labels, with a dustbin channel for cells holding no keypoint.
 * descriptor_loss — tensor.hinge_gram's hinge contrastive loss over all
   pairs of cells of the two views, driven by the homography-induced cell
-  correspondences: one target cell (or none, -1) per source cell.
+  correspondences: one target cell (or none, -1) per source cell, with
+  SuperPoint's fixed margins and weight (m_p = 1, m_n = 0.2, lambda_d = 250).
 * specularity_loss — mean heatmap probability over saturated pixels,
   penalizing keypoints that sit on highlights. It works on cells: the
   pixel mask is laid out like the detect head's channels, with a zero
-  dustbin, and multiplied into the per-cell softmax.
+  dustbin, and tensor.masked_mean takes it over the per-cell softmax.
 * pair_loss — the two detection losses plus a weighted descriptor loss.
 * specular_pair_loss — pair_loss plus the weighted specularity losses of
   both views; with specularity_weight 0 it returns pair_loss unchanged.
@@ -35,23 +36,20 @@ from .data import PseudoLabel, specularity_mask
 from .tensor import CELL, DUSTBIN, Tensor
 
 _GUARD_EPS = 1e-10  # keeps the specularity mean finite on a frame without highlights
+# SuperPoint's descriptor hinge (DeTone et al., 2018): its margins and corresponding-pair weight
+_MARGIN_POSITIVE = 1.0
+_MARGIN_NEGATIVE = 0.2
+_CORRESPONDENCE_WEIGHT = 250.0
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Weights and margins of the combined training loss.
-
-    descriptor_weight balances the descriptor term against the detection
-    terms; specularity_weight scales the highlight-suppression terms (0
-    disables them); correspondence_weight boosts the corresponding-cell
-    hinge term inside the descriptor loss.
-    """
+    """Weights of the combined training loss: descriptor_weight balances the
+    descriptor term against the detection terms; specularity_weight scales
+    the highlight-suppression terms (0 disables them)."""
 
     descriptor_weight: float = 0.0001
     specularity_weight: float = 100.0
-    margin_positive: float = 1.0
-    margin_negative: float = 0.2
-    correspondence_weight: float = 250.0
 
     def __post_init__(self):
         if self.specularity_weight < 0:
@@ -83,19 +81,14 @@ def detection_loss(detect: Tensor, label: PseudoLabel) -> Tensor:
     return T.softmax_cross_entropy(detect, _cell_targets(label, hc, wc).reshape(hc, wc))
 
 
-def descriptor_loss(
-    desc_a: Tensor,
-    desc_b: Tensor,
-    correspondence: np.ndarray,
-    config: LossConfig = LossConfig(),
-) -> Tensor:
+def descriptor_loss(desc_a: Tensor, desc_b: Tensor, correspondence: np.ndarray) -> Tensor:
     """Hinge contrastive loss over all cell pairs of the two views.
 
     correspondence is the (Hc*Wc,) int array of homography.correspondence_tensor:
     the row-major target cell of each source cell of view a in view b, or
     -1 for none. Each corresponding pair is pulled above the positive margin
-    with weight correspondence_weight, every other pair pushed below the
-    negative margin; the result is the mean over all Hc*Wc x Hc*Wc pairs
+    1 with weight 250, every other pair pushed below the negative margin
+    0.2; the result is the mean over all Hc*Wc x Hc*Wc pairs
     (tensor.hinge_gram's sum, scaled). Raises ValueError for a target array
     of another length or with a value outside [-1, Hc*Wc).
     """
@@ -107,8 +100,8 @@ def descriptor_loss(
         )
     if np.any((target < -1) | (target >= n)):
         raise ValueError(f"correspondence target outside [-1, {n})")
-    total = T.hinge_gram(desc_a, desc_b, target, config.margin_positive,
-                         config.margin_negative, config.correspondence_weight)
+    total = T.hinge_gram(desc_a, desc_b, target, _MARGIN_POSITIVE, _MARGIN_NEGATIVE,
+                         _CORRESPONDENCE_WEIGHT)
     return T.affine(total, 1.0 / (float(n) * float(n)), 0.0)
 
 
@@ -128,8 +121,7 @@ def specularity_loss(detect: Tensor, image: np.ndarray) -> Tensor:
     mask = specularity_mask(image)
     cells = np.zeros((hc, wc, DUSTBIN + 1), dtype=detect.dtype)
     cells[..., :DUSTBIN] = mask.reshape(hc, CELL, wc, CELL).transpose(0, 2, 1, 3).reshape(hc, wc, DUSTBIN)
-    masked = T.mul(T.channel_softmax(detect), cells)
-    return T.affine(T.reduce_sum(masked), 1.0 / (_GUARD_EPS + float(mask.sum())), 0.0)
+    return T.masked_mean(T.channel_softmax(detect), cells, 1.0 / (_GUARD_EPS + float(mask.sum())))
 
 
 def pair_loss(
@@ -149,7 +141,7 @@ def pair_loss(
     and the descriptor loss.
     """
     det = T.add(detection_loss(heads_a.detect, label_a), detection_loss(heads_b.detect, label_b))
-    desc = descriptor_loss(heads_a.describe, heads_b.describe, correspondence, config)
+    desc = descriptor_loss(heads_a.describe, heads_b.describe, correspondence)
     return T.add(det, T.affine(desc, config.descriptor_weight, 0.0)), (det.item(), desc.item())
 
 

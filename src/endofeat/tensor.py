@@ -3,20 +3,19 @@
 Implements exactly the operations the keypoint network and its training
 losses differentiate: stride-1 2-D convolution, 2x2 max pooling, the
 per-cell channel softmax, the descriptor loss's hinge summed over the cell
-Gram matrix, the detection loss's softmax cross-entropy, and add, mul,
-affine, reduce_sum and relu. Decoding (the heatmap, the descriptors at the
-detected keypoints) is plain numpy in the network module.
+Gram matrix, the specularity loss's masked mean, the detection loss's
+softmax cross-entropy, and add, affine and relu. Decoding (the heatmap, the
+descriptors at the detected keypoints) is plain numpy in the network module.
 
 A Tensor is a value the training graph differentiates; a plain numpy array
-is a constant, and no gradient is computed for it. mul's second operand (a
-specularity mask) is always a plain array; conv2d's input
-may be one. The convolution is a same-size correlation that copies its
-im2col one block of output rows at a time (at most _IM2COL_ELEMENTS), one
-GEMM per block. Its input gradient is that correlation of the output
-gradient with the flipped kernel; its kernel gradient sums the blocks.
-Max pooling sends each output's gradient to the first window position
-(row-major) that holds the maximum, so ties, such as the zeros a relu
-leaves, route to one input.
+is a constant, and no gradient is computed for it. masked_mean's mask is
+always a plain array; conv2d's input may be one. The convolution is a
+same-size correlation that copies its im2col one block of output rows at a
+time (at most _IM2COL_ELEMENTS), one GEMM per block. Its input gradient is
+that correlation of the output gradient with the flipped kernel; its kernel
+gradient sums the blocks. Max pooling sends each output's gradient to the
+first window position (row-major) that holds the maximum, so ties, such as
+the zeros a relu leaves, route to one input.
 
 Forward functions are pure. While a GradTape is active on the calling
 thread, every op appends a record to it: its output's key and one
@@ -24,9 +23,10 @@ thread, every op appends a record to it: its output's key and one
 output's gradient to that input's (conv2d has three: gx, gk and gb). Every
 Tensor gets a serial key, never reused, so no record holds a Tensor, and
 each closure holds only what its gradient reads (relu a bool mask, max
-pooling a uint8 window code, reduce_sum a shape, hinge_gram the cells, its
-active positive pairs and an n x n bool mask); the masks are built only
-while a tape records, so inference pays nothing for them.
+pooling a uint8 window code, masked_mean its mask, hinge_gram the cells,
+its active positive pairs and an n x n bool mask); the masks are built only
+while a tape records, so inference pays nothing for them. hinge_gram's b
+gradient reuses the coefficient grid its a gradient built.
 ``backward(tape, loss, wrt)`` returns the loss's gradient with respect to
 each Tensor of wrt. It first marks the keys that depend on wrt, then
 replays the tape once, in reverse, popping each record as it goes, and
@@ -55,13 +55,12 @@ __all__ = [
     "GradTape",
     "backward",
     "add",
-    "mul",
     "affine",
-    "reduce_sum",
     "relu",
     "conv2d",
     "max_pool2x2",
     "channel_softmax",
+    "masked_mean",
     "hinge_gram",
     "softmax_cross_entropy",
 ]
@@ -216,26 +215,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(x: Tensor, c: np.ndarray) -> Tensor:
-    """Elementwise x * c with c a constant array of x's shape."""
-    if x.data.shape != c.shape:
-        raise ValueError(f"mul: shape mismatch {x.data.shape} vs {c.shape}")
-    out = Tensor._wrap(x.data * c)
-    _record(out, (x, lambda g: g * c))
-    return out
-
-
 def affine(x: Tensor, scale: float, shift: float) -> Tensor:
     """Elementwise scale * x + shift with python-float coefficients."""
     out = Tensor._wrap(x.data * scale + shift)
     _record(out, (x, lambda g: g * scale))
-    return out
-
-
-def reduce_sum(x: Tensor) -> Tensor:
-    out = Tensor._wrap(np.asarray(x.data.sum()))
-    shape = x.data.shape
-    _record(out, (x, lambda g: np.broadcast_to(g, shape).copy()))
     return out
 
 
@@ -387,6 +370,16 @@ def channel_softmax(x: Tensor) -> Tensor:
     return out
 
 
+def masked_mean(x: Tensor, c: np.ndarray, scale: float) -> Tensor:
+    """The scalar scale * sum(x * c), c a constant array of x's shape: with a
+    0/1 mask c and scale 1 / (its count), the mean of x over the mask."""
+    if x.data.shape != c.shape:
+        raise ValueError(f"masked_mean: shape mismatch {x.data.shape} vs {c.shape}")
+    out = Tensor._wrap(np.asarray((x.data * c).sum()) * scale)
+    _record(out, (x, lambda g: (g * scale) * c))
+    return out
+
+
 def hinge_gram(a: Tensor, b: Tensor, target: np.ndarray, m_p: float, m_n: float, w: float) -> Tensor:
     """Sum over every cell pair (p, q) of two Hc x Wc x D grids of w * relu(m_p - g)
     where q == target[p] and relu(g - m_n) elsewhere, g the dot product of a's cell
@@ -409,15 +402,26 @@ def hinge_gram(a: Tensor, b: Tensor, target: np.ndarray, m_p: float, m_n: float,
         neg[hits] = False
         active = tuple(i[pos > 0] for i in hits)
 
-        def coefficients(g):  # d out / d Gram; g's bits times neg: +0.0, not neg * g's -0.0 for g < 0
-            bits = np.dtype(f"u{g.itemsize}")
-            c = np.multiply(neg, g.view(bits), dtype=bits).view(g.dtype)
-            c[active] = -(g * w)
-            return c
+        built = []  # grad_a's coefficient grid, which grad_b reuses
 
-        _record(out, (a, lambda g: (coefficients(g) @ bt.T).reshape(av.shape)),
-                (b, lambda g: np.ascontiguousarray((a2.T @ coefficients(g)).T).reshape(bv.shape)))
+        def grad_a(g):
+            built.append(_hinge_coefficients(neg, active, g, w))
+            return (built[0] @ bt.T).reshape(av.shape)
+
+        def grad_b(g):
+            c = built.pop() if built else _hinge_coefficients(neg, active, g, w)
+            return np.ascontiguousarray((a2.T @ c).T).reshape(bv.shape)
+
+        _record(out, (a, grad_a), (b, grad_b))
     return out
+
+
+def _hinge_coefficients(neg, active, g, w):
+    # d hinge_gram / d Gram; g's bits times neg: +0.0, not neg * g's -0.0 for g < 0
+    bits = np.dtype(f"u{g.itemsize}")
+    c = np.multiply(neg, g.view(bits), dtype=bits).view(g.dtype)
+    c[active] = -(g * w)
+    return c
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

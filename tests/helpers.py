@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from endofeat import losses, network
 from endofeat import tensor as T
-from endofeat.data import PseudoLabel, warp_label
+from endofeat.data import PseudoLabel, specularity_mask, warp_label
 from endofeat import geometry
 from endofeat.geometry import Intrinsics, RelativePose, RansacResult, rotation_to_quat
 from endofeat.homography import (
@@ -78,13 +78,12 @@ def op_cases():
     x34 = r.uniform(-1.0, 1.0, (3, 4))
     y34 = r.uniform(-1.0, 1.0, (3, 4))
     w34 = r.uniform(-1.0, 1.0, (3, 4))
-    cases.append(("add", lambda a, b: T.reduce_sum(T.mul(T.add(a, b), w34)), [x34, y34]))
-    cases.append(("mul", lambda a: T.reduce_sum(T.mul(a, y34)), [x34]))
-    cases.append(("affine", lambda a: T.reduce_sum(T.mul(T.affine(a, -0.7, 0.3), w34)), [x34]))
-    cases.append(("reduce_sum", lambda a: T.reduce_sum(a), [x34]))
+    cases.append(("add", lambda a, b: T.masked_mean(T.add(a, b), w34, 1.0), [x34, y34]))
+    cases.append(("masked_mean", lambda a: T.masked_mean(a, y34, -1.3), [x34]))
+    cases.append(("affine", lambda a: T.masked_mean(T.affine(a, -0.7, 0.3), w34, 1.0), [x34]))
 
     relu_in = r.uniform(0.05, 1.0, (3, 4)) * r.choice([-1.0, 1.0], (3, 4))  # keep off the kink
-    cases.append(("relu", lambda a: T.reduce_sum(T.mul(T.relu(a), w34)), [relu_in]))
+    cases.append(("relu", lambda a: T.masked_mean(T.relu(a), w34, 1.0), [relu_in]))
 
     a233 = r.uniform(-1.0, 1.0, (2, 3, 3))
     b233 = r.uniform(-1.0, 1.0, (2, 3, 3))
@@ -103,14 +102,14 @@ def op_cases():
     cases.append(
         (
             "conv2d",
-            lambda x, k, b: T.reduce_sum(T.mul(T.conv2d(x, k, b), w563)),
+            lambda x, k, b: T.masked_mean(T.conv2d(x, k, b), w563, 1.0),
             [x562, k3323, b3],
         )
     )
     x462 = r.uniform(-1.0, 1.0, (4, 6, 2))
     w232 = r.uniform(-1.0, 1.0, (2, 3, 2))
     cases.append(
-        ("max_pool2x2", lambda a: T.reduce_sum(T.mul(T.max_pool2x2(a), w232)), [x462])
+        ("max_pool2x2", lambda a: T.masked_mean(T.max_pool2x2(a), w232, 1.0), [x462])
     )
 
     x2265 = r.uniform(-1.0, 1.0, (2, 2, 65))
@@ -118,7 +117,7 @@ def op_cases():
     cases.append(
         (
             "channel_softmax",
-            lambda a: T.reduce_sum(T.mul(T.channel_softmax(a), w2265)),
+            lambda a: T.masked_mean(T.channel_softmax(a), w2265, 1.0),
             [x2265],
         )
     )
@@ -197,13 +196,29 @@ def _gram(a, b):
     return out
 
 
-def dense_descriptor_loss(desc_a, desc_b, targets, config=losses.LossConfig()):
+def _mul(x, c):
+    """The elementwise x * c op (c a constant array) the losses recorded
+    before hinge_gram and masked_mean."""
+    out = Tensor._wrap(x.data * c)
+    T._record(out, (x, lambda g: g * c))
+    return out
+
+
+def _reduce_sum(x):
+    """The whole-array sum op the losses recorded before hinge_gram and masked_mean."""
+    out = Tensor._wrap(np.asarray(x.data.sum()))
+    shape = x.data.shape
+    T._record(out, (x, lambda g: np.broadcast_to(g, shape).copy()))
+    return out
+
+
+def dense_descriptor_loss(desc_a, desc_b, targets, m_p=1.0, m_n=0.2, w=250.0):
     """descriptor_loss as the ten-op chain it ran before hinge_gram: the Gram
     Tensor, both hinges through affine and relu, the dense (Hc, Wc, Hc, Wc)
     0/1 correspondence tensor the targets scatter into as the weight grids
     w * s and 1.0 - s, their products, sum and mean. hinge_gram does the
     same arithmetic on the same layouts, so the loss and its gradients must
-    agree bit for bit."""
+    agree bit for bit. The defaults are SuperPoint's margins and weight."""
     gram = _gram(desc_a, desc_b)
     n = gram.shape[0]
     hc, wc = desc_a.shape[:2]
@@ -211,10 +226,23 @@ def dense_descriptor_loss(desc_a, desc_b, targets, config=losses.LossConfig()):
     src = np.flatnonzero(targets >= 0)
     dense.reshape(n, n)[src, targets[src]] = 1
     s = np.asarray(dense, dtype=desc_a.dtype).reshape(n, n)
-    pos = T.relu(T.affine(gram, -1.0, config.margin_positive))
-    neg = T.relu(T.affine(gram, 1.0, -config.margin_negative))
-    total = T.reduce_sum(T.add(T.mul(pos, config.correspondence_weight * s), T.mul(neg, 1.0 - s)))
+    pos = T.relu(T.affine(gram, -1.0, m_p))
+    neg = T.relu(T.affine(gram, 1.0, -m_n))
+    total = _reduce_sum(T.add(_mul(pos, w * s), _mul(neg, 1.0 - s)))
     return T.affine(total, 1.0 / (float(n) * float(n)), 0.0)
+
+
+def chain_specularity_loss(detect, image):
+    """specularity_loss as the four-op chain it ran before masked_mean: the
+    channel softmax, the cell-laid mask multiplied in, the sum and the mean's
+    affine. masked_mean does the same arithmetic in the same order, so the
+    loss and its gradient must agree bit for bit."""
+    image = np.asarray(image).astype(detect.dtype, copy=False)
+    mask = specularity_mask(image)
+    cells = np.zeros((*detect.shape[:2], DUSTBIN + 1), dtype=detect.dtype)
+    cells[..., :DUSTBIN] = space_to_depth(mask)
+    masked = _mul(T.channel_softmax(detect), cells)
+    return T.affine(_reduce_sum(masked), 1.0 / (1e-10 + float(mask.sum())), 0.0)
 
 
 def damaged(blob: bytes):

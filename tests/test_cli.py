@@ -245,6 +245,21 @@ def test_eval_bad_steps_exits_2_before_reading_frames(tmp_path, capsys, setting)
     assert captured.out == "" and not ws["out"].exists()
 
 
+@pytest.mark.parametrize(
+    "command, setting",
+    [("detect", "method="), ("detect", "method=../labels"), ("detect", "method=."),
+     ("eval", "methods=learned,.."), ("eval", "method=a/b")],
+)
+def test_method_not_one_directory_name_exits_2_before_any_frame(tmp_path, capsys, command, setting):
+    # a method names a directory under features_dir: '' would write into
+    # features_dir itself and '../labels' next to it
+    ws = make_workspace(tmp_path, n_frames=2)
+    assert run(ws, command, "--set", setting) == 2
+    captured = capsys.readouterr()
+    assert f"key '{setting.split('=')[0]}'" in captured.err and captured.out == ""
+    assert not ws["out"].exists()
+
+
 def test_train_rerun_skips_before_reading_frames(tmp_path, capsys, monkeypatch):
     ws = make_workspace(tmp_path, n_frames=3)
     assert run(ws, "pseudolabel") == 0

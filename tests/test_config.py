@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endofeat import cli, data, geometry, matching
+from endofeat import cli, data, geometry, losses, matching
 from endofeat.config import (
     ConfigError,
     RunConfig,
@@ -37,8 +37,11 @@ def test_defaults_match_release_settings():
     assert cfg.label_max_points == 600
     assert cfg.ransac_confidence == 0.9999
     assert cfg.ransac_threshold_px == 3.0
-    assert cfg.correspondence_weight == 250.0
     assert cfg.specularity_weight == 100.0
+    # SuperPoint's hinge values are constants, not settings
+    assert (losses._MARGIN_POSITIVE, losses._MARGIN_NEGATIVE, losses._CORRESPONDENCE_WEIGHT) == (
+        1.0, 0.2, 250.0
+    )
     assert cfg.learning_rate == 1e-5
     assert cfg.batch_size == 2
 
@@ -73,6 +76,50 @@ def test_parse_config_text_rejects_bad_lines():
     # match files are no longer written, so their directory is no longer a key
     with pytest.raises(ConfigError, match="unknown key 'matches_dir'"):
         parse_config_text("matches_dir = out/matches\n")
+
+
+@pytest.mark.parametrize("key", ["margin_positive", "margin_negative", "correspondence_weight"])
+def test_fixed_hinge_values_are_unknown_keys(tmp_path, capsys, key):
+    with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
+        parse_config_text(f"{key} = 1.0\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1.0\n")
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+    assert cli.main(["train", "--set", f"{key}=1.0"]) == 2
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
+def test_hash_starts_a_comment_only_at_line_start_or_after_whitespace(tmp_path):
+    path = "/data/run#3/frames"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"frames_dir = {path}\n#seed = 4\n  # seed = 5\nsteps = 1   # strides\n")
+    loaded = load_config(cfg)
+    assert loaded.frames_dir == apply_overrides(RunConfig(), [f"frames_dir={path}"]).frames_dir == path
+    assert loaded.seed == 0 and loaded.steps == (1,)
+    assert parse_config_text("steps = 1\t# strides\n").steps == (1,)
+    with pytest.raises(ConfigError, match=r"line 1: key 'seed': invalid literal .* '3#x'"):
+        parse_config_text("seed = 3#x\n")
+
+
+def test_load_config_skips_a_utf8_bom(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfseed = 5\n")
+    assert load_config(cfg).seed == 5
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("method", ""), ("method", "."), ("method", ".."), ("method", "../labels"),
+     ("method", "a/b"), ("methods", "learned, .."),
+     ("methods", "orb,x/y")],
+)
+def test_method_must_be_one_directory_name(key, value):
+    message = f"key '{key}': .* is not one directory name"
+    with pytest.raises(ConfigError, match="line 1: " + message):
+        parse_config_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=message):
+        apply_overrides(RunConfig(), [f"{key}={value}"])
 
 
 def test_range_errors_name_their_line_or_override(tmp_path, capsys):
@@ -225,7 +272,7 @@ def test_sub_config_conversion_and_errors():
     hc = homography_config(cfg)
     assert hc.rotation_deg == 10.0 and hc.scale_min == 0.8
     lc = loss_config(cfg)
-    assert lc.specularity_weight == 0.0 and lc.correspondence_weight == 250.0
+    assert lc.specularity_weight == 0.0 and lc.descriptor_weight == 1e-4
     tc = train_config(cfg)
     assert tc.iterations == 3 and tc.homography == hc
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from endofeat import tensor as T
 from endofeat.data import PseudoLabel
 from endofeat.homography import correspondence_tensor, sample_homography, to_pixel_frame
 from endofeat.losses import (
@@ -19,9 +20,9 @@ from endofeat.losses import (
     specularity_loss,
 )
 from endofeat.network import forward, init_params
-from endofeat.tensor import GradTape, Tensor, affine, backward
+from endofeat.tensor import GradTape, Tensor, affine, backward, hinge_gram
 
-from helpers import dense_descriptor_loss, rng, toy_architecture
+from helpers import chain_specularity_loss, dense_descriptor_loss, rng, toy_architecture
 
 
 def empty_label():
@@ -82,7 +83,8 @@ def test_detection_loss_rejects_wrong_channel_count():
 # --- descriptor ------------------------------------------------------------
 
 
-def _descriptor_oracle(da, db, targets, cfg):
+def _descriptor_oracle(da, db, targets):
+    # SuperPoint's hinge: m_p = 1, m_n = 0.2, lambda_d = 250
     hc, wc, d = da.shape
     n = hc * wc
     a = da.reshape(n, d)
@@ -92,9 +94,9 @@ def _descriptor_oracle(da, db, targets, cfg):
         for j in range(n):
             g = float(a[i] @ b[j])
             if targets[i] == j:
-                total += cfg.correspondence_weight * max(0.0, cfg.margin_positive - g)
+                total += 250.0 * max(0.0, 1.0 - g)
             else:
-                total += max(0.0, g - cfg.margin_negative)
+                total += max(0.0, g - 0.2)
     return total / (n * n)
 
 
@@ -106,16 +108,15 @@ def test_descriptor_loss_matches_pair_oracle(seed):
     db = r.normal(size=(hc, wc, d))
     n = hc * wc
     targets = r.integers(-1, n, size=n)
-    cfg = LossConfig()
-    got = descriptor_loss(Tensor(da), Tensor(db), targets, cfg).item()
-    want = _descriptor_oracle(da, db, targets, cfg)
+    got = descriptor_loss(Tensor(da), Tensor(db), targets).item()
+    want = _descriptor_oracle(da, db, targets)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
-def _loss_and_grads(loss_fn, da, db, targets, cfg):
+def _loss_and_grads(loss_fn, da, db, targets):
     a, b = Tensor(da), Tensor(db)
     with GradTape() as tape:
-        loss = loss_fn(a, b, targets, cfg)
+        loss = loss_fn(a, b, targets)
     ga, gb = backward(tape, loss, [a, b])
     return loss.data.tobytes(), ga.tobytes(), gb.tobytes()
 
@@ -124,8 +125,9 @@ def _loss_and_grads(loss_fn, da, db, targets, cfg):
 @pytest.mark.parametrize("height, width", [(16, 16), (64, 64), (120, 160), (240, 320)])
 def test_descriptor_loss_equals_dense_oracle_bit_for_bit(dtype, height, width):
     # The targets against the dense 0/1 tensor they scatter into: the loss
-    # and both gradients keep every byte, at the default weights and at a
-    # correspondence weight float32 does not hold exactly.
+    # and both gradients keep every byte, at SuperPoint's weight and, through
+    # hinge_gram directly, at a correspondence weight float32 does not hold
+    # exactly.
     for seed in range(4):
         r = rng((24, seed))
         h_px = to_pixel_frame(sample_homography(r), height, width)
@@ -133,10 +135,17 @@ def test_descriptor_loss_equals_dense_oracle_bit_for_bit(dtype, height, width):
         shape = (height // CELL, width // CELL, 32)
         da = (r.normal(size=shape) * 0.3).astype(dtype)
         db = (r.normal(size=shape) * 0.3).astype(dtype)
-        for cfg in (LossConfig(), LossConfig(correspondence_weight=0.1)):
-            assert _loss_and_grads(descriptor_loss, da, db, targets, cfg) == _loss_and_grads(
-                dense_descriptor_loss, da, db, targets, cfg
-            )
+        assert _loss_and_grads(descriptor_loss, da, db, targets) == _loss_and_grads(
+            dense_descriptor_loss, da, db, targets
+        )
+        n = len(targets)
+
+        def weight_01(a, b, t):
+            return affine(hinge_gram(a, b, t, 1.0, 0.2, 0.1), 1.0 / (float(n) * float(n)), 0.0)
+
+        assert _loss_and_grads(weight_01, da, db, targets) == _loss_and_grads(
+            lambda a, b, t: dense_descriptor_loss(a, b, t, w=0.1), da, db, targets
+        )
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -149,11 +158,10 @@ def test_descriptor_loss_equals_dense_oracle_under_negative_upstream_gradient(dt
     db = (r.normal(size=(8, 8, 32)) * 0.3).astype(dtype)
 
     def negated(loss_fn):
-        return lambda a, b, t, cfg: affine(loss_fn(a, b, t, cfg), -3.0, 0.0)
+        return lambda a, b, t: affine(loss_fn(a, b, t), -3.0, 0.0)
 
-    cfg = LossConfig()
-    assert _loss_and_grads(negated(descriptor_loss), da, db, targets, cfg) == _loss_and_grads(
-        negated(dense_descriptor_loss), da, db, targets, cfg
+    assert _loss_and_grads(negated(descriptor_loss), da, db, targets) == _loss_and_grads(
+        negated(dense_descriptor_loss), da, db, targets
     )
 
 
@@ -174,6 +182,28 @@ def test_descriptor_loss_records_two_ops():
     with GradTape() as tape:
         descriptor_loss(grid, grid, np.full(6, -1))
     assert len(tape._records) == 2  # hinge_gram and the mean's affine
+
+
+@pytest.mark.parametrize("wrt", ["ab", "a", "b"])
+def test_hinge_gram_builds_its_coefficients_once_per_backward(monkeypatch, wrt):
+    # The two gradient functions share one coefficient grid: the b function
+    # reuses the a function's, and builds its own only when a is not differentiated.
+    r = rng(27)
+    targets = correspondence_tensor(to_pixel_frame(sample_homography(r), 32, 32), 32, 32)
+    a, b = Tensor(r.normal(size=(4, 4, 8)) * 0.3), Tensor(r.normal(size=(4, 4, 8)) * 0.3)
+    build = T._hinge_coefficients
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(T, "_hinge_coefficients", spy)
+    with GradTape() as tape:
+        loss = descriptor_loss(a, b, targets)
+    grads = backward(tape, loss, [{"a": a, "b": b}[t] for t in wrt])
+    assert len(calls) == 1
+    assert all(g.any() for g in grads)
 
 
 def _descriptor_loss_peak(height, width):
@@ -244,6 +274,27 @@ def test_specularity_loss_matches_masked_mean_oracle(seed):
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_specularity_loss_equals_four_op_chain_bit_for_bit(dtype):
+    # masked_mean against the mul -> reduce_sum -> affine chain it replaced:
+    # the loss and the gradient keep every byte, under upstream gradients of
+    # training's size and of either sign.
+    for seed in range(4):
+        r = rng((29, seed))
+        detect = (r.normal(size=(3, 4, 65)) * 2.0).astype(dtype)
+        image = r.uniform(0.0, 1.0, size=(24, 32))
+        for upstream in (1.0, 50.0, -3.0):
+            got = []
+            for loss_fn in (specularity_loss, chain_specularity_loss):
+                x = Tensor(detect)
+                with GradTape() as tape:
+                    loss = affine(loss_fn(x, image), upstream, 0.0)
+                (gx,) = backward(tape, loss, [x])
+                assert loss.dtype == gx.dtype == dtype
+                got.append((loss.data.tobytes(), gx.tobytes()))
+            assert got[0] == got[1]
+
+
 def test_specularity_loss_no_highlights_is_zero():
     detect = rng(23).normal(size=(2, 2, 65))
     image = np.full((16, 16), 0.5)
@@ -277,6 +328,21 @@ def test_specular_weight_zero_collapses_to_pair_loss():
     combined, terms = specular_pair_loss(img_a, heads_a, label, img_b, heads_b, label, corr, cfg)
     assert combined.item() == plain.item()  # bit for bit
     assert terms == (*plain_terms, 0.0)
+
+
+def test_a_toy_training_slot_records_15_loss_ops():
+    # As finetune runs a slot: two forwards, then the specular pair loss and
+    # the batch scaling. Two detection losses, the descriptor loss's hinge_gram
+    # and mean, a softmax and a masked_mean per view, and seven affines and adds.
+    img_a, _, img_b, _, label, corr = _toy_pair()
+    params = init_params(toy_architecture(), seed=7)
+    with GradTape() as tape:
+        heads_a = forward(params, img_a)
+        heads_b = forward(params, img_b)
+        before = len(tape._records)
+        loss, _ = specular_pair_loss(img_a, heads_a, label, img_b, heads_b, label, corr)
+        affine(loss, 0.5, 0.0)
+    assert len(tape._records) - before == 15
 
 
 def test_specular_pair_loss_reports_terms():

@@ -61,7 +61,7 @@ def test_elementwise_shape_mismatch_raises():
     with pytest.raises(ValueError):
         T.add(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))))
     with pytest.raises(ValueError):
-        T.mul(Tensor(np.ones((2, 2))), np.ones((2, 3)))
+        T.masked_mean(Tensor(np.ones((2, 2))), np.ones((2, 3)), 1.0)
 
 
 def test_backward_requires_scalar_loss():
@@ -76,7 +76,7 @@ def test_unused_tensor_gets_zero_gradient():
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.ones((2, 2)))
     with GradTape() as tape:
-        loss = T.reduce_sum(a)
+        loss = T.masked_mean(a, np.ones((2, 2)), 1.0)
     ga, gb = backward(tape, loss, [a, b])
     assert np.array_equal(gb, np.zeros((2, 2)))
     assert np.array_equal(ga, np.ones((2, 2)))
@@ -88,7 +88,7 @@ def test_an_intermediate_in_wrt_keeps_its_gradient():
     a = Tensor(np.ones((2, 2)))
     with GradTape() as tape:
         h = T.affine(a, 2.0, 0.0)
-        loss = T.reduce_sum(T.relu(h))
+        loss = T.masked_mean(T.relu(h), np.ones((2, 2)), 1.0)
     gh, ga = backward(tape, loss, [h, a])
     assert np.array_equal(gh, np.ones((2, 2)))
     assert np.array_equal(ga, np.full((2, 2), 2.0))
@@ -106,7 +106,7 @@ def test_ops_outside_tape_do_not_record():
 def test_a_tape_replays_once():
     a = Tensor(np.ones((2, 2)))
     with GradTape() as tape:
-        loss = T.reduce_sum(T.relu(a))
+        loss = T.masked_mean(T.relu(a), np.ones((2, 2)), 1.0)
     assert np.array_equal(backward(tape, loss, [a])[0], np.ones((2, 2)))
     assert tape._records == []
     with pytest.raises(RuntimeError, match="replays once"):
@@ -151,7 +151,7 @@ def test_gradients_never_answer_for_a_later_tensor():
     # Tensor made afterwards, which may reuse its memory and id(), reads zeros.
     w = rng(26).uniform(-1.0, 1.0, (3, 4))
     with GradTape() as tape:
-        loss = T.reduce_sum(T.mul(Tensor(np.ones((3, 4))), w))
+        loss = T.masked_mean(Tensor(np.ones((3, 4))), w, 1.0)
     gc.collect()
     later = [Tensor(np.ones((3, 4))) for _ in range(100)]
     for g in backward(tape, loss, later):
@@ -251,7 +251,7 @@ def test_conv2d_forward_shapes_cover_uneven_blocks():
 def _conv2d_grads(x, k, b, g):
     tx, tk, tb = Tensor(x), Tensor(k), Tensor(b)
     with GradTape() as tape:
-        loss = T.reduce_sum(T.mul(T.conv2d(tx, tk, tb), g))
+        loss = T.masked_mean(T.conv2d(tx, tk, tb), g, 1.0)
     return tuple(backward(tape, loss, [tx, tk, tb]))
 
 
@@ -359,7 +359,7 @@ def test_conv2d_plain_array_input_has_no_gradient(monkeypatch):
     for kind, xin in (("tensor", Tensor(x)), ("tensor outside wrt", Tensor(x)), ("array", x)):
         tk, tb = Tensor(kernel), Tensor(bias)
         with GradTape() as tape:
-            loss = T.reduce_sum(T.mul(T.conv2d(xin, tk, tb), g))
+            loss = T.masked_mean(T.conv2d(xin, tk, tb), g, 1.0)
         wrt = [xin, tk, tb] if kind == "tensor" else [tk, tb]
         calls.clear()
         with monkeypatch.context() as m:
@@ -405,7 +405,7 @@ def _pool_grad(x, g):
     tx = Tensor(x)
     with GradTape() as tape:
         y = T.max_pool2x2(tx)
-        loss = T.reduce_sum(T.mul(y, g))
+        loss = T.masked_mean(y, g, 1.0)
     return y.data, backward(tape, loss, [tx])[0]
 
 
@@ -510,9 +510,9 @@ def test_hinge_gram_matches_numpy():
 
 @given(st.integers(0, 1_000_000))
 @settings(max_examples=25, deadline=None)
-def test_add_mul_agree_with_numpy(seed):
+def test_add_and_masked_mean_agree_with_numpy(seed):
     r = rng(seed)
     a = r.uniform(-10, 10, (3, 4))
     b = r.uniform(-10, 10, (3, 4))
     np.testing.assert_array_equal(T.add(Tensor(a), Tensor(b)).data, a + b)
-    np.testing.assert_array_equal(T.mul(Tensor(a), b).data, a * b)
+    np.testing.assert_array_equal(T.masked_mean(Tensor(a), b, 0.3).data, (a * b).sum() * 0.3)
