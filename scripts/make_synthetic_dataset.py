@@ -21,6 +21,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from endofeat import data
+from endofeat.config import ConfigError, config_text
 from endofeat.homography import HomographyConfig
 from endofeat.ioutil import atomic_write_text
 from endofeat.synthetic import (
@@ -52,7 +53,22 @@ def parse_args(argv=None):
 
 
 def main(argv=None) -> int:
+    """Write the dataset; exit code 2, before anything is written, when
+    run.cfg could not hold the output paths."""
     args = parse_args(argv)
+    frames_dir = os.path.join(args.output, "frames")
+    try:
+        cfg_text = config_text({
+            "frames_dir": frames_dir,
+            "output_dir": os.path.join(args.output, "out"),
+            "weights_path": "",
+            "seed": args.seed,
+            "steps": 1,
+            "models": "H",
+        })
+    except ConfigError as exc:
+        print(f"error: run.cfg: {exc}", file=sys.stderr)
+        return 2
     size = args.size
     base = band_limited_texture(size, size, seed=args.seed, cutoff=0.2)
     centers = np.empty((0, 2), dtype=np.int64)
@@ -72,7 +88,6 @@ def main(argv=None) -> int:
         frames = [add_specular_blobs(f, seed=args.seed * 10_000 + i, coverage=args.coverage)
                   for i, f in enumerate(frames)]
 
-    frames_dir = os.path.join(args.output, "frames")
     os.makedirs(frames_dir, exist_ok=True)
     for fid, frame in enumerate(frames):
         data.write_pgm(os.path.join(frames_dir, data.frame_name(fid)), frame, maxval=65535)
@@ -88,15 +103,7 @@ def main(argv=None) -> int:
     atomic_write_text(os.path.join(args.output, "homographies.json"),
                       json.dumps(truth, indent=2) + "\n")
 
-    cfg_lines = [
-        f"frames_dir = {frames_dir}",
-        f"output_dir = {os.path.join(args.output, 'out')}",
-        "weights_path = ",
-        f"seed = {args.seed}",
-        "steps = 1",
-        "models = H",
-    ]
-    atomic_write_text(os.path.join(args.output, "run.cfg"), "\n".join(cfg_lines) + "\n")
+    atomic_write_text(os.path.join(args.output, "run.cfg"), cfg_text)
 
     print(f"wrote {args.frames} frames ({size}x{size}, {len(centers)} markers"
           f"{', specular' if args.specular else ''}) -> {frames_dir}")

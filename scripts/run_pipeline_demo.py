@@ -30,6 +30,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from endofeat import cli, data, network
+from endofeat.config import ConfigError, config_text
 from endofeat.data import warp_label
 from endofeat.homography import HomographyConfig, warp_points
 from endofeat.ioutil import atomic_write_text
@@ -86,8 +87,26 @@ class PairRow(NamedTuple):
 def run(args) -> list:
     """Train, write the inputs, run detect and eval; one `PairRow` per step-1 pair.
 
-    Exits with the command's code when detect or eval fails.
+    Exits with code 2 before training when run.cfg could not hold the output
+    paths, and with the command's code when detect or eval fails.
     """
+    frames_dir = os.path.join(args.output, "frames")
+    weights = os.path.join(args.output, "trained.weights")
+    try:
+        cfg_text = config_text({
+            "frames_dir": frames_dir,
+            "weights_path": weights,
+            "output_dir": args.output,
+            "seed": 9 + args.seed,
+            "detection_threshold": 0.2,
+            "detection_nms_window": 3,
+            "max_features": 100,
+            "steps": 1,
+            "models": "H",
+        })
+    except ConfigError as exc:
+        print(f"error: run.cfg: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     frames, homs, centers = planted_scene(args.size, args.frames, args.seed)
     size = args.size
 
@@ -113,24 +132,12 @@ def run(args) -> list:
     print(f"trained {args.iterations} iterations in {time.monotonic() - start:.0f}s, "
           f"final loss {history[-1].total:.4f}")
 
-    frames_dir = os.path.join(args.output, "frames")
     os.makedirs(frames_dir, exist_ok=True)
     for fid, img in enumerate(frames):
         data.write_pgm(os.path.join(frames_dir, data.frame_name(fid)), img, maxval=65535)
-    weights = os.path.join(args.output, "trained.weights")
     network.save_weights(tuned, weights)
     cfg_path = os.path.join(args.output, "run.cfg")
-    atomic_write_text(cfg_path, "\n".join([
-        f"frames_dir = {frames_dir}",
-        f"weights_path = {weights}",
-        f"output_dir = {args.output}",
-        f"seed = {9 + args.seed}",
-        "detection_threshold = 0.2",
-        "detection_nms_window = 3",
-        "max_features = 100",
-        "steps = 1",
-        "models = H",
-    ]) + "\n")
+    atomic_write_text(cfg_path, cfg_text)
 
     for command in ("detect", "eval"):
         code = cli.main([command, "--config", cfg_path])

@@ -11,7 +11,8 @@ file, so flags win. Field defaults are read from the module that owns each
 setting: LossConfig, TrainConfig, HomographyConfig and the detection, label
 and RANSAC constants. Each of those three module configs is built back from
 the RunConfig fields named after its own (``homography_`` + field for the
-warp).
+warp). config_text writes ``key = value`` lines that parse back to the
+same values, or raises ConfigError naming the key whose value would not.
 """
 
 from __future__ import annotations
@@ -164,6 +165,25 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     return config
+
+
+def config_text(settings) -> str:
+    """The `key = value` lines of settings, a mapping of keys to values
+    written with str(), in order. Raises ConfigError naming the key when
+    parse_config_text would not read its value back unchanged: a line break,
+    a '#' after whitespace, or whitespace at either end of the value."""
+    lines = []
+    for key, value in settings.items():
+        value = str(value)
+        line = f"{key} = {value}"
+        try:
+            back = getattr(parse_config_text(line), key)
+        except ConfigError as exc:
+            raise ConfigError(f"key {key!r}: {value!r} does not read back: {exc}") from None
+        if back != parse_value(key, value):
+            raise ConfigError(f"key {key!r}: {value!r} would read back as {back!r}")
+        lines.append(line + "\n")
+    return "".join(lines)
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:

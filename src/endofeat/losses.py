@@ -16,6 +16,9 @@ Three building blocks and two compositions:
 * specular_pair_loss — pair_loss plus the weighted specularity losses of
   both views; with specularity_weight 0 it returns pair_loss unchanged.
 
+Weights and means are arguments of the op that sums (add's w, hinge_gram's
+and masked_mean's scale), not tape records: specular_pair_loss records 11.
+
 The building blocks return scalar Tensors; the two compositions return
 (loss, terms), the scalar loss Tensor and a tuple of its unweighted terms
 as floats (detection, descriptor[, specularity]), which training reports
@@ -89,8 +92,8 @@ def descriptor_loss(desc_a: Tensor, desc_b: Tensor, correspondence: np.ndarray) 
     -1 for none. Each corresponding pair is pulled above the positive margin
     1 with weight 250, every other pair pushed below the negative margin
     0.2; the result is the mean over all Hc*Wc x Hc*Wc pairs
-    (tensor.hinge_gram's sum, scaled). Raises ValueError for a target array
-    of another length or with a value outside [-1, Hc*Wc).
+    (tensor.hinge_gram with scale 1 / (Hc*Wc)^2). Raises ValueError for a
+    target array of another length or with a value outside [-1, Hc*Wc).
     """
     n = int(np.prod(desc_a.shape[:-1]))
     target = np.asarray(correspondence)
@@ -100,9 +103,8 @@ def descriptor_loss(desc_a: Tensor, desc_b: Tensor, correspondence: np.ndarray) 
         )
     if np.any((target < -1) | (target >= n)):
         raise ValueError(f"correspondence target outside [-1, {n})")
-    total = T.hinge_gram(desc_a, desc_b, target, _MARGIN_POSITIVE, _MARGIN_NEGATIVE,
-                         _CORRESPONDENCE_WEIGHT)
-    return T.affine(total, 1.0 / (float(n) * float(n)), 0.0)
+    return T.hinge_gram(desc_a, desc_b, target, _MARGIN_POSITIVE, _MARGIN_NEGATIVE,
+                        _CORRESPONDENCE_WEIGHT, 1.0 / (float(n) * float(n)))
 
 
 def specularity_loss(detect: Tensor, image: np.ndarray) -> Tensor:
@@ -142,7 +144,7 @@ def pair_loss(
     """
     det = T.add(detection_loss(heads_a.detect, label_a), detection_loss(heads_b.detect, label_b))
     desc = descriptor_loss(heads_a.describe, heads_b.describe, correspondence)
-    return T.add(det, T.affine(desc, config.descriptor_weight, 0.0)), (det.item(), desc.item())
+    return T.add(det, desc, config.descriptor_weight), (det.item(), desc.item())
 
 
 def specular_pair_loss(
@@ -170,4 +172,4 @@ def specular_pair_loss(
         specularity_loss(heads_a.detect, image_a),
         specularity_loss(heads_b.detect, image_b),
     )
-    return T.add(loss, T.affine(spec, config.specularity_weight, 0.0)), (*terms, spec.item())
+    return T.add(loss, spec, config.specularity_weight), (*terms, spec.item())

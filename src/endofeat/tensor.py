@@ -4,8 +4,9 @@ Implements exactly the operations the keypoint network and its training
 losses differentiate: stride-1 2-D convolution, 2x2 max pooling, the
 per-cell channel softmax, the descriptor loss's hinge summed over the cell
 Gram matrix, the specularity loss's masked mean, the detection loss's
-softmax cross-entropy, and add, affine and relu. Decoding (the heatmap, the
-descriptors at the detected keypoints) is plain numpy in the network module.
+softmax cross-entropy, relu, and add, which weights its second term.
+Decoding (the heatmap, the descriptors at the detected keypoints) is plain
+numpy in the network module.
 
 A Tensor is a value the training graph differentiates; a plain numpy array
 is a constant, and no gradient is computed for it. masked_mean's mask is
@@ -27,9 +28,9 @@ pooling a uint8 window code, masked_mean its mask, hinge_gram the cells,
 its active positive pairs and an n x n bool mask); the masks are built only
 while a tape records, so inference pays nothing for them. hinge_gram's b
 gradient reuses the coefficient grid its a gradient built.
-``backward(tape, loss, wrt)`` returns the loss's gradient with respect to
-each Tensor of wrt. It first marks the keys that depend on wrt, then
-replays the tape once, in reverse, popping each record as it goes, and
+``backward(tape, loss, wrt, scale)`` returns scale times the loss's gradient
+with respect to each Tensor of wrt. It first marks the keys that depend on
+wrt, then replays the tape once, in reverse, popping each record as it goes, and
 calls a grad_fn only for a marked input: no gradient is computed off the
 paths from wrt to the loss. Training passes the parameters, so the frame
 the network's first conv reads is never differentiated. A replayed tape
@@ -55,7 +56,6 @@ __all__ = [
     "GradTape",
     "backward",
     "add",
-    "affine",
     "relu",
     "conv2d",
     "max_pool2x2",
@@ -162,10 +162,10 @@ def _record(out: Tensor, *inputs) -> None:
         stack[-1]._records.append((out.key, pairs))
 
 
-def backward(tape: GradTape, loss: Tensor, wrt) -> list:
-    """Reverse-replay the tape from a scalar loss, emptying it; returns the
-    gradient of the loss with respect to each Tensor of wrt, in order, with
-    zeros for a Tensor the loss does not use.
+def backward(tape: GradTape, loss: Tensor, wrt, scale: float = 1.0) -> list:
+    """Reverse-replay the tape from a scalar loss, seeded with scale in its
+    dtype, emptying it; returns the gradient of scale * loss with respect to
+    each Tensor of wrt, in order, with zeros for a Tensor the loss does not use.
 
     A forward sweep over the records first finds the live keys: wrt's, and
     the output of every record with a live input. The replay then visits
@@ -188,7 +188,7 @@ def backward(tape: GradTape, loss: Tensor, wrt) -> list:
     for out_key, inputs in records:
         if any(key in live for key, _ in inputs):
             live.add(out_key)
-    grads: dict[int, np.ndarray] = {loss.key: np.ones((), dtype=loss.data.dtype)}
+    grads: dict[int, np.ndarray] = {loss.key: np.asarray(scale, dtype=loss.data.dtype)}
     while records:
         out_key, inputs = records.pop()
         g = grads.get(out_key) if out_key in wanted else grads.pop(out_key, None)
@@ -207,18 +207,12 @@ def backward(tape: GradTape, loss: Tensor, wrt) -> list:
 # ---------------------------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Tensor, b: Tensor, w: float = 1.0) -> Tensor:
+    """Elementwise a + w * b with a python-float weight w."""
     if a.data.shape != b.data.shape:
         raise ValueError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
-    out = Tensor._wrap(a.data + b.data)
-    _record(out, (a, lambda g: g), (b, lambda g: g))
-    return out
-
-
-def affine(x: Tensor, scale: float, shift: float) -> Tensor:
-    """Elementwise scale * x + shift with python-float coefficients."""
-    out = Tensor._wrap(x.data * scale + shift)
-    _record(out, (x, lambda g: g * scale))
+    out = Tensor._wrap(a.data + b.data * w)
+    _record(out, (a, lambda g: g), (b, lambda g: g * w))
     return out
 
 
@@ -380,10 +374,12 @@ def masked_mean(x: Tensor, c: np.ndarray, scale: float) -> Tensor:
     return out
 
 
-def hinge_gram(a: Tensor, b: Tensor, target: np.ndarray, m_p: float, m_n: float, w: float) -> Tensor:
-    """Sum over every cell pair (p, q) of two Hc x Wc x D grids of w * relu(m_p - g)
-    where q == target[p] and relu(g - m_n) elsewhere, g the dot product of a's cell
-    p and b's cell q (row-major); target holds a cell of b per cell of a, or -1.
+def hinge_gram(a: Tensor, b: Tensor, target: np.ndarray, m_p: float, m_n: float, w: float,
+               scale: float) -> Tensor:
+    """scale times the sum over every cell pair (p, q) of two Hc x Wc x D grids of
+    w * relu(m_p - g) where q == target[p] and relu(g - m_n) elsewhere, g the dot
+    product of a's cell p and b's cell q (row-major); target holds a cell of b per
+    cell of a, or -1.
     """
     av, bv = a.data, b.data
     if av.ndim != 3 or av.shape != bv.shape:
@@ -396,7 +392,7 @@ def hinge_gram(a: Tensor, b: Tensor, target: np.ndarray, m_p: float, m_n: float,
     hinge -= m_n
     np.maximum(hinge, 0, out=hinge)
     hinge[hits] = pos * w
-    out = Tensor._wrap(np.asarray(hinge.sum()))
+    out = Tensor._wrap(np.asarray(hinge.sum()) * scale)
     if _recording():
         neg = hinge > 0  # the active negative hinges; subgradient at 0 is 0, as in relu
         neg[hits] = False
@@ -405,11 +401,11 @@ def hinge_gram(a: Tensor, b: Tensor, target: np.ndarray, m_p: float, m_n: float,
         built = []  # grad_a's coefficient grid, which grad_b reuses
 
         def grad_a(g):
-            built.append(_hinge_coefficients(neg, active, g, w))
+            built.append(_hinge_coefficients(neg, active, g * scale, w))
             return (built[0] @ bt.T).reshape(av.shape)
 
         def grad_b(g):
-            c = built.pop() if built else _hinge_coefficients(neg, active, g, w)
+            c = built.pop() if built else _hinge_coefficients(neg, active, g * scale, w)
             return np.ascontiguousarray((a2.T @ c).T).reshape(bv.shape)
 
         _record(out, (a, grad_a), (b, grad_b))

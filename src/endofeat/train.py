@@ -3,7 +3,8 @@
 Each iteration draws a batch of frames, warps every frame by a freshly
 sampled homography, runs the network on both views, and minimizes the
 combined pair loss (with highlight suppression when the specularity
-weight is nonzero) with Adam. Adam's constants are fixed: moment decays
+weight is nonzero) with Adam, summing the slots' gradients, each seeded
+with 1 / batch_size. Adam's constants are fixed: moment decays
 0.9 and 0.999, denominator guard 1e-8; only the learning rate is a
 setting. All randomness derives from the run seed keyed by (seed,
 iteration, slot), so runs are bit-reproducible.
@@ -28,7 +29,6 @@ from .homography import HomographyConfig, correspondence_tensor, sample_homograp
 from .ioutil import fmt, write_archive
 from .network import NetworkParams
 from .tensor import GradTape, Tensor, backward
-from . import tensor as T
 
 _BETA1 = 0.9  # Adam's first-moment decay
 _BETA2 = 0.999  # Adam's second-moment decay
@@ -79,12 +79,12 @@ class IterationStats:
 
 
 class AdamState:
-    """First/second moment accumulators per parameter label."""
+    """First/second moment accumulators per parameter label, zero at step 0."""
 
-    def __init__(self):
+    def __init__(self, params: NetworkParams):
         self.step = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = {label: np.zeros_like(t.data) for label, t in params.tensors.items()}
+        self.v = {label: np.zeros_like(t.data) for label, t in params.tensors.items()}
 
 
 def adam_step(params: NetworkParams, grads: dict, state: AdamState, config: TrainConfig) -> NetworkParams:
@@ -94,14 +94,8 @@ def adam_step(params: NetworkParams, grads: dict, state: AdamState, config: Trai
     tensors = {}
     for label, tensor in params.tensors.items():
         g = grads[label]
-        m = state.m.get(label)
-        if m is None:
-            m = np.zeros_like(tensor.data)
-            v = np.zeros_like(tensor.data)
-        else:
-            v = state.v[label]
-        m = _BETA1 * m + (1 - _BETA1) * g
-        v = _BETA2 * v + (1 - _BETA2) * g * g
+        m = _BETA1 * state.m[label] + (1 - _BETA1) * g
+        v = _BETA2 * state.v[label] + (1 - _BETA2) * g * g
         state.m[label] = m
         state.v[label] = v
         mhat = m / (1 - _BETA1**t)
@@ -130,7 +124,7 @@ def finetune(
     samples = list(samples)
     if not samples:
         raise ValueError("finetune needs a nonempty dataset")
-    state = AdamState()
+    state = AdamState(params)
     history: list[IterationStats] = []
     for it in range(train_config.iterations):
         batch_rng = _iteration_rng(train_config.seed, it, 0)
@@ -154,8 +148,7 @@ def finetune(
                     sample.image, heads_a, sample.label, warped, heads_b, warped_label,
                     corr, loss_config,
                 )
-                scaled = T.affine(loss, 1.0 / train_config.batch_size, 0.0)
-                grads = backward(tape, scaled, params.tensors.values())
+                grads = backward(tape, loss, params.tensors.values(), 1.0 / train_config.batch_size)
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingDivergedError(it, value)

@@ -13,6 +13,7 @@ from endofeat.config import (
     RunConfig,
     _convert,
     apply_overrides,
+    config_text,
     features_dir,
     homography_config,
     labels_dir,
@@ -26,6 +27,8 @@ from endofeat.config import (
 )
 from endofeat.losses import LossConfig
 from endofeat.train import TrainConfig
+
+from helpers import load_script
 
 
 def test_defaults_match_release_settings():
@@ -100,6 +103,48 @@ def test_hash_starts_a_comment_only_at_line_start_or_after_whitespace(tmp_path):
     assert parse_config_text("steps = 1\t# strides\n").steps == (1,)
     with pytest.raises(ConfigError, match=r"line 1: key 'seed': invalid literal .* '3#x'"):
         parse_config_text("seed = 3#x\n")
+
+
+def test_config_text_reads_back_or_names_the_key():
+    settings = {"frames_dir": "/data/smoke#1/frames", "weights_path": "", "seed": 3, "steps": "1, 2"}
+    text = config_text(settings)
+    assert text == "frames_dir = /data/smoke#1/frames\nweights_path = \nseed = 3\nsteps = 1, 2\n"
+    loaded = parse_config_text(text)
+    assert (loaded.frames_dir, loaded.weights_path, loaded.seed, loaded.steps) == (
+        "/data/smoke#1/frames", "", 3, (1, 2))
+    for value in ("/data/run #2/frames", "/data/run\t#2", " lead", "trail ", "a\nseed = 4",
+                  "a\n= b", "a\rb"):
+        with pytest.raises(ConfigError, match="key 'frames_dir'"):
+            config_text({"seed": 1, "frames_dir": value})
+    with pytest.raises(ConfigError, match="unknown key 'margin'"):
+        config_text({"margin": 1.0})
+
+
+@pytest.mark.parametrize("script", ["make_synthetic_dataset", "run_pipeline_demo"])
+def test_scripts_exit_2_and_write_nothing_when_run_cfg_cannot_hold_the_output(
+    tmp_path, capsys, script
+):
+    # '#' after a space would start a comment in run.cfg, and every command
+    # would then read frames_dir as <tmp>/run
+    argv = ["--output", str(tmp_path / "run #2"), "--frames", "2", "--size", "32"]
+    if script == "run_pipeline_demo":
+        argv += ["--iterations", "1"]  # keeps a regression that trains first short
+    try:
+        code = load_script(script).main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "key 'frames_dir'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synthetic_dataset_run_cfg_reads_back_a_hash_in_a_word(tmp_path):
+    out = tmp_path / "smoke#1"
+    main = load_script("make_synthetic_dataset").main
+    assert main(["--output", str(out), "--frames", "2", "--size", "32", "--markers", "0"]) == 0
+    loaded = load_config(out / "run.cfg")
+    assert (loaded.frames_dir, loaded.output_dir) == (str(out / "frames"), str(out / "out"))
+    assert sorted(os.listdir(loaded.frames_dir)) == [data.frame_name(0), data.frame_name(1)]
 
 
 def test_load_config_skips_a_utf8_bom(tmp_path):

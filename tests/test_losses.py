@@ -20,7 +20,7 @@ from endofeat.losses import (
     specularity_loss,
 )
 from endofeat.network import forward, init_params
-from endofeat.tensor import GradTape, Tensor, affine, backward, hinge_gram
+from endofeat.tensor import GradTape, Tensor, backward, hinge_gram
 
 from helpers import chain_specularity_loss, dense_descriptor_loss, rng, toy_architecture
 
@@ -113,11 +113,11 @@ def test_descriptor_loss_matches_pair_oracle(seed):
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
-def _loss_and_grads(loss_fn, da, db, targets):
+def _loss_and_grads(loss_fn, da, db, targets, upstream=1.0):
     a, b = Tensor(da), Tensor(db)
     with GradTape() as tape:
         loss = loss_fn(a, b, targets)
-    ga, gb = backward(tape, loss, [a, b])
+    ga, gb = backward(tape, loss, [a, b], upstream)
     return loss.data.tobytes(), ga.tobytes(), gb.tobytes()
 
 
@@ -141,7 +141,7 @@ def test_descriptor_loss_equals_dense_oracle_bit_for_bit(dtype, height, width):
         n = len(targets)
 
         def weight_01(a, b, t):
-            return affine(hinge_gram(a, b, t, 1.0, 0.2, 0.1), 1.0 / (float(n) * float(n)), 0.0)
+            return hinge_gram(a, b, t, 1.0, 0.2, 0.1, 1.0 / (float(n) * float(n)))
 
         assert _loss_and_grads(weight_01, da, db, targets) == _loss_and_grads(
             lambda a, b, t: dense_descriptor_loss(a, b, t, w=0.1), da, db, targets
@@ -157,11 +157,8 @@ def test_descriptor_loss_equals_dense_oracle_under_negative_upstream_gradient(dt
     da = (r.normal(size=(8, 8, 32)) * 0.3).astype(dtype)
     db = (r.normal(size=(8, 8, 32)) * 0.3).astype(dtype)
 
-    def negated(loss_fn):
-        return lambda a, b, t: affine(loss_fn(a, b, t), -3.0, 0.0)
-
-    assert _loss_and_grads(negated(descriptor_loss), da, db, targets) == _loss_and_grads(
-        negated(dense_descriptor_loss), da, db, targets
+    assert _loss_and_grads(descriptor_loss, da, db, targets, -3.0) == _loss_and_grads(
+        dense_descriptor_loss, da, db, targets, -3.0
     )
 
 
@@ -177,11 +174,11 @@ def test_descriptor_loss_rejects_bad_targets(targets):
         descriptor_loss(grid, grid, targets)
 
 
-def test_descriptor_loss_records_two_ops():
+def test_descriptor_loss_records_one_op():
     grid = Tensor(np.zeros((2, 3, 4)))
     with GradTape() as tape:
         descriptor_loss(grid, grid, np.full(6, -1))
-    assert len(tape._records) == 2  # hinge_gram and the mean's affine
+    assert len(tape._records) == 1  # hinge_gram, the mean its scale
 
 
 @pytest.mark.parametrize("wrt", ["ab", "a", "b"])
@@ -277,8 +274,8 @@ def test_specularity_loss_matches_masked_mean_oracle(seed):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_specularity_loss_equals_four_op_chain_bit_for_bit(dtype):
     # masked_mean against the mul -> reduce_sum -> affine chain it replaced:
-    # the loss and the gradient keep every byte, under upstream gradients of
-    # training's size and of either sign.
+    # the loss and the gradient keep every byte, under upstream gradients
+    # (backward's scale) of training's size and of either sign.
     for seed in range(4):
         r = rng((29, seed))
         detect = (r.normal(size=(3, 4, 65)) * 2.0).astype(dtype)
@@ -288,8 +285,8 @@ def test_specularity_loss_equals_four_op_chain_bit_for_bit(dtype):
             for loss_fn in (specularity_loss, chain_specularity_loss):
                 x = Tensor(detect)
                 with GradTape() as tape:
-                    loss = affine(loss_fn(x, image), upstream, 0.0)
-                (gx,) = backward(tape, loss, [x])
+                    loss = loss_fn(x, image)
+                (gx,) = backward(tape, loss, [x], upstream)
                 assert loss.dtype == gx.dtype == dtype
                 got.append((loss.data.tobytes(), gx.tobytes()))
             assert got[0] == got[1]
@@ -330,19 +327,18 @@ def test_specular_weight_zero_collapses_to_pair_loss():
     assert terms == (*plain_terms, 0.0)
 
 
-def test_a_toy_training_slot_records_15_loss_ops():
-    # As finetune runs a slot: two forwards, then the specular pair loss and
-    # the batch scaling. Two detection losses, the descriptor loss's hinge_gram
-    # and mean, a softmax and a masked_mean per view, and seven affines and adds.
+def test_a_toy_training_slot_records_11_loss_ops():
+    # As finetune runs a slot: two forwards, then the specular pair loss; the
+    # batch mean is backward's scale. Two detection losses, the descriptor
+    # loss's hinge_gram, a softmax and a masked_mean per view, and four adds.
     img_a, _, img_b, _, label, corr = _toy_pair()
     params = init_params(toy_architecture(), seed=7)
     with GradTape() as tape:
         heads_a = forward(params, img_a)
         heads_b = forward(params, img_b)
         before = len(tape._records)
-        loss, _ = specular_pair_loss(img_a, heads_a, label, img_b, heads_b, label, corr)
-        affine(loss, 0.5, 0.0)
-    assert len(tape._records) - before == 15
+        specular_pair_loss(img_a, heads_a, label, img_b, heads_b, label, corr)
+    assert len(tape._records) - before == 11
 
 
 def test_specular_pair_loss_reports_terms():

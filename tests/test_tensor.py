@@ -87,7 +87,7 @@ def test_an_intermediate_in_wrt_keeps_its_gradient():
     # still returns it for h.
     a = Tensor(np.ones((2, 2)))
     with GradTape() as tape:
-        h = T.affine(a, 2.0, 0.0)
+        h = T.add(a, a)
         loss = T.masked_mean(T.relu(h), np.ones((2, 2)), 1.0)
     gh, ga = backward(tape, loss, [h, a])
     assert np.array_equal(gh, np.ones((2, 2)))
@@ -96,11 +96,11 @@ def test_an_intermediate_in_wrt_keeps_its_gradient():
 
 def test_ops_outside_tape_do_not_record():
     a = Tensor(np.ones(()))
-    _ = T.affine(a, 2.0, 0.0)  # no active tape: must not blow up later
+    _ = T.add(a, a, 2.0)  # no active tape: must not blow up later
     with GradTape() as tape:
-        loss = T.affine(a, 3.0, 0.0)
-    (ga,) = backward(tape, loss, [a])
-    assert ga == 3.0
+        loss = T.add(a, a, 2.0)
+    (ga,) = backward(tape, loss, [a], -0.5)
+    assert ga == -1.5
 
 
 def test_a_tape_replays_once():
@@ -498,14 +498,14 @@ def test_hinge_gram_matches_numpy():
     a = r.uniform(-1, 1, (2, 3, 5))
     b = r.uniform(-1, 1, (2, 3, 5))
     target = np.array([4, -1, 0, 0, 5, -1])
-    got = T.hinge_gram(Tensor(a), Tensor(b), target, 0.9, 0.1, 3.0).item()
+    got = T.hinge_gram(Tensor(a), Tensor(b), target, 0.9, 0.1, 3.0, 0.25).item()
     g = a.reshape(6, 5) @ b.reshape(6, 5).T
     hit = np.zeros((6, 6), bool)
     hit[[0, 2, 3, 4], [4, 0, 0, 5]] = True
-    want = np.where(hit, 3.0 * np.maximum(0.9 - g, 0), np.maximum(g - 0.1, 0)).sum()
+    want = np.where(hit, 3.0 * np.maximum(0.9 - g, 0), np.maximum(g - 0.1, 0)).sum() * 0.25
     assert abs(got - want) <= 1e-12
     with pytest.raises(ValueError, match="shape"):
-        T.hinge_gram(Tensor(a), Tensor(b[:1]), target, 0.9, 0.1, 3.0)
+        T.hinge_gram(Tensor(a), Tensor(b[:1]), target, 0.9, 0.1, 3.0, 1.0)
 
 
 @given(st.integers(0, 1_000_000))
@@ -515,4 +515,5 @@ def test_add_and_masked_mean_agree_with_numpy(seed):
     a = r.uniform(-10, 10, (3, 4))
     b = r.uniform(-10, 10, (3, 4))
     np.testing.assert_array_equal(T.add(Tensor(a), Tensor(b)).data, a + b)
+    np.testing.assert_array_equal(T.add(Tensor(a), Tensor(b), -0.7).data, a + b * -0.7)
     np.testing.assert_array_equal(T.masked_mean(Tensor(a), b, 0.3).data, (a * b).sum() * 0.3)

@@ -6,12 +6,13 @@ import os
 import numpy as np
 import pytest
 
+from endofeat import losses, train
 from endofeat.data import PseudoLabel
 from endofeat.homography import HomographyConfig
 from endofeat.ioutil import read_archive
 from endofeat.losses import LossConfig
-from endofeat.network import init_params, load_weights
-from endofeat.tensor import Tensor
+from endofeat.network import forward, init_params, load_weights
+from endofeat.tensor import GradTape, Tensor, backward
 from endofeat.train import (
     AdamState,
     TrainConfig,
@@ -24,7 +25,7 @@ from endofeat.train import (
     save_checkpoint,
 )
 
-from helpers import rng, toy_architecture
+from helpers import _affine, rng, toy_architecture
 
 
 def mild_config(**kw):
@@ -65,7 +66,7 @@ def test_adam_first_step_matches_closed_form():
         label: rng((41, i)).normal(size=t.shape)
         for i, (label, t) in enumerate(params.tensors.items())
     }
-    state = AdamState()
+    state = AdamState(params)
     updated = adam_step(params, grads, state, cfg)
     assert state.step == 1
     for label, old in params.tensors.items():
@@ -79,7 +80,10 @@ def test_adam_step_keeps_labels_and_checkpoint_names_them(tmp_path):
     params = init_params(toy_architecture(), seed=1, dtype=np.float32)
     labels = list(params.tensors)
     grads = {label: rng((44, i)).normal(size=t.shape) for i, (label, t) in enumerate(params.tensors.items())}
-    state = AdamState()
+    state = AdamState(params)
+    for label, t in params.tensors.items():
+        for moment in (state.m[label], state.v[label]):
+            assert moment.dtype == t.dtype and moment.shape == t.shape and not moment.any()
     updated = adam_step(adam_step(params, grads, state, TrainConfig()), grads, state, TrainConfig())
     assert list(updated.tensors) == labels
     assert list(state.m) == list(state.v) == labels
@@ -118,6 +122,40 @@ def test_finetune_reduces_loss():
     assert all(np.isfinite(h.total) for h in history)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_mean_gives_each_slot_the_scaled_loss_gradient(monkeypatch, dtype):
+    # Each slot's gradients are backward's from 1 / batch_size, summed in slot
+    # order: byte for byte those of scale * loss recorded as its own op and
+    # replayed from 1. At batch size 3, unlike 2, scaling the summed
+    # gradients instead changes their bytes.
+    params = init_params(toy_architecture(), seed=12, dtype=dtype)
+    specular_pair_loss = losses.specular_pair_loss
+    slots, steps = [], []
+
+    def spy_loss(image_a, heads_a, label_a, image_b, heads_b, label_b, corr, config):
+        slots.append((image_a, label_a, image_b, label_b, corr, config))
+        return specular_pair_loss(image_a, heads_a, label_a, image_b, heads_b, label_b, corr, config)
+
+    def spy_step(params, grads, state, config):
+        steps.append(grads)
+        return params
+
+    monkeypatch.setattr(losses, "specular_pair_loss", spy_loss)
+    monkeypatch.setattr(train, "adam_step", spy_step)
+    finetune(params, toy_samples(), mild_config(iterations=1, batch_size=3, learning_rate=1e-3))
+    assert len(slots) == 3 and len(steps) == 1
+
+    want = None
+    for image_a, label_a, image_b, label_b, corr, config in slots:
+        with GradTape() as tape:
+            loss, _ = specular_pair_loss(image_a, forward(params, image_a), label_a,
+                                         image_b, forward(params, image_b), label_b, corr, config)
+            grads = backward(tape, _affine(loss, 1.0 / 3, 0.0), params.tensors.values())
+        want = grads if want is None else [acc + g for acc, g in zip(want, grads)]
+    assert all(g.dtype == dtype for g in want)
+    assert [g.tobytes() for g in steps[0].values()] == [g.tobytes() for g in want]
+
+
 def test_finetune_rejects_empty_dataset():
     params = init_params(toy_architecture(), seed=5)
     with pytest.raises(ValueError, match="nonempty"):
@@ -141,7 +179,7 @@ def _read_checkpoint(directory, iteration):
 
 def test_checkpoint_round_trip(tmp_path):
     params = init_params(toy_architecture(), seed=7, dtype=np.float32)
-    state = AdamState()
+    state = AdamState(params)
     state.step = 9
     for i, (label, tensor) in enumerate(params.tensors.items()):
         state.m[label] = rng((42, i, 0)).normal(size=tensor.shape)
@@ -211,7 +249,7 @@ def saved_checkpoint(tmp_path_factory):
     """(.opt path, valid savez entries) of a float32 toy checkpoint at iteration 5."""
     directory = tmp_path_factory.mktemp("checkpoint")
     params = init_params(toy_architecture(), seed=11, dtype=np.float32)
-    save_checkpoint(directory, 5, params, AdamState())
+    save_checkpoint(directory, 5, params, AdamState(params))
     return checkpoint_paths(directory, 5)[1], _moment_entries(params)
 
 
