@@ -18,11 +18,17 @@ on its inliers and the returned flags correspond to the refit model,
 unless the refit sheds more than half of that support — then the sampled
 hypothesis and its flags are returned instead.
 
-Hypotheses are fit and scored in blocks: each model kernel takes a
-leading hypothesis axis, and the refit and pgt_inliers are B=1 calls of
-it. A stacked numpy.linalg or matmul call runs the same LAPACK
-or BLAS routine on each member that a single call would, so a block
-walked in iteration order gives the serial loop's result bit for bit.
+Hypotheses are fit and scored in blocks: each fit kernel takes a
+leading hypothesis axis, and each estimate builds one scorer whose
+score(models) fills a block's (B, N) residuals in work buffers reused
+across the estimate; the refit and pgt_inliers are B=1 calls of the same
+kernels. A stacked numpy.linalg or matmul call runs the same LAPACK or
+BLAS routine on each member that a single call would, so a block walked
+in iteration order gives the serial loop's result bit for bit.
+
+Pose recovery reads each point's two depths under the four
+decompositions of E (Hartley & Zisserman) from the closed-form 2x2
+least-squares solve; only their signs count, so no point is triangulated.
 
 Samples are drawn in chunks of up to _CHUNK hypotheses by _draw_samples,
 one array lane per hypothesis. The (seed, iteration) -> sample mapping is
@@ -301,22 +307,43 @@ def _fit_homography_stack(pts_a: np.ndarray, pts_b: np.ndarray):
     return np.where(ok[:, None, None], h, np.eye(3)), ok
 
 
-def _transfer_stack(m: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """(B, N) distances from dst to src mapped by each of the B homographies m."""
-    mapped = np.hstack([src, np.ones((src.shape[0], 1))]) @ m.transpose(0, 2, 1)
-    w = mapped[..., 2]
-    bad = np.abs(w) < _EPS
-    w = np.where(bad, 1.0, w)
-    dx = mapped[..., 0] / w - dst[:, 0]
-    dy = mapped[..., 1] / w - dst[:, 1]
-    return np.where(bad, np.inf, np.sqrt(dx * dx + dy * dy))
+def _homogeneous(points: np.ndarray) -> np.ndarray:
+    """The (3, N) rows x, y, 1 of (N, 2) points."""
+    return np.vstack([points.T, np.ones(points.shape[0])])
 
 
-def _homography_distances_stack(h: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
-    """(B, N) symmetric transfer residuals of B homographies (B, 3, 3)."""
-    return np.maximum(
-        _transfer_stack(h, pts_a, pts_b), _transfer_stack(np.linalg.inv(h), pts_b, pts_a)
-    )
+def _homography_scorer(pts_a: np.ndarray, pts_b: np.ndarray):
+    """score(h) -> (B, N) symmetric transfer residuals of B <= _BLOCK homographies.
+
+    The larger of the A->B and B->A transfer distances, inf where a mapped
+    w is below _EPS. Each side is one `h @ points` product written as
+    contiguous (B, N) x, y and w planes, which are divided, subtracted,
+    squared, summed and rooted in place: the per-element operations of
+    the strided formula, in its order. The points and the work buffers
+    are built once, so a returned array is overwritten by the next call.
+    """
+    ha, hb = _homogeneous(pts_a), _homogeneous(pts_b)
+    planes = np.empty((3, _BLOCK, ha.shape[1]))
+    fwd, bwd = np.empty((2, _BLOCK, ha.shape[1]))
+    bad = np.empty((_BLOCK, ha.shape[1]), bool)
+
+    def transfer(m, src, dst, out):
+        b = len(m)
+        x, y, w = mapped = planes[:, :b]
+        np.matmul(m, src, out=mapped.transpose(1, 0, 2))
+        far = np.less(np.abs(w, out=out[:b]), _EPS, out=bad[:b])
+        np.copyto(w, 1.0, where=far)
+        np.subtract(np.divide(x, w, out=x), dst[0], out=x)
+        np.subtract(np.divide(y, w, out=y), dst[1], out=y)
+        dist = np.add(np.multiply(x, x, out=x), np.multiply(y, y, out=y), out=out[:b])
+        np.copyto(np.sqrt(dist, out=dist), np.inf, where=far)
+        return dist
+
+    def score(h):
+        dist = transfer(h, ha, hb, fwd)
+        return np.maximum(dist, transfer(np.linalg.inv(h), hb, ha, bwd), out=dist)
+
+    return score
 
 
 def _fit_fundamental_stack(pts_a: np.ndarray, pts_b: np.ndarray, essential: bool = False):
@@ -352,9 +379,7 @@ def _fit_fundamental_stack(pts_a: np.ndarray, pts_b: np.ndarray, essential: bool
         rank2[:, 1, 1] = s2[:, 1]
         f = u2 @ rank2 @ vt2
     f = np.where(ok[:, None, None], t2.transpose(0, 2, 1) @ f @ t1, np.eye(3))
-    # np.linalg.norm of a single matrix is a BLAS dot; an axis=(1, 2) norm
-    # sums in another order, so each model keeps its own call.
-    norm = np.array([np.linalg.norm(m) for m in f])
+    norm = _frobenius_norms(f)
     ok &= np.isfinite(f).all(axis=(1, 2)) & ~(norm < _EPS)
     f = np.where(ok[:, None, None], f / np.where(ok, norm, 1.0)[:, None, None], np.eye(3))
     if essential:
@@ -365,22 +390,52 @@ def _fit_fundamental_stack(pts_a: np.ndarray, pts_b: np.ndarray, essential: bool
     return np.where(ok[:, None, None], f, np.eye(3)), ok
 
 
-def _epipolar_distances_stack(f: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
-    """(B, N) symmetric epipolar residuals of B models (B, 3, 3)."""
-    ones = np.ones((pts_a.shape[0], 1))
-    x1 = np.hstack([pts_a, ones])
-    x2 = np.hstack([pts_b, ones])
-    lines_b = x1 @ f.transpose(0, 2, 1)  # epipolar lines of A-points in image B
-    lines_a = x2 @ f  # epipolar lines of B-points in image A
-    # (x2 * lines_b).sum(axis=2), spelled out in numpy's left-to-right order
-    val = np.abs(x2[:, 0] * lines_b[..., 0] + x2[:, 1] * lines_b[..., 1] + lines_b[..., 2])
+def _frobenius_norms(m: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a (B, 3, 3) stack, each with np.linalg.norm's bytes.
 
-    def dist(lines):
-        n = np.sqrt(lines[..., 0] ** 2 + lines[..., 1] ** 2)
-        bad = n < _EPS
-        return np.where(bad, np.inf, val / np.where(bad, 1.0, n))
+    np.linalg.norm of one matrix is the square root of a BLAS dot of its
+    entries; a stacked (1, 9) @ (9, 1) matmul calls that same dot on each
+    model, where an axis=(1, 2) norm would sum in another order.
+    """
+    flat = m.reshape(len(m), 9)
+    return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
 
-    return np.maximum(dist(lines_b), dist(lines_a))
+
+def _epipolar_scorer(pts_a: np.ndarray, pts_b: np.ndarray):
+    """score(f) -> (B, N) symmetric epipolar residuals of B <= _BLOCK models.
+
+    |x2^T F x1| over the (a, b) norm of the epipolar line in image B and
+    of the one in image A, the larger of the two; inf where that norm is
+    below _EPS. Lines are `F @ x1` and `F^T @ x2` products written as
+    contiguous (B, N) planes, and the per-element operations are the
+    strided formula's, in its order, in work buffers built once: a
+    returned array is overwritten by the next call.
+    """
+    x1, x2 = _homogeneous(pts_a), _homogeneous(pts_b)
+    lines_b, lines_a = np.empty((2, 3, _BLOCK, x1.shape[1]))  # lines in image B, in image A
+    val, fwd, bwd = np.empty((3, _BLOCK, x1.shape[1]))
+    bad = np.empty((_BLOCK, x1.shape[1]), bool)
+
+    def dist(lines, out):
+        l0, l1 = lines[0], lines[1]
+        norm = np.add(np.multiply(l0, l0, out=l0), np.multiply(l1, l1, out=l1), out=out)
+        near = np.less(np.sqrt(norm, out=norm), _EPS, out=bad[: len(out)])
+        np.copyto(norm, 1.0, where=near)
+        np.copyto(np.divide(val[: len(out)], norm, out=norm), np.inf, where=near)
+        return norm
+
+    def score(f):
+        b = len(f)
+        lb, la = lines_b[:, :b], lines_a[:, :b]
+        np.matmul(f, x1, out=lb.transpose(1, 0, 2))
+        np.matmul(f.transpose(0, 2, 1), x2, out=la.transpose(1, 0, 2))
+        v = np.multiply(x2[0], lb[0], out=val[:b])
+        np.add(v, np.multiply(x2[1], lb[1], out=bwd[:b]), out=v)  # bwd is free until dist(la)
+        np.abs(np.add(v, lb[2], out=v), out=v)
+        d = dist(lb, fwd[:b])
+        return np.maximum(d, dist(la, bwd[:b]), out=d)
+
+    return score
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +591,7 @@ def _ransac(
     kp_b,
     sample_size: int,
     fit,
-    residuals,
+    scorer,
     threshold: float,
     confidence: float,
     seed: int,
@@ -544,12 +599,12 @@ def _ransac(
     """Generic RANSAC core shared by the H, F and E estimators.
 
     fit(sample_a, sample_b) takes a (B, s, 2) stack of pixel samples and
-    returns (models (B, 3, 3), ok (B,)); residuals(models, pts_a, pts_b)
-    returns the (B, N) residuals of every match under each model, and
-    must accept every model fit returns (a homography fit returns only
-    invertible models and identity placeholders). Samples
-    are drawn from the matches sorted by index pair, so the seed-to-sample
-    mapping ignores the caller's match ordering.
+    returns (models (B, 3, 3), ok (B,)). scorer(pts_a, pts_b) is called
+    once and returns score(models), the (B, N) residuals of every match
+    under each of up to _BLOCK models; score must accept every model fit
+    returns (a homography fit returns only invertible models and identity
+    placeholders). Samples are drawn from the matches sorted by index pair,
+    so the seed-to-sample mapping ignores the caller's match ordering.
 
     Samples are drawn in chunks of up to _CHUNK hypotheses. Hypotheses are
     fit and scored in blocks of up to _BLOCK taken from the chunk, then
@@ -557,9 +612,9 @@ def _ransac(
     past the bound are discarded and not counted. The result equals the
     one-hypothesis-at-a-time loop bit for bit: iteration it still gets the
     sample _draw_samples gives it, each LAPACK and BLAS call of a
-    stacked fit or residual pass works on one model exactly as a single
-    fit does, the winner's flags are its row of the block's residual
-    pass, and the refit is a B=1 call of the same kernels.
+    stacked fit or score works on one model exactly as a single fit
+    does, the winner's flags are its row of the block's score, and the
+    refit is a B=1 call of the same kernels.
     """
     n = len(matches)
 
@@ -571,6 +626,7 @@ def _ransac(
     pts_a, pts_b = _match_points(matches, kp_a, kp_b)
     order = _canonical_order(matches)
     ca, cb = pts_a[order], pts_b[order]
+    score = scorer(pts_a, pts_b)
 
     best_count = -1
     best_model = flags = None
@@ -582,11 +638,12 @@ def _ransac(
             first, chunk = it, _draw_samples(seed, it, min(_CHUNK, bound - it), n, sample_size)
         picks = chunk[it - first : it - first + min(_BLOCK, bound - it)]
         models, ok = _fit_block(fit, ca[picks], cb[picks])
-        inside = residuals(models, pts_a, pts_b) <= threshold
+        inside = score(models) <= threshold
+        counts = np.count_nonzero(inside, axis=1)
         for j in range(len(picks)):
             it += 1
             if ok[j]:
-                count = int(inside[j].sum())
+                count = int(counts[j])
                 if count > best_count:
                     best_count, best_model, flags = count, models[j], inside[j]
                     bound = min(bound, _adaptive_bound(count / n, sample_size, confidence))
@@ -599,7 +656,7 @@ def _ransac(
     refit = _fit_one(fit, pts_a[flags], pts_b[flags])
     if refit is None:
         return failed(it, "degenerate final support")
-    new_flags = residuals(refit[None], pts_a, pts_b)[0] <= threshold
+    new_flags = score(refit[None])[0] <= threshold
     if 2 * int(new_flags.sum()) < int(flags.sum()):
         # An algebraic least-squares refit can drift far from the geometric
         # inlier criterion (plane-dominant or low-parallax supports) and shed
@@ -621,7 +678,7 @@ def estimate_homography_ransac(
     """Robust plane-projective fit; inlier = symmetric transfer <= threshold."""
     return _ransac(
         matches, kp_a, kp_b, 4,
-        _fit_homography_stack, _homography_distances_stack, threshold_px, confidence, seed,
+        _fit_homography_stack, _homography_scorer, threshold_px, confidence, seed,
     )
 
 
@@ -636,7 +693,7 @@ def estimate_fundamental_ransac(
     """Robust uncalibrated epipolar fit, rank-2 enforced."""
     return _ransac(
         matches, kp_a, kp_b, 8,
-        _fit_fundamental_stack, _epipolar_distances_stack, threshold_px, confidence, seed,
+        _fit_fundamental_stack, _epipolar_scorer, threshold_px, confidence, seed,
     )
 
 
@@ -667,10 +724,11 @@ def estimate_essential_ransac(
         nb = intrinsics.normalize(sb).reshape(sb.shape)
         return _fit_fundamental_stack(na, nb, essential=True)
 
-    def residuals(e, pts_a, pts_b):
-        return _epipolar_distances_stack(_pixel_frame(e, kinv), pts_a, pts_b)
+    def scorer(pts_a, pts_b):
+        score = _epipolar_scorer(pts_a, pts_b)
+        return lambda e: score(_pixel_frame(e, kinv))
 
-    return _ransac(matches, kp_a, kp_b, 8, fit, residuals, threshold_px, confidence, seed)
+    return _ransac(matches, kp_a, kp_b, 8, fit, scorer, threshold_px, confidence, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +740,9 @@ def triangulate_points(norm_a: np.ndarray, norm_b: np.ndarray, r: np.ndarray, t:
     """Linear triangulation in camera-A coordinates from normalized points.
 
     Each point's 4x4 DLT system is solved by SVD; all systems go to one
-    stacked ``np.linalg.svd`` call.
+    stacked ``np.linalg.svd`` call. It has no pipeline caller: it is a
+    tracer target until ROADMAP item 2, and the test oracle of
+    recover_pose's closed-form depths.
     """
     p1 = np.hstack([np.eye(3), np.zeros((3, 1))])
     p2 = np.hstack([r, t.reshape(3, 1)])
@@ -715,28 +775,44 @@ def decompose_essential(e: np.ndarray):
     return [(r1, t), (r1, -t), (r2, t), (r2, -t)]
 
 
+def _front_counts(norm_a: np.ndarray, norm_b: np.ndarray, candidates) -> list[int]:
+    """Per (R, t) candidate, the points at positive depth in both cameras.
+
+    With a = R x_a and b = x_b the homogeneous rays, a point's depths are
+    the least-squares solution of z1 a - z2 b = -t. Its 2x2 normal
+    equations give z1 = (a.b b.t - a.t b.b) / det and
+    z2 = (a.a b.t - a.b a.t) / det, det = a.a b.b - (a.b)^2 >= 0, so the
+    signs of the numerators decide. For parallel rays both numerators are
+    0 in exact arithmetic, and rounding decides such a point, whose depth
+    is undetermined.
+    """
+    xa, b = _homogeneous(norm_a), _homogeneous(norm_b)
+    bb = (b * b).sum(axis=0)
+    counts = []
+    for r, t in candidates:
+        a = r @ xa
+        aa, ab = (a * a).sum(axis=0), (a * b).sum(axis=0)
+        at, bt = t @ a, t @ b
+        front = (ab * bt - at * bb > 0) & (aa * bt - ab * at > 0)
+        counts.append(int(np.count_nonzero(front)))
+    return counts
+
+
 def recover_pose(e: np.ndarray, matches, kp_a, kp_b, intrinsics: Intrinsics,
                  inlier_flags: np.ndarray) -> RelativePose:
     """Pick the essential decomposition placing the most points in front.
 
-    Triangulates the inlier correspondences under each of the four
-    candidates and keeps the one with the most points at positive depth
-    in both cameras; a tie is a failure whose message lists the per-candidate
-    counts.
+    Counts the inlier correspondences at positive depth in both cameras
+    under each of the four candidates, from closed-form depths
+    (_front_counts), and keeps the candidate with the most; a tie is a
+    failure whose message lists the per-candidate counts.
     """
     pts_a, pts_b = _match_points(matches, kp_a, kp_b)
     pts_a, pts_b = pts_a[inlier_flags], pts_b[inlier_flags]
     if pts_a.shape[0] < 1:
         raise PoseRecoveryError("pose recovery needs at least one inlier")
-    norm_a = intrinsics.normalize(pts_a)
-    norm_b = intrinsics.normalize(pts_b)
-    counts = []
     candidates = decompose_essential(e)
-    for r, t in candidates:
-        pts3 = triangulate_points(norm_a, norm_b, r, t)
-        z1 = pts3[:, 2]
-        z2 = (pts3 @ r.T + t)[:, 2]
-        counts.append(int(((z1 > 0) & (z2 > 0)).sum()))
+    counts = _front_counts(intrinsics.normalize(pts_a), intrinsics.normalize(pts_b), candidates)
     best = int(np.argmax(counts))
     if counts.count(counts[best]) > 1:
         raise PoseRecoveryError(f"ambiguous pose: front-point counts {counts}")
@@ -757,7 +833,7 @@ def pgt_inliers(
         return np.zeros(0, dtype=bool)
     f_px = _pixel_frame(essential_from_pose(pose)[None], np.linalg.inv(intrinsics.matrix))
     pts_a, pts_b = _match_points(matches, kp_a, kp_b)
-    return _epipolar_distances_stack(f_px, pts_a, pts_b)[0] <= threshold_px
+    return _epipolar_scorer(pts_a, pts_b)(f_px)[0] <= threshold_px
 
 
 # ---------------------------------------------------------------------------

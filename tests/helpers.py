@@ -569,6 +569,55 @@ def oracle_epipolar_distances(f, pts_a, pts_b):
     return np.maximum(dist(val, lines_b), dist(val, lines_a))
 
 
+# The strided block residuals geometry scored with before its scorers:
+# (N, 3) @ (B, 3, 3)^T products read as x, y and w columns. Byte oracles
+# for geometry._homography_scorer and geometry._epipolar_scorer.
+
+
+def oracle_transfer_stack(m, src, dst):
+    mapped = np.hstack([src, np.ones((src.shape[0], 1))]) @ m.transpose(0, 2, 1)
+    w = mapped[..., 2]
+    bad = np.abs(w) < _EPS
+    w = np.where(bad, 1.0, w)
+    dx = mapped[..., 0] / w - dst[:, 0]
+    dy = mapped[..., 1] / w - dst[:, 1]
+    return np.where(bad, np.inf, np.sqrt(dx * dx + dy * dy))
+
+
+def oracle_homography_distances_stack(h, pts_a, pts_b):
+    return np.maximum(
+        oracle_transfer_stack(h, pts_a, pts_b), oracle_transfer_stack(np.linalg.inv(h), pts_b, pts_a)
+    )
+
+
+def oracle_epipolar_distances_stack(f, pts_a, pts_b):
+    ones = np.ones((pts_a.shape[0], 1))
+    x1 = np.hstack([pts_a, ones])
+    x2 = np.hstack([pts_b, ones])
+    lines_b = x1 @ f.transpose(0, 2, 1)
+    lines_a = x2 @ f
+    val = np.abs(x2[:, 0] * lines_b[..., 0] + x2[:, 1] * lines_b[..., 1] + lines_b[..., 2])
+
+    def dist(lines):
+        n = np.sqrt(lines[..., 0] ** 2 + lines[..., 1] ** 2)
+        bad = n < _EPS
+        return np.where(bad, np.inf, val / np.where(bad, 1.0, n))
+
+    return np.maximum(dist(lines_b), dist(lines_a))
+
+
+def oracle_front_counts(norm_a, norm_b, candidates):
+    """Per (R, t) candidate, the points geometry.triangulate_points puts at
+    positive depth in both cameras: recover_pose's count before its closed form."""
+    counts = []
+    for r, t in candidates:
+        pts3 = geometry.triangulate_points(norm_a, norm_b, r, t)
+        z1 = pts3[:, 2]
+        z2 = (pts3 @ r.T + t)[:, 2]
+        counts.append(int(((z1 > 0) & (z2 > 0)).sum()))
+    return counts
+
+
 def hypothesis_rng(seed: int, iteration: int) -> np.random.Generator:
     """numpy's own generator for RANSAC hypothesis `iteration` under `seed`."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, iteration))))

@@ -39,10 +39,13 @@ from helpers import (
     hypothesis_rng,
     numpy_samples,
     oracle_epipolar_distances,
+    oracle_epipolar_distances_stack,
     oracle_estimate,
     oracle_fit_fundamental,
     oracle_fit_homography,
+    oracle_front_counts,
     oracle_homography_distances,
+    oracle_homography_distances_stack,
     oracle_ransac,
     random_rotation,
     random_two_view_scene,
@@ -119,7 +122,7 @@ def test_fit_homography_exact(seed):
     pts_b = warp_points(pts_a, h_true)
     h = geometry._fit_one(geometry._fit_homography_stack, pts_a, pts_b)
     np.testing.assert_allclose(h / h[2, 2], h_true / h_true[2, 2], atol=1e-9)
-    assert geometry._homography_distances_stack(h[None], pts_a, pts_b).max() < 1e-8
+    assert geometry._homography_scorer(pts_a, pts_b)(h[None]).max() < 1e-8
 
 
 def test_fit_homography_degenerate_sample():
@@ -132,7 +135,7 @@ def test_fit_fundamental_exact_epipolar(seed):
     pts_a, pts_b, pose, k = random_two_view_scene(n_points=40, seed=(67, seed))
     f = geometry._fit_one(geometry._fit_fundamental_stack, pts_a, pts_b)
     assert f is not None
-    assert geometry._epipolar_distances_stack(f[None], pts_a, pts_b).max() < 1e-6
+    assert geometry._epipolar_scorer(pts_a, pts_b)(f[None]).max() < 1e-6
     assert np.linalg.svd(f, compute_uv=False)[2] < 1e-9  # rank 2
 
 
@@ -231,7 +234,7 @@ def test_fundamental_ransac_with_outliers():
     res = estimate_fundamental_ransac(matches, kp_a, kp_b, seed=4)
     assert res.success
     assert res.inliers[:n_in].all()
-    assert geometry._epipolar_distances_stack(res.model[None], pts_a, pts_b).max() < 3.0
+    assert geometry._epipolar_scorer(pts_a, pts_b)(res.model[None]).max() < 3.0
 
 
 def test_essential_ransac_and_pose_recovery_noise_free():
@@ -296,12 +299,13 @@ def test_ransac_refit_collapse_keeps_sampled_model():
     pick = hypothesis_rng(3, 123).choice(20, size=4, replace=False)
     sampled = geometry._fit_one(geometry._fit_homography_stack, pts_a[pick], pts_b[pick])
     assert res.model.tobytes() == sampled.tobytes()
-    flags = geometry._homography_distances_stack(sampled[None], pts_a, pts_b)[0] <= 20.0
+    score = geometry._homography_scorer(pts_a, pts_b)
+    flags = score(sampled[None])[0] <= 20.0
     np.testing.assert_array_equal(res.inliers, flags)
     assert flags.sum() == 9
     # because the least-squares refit on those 9 keeps only 1 of them
     refit = geometry._fit_one(geometry._fit_homography_stack, pts_a[flags], pts_b[flags])
-    assert (geometry._homography_distances_stack(refit[None], pts_a, pts_b) <= 20.0).sum() == 1
+    assert (score(refit[None]) <= 20.0).sum() == 1
 
 
 # --- stacked RANSAC against the serial oracle ------------------------------
@@ -410,7 +414,7 @@ def test_block_ransac_linalg_fallbacks_match_serial_oracle():
         matches, kp_a, kp_b, 4, oracle_fit, oracle_homography_distances, 3.0, 0.9999, 7
     )
     got = geometry._ransac(
-        matches, kp_a, kp_b, 4, fit, geometry._homography_distances_stack, 3.0, 0.9999, 7
+        matches, kp_a, kp_b, 4, fit, geometry._homography_scorer, 3.0, 0.9999, 7
     )
     assert want.success and want.iterations > 32
     skipped = [
@@ -538,10 +542,10 @@ def test_single_model_kernels_match_oracle(n):
                 geometry._fit_one(fit, na, nb), oracle_fit_fundamental(na, nb, essential)
             )
         model = r.normal(size=(3, 3))
-        assert geometry._homography_distances_stack(model[None], pts_a, pts_b)[0].tobytes() == (
+        assert geometry._homography_scorer(pts_a, pts_b)(model[None])[0].tobytes() == (
             oracle_homography_distances(model, pts_a, pts_b).tobytes()
         )
-        assert geometry._epipolar_distances_stack(model[None], pts_a, pts_b)[0].tobytes() == (
+        assert geometry._epipolar_scorer(pts_a, pts_b)(model[None])[0].tobytes() == (
             oracle_epipolar_distances(model, pts_a, pts_b).tobytes()
         )
 
@@ -571,14 +575,137 @@ def test_stacked_fits_match_oracle_with_degenerate_members(size, stack_fit, orac
         for j in range(32):
             assert _same_or_none(models[j] if ok[j] else None, oracle_fit(sa[j], sb[j]))
         assert not ok[[3, 5, 7]].any()
-        residual = (
-            geometry._homography_distances_stack if size == 4 else geometry._epipolar_distances_stack
-        )
+        scorer = geometry._homography_scorer if size == 4 else geometry._epipolar_scorer
         oracle_residual = oracle_homography_distances if size == 4 else oracle_epipolar_distances
         pts_a, pts_b = r.uniform(0, 2, (50, 2)), r.uniform(0, 2, (50, 2))
-        stacked = residual(models, pts_a, pts_b)
+        stacked = scorer(pts_a, pts_b)(models)
         for j in range(32):
             assert stacked[j].tobytes() == oracle_residual(models[j], pts_a, pts_b).tobytes()
+
+
+def _models_reaching_inf_paths(r, pts, b, homography):
+    """b random models; a third put H's mapped w (homography) or F's epipolar
+    line (a, b) at exactly 0 on one point, and a third scale it below _EPS."""
+    models = r.normal(size=(b, 3, 3))
+    for j in range(0, b, 3):
+        x, y = pts[r.integers(len(pts))]
+        if homography:
+            models[j, 2] = [1.0, 0.0, -x]
+        else:
+            models[j, :2] = [[1.0, 0.0, -x], [0.0, 1.0, -y]]
+    if homography:
+        models[1::3, 2] *= 1e-16
+    else:
+        models[1::3, :2] *= 1e-16
+        models[1::3, :, :2] *= 1e-16
+    return models
+
+
+@pytest.mark.parametrize("n", [8, 9, 37, 200, 640, 1500])
+def test_scorers_match_strided_oracles_bit_for_bit(n):
+    # One scorer per kind, called at a full block, a partial block and B = 1,
+    # then a full block again: a stale buffer element would show.
+    r = rng((107, n))
+    pts_a = r.uniform(0, 640, (n, 2))
+    pts_b = pts_a + r.normal(0, 5, (n, 2))
+    h_score = geometry._homography_scorer(pts_a, pts_b)
+    f_score = geometry._epipolar_scorer(pts_a, pts_b)
+    for b in (geometry._BLOCK, 13, 1, geometry._BLOCK):
+        h = _models_reaching_inf_paths(r, pts_a, b, homography=True)
+        got = h_score(h)
+        assert got.shape == (b, n)
+        assert got.tobytes() == oracle_homography_distances_stack(h, pts_a, pts_b).tobytes()
+        f = _models_reaching_inf_paths(r, pts_a, b, homography=False)
+        got = f_score(f)
+        assert got.tobytes() == oracle_epipolar_distances_stack(f, pts_a, pts_b).tobytes()
+        if b == geometry._BLOCK:
+            assert np.isinf(h_score(h)).any() and np.isinf(f_score(f)).any()
+
+
+def test_essential_and_pgt_scores_match_strided_oracle():
+    # E hypotheses are scored as pixel-frame F = K^-T E K^-1, and pgt_inliers
+    # is a B=1 call of the same scorer on the reference pose's E.
+    pts_a, pts_b, pose, k = random_two_view_scene(n_points=300, seed=108, noise_px=2.0)
+    kp_a, kp_b, matches, _ = _identity_matches(pts_a, pts_b, n_outliers=60, seed=6, size=640.0)
+    pts_a, pts_b = kp_a.points, kp_b.points
+    kinv = np.linalg.inv(k.matrix)
+    r = rng(109)
+    e = np.stack([essential_from_pose(pose)] + [
+        essential_from_pose(RelativePose(rotation_to_quat(random_rotation(r, 30.0)), r.normal(size=3)))
+        for _ in range(geometry._BLOCK - 1)
+    ])
+    got = geometry._epipolar_scorer(pts_a, pts_b)(geometry._pixel_frame(e, kinv))
+    want = oracle_epipolar_distances_stack(kinv.T @ e @ kinv, pts_a, pts_b)
+    assert got.tobytes() == want.tobytes()
+    flags = pgt_inliers(matches, kp_a, kp_b, pose, k)
+    assert flags.tobytes() == (want[0] <= geometry.RANSAC_THRESHOLD_PX).tobytes()
+    assert 0 < flags.sum() < len(flags)
+
+
+def test_frobenius_norms_equal_per_model_linalg_norm():
+    r = rng(110)
+    m = r.normal(size=(20000, 3, 3)) * 10.0 ** r.uniform(-8, 8, (20000, 1, 1))
+    want = np.array([np.linalg.norm(x) for x in m])
+    assert geometry._frobenius_norms(m).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_front_counts_equal_triangulation_on_noise_free_scenes(seed):
+    pts_a, pts_b, pose, k = random_two_view_scene(
+        n_points=200, seed=(111, seed), rotation_deg=5.0 + 10 * seed
+    )
+    na, nb = k.normalize(pts_a), k.normalize(pts_b)
+    candidates = decompose_essential(essential_from_pose(pose))
+    want = oracle_front_counts(na, nb, candidates)
+    assert sorted(want) == [0, 0, 0, 200]  # every point in front under one candidate
+    assert geometry._front_counts(na, nb, candidates) == want
+
+
+def test_front_counts_pick_triangulation_winner_on_noisy_scenes():
+    # Noisy, low-parallax scenes with chance outliers and points behind the
+    # cameras: wherever triangulation's best count beats its runner-up by 5%
+    # of the points, the closed-form depths pick the same candidate.
+    decisive = 0
+    for index in range(120):
+        r = rng((112, index))
+        n = int(r.integers(20, 300))
+        pts_a, pts_b, pose, k = random_two_view_scene(
+            n, seed=(113, index), noise_px=r.uniform(0, 3),
+            rotation_deg=r.uniform(1, 30), baseline=r.uniform(0.02, 0.5),
+        )
+        na, nb = k.normalize(pts_a), k.normalize(pts_b)
+        swap = r.random(n) < 0.2  # rays of a point behind both cameras
+        na[swap], nb[swap] = -na[swap], -nb[swap]
+        wild = r.random(n) < 0.1
+        nb[wild] = r.uniform(-0.8, 0.8, (int(wild.sum()), 2))
+        e = essential_from_pose(pose) + r.normal(0, 0.02, (3, 3))
+        candidates = decompose_essential(e)
+        want = oracle_front_counts(na, nb, candidates)
+        best, runner_up = sorted(want)[::-1][:2]
+        if best - runner_up >= 0.05 * n:
+            decisive += 1
+            got = geometry._front_counts(na, nb, candidates)
+            assert int(np.argmax(got)) == int(np.argmax(want)), (index, got, want)
+    assert decisive >= 100
+
+
+def test_recover_pose_tie_is_ambiguous():
+    # One point in front of both cameras and one behind both: (R, t) and
+    # (R, -t) each place one point in front, the twisted pair none.
+    _, _, pose, k = random_two_view_scene(n_points=1, seed=114)
+    r, t = pose.rotation, pose.translation
+    pts = np.array([[0.1, -0.2, 6.0], [-0.3, 0.2, -5.0]])
+    cam_b = pts @ r.T + t
+    assert (pts[:, 2] * cam_b[:, 2] > 0).all() and pts[0, 2] > 0 > pts[1, 2]
+    pts_a = (pts @ k.matrix.T)[:, :2] / pts[:, 2:]
+    pts_b = (cam_b @ k.matrix.T)[:, :2] / cam_b[:, 2:]
+    kp_a, kp_b, matches, _ = _identity_matches(pts_a, pts_b)
+    e = essential_from_pose(pose)
+    candidates = decompose_essential(e)
+    counts = oracle_front_counts(k.normalize(pts_a), k.normalize(pts_b), candidates)
+    assert sorted(counts) == [0, 0, 1, 1]
+    with pytest.raises(PoseRecoveryError, match=re.escape(f"ambiguous pose: front-point counts {counts}")):
+        recover_pose(e, matches, kp_a, kp_b, k, np.ones(2, bool))
 
 
 def test_recover_pose_requires_inliers():
