@@ -55,8 +55,9 @@ class LossConfig:
     specularity_weight: float = 100.0
 
     def __post_init__(self):
-        if self.specularity_weight < 0:
-            raise ValueError("specularity_weight must be >= 0")
+        for name in ("descriptor_weight", "specularity_weight"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def _cell_targets(label: PseudoLabel, hc: int, wc: int) -> np.ndarray:

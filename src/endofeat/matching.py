@@ -550,7 +550,10 @@ def load_features(path, frame_id: int = -1):
         # sized before the array is made, so a bad header allocates nothing
         size = os.fstat(f.fileno()).st_size
         if size == expected:
-            vec = np.empty(shape, dtype)
+            try:
+                vec = np.empty(shape, dtype)
+            except ValueError as exc:  # no keypoints, and a dim past numpy's array limits
+                raise ValueError(f"{path}: descriptor dim {dim} is too large: {exc}") from None
             size = f.readinto(vec)
     if size != expected:
         raise ValueError(f"{path}.desc: expected {expected} bytes, got {size}")

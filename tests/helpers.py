@@ -342,18 +342,20 @@ def dense_densify(describe: np.ndarray, ys, xs) -> np.ndarray:
     """The whole H x W x D unit-norm descriptor map, read at (ys, xs).
 
     The dense decode network.densify replaced: the same bicubic einsum, then
-    the norm summed over the einsum output's strided channel axis for every
-    pixel, the 1e-12 floor, and the division, before the gather.
-
-    Not a byte oracle on a 1 x 1 cell grid (an 8 x 8 frame) with D >= 16:
-    there einsum multiplies instead of running a GEMM, its output is
-    channel-contiguous, and this norm is numpy's pairwise sum, while densify
-    sums the channels sequentially; the two can differ in the last bit.
+    for every pixel the norm, its squares summed one channel after another
+    as densify sums them, the 1e-12 floor, and the division, before the
+    gather. The explicit channel loop keeps that order on every grid: on a
+    1 x 1 cell grid (an 8 x 8 frame) einsum's output is channel-contiguous,
+    and a numpy sum over that axis would be pairwise.
     """
     wh = network._upsample_matrix(describe.shape[0], describe.dtype)
     ww = network._upsample_matrix(describe.shape[1], describe.dtype)
     up = np.einsum("oi,pj,ijc->opc", wh, ww, describe, optimize=True)
-    norm = np.sqrt((up * up).sum(axis=-1, keepdims=True))
+    squares = up * up
+    norm = np.zeros(up.shape[:2], up.dtype)
+    for c in range(up.shape[2]):
+        norm += squares[..., c]
+    norm = np.sqrt(norm)[..., None]
     dense = up / np.where(norm > 1e-12, norm, 1e-12)
     return np.ascontiguousarray(dense[ys, xs])
 

@@ -198,6 +198,7 @@ def test_invalid_setting_exits_2_before_any_frame(tmp_path, capsys, command, set
         ("learning_rate=-1", "learning_rate must be >= 0"),
         ("homography_scale_min=5", "need 0 < scale_min <= scale_max"),
         ("specularity_weight=-1", "specularity_weight must be >= 0"),
+        ("descriptor_weight=-1", "descriptor_weight must be >= 0"),
         ("checkpoint_every=-3", "checkpoint_every must be >= 0"),
         ("learning_rate=nan", "key 'learning_rate': must be finite, got nan"),
     ],

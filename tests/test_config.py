@@ -325,6 +325,8 @@ def test_sub_config_conversion_and_errors():
         homography_config(RunConfig(homography_scale_min=0.0))
     with pytest.raises(ConfigError):
         loss_config(RunConfig(specularity_weight=-1.0))
+    with pytest.raises(ConfigError, match="descriptor_weight must be >= 0"):
+        loss_config(parse_config_text("descriptor_weight = -1\n"))
     with pytest.raises(ConfigError):
         train_config(RunConfig(batch_size=0))
     with pytest.raises(ConfigError, match="checkpoint_every must be >= 0"):

@@ -718,6 +718,25 @@ def test_load_features_rejects_dim_below_one(tmp_path, dim):
         load_features(path)
 
 
+@pytest.mark.parametrize(
+    "metric, dim",
+    [
+        (METRIC_L2, "99999999999999999999"),  # numpy: "Maximum allowed dimension exceeded"
+        (METRIC_L2, "4611686018427387904"),  # 2^62 floats; numpy: "array is too big"
+        (METRIC_HAMMING, "99999999999999999999"),  # a byte width past numpy's largest dimension
+    ],
+)
+def test_load_features_names_the_file_of_a_dim_too_large_for_numpy(tmp_path, metric, dim):
+    # No keypoints, so the sidecar's expected size is 0 and numpy's own
+    # error on the (0, dim) shape must still name the file.
+    path = feature_path(tmp_path, 8)
+    with open(path, "w", encoding="ascii") as f:
+        f.write(f"metric {metric} dim {dim}\n")
+    (tmp_path / "frame_000008.feat.desc").write_bytes(b"")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: descriptor dim {dim} is too large")):
+        load_features(path)
+
+
 _NUMBER = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["nan", "-inf", "1e999", "-0", "1e-320", "1e160"]),

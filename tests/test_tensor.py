@@ -248,6 +248,23 @@ def test_conv2d_forward_shapes_cover_uneven_blocks():
     assert 1 < blocks < h and h % blocks != 0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h, w", [(64, 64), (120, 160), (240, 320), (2, 120000)])
+def test_single_channel_im2col_equals_the_patch_view_reshape(h, w, dtype):
+    # With Cin = 1, _im2col copies one slice per kernel offset instead of
+    # reshaping the strided view; every block must be that reshape's bytes.
+    # 2 x 120000 splits into two one-row blocks.
+    xp = rng(29).standard_normal((h + 2, w + 2, 1)).astype(dtype)
+    sy, sx, sc = xp.strides
+    patches = np.lib.stride_tricks.as_strided(xp, (h, w, 3, 3, 1), (sy, sx, sy, sx, sc))
+    edges = T._row_edges(h, w * 9)
+    assert len(edges) == (3 if h == 2 else 2)
+    for r0, r1 in zip(edges, edges[1:]):
+        got = T._im2col(patches, r0, r1)
+        want = patches[r0:r1].reshape(-1, 9)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _conv2d_grads(x, k, b, g):
     tx, tk, tb = Tensor(x), Tensor(k), Tensor(b)
     with GradTape() as tape:
@@ -255,10 +272,11 @@ def _conv2d_grads(x, k, b, g):
     return tuple(backward(tape, loss, [tx, tk, tb]))
 
 
-# The forward shapes and the benchmark's toy net at 64x64 and 80x80; three
-# shapes whose rows split into uneven blocks of the forward and of gk (two
-# blocks; blocks of one and two rows; a 5x5 kernel in one-row blocks); and a
-# frame smaller than its kernel.
+# The forward shapes and the benchmark's toy net at 64x64 and 80x80; a
+# Cout = 1 and a Cout = 2 layer, where gb's one-channel and many-channel sums
+# differ; three shapes whose rows split into uneven blocks of the forward and
+# of gk (two blocks; blocks of one and two rows; a 5x5 kernel in one-row
+# blocks); and a frame smaller than its kernel.
 _BENCH_TOY = Architecture(((8,), (8,), (16,), (16,)), head_width=32, descriptor_dim=32)
 _BACKWARD_SHAPES = sorted(
     set(_FORWARD_SHAPES)
@@ -267,6 +285,7 @@ _BACKWARD_SHAPES = sorted(
         for size in (64, 80)
         for _, h, w, k, cin, cout, padding in conv2d_layers(_BENCH_TOY, size, size)
     }
+    | {(20, 30, 3, 4, 1, 1), (16, 24, 5, 1, 2, 2)}
 ) + [(23, 160, 3, 64, 64, 1), (5, 96, 3, 1024, 32, 1), (3, 64, 5, 1024, 4, 2),
       (1, 1, 5, 2, 3, 2)]
 
