@@ -21,6 +21,21 @@ einsum's second GEMM, so every dot product is the same, while the other
 axis first, or einsum without optimize, sums in another order and changes
 the last bits. tests/test_network.py checks the bytes against the einsum.
 
+forward never holds the full-resolution maps of encoder stage 0 (enc0's
+convs, their relus and the first max pool) while no GradTape records: it
+runs the stage in bands of output rows. A band reads a halo of one input row
+per 3x3 conv on each side, clipped at the frame's edges, has an even number
+of rows, so no pool window straddles two bands, and writes its pooled rows
+into one half-resolution map that the rest of the net reads whole. The heads
+are bit-equal to the whole-frame forward's: a conv output element is the
+same dot product in any row block (the rule conv2d's row blocks rely on),
+the zero padding at the frame's edge is unchanged and the pool is per
+window. A band is at least _BAND_ROWS rows and _BAND_MACS multiply-adds of
+its cheapest conv, or the frame is one band: OpenBLAS runs a GEMM of at most
+100^3 multiply-adds with its small-matrix kernel, which sums in another
+order. Under a tape the frame is one band, so training's records and bytes
+are the whole-frame ops'. tests/test_network.py checks the bytes.
+
 NetworkParams.tensors is keyed by the weights file's own labels,
 "<layer>.kernel" and "<layer>.bias" in layer_plan() order. A weights file
 is an np.savez archive (ioutil.write_archive) of those tensors as float32
@@ -46,6 +61,12 @@ _NORM_GUARD = 1e-12  # densify's norm floor, so a zero descriptor stays zero
 # Upsampled values densify computes per block of channels: 2^21 is 8 MB in
 # f32, 27 channels at 240x320, against 79 MB for the whole 256-channel map.
 _UPSAMPLE_ELEMENTS = 1 << 21
+# Floors of a band of the untaped stage 0 (see the module docstring): rows, an
+# even number, and multiply-adds of its cheapest conv. 32 rows keep the second
+# conv's halo at 2 rows in 34; 2^21 keeps every band's GEMM above OpenBLAS's
+# small-matrix bound of 100^3 wherever the whole frame's is.
+_BAND_ROWS = 32
+_BAND_MACS = 1 << 21
 
 
 class WeightsError(Exception):
@@ -139,32 +160,85 @@ def init_params(arch: Architecture, seed: int = 0, dtype=np.float64) -> NetworkP
 
 def forward(params: NetworkParams, image: np.ndarray) -> RawHeads:
     """Run the network on an H x W grayscale array with values in [0, 1],
-    cast to the params' dtype."""
+    cast to the params' dtype; a NaN is out of range.
+
+    While no GradTape records, encoder stage 0 runs in row bands (see the
+    module docstring), so the peak is set by stage 1's half-resolution maps;
+    the heads are bit-equal to the taped whole-frame forward's.
+    """
     iv = np.asarray(image)
     if iv.ndim != 2:
         raise ValueError(f"forward expects an H x W grayscale array, got shape {iv.shape}")
     h, w = iv.shape
     if h % CELL or w % CELL:
         raise ValueError(f"image dims must be divisible by {CELL}, got {h}x{w}")
-    # The frame enters as a Tensor because the conv2d counter in benchmark/tracer.py
-    # reads x.data.size, which an ndarray lacks. Its gradient is never computed:
-    # training differentiates toward the params, and no path leads from them to it.
+    # The frame, and each band of it, enters as a Tensor because the conv2d counter
+    # in benchmark/tracer.py reads x.data.size, which an ndarray lacks. Its gradient
+    # is never computed: training differentiates toward the params, and no path
+    # leads from them to it.
     x = Tensor(iv[:, :, None], dtype=params.dtype())
-    if x.size and (x.data.min() < 0.0 or x.data.max() > 1.0):
+    if x.size and not (x.data.min() >= 0.0 and x.data.max() <= 1.0):  # False on a NaN
         raise ValueError("image values must lie in [0, 1]")
 
     def conv(x, name):
         return T.conv2d(x, params.tensors[f"{name}.kernel"], params.tensors[f"{name}.bias"])
 
-    n_stages = len(params.architecture.encoder_stages)
-    for si, stage in enumerate(params.architecture.encoder_stages):
-        for ci in range(len(stage)):
+    stages = params.architecture.encoder_stages
+    x = _first_stage(params, x, conv)
+    for si in range(1, len(stages)):
+        for ci in range(len(stages[si])):
             x = T.relu(conv(x, f"enc{si}_c{ci}"))
-        if si < n_stages - 1:
+        if si < len(stages) - 1:
             x = T.max_pool2x2(x)
     detect = conv(T.relu(conv(x, "det_a")), "det_b")
     describe = conv(T.relu(conv(x, "desc_a")), "desc_b")
     return RawHeads(detect=detect, describe=describe)
+
+
+def _first_stage(params: NetworkParams, x: Tensor, conv) -> Tensor:
+    """Encoder stage 0 of the H x W x 1 frame x: its relu'd 3x3 convs enc0_c0,
+    enc0_c1, ..., then the first max_pool2x2.
+
+    Untaped, it runs in the bands of _band_edges. Before conv ci a band is
+    cropped to the rows that the stage's remaining convs read, one per conv
+    beyond each side, clipped at the frame's edges; a row that the crop's
+    zero padding made wrong is never read. Under a tape the frame is one
+    band, so the records are those of the whole-frame ops.
+    """
+    names = [f"enc0_c{ci}" for ci in range(len(params.architecture.encoder_stages[0]))]
+    h, w = x.shape[:2]
+    if T._recording():
+        edges = [0, h]
+    else:
+        edges = _band_edges(h, w * min(params.tensors[f"{name}.kernel"].size for name in names))
+    pooled = None
+    for r0, r1 in zip(edges, edges[1:]):
+        y, top = x, 0  # y holds frame rows top : top + len(y)
+        for ci, name in enumerate(names):
+            lo, hi = max(0, r0 - len(names) + ci), min(h, r1 + len(names) - ci)
+            y = T.relu(conv(_rows(y, lo - top, hi - top), name))
+            top = lo
+        p = T.max_pool2x2(_rows(y, r0 - top, r1 - top))
+        if len(edges) == 2:
+            return p
+        if pooled is None:
+            pooled = np.empty((h // 2,) + p.shape[1:], dtype=p.dtype)
+        pooled[r0 // 2 : r1 // 2] = p.data
+    return Tensor._wrap(pooled)
+
+
+def _band_edges(h: int, row_macs: int) -> list[int]:
+    """Row edges of stage 0's bands in an H-row frame whose cheapest conv does
+    row_macs multiply-adds per output row: the fewest even-sized bands of at
+    least _BAND_ROWS rows and _BAND_MACS multiply-adds each, or the whole frame."""
+    pairs = max(_BAND_ROWS // 2, -(-_BAND_MACS // (2 * row_macs)))
+    bands = max(1, h // 2 // pairs)
+    return [2 * (h // 2 * i // bands) for i in range(bands + 1)]
+
+
+def _rows(t: Tensor, r0: int, r1: int) -> Tensor:
+    # Rows r0:r1 of t as a Tensor view, or t itself when they are all of it.
+    return t if (r0, r1) == (0, t.shape[0]) else Tensor._wrap(t.data[r0:r1])
 
 
 def heatmap(detect: Tensor) -> np.ndarray:

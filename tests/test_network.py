@@ -23,7 +23,7 @@ from endofeat.network import (
     save_weights,
 )
 from endofeat.ioutil import write_archive
-from endofeat.tensor import Tensor
+from endofeat.tensor import GradTape, Tensor
 
 from helpers import damaged, dense_densify, rng, toy_architecture
 
@@ -100,6 +100,63 @@ def test_forward_shapes_and_validation():
         forward(params, img[None])  # not 2-D
     with pytest.raises(ValueError):
         forward(params, img + 1.0)  # out of [0, 1]
+    with pytest.raises(ValueError, match=r"image values must lie in \[0, 1\]"):
+        forward(params, np.full((16, 16), np.nan))  # min and max are NaN, and compare False
+
+
+_THREE_CONV_STAGE = Architecture(encoder_stages=((8, 8, 8), (8,), (16,), (16,)), head_width=16,
+                                 descriptor_dim=8)
+
+
+@pytest.mark.parametrize("arch, dtype, h, w, bands", [
+    (Architecture(), np.float32, 240, 320, 7),  # bands of 34 rows, the last one 36
+    (Architecture(), np.float32, 248, 320, 7),  # bands of 34 and 36 rows, mixed
+    (Architecture(), np.float32, 264, 48, 3),  # 88 rows: the multiply-add floor sets the height
+    (Architecture(), np.float32, 16, 16, 1),  # shorter than one band
+    (toy_architecture(), np.float64, 480, 640, 2),
+    (_THREE_CONV_STAGE, np.float32, 240, 320, 2),  # a halo of three rows
+], ids=["default-240x320", "default-248x320", "default-264x48", "default-16x16", "toy-f64",
+        "three-conv-stage"])
+def test_banded_heads_equal_the_taped_whole_frame(arch, dtype, h, w, bands):
+    # Untaped, stage 0 runs in row bands; under a tape the frame is one band.
+    params = init_params(arch, seed=4, dtype=dtype)
+    img = rng(4).uniform(0, 1, (h, w))
+    cheapest = min(params.tensors[f"enc0_c{ci}.kernel"].size for ci in range(len(arch.encoder_stages[0])))
+    assert len(network._band_edges(h, w * cheapest)) - 1 == bands
+    banded = forward(params, img)
+    with GradTape():
+        whole = forward(params, img)
+    for got, want in ((banded.detect, whole.detect), (banded.describe, whole.describe)):
+        assert got.dtype == want.dtype == dtype
+        bits = f"u{got.data.itemsize}"
+        np.testing.assert_array_equal(got.data.view(bits), want.data.view(bits))
+
+
+@pytest.mark.parametrize("h", [8, 16, 62, 64, 66, 240, 1000])
+@pytest.mark.parametrize("row_macs", [9, 576 * 48, 576 * 320, 576 * 1280])
+def test_band_edges_are_even_and_above_both_floors(h, row_macs):
+    edges = network._band_edges(h, row_macs)
+    assert edges[0] == 0 and edges[-1] == h
+    sizes = np.diff(edges)
+    assert np.all(sizes % 2 == 0)
+    if len(sizes) > 1:
+        assert sizes.min() >= network._BAND_ROWS
+        assert sizes.min() * row_macs >= network._BAND_MACS
+        assert sizes.max() - sizes.min() <= 2
+
+
+def test_untaped_forward_holds_one_band_of_the_full_resolution_stage():
+    # the whole-frame forward peaks at 245 MB here, the banded one at about 67 MB
+    params = init_params(Architecture(), seed=0, dtype=np.float32)
+    img = rng(5).uniform(0, 1, (480, 640))
+    tracemalloc.start()
+    try:
+        heads = forward(params, img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert heads.describe.shape == (60, 80, 256)
+    assert peak < 128e6, f"peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
