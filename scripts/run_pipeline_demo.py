@@ -29,7 +29,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from endofeat import cli, data, network
+from endofeat import cli, data, metrics, network
 from endofeat.config import ConfigError, config_text
 from endofeat.data import warp_label
 from endofeat.homography import HomographyConfig, warp_points
@@ -147,15 +147,13 @@ def run(args) -> list:
 
     with open(os.path.join(args.output, "report.json"), encoding="utf-8") as f:
         doc = json.load(f)
-    cell = max(1, size // 16)
     rows = []
     for e in doc["methods"]["learned"]["1"]:
         if "H" not in e["inliers"]:
             continue
-        truth = {(min(int(x // cell), 15), min(int(y // cell), 15))
-                 for x, y in warp_points(centers.astype(float), homs[e["frame_a"]])}
+        truth = warp_points(centers.astype(float), homs[e["frame_a"]])
         rows.append(PairRow(e["frame_a"], e["frame_b"], e["inliers"]["H"], len(centers),
-                            e["grid_pct"]["H"], 100.0 * len(truth) / 256))
+                            e["grid_pct"]["H"], metrics.grid_coverage(truth, size, size)))
     return rows
 
 
