@@ -17,8 +17,11 @@ one tiled pass over the Gram matrix and serves both directions from each
 tile: rows against the row's Gram minimum, columns against a running
 column minimum. The Gram values only select candidates, in float32 for
 float32 rows and unpacked bits (float64 otherwise), with a tolerance from
-that dtype's rounding bound; every winner is re-scored with the direct
-float64 formula, so the result does not depend on the Gram dtype.
+that dtype's rounding bound, into one candidate list per pair, which is
+checked against the final column minima. A row or column with a single
+candidate has its winner; the others are re-scored with the direct
+float64 formula, as is each mutual pair for its distance, so the result
+does not depend on the Gram dtype.
 
 Feature files are a small text + binary-sidecar format shared with
 ingested baseline detectors, so every method flows through one pipeline.
@@ -304,13 +307,19 @@ def match_mutual(da: DescriptorSet, db: DescriptorSet) -> MatchSet:
     rounding-error bound of the row's Gram minimum; in each column, every
     entry within twice the bound of the column's running Gram minimum over
     the tiles so far, which only falls, so the winner's own tile records
-    it. The candidates are re-scored with the direct formula in float64
-    and folded into both directions' running bests in chunks of at most
-    ``_CHUNK_ELEMENTS`` (2^16) entries, the lowest index among the exact
-    minima wins, and the result is bit-for-bit that of a full matrix of
-    direct distances (_mutual_l2 derives the bound). No candidate outlives
-    its chunk, so memory grows with neither the number of rows of A nor
-    the number of candidates.
+    it. The tiles append their candidates to one row-major list, which
+    finally keeps a column's entries only within twice the bound of its
+    final Gram minimum. Every exact minimum is a candidate, so a row or
+    column left with one candidate takes it as it is; the other entries
+    are re-scored with the direct formula in float64 and folded into both
+    directions' running bests, the lowest index among the exact minima
+    wins, and the result is bit-for-bit that of a full matrix of direct
+    distances (_mutual_l2 derives the bound). Each mutual pair is then
+    re-scored once more for its distance. The list holds at most
+    ``_CHUNK_ELEMENTS`` (2^16) entries: past that it is pruned against the
+    current column minima or re-scored and folded, and a tile with more
+    candidates folds them itself in chunks of that size, so memory grows
+    with neither the number of rows of A nor the number of candidates.
 
     The Gram matrix is float32 when both sides hold float32 rows, as every
     feature file loads, and float64 otherwise; the bound takes that
@@ -321,11 +330,11 @@ def match_mutual(da: DescriptorSet, db: DescriptorSet) -> MatchSet:
     """
     if da.metric != db.metric:
         raise ValueError(f"metric mismatch: {da.metric} vs {db.metric}")
+    if da.dim != db.dim:
+        raise ValueError(f"descriptor dims differ: {da.dim} vs {db.dim}")
     na, nb = len(da), len(db)
     if na == 0 or nb == 0:
         return MatchSet(np.empty((0, 2), np.int64), np.empty(0))
-    if da.dim != db.dim:
-        raise ValueError(f"descriptor dims differ: {da.dim} vs {db.dim}")
 
     if da.metric == METRIC_HAMMING:
         # 0/1 bits are exact in float32, so Hamming takes the float32 Gram
@@ -335,22 +344,21 @@ def match_mutual(da: DescriptorSet, db: DescriptorSet) -> MatchSet:
         single = da.vectors.dtype == db.vectors.dtype == np.float32
         a_rows = da.vectors.astype(np.float32 if single else np.float64, copy=False)
         b_rows = db.vectors.astype(a_rows.dtype, copy=False)
-    best_b, dist_b, best_a = _mutual_l2(a_rows, b_rows)
+    best_b, best_a = _mutual_l2(a_rows, b_rows)
 
     rows = np.flatnonzero(best_a[best_b] == np.arange(na))
+    direct = _rescore(a_rows, b_rows, rows, best_b[rows])
     pairs = np.stack([rows, best_b[rows]], axis=1)
-    dists = np.sqrt(dist_b[rows]) if da.metric == METRIC_L2 else dist_b[rows]
-    return MatchSet(pairs, dists)
+    return MatchSet(pairs, np.sqrt(direct) if da.metric == METRIC_L2 else direct)
 
 
 def _mutual_l2(a: np.ndarray, b: np.ndarray):
     """Lowest-index nearest neighbours in both directions from one tiled Gram pass.
 
     a (na, D) and b (nb, D) share a dtype, float32 or float64, in which the
-    Gram values are computed. Returns (best_b, dist_b, best_a): the nearest
-    b row of each a row with its direct squared distance
-    ``np.sum((a_i - b_j) ** 2)`` in float64, and the nearest a row of each
-    b row.
+    Gram values are computed. Returns (best_b, best_a): the nearest b row
+    of each a row and the nearest a row of each b row, by the direct
+    squared distance ``np.sum((a_i - b_j) ** 2)`` in float64.
 
     Bound. A tile's Gram values come from one matrix product of the
     augmented rows [-2 a_i, |a_i|^2, 1] and [b_j, 1, |b_j|^2]. With u the
@@ -362,34 +370,51 @@ def _mutual_l2(a: np.ndarray, b: np.ndarray):
     bounds, which hold for any order and with FMA). So the two differ by
     at most tol = (4D + 16) eps s with eps = 2u, s taken over the largest
     norm of the other side; the slack covers second-order terms and the
-    rounding of the bound, and ``tiny`` covers underflow. The entry with the least direct value of a
-    row (or column) therefore has a Gram value within 2 tol of every Gram
-    value in that row (or column), and re-scoring every such entry with
-    the direct formula finds it.
+    rounding of the bound, and ``tiny`` covers underflow. Every entry with
+    the least direct value of a row (or column) therefore has a Gram value
+    within 2 tol of every Gram value in that row (or column). So it is a
+    candidate, and a row or column with one candidate has found it.
 
     Tiles: as many rows of A as fit in _TILE_ELEMENTS Gram values, at
     least one; A's augmented rows are built one tile at a time. Rows: each
     tile takes every column within its row's Gram minimum + 2 tol.
     Columns: a running per-column Gram minimum takes each tile's column
     minima, and each tile takes every entry within that running minimum
-    + 2 tol; it only falls, so the winner's entry is taken in its own tile.
-    Both bounds are rounded down to the Gram dtype, which keeps exactly the
-    same entries and compares within one dtype.
+    + 2 tol; it only falls, so every entry within the final minimum
+    + 2 tol is taken in its own tile. Both bounds are rounded down to the
+    Gram dtype, which keeps exactly the same entries and compares within
+    one dtype.
 
-    Candidates: the union of both sides' entries, in row-major order, is
-    re-scored with the direct formula and folded in chunks of at most
-    _CHUNK_ELEMENTS entries (a tile with fewer is one chunk), each
-    re-scored _CHUNK_ELEMENTS float64 values at a time. Both directions
-    keep one rule (_fold): per index, the chunk's least (direct distance,
-    other index) entry replaces the running best only when strictly
-    smaller; chunks come in row-major order, so ties keep the lowest index.
-    No candidate outlives its chunk, so memory stays bounded by the tile
-    and the chunk even when every entry is a candidate.
+    Candidates: the tiles append their entries (flat index, Gram value,
+    and whether it is within its row's bound) to one row-major list, and
+    at the end the column-only entries above the final column bound are
+    dropped. A row or column left with exactly one candidate, and that no
+    earlier fold touched, takes it without a re-score. Every other listed
+    entry is re-scored with the direct formula and folded: rows with
+    their row candidates, columns with their column candidates. Both
+    directions keep one rule (_fold): per index, the least (direct
+    distance, other index) entry replaces the running best only when
+    strictly smaller; folds come in row-major order, so ties keep the
+    lowest index.
+
+    Memory: the list holds at most _CHUNK_ELEMENTS entries. A list that
+    would pass the cap first drops the column-only entries above the
+    current column bounds; if still too long, it is re-scored and folded
+    into both directions, and its columns count as touched: such a fold
+    may hold a column's exact minimum, of lower index than any later
+    entry, so a touched column re-scores even one candidate. Its rows are
+    done, since a tile lists all of its rows' entries at once. A tile with
+    more candidates than the cap, after the list before it is flushed so
+    that folds stay in row-major order, re-scores and folds them itself in
+    chunks of _CHUNK_ELEMENTS flat entries, so memory stays bounded by the
+    tile and the chunk even when every entry is a candidate. "Touched" is
+    a flag of its own, not a finite distance: a folded float64 distance
+    can overflow to inf.
 
     tol is computed as (D + 4) (eps 4s + 4 tiny), which is inf whenever 4s
     overflows. The product's partial sums stay within about 2s, so a row or
     column whose Gram values could overflow gets an inf or NaN bound, and
-    ~(gram > bound) re-scores all of its entries.
+    ~(gram > bound) takes all of its entries.
     """
     na, width = a.shape
     nb = b.shape[0]
@@ -399,6 +424,17 @@ def _mutual_l2(a: np.ndarray, b: np.ndarray):
     dist_b = np.full(na, np.inf)
     best_a = np.zeros(nb, dtype=np.int64)
     dist_a = np.full(nb, np.inf)
+    touched = np.zeros(nb, dtype=bool)  # the columns an earlier fold touched
+
+    def fold(rows, cols):
+        direct = _rescore(a, b, rows, cols)
+        _fold(rows, cols, direct, best_b, dist_b)
+        _fold(cols, rows, direct, best_a, dist_a)
+        touched[cols] = True
+
+    # the candidate list, one (flat index, Gram value, within the row bound) part per tile
+    empty = (np.empty(0, np.int64), np.empty(0, a.dtype), np.empty(0, bool))
+    listed, size = [empty], 0
     with np.errstate(all="ignore"):
         a_sq = np.einsum("ij,ij->i", a, a)
         b_sq = np.einsum("ij,ij->i", b, b)
@@ -421,18 +457,54 @@ def _mutual_l2(a: np.ndarray, b: np.ndarray):
             np.minimum(col_min, gram.min(axis=0), out=col_min)
             col_bound = _floor_to(col_min + 2 * tol_b, a.dtype)
             # ~(g > bound) keeps every entry whose bound is NaN
-            far = np.greater(gram, row_bound[:, None], out=far_buf[0, : hi - lo])
-            far &= np.greater(gram, col_bound, out=far_buf[1, : hi - lo])
-            near = np.logical_not(far, out=far).ravel()
-            span = near.size if np.count_nonzero(near) <= _CHUNK_ELEMENTS else _CHUNK_ELEMENTS
-            for c0 in range(0, near.size, span):
-                # one flat scan: a 2-D np.nonzero is many times slower
-                rows, cols = np.divmod(np.flatnonzero(near[c0 : c0 + span]) + c0, nb)
-                rows += lo
-                direct = _rescore(a, b, rows, cols)
-                _fold(rows, cols, direct, best_b, dist_b)
-                _fold(cols, rows, direct, best_a, dist_a)
-    return best_b, dist_b, best_a
+            far_row = np.greater(gram, row_bound[:, None], out=far_buf[0, : hi - lo]).ravel()
+            far = np.greater(gram, col_bound, out=far_buf[1, : hi - lo]).ravel()
+            far &= far_row
+            near = np.logical_not(far, out=far)
+            count = np.count_nonzero(near)
+            if size + count > _CHUNK_ELEMENTS:
+                listed = [_listed_near(listed, col_bound, nb)[:3]]
+                size = listed[0][0].size
+                if size + count > _CHUNK_ELEMENTS:
+                    fold(*np.divmod(listed[0][0], nb))
+                    listed, size = [empty], 0
+            if count > _CHUNK_ELEMENTS:
+                for c0 in range(0, near.size, _CHUNK_ELEMENTS):
+                    # one flat scan: a 2-D np.nonzero is many times slower
+                    rows, cols = np.divmod(np.flatnonzero(near[c0 : c0 + _CHUNK_ELEMENTS]) + c0, nb)
+                    rows += lo
+                    fold(rows, cols)
+            else:
+                flat = np.flatnonzero(near)
+                listed.append((flat + lo * nb, gram.ravel()[flat], ~far_row[flat]))
+                size += count
+        flat, _, in_row, in_col = _listed_near(listed, col_bound, nb)
+    rows, cols = np.divmod(flat, nb)
+    # no listed row was folded before: a tile lists or folds all of its rows' entries
+    fold_row = in_row & (np.bincount(rows[in_row], minlength=na)[rows] > 1)
+    fold_col = in_col & ((np.bincount(cols[in_col], minlength=nb)[cols] > 1) | touched[cols])
+    one = in_row & ~fold_row
+    best_b[rows[one]] = cols[one]
+    one = in_col & ~fold_col
+    best_a[cols[one]] = rows[one]
+    pick = fold_row | fold_col
+    rows, cols, fold_row, fold_col = rows[pick], cols[pick], fold_row[pick], fold_col[pick]
+    direct = _rescore(a, b, rows, cols)
+    _fold(rows[fold_row], cols[fold_row], direct[fold_row], best_b, dist_b)
+    _fold(cols[fold_col], rows[fold_col], direct[fold_col], best_a, dist_a)
+    return best_b, best_a
+
+
+def _listed_near(listed, col_bound, nb):
+    """The candidate list as one part, without the column-only entries above col_bound.
+
+    Returns (flat index, Gram value, within the row bound, within
+    col_bound) per entry, in the list's order.
+    """
+    flat, gram, in_row = (np.concatenate(part) for part in zip(*listed))
+    in_col = ~(gram > col_bound[flat % nb])
+    keep = in_row | in_col
+    return flat[keep], gram[keep], in_row[keep], in_col[keep]
 
 
 def _floor_to(x, dtype):
@@ -446,13 +518,14 @@ def _rescore(a, b, rows, cols):
     direct = np.empty(rows.size)
     chunk = max(1, _CHUNK_ELEMENTS // max(1, a.shape[1]))
     buf = np.empty((min(chunk, rows.size), a.shape[1]))
-    for c in range(0, rows.size, chunk):
-        r, k = rows[c : c + chunk], cols[c : c + chunk]
-        diff = buf[: r.size]
-        diff[...] = a[r]
-        diff -= b[k]
-        diff *= diff
-        direct[c : c + chunk] = diff.sum(axis=1)
+    with np.errstate(over="ignore"):  # rows far enough apart have an inf distance
+        for c in range(0, rows.size, chunk):
+            r, k = rows[c : c + chunk], cols[c : c + chunk]
+            diff = buf[: r.size]
+            diff[...] = a[r]
+            diff -= b[k]
+            diff *= diff
+            direct[c : c + chunk] = diff.sum(axis=1)
     return direct
 
 

@@ -252,8 +252,9 @@ def _direct_sq(a, b):
     a = a.astype(np.float64)
     b = b.astype(np.float64)
     dist = np.empty((len(a), len(b)))
-    for lo in range(0, len(a), 16):  # row blocks bound the (rows, nb, D) temporary
-        dist[lo : lo + 16] = ((a[lo : lo + 16, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    with np.errstate(over="ignore"):  # rows far enough apart have an inf distance
+        for lo in range(0, len(a), 16):  # row blocks bound the (rows, nb, D) temporary
+            dist[lo : lo + 16] = ((a[lo : lo + 16, None, :] - b[None, :, :]) ** 2).sum(axis=2)
     return dist
 
 
@@ -407,11 +408,10 @@ def test_match_mutual_hamming_spans_tiles(monkeypatch, na, nb, width, bits):
 
 
 def _assert_kernel_matches_direct(a, b):
-    """The one-pass kernel's nearest rows, both ways, are the direct argmins."""
+    """The one-pass kernel returns (best_b, best_a), the direct argmins both ways."""
     dist = _direct_sq(a, b)
-    best_b, dist_b, best_a = matching._mutual_l2(a, b)
+    best_b, best_a = matching._mutual_l2(a, b)
     np.testing.assert_array_equal(best_b, dist.argmin(axis=1))
-    np.testing.assert_array_equal(dist_b, dist.min(axis=1))
     np.testing.assert_array_equal(best_a, dist.argmin(axis=0))
 
 
@@ -487,8 +487,22 @@ def test_mutual_kernel_column_ties_across_tiles_go_to_lowest_row(monkeypatch):
     assert not np.isin(got.pairs[:, 0], np.arange(2 * step, 2 * step + 40)).any()
 
 
+def _column_folds(monkeypatch, nb):
+    """Record the keys of each column-direction fold, the folds into an (nb,) best array."""
+    folds = []
+    fold = matching._fold
+
+    def spy(key, other, direct, best, dist):
+        if best.size == nb:
+            folds.append(set(key.tolist()))
+        return fold(key, other, direct, best, dist)
+
+    monkeypatch.setattr(matching, "_fold", spy)
+    return folds
+
+
 @pytest.mark.parametrize("tile_rows", [1, 9])
-@pytest.mark.parametrize("chunk", [2, 5])
+@pytest.mark.parametrize("chunk", [2, 5, 64])
 def test_mutual_kernel_candidates_straddle_chunks_and_tiles(monkeypatch, tile_rows, chunk):
     r = rng((66, tile_rows, chunk))
     dim = 16
@@ -504,9 +518,13 @@ def test_mutual_kernel_candidates_straddle_chunks_and_tiles(monkeypatch, tile_ro
     a, b = a[r.permutation(len(a))], b[r.permutation(len(b))]
     monkeypatch.setattr(matching, "_TILE_ELEMENTS", tile_rows * max(len(a), len(b)))
     monkeypatch.setattr(matching, "_CHUNK_ELEMENTS", chunk)
-    _assert_kernel_matches_direct(a, b)
-    _assert_kernel_matches_direct(b, a)
-    _assert_kernel_matches_direct(a.astype(np.float64), b.astype(np.float64))
+    for x, y in ((a, b), (b, a), (a.astype(np.float64), b.astype(np.float64))):
+        folds = _column_folds(monkeypatch, len(y))
+        _assert_kernel_matches_direct(x, y)
+        if chunk == 64:
+            # the candidate list passes this cap and is flushed: some column's
+            # candidates are folded there and again in the final stage
+            assert folds[-1] & set().union(*folds[:-1])
 
 
 def test_floor_to_float32_keeps_every_comparison():
@@ -582,11 +600,48 @@ def test_match_mutual_memory_stays_per_tile_when_every_entry_is_a_candidate():
     assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
-def test_match_mutual_memory_of_an_eval_sized_pair():
+def test_mutual_kernel_f64_overflow_column_is_refolded(monkeypatch):
+    r = rng(68)
+    nb = 4
+    a = r.normal(size=(6, 8))
+    b = r.normal(size=(nb, 8))
+    b[0] *= 1e200  # every direct distance to b_0 overflows to inf: an inf tie, won by row 0
+    # one-row tiles, each with all nb entries as candidates (the bounds are inf), and a
+    # cap that flushes every tile but the last: column 0's earlier fold holds row 0 at
+    # inf, and its one later candidate, the last row, must not replace it
+    monkeypatch.setattr(matching, "_TILE_ELEMENTS", nb)
+    monkeypatch.setattr(matching, "_CHUNK_ELEMENTS", nb + 2)
+    folds = _column_folds(monkeypatch, nb)
+    _assert_kernel_matches_direct(a, b)
+    assert 0 in folds[-1]
+    _assert_matches_oracle(DescriptorSet(a), DescriptorSet(b))
+
+
+def _eval_sized_pair():
     r = rng(67)
     db = DescriptorSet(_unit_rows(r.normal(size=(1000, 256))))
     near = db.vectors[:600] + r.normal(0, 0.04, (600, 256))
-    da = DescriptorSet(np.concatenate([_unit_rows(near), _unit_rows(r.normal(size=(400, 256)))]))
+    return DescriptorSet(np.concatenate([_unit_rows(near), _unit_rows(r.normal(size=(400, 256)))])), db
+
+
+def test_match_mutual_rescores_the_matches_and_few_more(monkeypatch):
+    da, db = _eval_sized_pair()
+    counted = []
+    rescore = matching._rescore
+
+    def spy(a, b, rows, cols):
+        counted.append(rows.size)
+        return rescore(a, b, rows, cols)
+
+    monkeypatch.setattr(matching, "_rescore", spy)
+    got = match_mutual(da, db)
+    # only ambiguous winners are re-scored besides each match's distance
+    assert len(got) >= 590
+    assert sum(counted) <= len(got) + 64, f"{sum(counted)} re-scored for {len(got)} matches"
+
+
+def test_match_mutual_memory_of_an_eval_sized_pair():
+    da, db = _eval_sized_pair()
     # B's augmented rows (1 MB), one tile's Gram values (1 MB), A's augmented
     # rows and masks, and one re-score chunk (0.5 MB)
     tracemalloc.start()
@@ -608,6 +663,8 @@ def test_match_mutual_validation_and_empty():
         match_mutual(l2, DescriptorSet(np.zeros((2, 3), np.float32)))
     with pytest.raises(ValueError, match="dims differ: 8 vs 5"):
         match_mutual(ham, DescriptorSet(np.zeros((2, 1), np.uint8), METRIC_HAMMING, bits=5))
+    with pytest.raises(ValueError, match="dims differ: 128 vs 256"):
+        match_mutual(DescriptorSet(np.empty((0, 128), np.float32)), DescriptorSet(np.zeros((5, 256), np.float32)))
     out = match_mutual(l2, DescriptorSet(np.empty((0, 4), np.float32)))
     assert len(out) == 0
 
